@@ -10,6 +10,14 @@ Three rotation types act on an arc-length generating curve:
                 z(u,v) = x1 e1 + f xi1 + (-v^2 f + g) xi2 + sqrt2 v f e4,
                 with f f' != 0.
 
+Every per-type fact lives in one RotationSpec per RotationType, held in
+the table SPECS at the end of this module: component order, the sign s of
+k = (r')^2 + s in the phi-equation, the trig pair of phi, the patch
+formula, the closed-form <H, H>, the arc-length and twist expressions, the
+default v window and the special profile with its closed-form phi.  The
+builders, the generator, validation, I/O and the CLI read the table
+instead of branching on the type.
+
 Besides the patch constructors this module carries the closed-form
 adapted frames, the closed-form mean curvature of each type, the
 Weingarten derivative table of the elliptic frame, and the hyperplane
@@ -22,12 +30,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Mapping
 
-from .errors import InvariantViolationError, NearNullSlopeError
+from .errors import (
+    CaseMismatchError,
+    EvalDomainError,
+    InvariantViolationError,
+    NearNullSlopeError,
+)
 from .geometry import Vec4
 from .profiles import Jet2
 from .surfaces import Frame, MeanCurvature, PatchJets, SurfacePatch
+
+if TYPE_CHECKING:
+    from .generator import CmcParams
 
 #: Exclusion band around (r')^2 = 1 for hyperbolic surfaces.
 TAU_SLOPE = 1e-6
@@ -50,12 +67,15 @@ class RotationType(Enum):
     PARABOLIC = "parabolic"
 
 
-COMPONENT_NAMES = {
-    RotationType.ELLIPTIC: ("x1", "x2", "r"),
-    RotationType.HYPERBOLIC_A: ("r", "x2", "x4"),
-    RotationType.HYPERBOLIC_B: ("r", "x2", "x4"),
-    RotationType.PARABOLIC: ("x1", "f", "g"),
-}
+def slope_sign(m: float, u: float) -> int:
+    """Sign of m = (r')^2 - 1 at u: the hyperbolic case, A (+1) or B (-1).
+
+    Raises NearNullSlopeError inside the exclusion band |m| < TAU_SLOPE.
+    """
+    if abs(m) < TAU_SLOPE:
+        raise NearNullSlopeError(
+            f"(r')^2 - 1 = {m!r} inside the exclusion band at u={u!r}")
+    return 1 if m > 0.0 else -1
 
 
 @dataclass(frozen=True)
@@ -72,7 +92,7 @@ class GeneratingCurve:
 
     @property
     def component_names(self) -> tuple[str, str, str]:
-        return COMPONENT_NAMES[self.rotation]
+        return SPECS[self.rotation].names
 
     def jets(self, u: float) -> tuple[Jet2, Jet2, Jet2]:
         c1, c2, c3 = self.components
@@ -80,25 +100,13 @@ class GeneratingCurve:
 
     def arclength_residual(self, u: float) -> float:
         """|type-appropriate arc-length expression - 1| at u."""
-        a, b, c = self.jets(u)
-        if self.rotation is RotationType.ELLIPTIC:
-            value = a.d1**2 + b.d1**2 - c.d1**2      # (x1')^2+(x2')^2-(r')^2
-        elif self.rotation is RotationType.PARABOLIC:
-            value = a.d1**2 - 2.0 * b.d1 * c.d1      # (x1')^2 - 2 f' g'
-        else:
-            value = a.d1**2 + b.d1**2 - c.d1**2      # (r')^2+(x2')^2-(x4')^2
-        return abs(value - 1.0)
+        return abs(SPECS[self.rotation].arclength(*self.jets(u)) - 1.0)
 
     def twist(self, u: float) -> float:
         """The quantity whose vanishing makes the surface hyperplanar:
         x1'x2''-x1''x2' (elliptic), x2'x4''-x2''x4' (hyperbolic),
         x1''f'-x1'f'' (parabolic)."""
-        a, b, c = self.jets(u)
-        if self.rotation is RotationType.ELLIPTIC:
-            return a.d1 * b.d2 - a.d2 * b.d1
-        if self.rotation is RotationType.PARABOLIC:
-            return a.d2 * b.d1 - a.d1 * b.d2
-        return b.d1 * c.d2 - b.d2 * c.d1
+        return SPECS[self.rotation].twist(*self.jets(u))
 
 
 def _sample_points(domain: tuple[float, float], n: int = 33) -> list[float]:
@@ -106,36 +114,46 @@ def _sample_points(domain: tuple[float, float], n: int = 33) -> list[float]:
     return [lo + (hi - lo) * (k + 0.5) / n for k in range(n)]
 
 
-def _check_arclength(curve: GeneratingCurve, samples: list[float]) -> None:
-    for u in samples:
-        res = curve.arclength_residual(u)
-        if not res <= ARC_TOL:
-            raise InvariantViolationError(
-                f"arc-length residual {res!r} at u={u!r} exceeds {ARC_TOL}")
+def _check_radius(r: Jet2, u: float) -> None:
+    if not r.val > 0.0:
+        raise InvariantViolationError(f"r(u)={r.val!r} <= 0 at u={u!r}")
+
+
+def _check_ff(f: Jet2, u: float) -> None:
+    if f.val == 0.0 or f.d1 == 0.0:
+        raise InvariantViolationError(f"f*f' vanishes at u={u!r}")
 
 
 # --- patch constructors ------------------------------------------------------
 
-def build_elliptic(curve: GeneratingCurve,
-                   v_window: tuple[float, float] = (0.0, 2.0 * math.pi),
-                   check: bool = True) -> SurfacePatch:
-    """Rotate (x1, x2, r, 0) about the plane Oe1e2.
-
-    Validates the arc-length invariant and r > 0 on a sample grid before
-    assembling analytic partials from the curve jets.
-    """
-    if curve.rotation is not RotationType.ELLIPTIC:
-        raise InvariantViolationError(f"expected an elliptic curve, got {curve.rotation}")
+def _build(curve: GeneratingCurve, family: str,
+           v_window: tuple[float, float] | None, check: bool) -> SurfacePatch:
+    """Validate the arc-length invariant and the profile conditions of the
+    curve's spec on a sample grid, then assemble the spec's patch formula;
+    ``v_window`` defaults to the spec's window."""
+    spec = SPECS[curve.rotation]
+    if spec.family != family:
+        raise InvariantViolationError(f"{family} builder got a {curve.rotation.value} curve")
     if check:
         samples = _sample_points(curve.domain)
-        _check_arclength(curve, samples)
         for u in samples:
-            r = curve.components[2](u)
-            if not r.val > 0.0:
-                raise InvariantViolationError(f"r(u)={r.val!r} <= 0 at u={u!r}")
+            res = curve.arclength_residual(u)
+            if not res <= ARC_TOL:
+                raise InvariantViolationError(
+                    f"arc-length residual {res!r} at u={u!r} exceeds {ARC_TOL}")
+        profile = curve.components[spec.profile_slot]
+        for u in samples:
+            p = profile(u)
+            spec.check_profile(p, u)
+            m = p.d1 * p.d1 - 1.0
+            if spec.case_sign and slope_sign(m, u) != spec.case_sign:
+                raise InvariantViolationError(
+                    f"(r')^2 - 1 = {m!r} contradicts {curve.rotation} at u={u!r}")
+    return SurfacePatch(spec.patch_jets(*curve.components), curve.domain,
+                        v_window or spec.v_window, label=curve.rotation.value)
 
-    x1_fn, x2_fn, r_fn = curve.components
 
+def _elliptic_jets(x1_fn: JetFn, x2_fn: JetFn, r_fn: JetFn):
     def jets(u: float, v: float) -> PatchJets:
         x1, x2, r = x1_fn(u), x2_fn(u), r_fn(u)
         cv, sv = math.cos(v), math.sin(v)
@@ -148,33 +166,10 @@ def build_elliptic(curve: GeneratingCurve,
             z_vv=Vec4(0.0, 0.0, -r.val * cv, -r.val * sv),
         )
 
-    return SurfacePatch(jets, curve.domain, v_window, label="elliptic")
+    return jets
 
 
-def build_hyperbolic(curve: GeneratingCurve,
-                     v_window: tuple[float, float] = (-2.0, 2.0),
-                     check: bool = True) -> SurfacePatch:
-    """Boost (r, x2, 0, x4) about the Lorentz plane Oe2e4."""
-    if curve.rotation not in (RotationType.HYPERBOLIC_A, RotationType.HYPERBOLIC_B):
-        raise InvariantViolationError(f"expected a hyperbolic curve, got {curve.rotation}")
-    want = 1.0 if curve.rotation is RotationType.HYPERBOLIC_A else -1.0
-    if check:
-        samples = _sample_points(curve.domain)
-        _check_arclength(curve, samples)
-        for u in samples:
-            r = curve.components[0](u)
-            if not r.val > 0.0:
-                raise InvariantViolationError(f"r(u)={r.val!r} <= 0 at u={u!r}")
-            m = r.d1 * r.d1 - 1.0
-            if abs(m) < TAU_SLOPE:
-                raise NearNullSlopeError(
-                    f"(r')^2 - 1 = {m!r} inside the exclusion band at u={u!r}")
-            if m * want < 0.0:
-                raise InvariantViolationError(
-                    f"(r')^2 - 1 = {m!r} contradicts {curve.rotation} at u={u!r}")
-
-    r_fn, x2_fn, x4_fn = curve.components
-
+def _hyperbolic_jets(r_fn: JetFn, x2_fn: JetFn, x4_fn: JetFn):
     def jets(u: float, v: float) -> PatchJets:
         r, x2, x4 = r_fn(u), x2_fn(u), x4_fn(u)
         ch, sh = math.cosh(v), math.sinh(v)
@@ -187,7 +182,7 @@ def build_hyperbolic(curve: GeneratingCurve,
             z_vv=Vec4(r.val * ch, 0.0, r.val * sh, 0.0),
         )
 
-    return SurfacePatch(jets, curve.domain, v_window, label=curve.rotation.value)
+    return jets
 
 
 def _from_null_basis(a: float, b: float, c: float, d: float) -> Vec4:
@@ -195,23 +190,7 @@ def _from_null_basis(a: float, b: float, c: float, d: float) -> Vec4:
     return Vec4(a, (b - c) / _SQRT2, (b + c) / _SQRT2, d)
 
 
-def build_parabolic(curve: GeneratingCurve,
-                    v_window: tuple[float, float] = (-2.0, 2.0),
-                    check: bool = True) -> SurfacePatch:
-    """Screw-rotate x1 e1 + f xi1 + g xi2 about the degenerate plane
-    span{e1, xi1}."""
-    if curve.rotation is not RotationType.PARABOLIC:
-        raise InvariantViolationError(f"expected a parabolic curve, got {curve.rotation}")
-    if check:
-        samples = _sample_points(curve.domain)
-        _check_arclength(curve, samples)
-        for u in samples:
-            f = curve.components[1](u)
-            if f.val == 0.0 or f.d1 == 0.0:
-                raise InvariantViolationError(f"f*f' vanishes at u={u!r}")
-
-    x1_fn, f_fn, g_fn = curve.components
-
+def _parabolic_jets(x1_fn: JetFn, f_fn: JetFn, g_fn: JetFn):
     def jets(u: float, v: float) -> PatchJets:
         x1, f, g = x1_fn(u), f_fn(u), g_fn(u)
         v2 = v * v
@@ -225,18 +204,41 @@ def build_parabolic(curve: GeneratingCurve,
             z_vv=_from_null_basis(0.0, 0.0, -2.0 * f.val, 0.0),
         )
 
-    return SurfacePatch(jets, curve.domain, v_window, label="parabolic")
+    return jets
+
+
+def build_elliptic(curve: GeneratingCurve,
+                   v_window: tuple[float, float] | None = None,
+                   check: bool = True) -> SurfacePatch:
+    """Rotate (x1, x2, r, 0) about the plane Oe1e2, v in [0, 2 pi] by default.
+
+    Validates the arc-length invariant and r > 0 on a sample grid before
+    assembling analytic partials from the curve jets.
+    """
+    return _build(curve, "elliptic", v_window, check)
+
+
+def build_hyperbolic(curve: GeneratingCurve,
+                     v_window: tuple[float, float] | None = None,
+                     check: bool = True) -> SurfacePatch:
+    """Boost (r, x2, 0, x4) about the Lorentz plane Oe2e4, v in [-2, 2] by
+    default; the samples must keep r > 0 and the case's sign of (r')^2 - 1."""
+    return _build(curve, "hyperbolic", v_window, check)
+
+
+def build_parabolic(curve: GeneratingCurve,
+                    v_window: tuple[float, float] | None = None,
+                    check: bool = True) -> SurfacePatch:
+    """Screw-rotate x1 e1 + f xi1 + g xi2 about the degenerate plane
+    span{e1, xi1}, v in [-2, 2] by default."""
+    return _build(curve, "parabolic", v_window, check)
 
 
 def build_surface(curve: GeneratingCurve,
                   v_window: tuple[float, float] | None = None,
                   check: bool = True) -> SurfacePatch:
-    """Dispatch to the type-appropriate patch constructor."""
-    if curve.rotation is RotationType.ELLIPTIC:
-        return build_elliptic(curve, v_window or (0.0, 2.0 * math.pi), check)
-    if curve.rotation is RotationType.PARABOLIC:
-        return build_parabolic(curve, v_window or (-2.0, 2.0), check)
-    return build_hyperbolic(curve, v_window or (-2.0, 2.0), check)
+    """The patch constructor of the curve's rotation type."""
+    return _build(curve, SPECS[curve.rotation].family, v_window, check)
 
 
 # --- closed-form frames ------------------------------------------------------
@@ -257,15 +259,6 @@ def elliptic_frame(curve: GeneratingCurve, u: float, v: float) -> Frame:
     return Frame(X, Y, n1, n2, eps1=1, eps2=-1)
 
 
-def hyperbolic_eps(curve: GeneratingCurve, u: float) -> int:
-    """Sign of (r')^2 - 1; raises inside the exclusion band."""
-    r = curve.components[0](u)
-    m = r.d1 * r.d1 - 1.0
-    if abs(m) < TAU_SLOPE:
-        raise NearNullSlopeError(f"(r')^2 - 1 = {m!r} at u={u!r}")
-    return 1 if m > 0.0 else -1
-
-
 def hyperbolic_frame(curve: GeneratingCurve, u: float, v: float) -> Frame:
     """Closed-form adapted frame of the hyperbolic rotation.
 
@@ -275,9 +268,7 @@ def hyperbolic_frame(curve: GeneratingCurve, u: float, v: float) -> Frame:
     """
     r, x2, x4 = curve.jets(u)
     m = r.d1 * r.d1 - 1.0
-    if abs(m) < TAU_SLOPE:
-        raise NearNullSlopeError(f"(r')^2 - 1 = {m!r} at u={u!r}")
-    eps = 1 if m > 0.0 else -1
+    eps = slope_sign(m, u)
     rho = math.sqrt(eps * m)
     ch, sh = math.cosh(v), math.sinh(v)
     X = Vec4(r.d1 * ch, x2.d1, r.d1 * sh, x4.d1)
@@ -338,20 +329,15 @@ def parabolic_h2_closed(curve: GeneratingCurve, u: float) -> float:
     the surface kernel when needed.
     """
     x1, f, _ = curve.jets(u)
-    if f.val == 0.0 or f.d1 == 0.0:
-        raise InvariantViolationError(f"f*f' vanishes at u={u!r}")
+    _check_ff(f, u)
     kappa = x1.d2 * f.d1 - x1.d1 * f.d2
     q = f.val * f.d2 + f.d1 * f.d1
     return (f.val**2 * kappa**2 - q * q) / (4.0 * f.val**2 * f.d1**2)
 
 
 def h2_closed(curve: GeneratingCurve, u: float) -> float:
-    """Type-dispatching closed-form <H, H>."""
-    if curve.rotation is RotationType.ELLIPTIC:
-        return elliptic_H_closed(curve, u).h2
-    if curve.rotation is RotationType.PARABOLIC:
-        return parabolic_h2_closed(curve, u)
-    return hyperbolic_H_closed(curve, u).h2
+    """Closed-form <H, H> of the curve's rotation type."""
+    return SPECS[curve.rotation].h2(curve, u)
 
 
 # --- Weingarten table and degeneracy -----------------------------------------
@@ -411,3 +397,111 @@ def hyperplane_degeneracy(curve: GeneratingCurve, samples: int = 201,
         max_twist=max_twist,
         hyperplane="span{X, Y, n2}" if degenerate else None,
     )
+
+
+# --- closed-form phi of the special profiles ----------------------------------
+
+def _special_phi_elliptic(consts: Mapping[str, float], params: CmcParams,
+                          u: float) -> float:
+    a, b_c, d = float(consts["a"]), float(consts["b"]), float(consts.get("d", 0.0))
+    rad = -u * u + 2.0 * a * u + b_c
+    s2 = a * a + b_c
+    if rad <= 0.0 or s2 <= 0.0:
+        raise EvalDomainError("special elliptic profile undefined", u)
+    s = math.sqrt(s2)
+    return (2.0 * params.C / s) * (0.5 * (u - a) * math.sqrt(rad)
+                                   + 0.5 * s2 * math.asin((u - a) / s) + d)
+
+
+def _special_phi_hyperbolic(consts: Mapping[str, float], params: CmcParams,
+                            u: float, case_sign: int) -> float:
+    a, b_c, d = float(consts["a"]), float(consts["b"]), float(consts.get("d", 0.0))
+    rad = u * u + 2.0 * a * u + b_c
+    diff = a * a - b_c
+    if rad <= 0.0 or diff == 0.0:
+        raise EvalDomainError("special hyperbolic profile undefined", u)
+    eps = 1.0 if diff > 0.0 else -1.0
+    if eps != case_sign:
+        raise CaseMismatchError(
+            f"constants a={a!r}, b={b_c!r} give eps={eps!r}, not case sign {case_sign}")
+    root = math.sqrt(rad)
+    return (2.0 * params.eta * params.C / math.sqrt(eps * diff)) * (
+        0.5 * (u + a) * root
+        - 0.5 * eps * diff * math.log(abs(u + a + root)) + d)
+
+
+def _special_phi_parabolic(consts: Mapping[str, float], params: CmcParams,
+                           u: float) -> float:
+    a, b_c = float(consts["a"]), float(consts["b"])
+    big_a = float(consts.get("A", 0.0))
+    big_b = float(consts.get("B", 1.0))
+    rad = 2.0 * a * u + b_c
+    if rad <= 0.0 or a == 0.0 or big_b == 0.0:
+        raise EvalDomainError("special parabolic profile undefined", u)
+    root = math.sqrt(rad)
+    return (big_a + params.eta * (2.0 * params.C * big_b / (3.0 * a)) * root**3) / root
+
+
+# --- the rotation-spec table ---------------------------------------------------
+
+@dataclass(frozen=True)
+class RotationSpec:
+    """Every per-type fact of one rotation type (see SPECS)."""
+
+    family: str                         # "elliptic", "hyperbolic" or "parabolic"
+    names: tuple[str, str, str]         # component order of the generating curve
+    profile_slot: int                   # index of the profile r (or f) among them
+    s: float                            # k = (r')^2 + s in the phi-equation
+    sw: float                           # slope factor w = sqrt(sw * k)
+    case_sign: int                      # required sign of (r')^2 - 1; 0 if free
+    trig: tuple[Callable[[float], float], Callable[[float], float]] | None
+    patch_jets: Callable[[JetFn, JetFn, JetFn], Callable[[float, float], PatchJets]]
+    check_profile: Callable[[Jet2, float], None]
+    v_window: tuple[float, float]       # default v range of the patch
+    h2: Callable[[GeneratingCurve, float], float]
+    arclength: Callable[[Jet2, Jet2, Jet2], float]
+    twist: Callable[[Jet2, Jet2, Jet2], float]
+    special_profile: str                # profile whose phi has a closed form
+    special_h_sign: int                 # the h_sign that closed form assumes
+    special_phi: Callable[[Mapping[str, float], CmcParams, float], float]
+
+
+def _hyperbolic_spec(case_sign: int, trig) -> RotationSpec:
+    return RotationSpec(
+        "hyperbolic", ("r", "x2", "x4"), 0, s=-1.0, sw=float(case_sign),
+        case_sign=case_sign, trig=trig, patch_jets=_hyperbolic_jets,
+        check_profile=_check_radius, v_window=(-2.0, 2.0),
+        h2=lambda curve, u: hyperbolic_H_closed(curve, u).h2,
+        arclength=lambda a, b, c: a.d1**2 + b.d1**2 - c.d1**2,  # (r')^2+(x2')^2-(x4')^2
+        twist=lambda a, b, c: b.d1 * c.d2 - b.d2 * c.d1,
+        special_profile="sqrt(u^2+2*a*u+b)",  # r r'' + (r')^2 - 1 = 0
+        special_h_sign=case_sign, special_phi=partial(_special_phi_hyperbolic,
+                                                      case_sign=case_sign))
+
+
+#: The per-type facts of the four rotation types.  Hyperbolic slopes are
+#: (x2', x4') = w (sinh phi, cosh phi) in case A and w (cosh phi, sinh phi)
+#: in case B; elliptic ones (x1', x2') = w (cos phi, sin phi).
+SPECS: dict[RotationType, RotationSpec] = {
+    RotationType.ELLIPTIC: RotationSpec(
+        "elliptic", ("x1", "x2", "r"), 2, s=1.0, sw=1.0, case_sign=0,
+        trig=(math.cos, math.sin), patch_jets=_elliptic_jets,
+        check_profile=_check_radius, v_window=(0.0, 2.0 * math.pi),
+        h2=lambda curve, u: elliptic_H_closed(curve, u).h2,
+        arclength=lambda a, b, c: a.d1**2 + b.d1**2 - c.d1**2,  # (x1')^2+(x2')^2-(r')^2
+        twist=lambda a, b, c: a.d1 * b.d2 - a.d2 * b.d1,
+        special_profile="sqrt(-u^2+2*a*u+b)",  # r r'' + (r')^2 + 1 = 0
+        special_h_sign=1, special_phi=_special_phi_elliptic),
+    RotationType.HYPERBOLIC_A: _hyperbolic_spec(1, (math.sinh, math.cosh)),
+    RotationType.HYPERBOLIC_B: _hyperbolic_spec(-1, (math.cosh, math.sinh)),
+    RotationType.PARABOLIC: RotationSpec(
+        "parabolic", ("x1", "f", "g"), 1, s=0.0, sw=0.0, case_sign=0,
+        trig=None, patch_jets=_parabolic_jets,
+        check_profile=_check_ff, v_window=(-2.0, 2.0), h2=parabolic_h2_closed,
+        arclength=lambda a, b, c: a.d1**2 - 2.0 * b.d1 * c.d1,  # (x1')^2 - 2 f' g'
+        twist=lambda a, b, c: a.d2 * b.d1 - a.d1 * b.d2,
+        special_profile="sqrt(2*a*u+b)",  # f f'' + (f')^2 = 0
+        special_h_sign=1, special_phi=_special_phi_parabolic),
+}
+
+COMPONENT_NAMES = {rotation: spec.names for rotation, spec in SPECS.items()}

@@ -11,7 +11,7 @@ Subcommands:
 
 Exit codes: 0 success (validations passing), 1 validation failure,
 2 usage or domain errors.  Errors print as ``ERROR[<code>] message`` on
-stderr.  ``CMC_THREADS`` caps grid-evaluation parallelism.
+stderr.
 """
 
 from __future__ import annotations
@@ -34,18 +34,13 @@ from .profiles import ProfileFunction
 from .quadrature import QuadratureConfig
 from .validation import (
     Tolerances,
+    closed_vs_oracle,
     compare_special_case,
     generate_and_validate,
+    generation_interval,
     shrunk_grid,
     validate_surface,
 )
-
-_TYPES = {
-    "elliptic": RotationType.ELLIPTIC,
-    "hyperbolicA": RotationType.HYPERBOLIC_A,
-    "hyperbolicB": RotationType.HYPERBOLIC_B,
-    "parabolic": RotationType.PARABOLIC,
-}
 
 
 class _CliError(CmcError):
@@ -102,7 +97,7 @@ def _consts(pairs: list[str]) -> dict[str, float]:
 
 
 def _add_common(sub: argparse.ArgumentParser, *, profile_required: bool = True):
-    sub.add_argument("--type", required=True, choices=sorted(_TYPES),
+    sub.add_argument("--type", required=True, choices=[t.value for t in RotationType],
                      help="rotation type")
     sub.add_argument("--profile", required=profile_required,
                      help="profile expression r(u) or f(u)")
@@ -166,19 +161,15 @@ def _diagnose_empty_validity(rotation, profile, params, config, interval):
 
 
 def _generate_curve(args) -> GeneratingCurve:
-    if args.interval is None:
-        raise _CliError("need --interval when generating from --profile")
-    rotation = _TYPES[args.type]
+    rotation = RotationType(args.type)
     profile = _profile(args)
     params = _params(args)
     config = _config(args)
-    validity = domain_validity(profile, params, args.interval, rotation)
-    if not validity:
+    interval = generation_interval(
+        domain_validity(profile, params, args.interval, rotation))
+    if interval is None:
         _diagnose_empty_validity(rotation, profile, params, config, args.interval)
-    lo, hi = max(validity, key=lambda ab: ab[1] - ab[0])
-    span = hi - lo
-    pad = min(1e-7 * span, 1e-6)
-    return generate(rotation, profile, params, config, (lo + pad, hi - pad))
+    return generate(rotation, profile, params, config, interval)
 
 
 def _cmd_curve(args) -> int:
@@ -216,7 +207,7 @@ def _cmd_surface(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    rotation = _TYPES[args.type]
+    rotation = RotationType(args.type)
     params = _params(args)
     tols = Tolerances(cmc_analytic=args.cmc_tol, cmc_fd=args.cmc_fd_tol)
     nu, nv = args.grid
@@ -244,7 +235,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_special(args) -> int:
-    rotation = _TYPES[args.type]
+    rotation = RotationType(args.type)
     if rotation is RotationType.ELLIPTIC and args.hsign == -1:
         raise _CliError("the elliptic special profile forces h_sign=+1")
     params = _params(args)
@@ -261,8 +252,6 @@ def _cmd_special(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .validation import closed_vs_oracle  # local import keeps startup light
-
     curve = _load_or_generate(args)
     patch = build_surface(curve, args.v_window)
     nu, nv = args.grid
@@ -308,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.set_defaults(func=_cmd_validate)
 
     p_special = subs.add_parser("special", help="audit a special-case closed form")
-    p_special.add_argument("--type", required=True, choices=sorted(_TYPES))
+    p_special.add_argument("--type", required=True, choices=[t.value for t in RotationType])
     p_special.add_argument("--a", type=float, required=True)
     p_special.add_argument("--b", type=float, required=True)
     p_special.add_argument("--d", type=float, default=0.0)

@@ -27,15 +27,21 @@ choice under the radical) and ``eta`` the overall orientation of phi.
 For hyperbolic profiles h_sign = sign((r')^2-1) is always feasible; the
 opposite sign is admitted only where the radicand stays nonnegative, and
 infeasibility is reported as empty validity rather than as an error.
+
+The per-type facts (the sign s of k = (r')^2 + s, the trig pair, the
+component order, the special profiles) are read from builders.SPECS, so
+elliptic and both hyperbolic cases share one generator and one
+phi-integrand; only the parabolic psi-equation has its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping
 
-from .builders import TAU_SLOPE, GeneratingCurve, JetFn, RotationType
+from .builders import SPECS, GeneratingCurve, JetFn, RotationType, slope_sign
 from .errors import (
     CaseMismatchError,
     EvalDomainError,
@@ -113,31 +119,32 @@ def _radicand_guarded(q: float, extra: float, u: float) -> float:
     return rad
 
 
-def phi_integrand_elliptic(profile, params: CmcParams, u: float) -> float:
-    """phi'(u) for the elliptic type; raises NonpositiveProfileError and
-    NegativeRadicandError where the preconditions fail."""
+def phi_integrand(s: float, profile, params: CmcParams, u: float) -> float:
+    """phi'(u) with k = (r')^2 + s: s = +1 elliptic, s = -1 hyperbolic.
+
+    Raises NonpositiveProfileError, NearNullSlopeError (|k| < TAU_SLOPE,
+    which k >= 1 rules out for elliptic profiles) and NegativeRadicandError
+    where the preconditions fail.
+    """
     r = as_jet_fn(profile)(u)
     if not r.val > 0.0:
         raise NonpositiveProfileError(f"r(u)={r.val!r} <= 0 at u={u!r}")
-    w2 = 1.0 + r.d1 * r.d1
-    q = r.val * r.d2 + w2
+    k = r.d1 * r.d1 + s
+    slope_sign(k, u)
+    q = r.val * r.d2 + k
     rad = _radicand_guarded(q, 4.0 * params.h_sign * (params.C * params.C)
-                            * (r.val * r.val) * w2, u)
-    return params.eta * math.sqrt(rad) / (r.val * w2)
+                            * (r.val * r.val) * k, u)
+    return params.eta * math.sqrt(rad) / (r.val * k)
+
+
+def phi_integrand_elliptic(profile, params: CmcParams, u: float) -> float:
+    """phi'(u) for the elliptic type."""
+    return phi_integrand(1.0, profile, params, u)
 
 
 def phi_integrand_hyperbolic(profile, params: CmcParams, u: float) -> float:
     """phi'(u) for the hyperbolic type (both cases share the formula)."""
-    r = as_jet_fn(profile)(u)
-    if not r.val > 0.0:
-        raise NonpositiveProfileError(f"r(u)={r.val!r} <= 0 at u={u!r}")
-    m = r.d1 * r.d1 - 1.0
-    if abs(m) < TAU_SLOPE:
-        raise NearNullSlopeError(f"(r')^2 - 1 = {m!r} at u={u!r}")
-    q = r.val * r.d2 + m
-    rad = _radicand_guarded(q, 4.0 * params.h_sign * (params.C * params.C)
-                            * (r.val * r.val) * m, u)
-    return params.eta * math.sqrt(rad) / (r.val * m)
+    return phi_integrand(-1.0, profile, params, u)
 
 
 def psi_integrand_parabolic(profile, params: CmcParams, u: float) -> float:
@@ -162,23 +169,36 @@ def _base_point(params: CmcParams, interval: tuple[float, float]) -> float:
     return u0
 
 
-def generate_elliptic(profile, params: CmcParams,
-                      config: QuadratureConfig | None = None,
-                      interval: tuple[float, float] = (0.0, 1.0),
-                      phi_scale: float = 1.0) -> GeneratingCurve:
-    """Generate the elliptic CMC curve (x1, x2, r) over ``interval``.
+def generate(rotation: RotationType, profile, params: CmcParams,
+             config: QuadratureConfig | None = None,
+             interval: tuple[float, float] = (0.0, 1.0),
+             phi_scale: float = 1.0) -> GeneratingCurve:
+    """Generate the CMC curve of type ``rotation`` over ``interval``.
 
-    ``phi_scale`` multiplies phi after quadrature; values other than 1.0
-    break the CMC property on purpose (negative-control hook) while
-    keeping the arc-length identity intact.
+    Parabolic curves come from generate_parabolic.  Elliptic and
+    hyperbolic ones share this body: with k = (r')^2 + s and w = sqrt(sw k),
+    the two non-profile slopes are w times the spec's trig pair (t1, t2) of
+    phi, where t1' = -s t2 and t2' = t1 (see SPECS).
     """
+    if rotation is RotationType.PARABOLIC:
+        return generate_parabolic(profile, params, config, interval, phi_scale)
+    spec = SPECS[rotation]
+    s, sw = spec.s, spec.sw  # locals: the closures below run per quadrature node
+    t1, t2 = spec.trig
     config = config or QuadratureConfig()
     rj = _cached(as_jet_fn(profile))
     a, b = interval
     u0 = _base_point(params, interval)
+    if spec.case_sign:  # the profile's slope must keep the case's sign of (r')^2 - 1
+        for i in range(65):
+            u = a + (b - a) * i / 64.0
+            m = rj(u).d1 ** 2 - 1.0
+            if slope_sign(m, u) != spec.case_sign:
+                raise CaseMismatchError(
+                    f"(r')^2 - 1 = {m!r} at u={u!r} contradicts {rotation.value}")
 
     def dphi_raw(u: float) -> float:
-        return phi_integrand_elliptic(rj, params, u)
+        return phi_integrand(s, rj, params, u)
 
     phi_cum = CumulativeIntegral(dphi_raw, a, b, config)
     phi_off = phi_cum(u0)
@@ -189,51 +209,43 @@ def generate_elliptic(profile, params: CmcParams,
     def dphi(u: float) -> float:
         return phi_scale * dphi_raw(u)
 
-    def x1_slope(u: float) -> float:
-        r = rj(u)
-        return math.sqrt(1.0 + r.d1 * r.d1) * math.cos(phi(u))
+    def w_of(r: Jet2) -> float:
+        return math.sqrt(sw * (r.d1 * r.d1 + s))
 
-    def x2_slope(u: float) -> float:
-        r = rj(u)
-        return math.sqrt(1.0 + r.d1 * r.d1) * math.sin(phi(u))
+    def component(c: float, t, sign: float, t_other) -> JetFn:
+        """c + integral of w t(phi), where t' = sign * t_other."""
+        def slope(u: float) -> float:
+            return w_of(rj(u)) * t(phi(u))
 
-    x1_cum = CumulativeIntegral(x1_slope, a, b, config)
-    x2_cum = CumulativeIntegral(x2_slope, a, b, config)
-    x1_off = x1_cum(u0)
-    x2_off = x2_cum(u0)
+        cum = CumulativeIntegral(slope, a, b, config)
+        off = cum(u0)
 
-    def x1_fn(u: float) -> Jet2:
-        r = rj(u)
-        w = math.sqrt(1.0 + r.d1 * r.d1)
-        wp = r.d1 * r.d2 / w
-        p, dp = phi(u), dphi(u)
-        cp, sp = math.cos(p), math.sin(p)
-        return Jet2(params.c1 + x1_cum(u) - x1_off, w * cp, wp * cp - w * sp * dp)
+        def jet(u: float) -> Jet2:
+            r = rj(u)
+            w = w_of(r)
+            wp = sw * r.d1 * r.d2 / w
+            p, dp = phi(u), dphi(u)
+            v, v_other = t(p), t_other(p)
+            return Jet2(c + cum(u) - off, w * v, wp * v + sign * w * v_other * dp)
 
-    def x2_fn(u: float) -> Jet2:
-        r = rj(u)
-        w = math.sqrt(1.0 + r.d1 * r.d1)
-        wp = r.d1 * r.d2 / w
-        p, dp = phi(u), dphi(u)
-        cp, sp = math.cos(p), math.sin(p)
-        return Jet2(params.c2 + x2_cum(u) - x2_off, w * sp, wp * sp + w * cp * dp)
+        return _cached(jet)
 
-    return GeneratingCurve(RotationType.ELLIPTIC, (_cached(x1_fn), _cached(x2_fn), rj),
-                           interval)
+    components = [component(params.c1, t1, -s, t2), component(params.c2, t2, 1.0, t1)]
+    components.insert(spec.profile_slot, rj)
+    return GeneratingCurve(rotation, tuple(components), interval)
 
 
-def _check_hyperbolic_case(rj: JetFn, case: RotationType,
-                           interval: tuple[float, float]) -> None:
-    want = 1.0 if case is RotationType.HYPERBOLIC_A else -1.0
-    a, b = interval
-    for k in range(65):
-        u = a + (b - a) * k / 64.0
-        m = rj(u).d1 ** 2 - 1.0
-        if abs(m) < TAU_SLOPE:
-            raise NearNullSlopeError(f"(r')^2 - 1 = {m!r} at u={u!r}")
-        if m * want < 0.0:
-            raise CaseMismatchError(
-                f"(r')^2 - 1 = {m!r} at u={u!r} contradicts {case.value}")
+def generate_elliptic(profile, params: CmcParams,
+                      config: QuadratureConfig | None = None,
+                      interval: tuple[float, float] = (0.0, 1.0),
+                      phi_scale: float = 1.0) -> GeneratingCurve:
+    """Generate the elliptic CMC curve (x1, x2, r) over ``interval``.
+
+    ``phi_scale`` multiplies phi after quadrature; values other than 1.0
+    break the CMC property on purpose (negative-control hook) while
+    keeping the arc-length identity intact.
+    """
+    return generate(RotationType.ELLIPTIC, profile, params, config, interval, phi_scale)
 
 
 def generate_hyperbolic(profile, params: CmcParams,
@@ -247,65 +259,9 @@ def generate_hyperbolic(profile, params: CmcParams,
     whose slope contradicts the case, or crosses the null band, raises
     CaseMismatchError / NearNullSlopeError.
     """
-    if case not in (RotationType.HYPERBOLIC_A, RotationType.HYPERBOLIC_B):
+    if not SPECS[case].case_sign:
         raise ValueError(f"case must be hyperbolic, got {case}")
-    config = config or QuadratureConfig()
-    rj = _cached(as_jet_fn(profile))
-    a, b = interval
-    u0 = _base_point(params, interval)
-    _check_hyperbolic_case(rj, case, interval)
-    case_a = case is RotationType.HYPERBOLIC_A
-
-    def dphi_raw(u: float) -> float:
-        return phi_integrand_hyperbolic(rj, params, u)
-
-    phi_cum = CumulativeIntegral(dphi_raw, a, b, config)
-    phi_off = phi_cum(u0)
-
-    def phi(u: float) -> float:
-        return params.phi0 + phi_scale * (phi_cum(u) - phi_off)
-
-    def dphi(u: float) -> float:
-        return phi_scale * dphi_raw(u)
-
-    def w_of(r: Jet2) -> float:
-        m = r.d1 * r.d1 - 1.0
-        return math.sqrt(m if case_a else -m)
-
-    def x2_slope(u: float) -> float:
-        p = phi(u)
-        return w_of(rj(u)) * (math.sinh(p) if case_a else math.cosh(p))
-
-    def x4_slope(u: float) -> float:
-        p = phi(u)
-        return w_of(rj(u)) * (math.cosh(p) if case_a else math.sinh(p))
-
-    x2_cum = CumulativeIntegral(x2_slope, a, b, config)
-    x4_cum = CumulativeIntegral(x4_slope, a, b, config)
-    x2_off = x2_cum(u0)
-    x4_off = x4_cum(u0)
-
-    def x2_fn(u: float) -> Jet2:
-        r = rj(u)
-        w = w_of(r)
-        wp = (r.d1 * r.d2 / w) if case_a else (-r.d1 * r.d2 / w)
-        p, dp = phi(u), dphi(u)
-        ch, sh = math.cosh(p), math.sinh(p)
-        if case_a:
-            return Jet2(params.c1 + x2_cum(u) - x2_off, w * sh, wp * sh + w * ch * dp)
-        return Jet2(params.c1 + x2_cum(u) - x2_off, w * ch, wp * ch + w * sh * dp)
-
-    def x4_fn(u: float) -> Jet2:
-        r = rj(u)
-        w = w_of(r)
-        wp = (r.d1 * r.d2 / w) if case_a else (-r.d1 * r.d2 / w)
-        p, dp = phi(u), dphi(u)
-        ch, sh = math.cosh(p), math.sinh(p)
-        if case_a:
-            return Jet2(params.c2 + x4_cum(u) - x4_off, w * ch, wp * ch + w * sh * dp)
-        return Jet2(params.c2 + x4_cum(u) - x4_off, w * sh, wp * sh + w * ch * dp)
-
-    return GeneratingCurve(case, (rj, _cached(x2_fn), _cached(x4_fn)), interval)
+    return generate(case, profile, params, config, interval, phi_scale)
 
 
 def generate_parabolic(profile, params: CmcParams,
@@ -366,92 +322,33 @@ def generate_parabolic(profile, params: CmcParams,
                            interval)
 
 
-def generate(rotation: RotationType, profile, params: CmcParams,
-             config: QuadratureConfig | None = None,
-             interval: tuple[float, float] = (0.0, 1.0),
-             phi_scale: float = 1.0) -> GeneratingCurve:
-    """Dispatch to the type-appropriate generator."""
-    if rotation is RotationType.ELLIPTIC:
-        return generate_elliptic(profile, params, config, interval, phi_scale)
-    if rotation is RotationType.PARABOLIC:
-        return generate_parabolic(profile, params, config, interval, phi_scale)
-    return generate_hyperbolic(profile, params, config, interval, rotation, phi_scale)
-
-
-# --- closed-form special cases --------------------------------------------------
-
-#: Profile expressions whose phi has a closed form (one per type).
-SPECIAL_PROFILE_EXPRS = {
-    RotationType.ELLIPTIC: "sqrt(-u^2+2*a*u+b)",     # r r'' + (r')^2 + 1 = 0
-    RotationType.HYPERBOLIC_A: "sqrt(u^2+2*a*u+b)",  # r r'' + (r')^2 - 1 = 0
-    RotationType.HYPERBOLIC_B: "sqrt(u^2+2*a*u+b)",
-    RotationType.PARABOLIC: "sqrt(2*a*u+b)",         # f f'' + (f')^2 = 0
-}
-
-
 def special_phi(rotation: RotationType, consts: Mapping[str, float],
                 params: CmcParams, u: float) -> float:
-    """The closed-form phi(u) quoted for the three special profiles.
+    """The closed-form phi(u) quoted for the special profile of the type
+    (``SPECS[rotation].special_profile``).
 
     Constants: elliptic/hyperbolic use a, b and the inner offset d
     (default 0); parabolic uses a, b, A, B (B defaults to 1).  The
     expressions are evaluated verbatim; compare_special_case judges
     whether they actually differentiate to the phi-equation.
     """
-    a = float(consts["a"])
-    b_c = float(consts["b"])
-    C = params.C
-    if rotation is RotationType.ELLIPTIC:
-        d = float(consts.get("d", 0.0))
-        rad = -u * u + 2.0 * a * u + b_c
-        s2 = a * a + b_c
-        if rad <= 0.0 or s2 <= 0.0:
-            raise EvalDomainError("special elliptic profile undefined", u)
-        s = math.sqrt(s2)
-        return (2.0 * C / s) * (0.5 * (u - a) * math.sqrt(rad)
-                                + 0.5 * s2 * math.asin((u - a) / s) + d)
-    if rotation is RotationType.PARABOLIC:
-        big_a = float(consts.get("A", 0.0))
-        big_b = float(consts.get("B", 1.0))
-        rad = 2.0 * a * u + b_c
-        if rad <= 0.0 or a == 0.0 or big_b == 0.0:
-            raise EvalDomainError("special parabolic profile undefined", u)
-        root = math.sqrt(rad)
-        return (big_a + params.eta * (2.0 * C * big_b / (3.0 * a)) * root**3) / root
-    # hyperbolic
-    d = float(consts.get("d", 0.0))
-    rad = u * u + 2.0 * a * u + b_c
-    diff = a * a - b_c
-    if rad <= 0.0 or diff == 0.0:
-        raise EvalDomainError("special hyperbolic profile undefined", u)
-    eps = 1.0 if diff > 0.0 else -1.0
-    if (rotation is RotationType.HYPERBOLIC_A) != (eps > 0.0):
-        raise CaseMismatchError(
-            f"constants a={a!r}, b={b_c!r} give eps={eps!r}, not {rotation.value}")
-    root = math.sqrt(rad)
-    return (2.0 * params.eta * C / math.sqrt(eps * diff)) * (
-        0.5 * (u + a) * root
-        - 0.5 * eps * diff * math.log(abs(u + a + root)) + d)
+    return SPECS[rotation].special_phi(consts, params, u)
 
 
 # --- feasibility scan ------------------------------------------------------------
 
 def _validity_predicate(rotation: RotationType, profile, params: CmcParams):
     jf = as_jet_fn(profile)
+    spec = SPECS[rotation]
+    integrand = (psi_integrand_parabolic if rotation is RotationType.PARABOLIC
+                 else partial(phi_integrand, spec.s))
 
     def ok(u: float) -> bool:
         try:
-            if rotation is RotationType.ELLIPTIC:
-                phi_integrand_elliptic(jf, params, u)
-            elif rotation is RotationType.PARABOLIC:
-                psi_integrand_parabolic(jf, params, u)
-            else:
-                r = jf(u)
-                m = r.d1 * r.d1 - 1.0
-                want = 1.0 if rotation is RotationType.HYPERBOLIC_A else -1.0
-                if m * want <= TAU_SLOPE:
-                    return False
-                phi_integrand_hyperbolic(jf, params, u)
+            p = jf(u)  # evaluated once, then handed to the integrand
+            if spec.case_sign and slope_sign(p.d1 * p.d1 - 1.0, u) != spec.case_sign:
+                return False
+            integrand(lambda _: p, params, u)
         except (ArithmeticError, ValueError,
                 NegativeRadicandError, NonpositiveProfileError,
                 ZeroDerivativeProfileError, InvariantViolationError,

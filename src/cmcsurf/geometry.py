@@ -20,9 +20,6 @@ from .errors import DegenerateFrameError
 #: Default tolerance for deciding whether <v,v> counts as zero.
 TAU_CAUSAL = 1e-10
 
-#: Metric signs of the coordinate axes.
-SIGNATURE = (1.0, 1.0, -1.0, -1.0)
-
 
 class Vec4(NamedTuple):
     """Point or vector of the neutral 4-space, components in the e-basis."""
@@ -78,11 +75,6 @@ class CausalClass(Enum):
 def inner(v: Vec4, w: Vec4) -> float:
     """Scalar product of signature (+,+,-,-); symmetric and bilinear."""
     return v.x1 * w.x1 + v.x2 * w.x2 - v.x3 * w.x3 - v.x4 * w.x4
-
-
-def sq_norm(v: Vec4) -> float:
-    """<v, v>; may be negative or zero for nonzero v."""
-    return inner(v, v)
 
 
 def inf_norm(v: Vec4) -> float:

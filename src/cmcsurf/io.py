@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 from scipy.interpolate import BPoly
 
-from .builders import COMPONENT_NAMES, GeneratingCurve, RotationType
+from .builders import SPECS, GeneratingCurve, RotationType
 from .profiles import Jet2
 from .surfaces import SurfacePatch
 
@@ -87,18 +87,14 @@ def read_curve_csv(path: str) -> tuple[RotationType, np.ndarray, np.ndarray]:
         header = next(reader)
         data = np.array([[float(cell) for cell in row] for row in reader])
     names = tuple(header[1:4])
-    rotation = None
-    for rot, rot_names in COMPONENT_NAMES.items():
-        if names == rot_names:
-            rotation = rot
-            break
-    if rotation is None:
+    matches = [rot for rot, spec in SPECS.items() if spec.names == names]
+    if not matches:
         raise ValueError(f"unrecognized curve components {names!r} in {path}")
-    if rotation in (RotationType.HYPERBOLIC_A, RotationType.HYPERBOLIC_B):
+    rotation = matches[0]
+    if len(matches) > 1:  # the hyperbolic cases share names; the slope picks one
         slopes = data[:, 4]  # column "dr"
-        median_m = float(np.median(slopes * slopes - 1.0))
-        rotation = (RotationType.HYPERBOLIC_A if median_m > 0.0
-                    else RotationType.HYPERBOLIC_B)
+        case_sign = 1 if float(np.median(slopes * slopes - 1.0)) > 0.0 else -1
+        rotation = next(rot for rot in matches if SPECS[rot].case_sign == case_sign)
     us = data[:, 0]
     jets = np.stack(
         [np.stack([data[:, 1 + k], data[:, 4 + k], data[:, 7 + k]], axis=1)

@@ -195,11 +195,6 @@ def second_fundamental_form(
     return sxx, sxy, syy
 
 
-def normal_components(sigma: Vec4, frame: Frame) -> tuple[float, float]:
-    """Coefficients of a normal vector in the frame's {n1, n2}."""
-    return frame.eps1 * inner(sigma, frame.n1), frame.eps2 * inner(sigma, frame.n2)
-
-
 def mean_curvature(patch: SurfacePatch, u: float, v: float) -> MeanCurvature:
     """H = (sigma(X,X) - sigma(Y,Y)) / 2 and h2 = <H, H> at (u, v).
 

@@ -11,12 +11,11 @@ bit-identical reports.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 from .builders import (
+    SPECS,
     GeneratingCurve,
     RotationType,
     build_surface,
@@ -25,13 +24,11 @@ from .builders import (
 )
 from .errors import DegenerateFrameError
 from .generator import (
-    SPECIAL_PROFILE_EXPRS,
     CmcParams,
     as_jet_fn,
     domain_validity,
     generate,
-    phi_integrand_elliptic,
-    phi_integrand_hyperbolic,
+    phi_integrand,
     psi_integrand_parabolic,
     special_phi,
 )
@@ -47,7 +44,8 @@ from .surfaces import (
     mean_curvature,
 )
 
-#: Maximum flagged points kept in a report (the count is always exact).
+#: Maximum flagged points kept in a report; points beyond it are dropped,
+#: and the report stores no count of them.
 MAX_FLAGGED = 32
 
 
@@ -116,22 +114,6 @@ class ValidationReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("CMC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_rows(fn: Callable[[float], list], us: Sequence[float]) -> list:
-    workers = _worker_count()
-    if workers == 1:
-        return [fn(u) for u in us]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, us))
-
-
 @dataclass(frozen=True)
 class CmcCheck:
     max_analytic: float
@@ -152,22 +134,14 @@ def check_cmc(patch: SurfacePatch, target_h2: float, grid: GridSpec,
     oracle_h = fd_oracle(patch, fd_step)
     oracle_h2 = fd_oracle(patch, 0.5 * fd_step)
     vs = grid.v_values()
-
-    def row(u: float) -> list:
-        out = []
+    max_analytic = 0.0
+    max_fd = 0.0
+    flagged: list[tuple[float, float, str]] = []
+    for u in grid.u_values():
         for v in vs:
             analytic = mean_curvature(patch, u, v).h2
             fd_a = mean_curvature(oracle_h, u, v).h2
             fd_b = mean_curvature(oracle_h2, u, v).h2
-            out.append((analytic, fd_a, fd_b))
-        return out
-
-    rows = _map_rows(row, grid.u_values())
-    max_analytic = 0.0
-    max_fd = 0.0
-    flagged: list[tuple[float, float, str]] = []
-    for u, row_vals in zip(grid.u_values(), rows):
-        for v, (analytic, fd_a, fd_b) in zip(vs, row_vals):
             max_analytic = max(max_analytic, abs(analytic - target_h2))
             if abs(fd_a - fd_b) > 10.0 * fd_tol:
                 flagged.append((u, v, "fd-richardson-disagreement"))
@@ -310,17 +284,10 @@ def compare_special_case(rotation: RotationType,
     A verdict of "probable-misprint" records a discrepancy that no choice
     of integration constant can absorb; it is logged, never corrected.
     """
-    if rotation is RotationType.ELLIPTIC:
-        h_sign = 1
-    elif rotation is RotationType.PARABOLIC:
-        h_sign = 1
-    else:
-        h_sign = 1 if rotation is RotationType.HYPERBOLIC_A else -1
-    forced = CmcParams(C=params.C, h_sign=h_sign, eta=params.eta,
-                       u0=params.u0, phi0=params.phi0,
-                       c1=params.c1, c2=params.c2)
+    spec = SPECS[rotation]
+    forced = replace(params, h_sign=spec.special_h_sign)
     profile = ProfileFunction.from_text(
-        SPECIAL_PROFILE_EXPRS[rotation], interval,
+        spec.special_profile, interval,
         {"a": constants["a"], "b": constants["b"]})
     jf = as_jet_fn(profile)
     lo, hi = interval
@@ -330,10 +297,7 @@ def compare_special_case(rotation: RotationType,
         u = lo + (hi - lo) * (k + 0.5) / samples
         dphi_closed = (special_phi(rotation, constants, forced, u + step)
                        - special_phi(rotation, constants, forced, u - step)) / (2 * step)
-        if rotation is RotationType.ELLIPTIC:
-            expected = phi_integrand_elliptic(jf, forced, u)
-            got = dphi_closed
-        elif rotation is RotationType.PARABOLIC:
+        if rotation is RotationType.PARABOLIC:
             # Constants live inside phi = f' psi; compare the implied psi'
             # = (phi' f' - phi f'') / (f')^2 against the psi-equation.
             f = jf(u)
@@ -341,16 +305,30 @@ def compare_special_case(rotation: RotationType,
             got = (dphi_closed * f.d1 - phi_val * f.d2) / (f.d1 * f.d1)
             expected = psi_integrand_parabolic(jf, forced, u)
         else:
-            expected = phi_integrand_hyperbolic(jf, forced, u)
+            expected = phi_integrand(spec.s, jf, forced, u)
             got = dphi_closed
         scale = 1.0 + max(abs(expected), abs(got))
         worst = max(worst, abs(got - expected) / scale)
     verdict = "consistent" if worst <= audit_tol else "probable-misprint"
-    return SpecialCaseReport(rotation.value, dict(constants), h_sign,
+    return SpecialCaseReport(rotation.value, dict(constants), forced.h_sign,
                              worst, verdict)
 
 
 # --- orchestration helper for CLI / acceptance --------------------------------
+
+def generation_interval(validity: Sequence[tuple[float, float]],
+                        fd_step: float = FD_STEP) -> tuple[float, float] | None:
+    """The largest validity piece wider than 24 FD steps (room for the
+    validation grid's margins), pulled in by min(1e-7 * span, fd_step) at
+    each end to keep quadrature off the exact validity edge; None when no
+    piece is wide enough."""
+    usable = [(lo, hi) for lo, hi in validity if hi - lo > 24.0 * fd_step]
+    if not usable:
+        return None
+    lo, hi = max(usable, key=lambda ab: ab[1] - ab[0])
+    pad = min(1e-7 * (hi - lo), fd_step)
+    return lo + pad, hi - pad
+
 
 def generate_and_validate(rotation: RotationType, profile, params: CmcParams,
                           interval: tuple[float, float],
@@ -366,15 +344,10 @@ def generate_and_validate(rotation: RotationType, profile, params: CmcParams,
     """Scan validity, generate on the largest valid subinterval inside
     ``interval``, and validate.  Returns (curve, report, validity); curve
     and report are None when the parameter choice is infeasible."""
-    margin = 6.0 * fd_step
     validity = domain_validity(profile, params, interval, rotation)
-    usable = [(lo, hi) for lo, hi in validity if hi - lo > 4.0 * margin]
-    if not usable:
+    gen_interval = generation_interval(validity, fd_step)
+    if gen_interval is None:
         return None, None, validity
-    lo, hi = max(usable, key=lambda ab: ab[1] - ab[0])
-    # keep quadrature off the exact validity edge
-    span = hi - lo
-    gen_interval = (lo + min(1e-7 * span, fd_step), hi - min(1e-7 * span, fd_step))
     curve = generate(rotation, profile, params, config, gen_interval, phi_scale)
     report = validate_surface(curve, params.target_h2, surface_id,
                               nu, nv, v_window, fd_step, tols)

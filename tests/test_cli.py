@@ -4,7 +4,11 @@ import sys
 
 import pytest
 
+from cmcsurf.builders import RotationType
 from cmcsurf.cli import main
+from cmcsurf.generator import CmcParams
+from cmcsurf.profiles import ProfileFunction
+from cmcsurf.validation import generate_and_validate
 
 
 def run(argv, capsys):
@@ -21,6 +25,20 @@ def test_curve_command_writes_csv(tmp_path, capsys):
     assert code == 0, err
     header = out.read_text().splitlines()[0]
     assert header == "u,x1,x2,r,dx1,dx2,dr,ddx1,ddx2,ddr"
+
+
+def test_curve_command_pads_like_generate_and_validate(tmp_path, capsys):
+    # span > 10, where a 1e-6 pad cap and the FD_STEP cap give different intervals
+    out = tmp_path / "curve.csv"
+    code, _, err = run(["curve", "--type", "hyperbolicA", "--profile", "2*u",
+                        "--C", "0.5", "--interval", "0.5:12.5", "--samples", "5",
+                        "--out", str(out)], capsys)
+    assert code == 0, err
+    first_u = float(out.read_text().splitlines()[1].split(",")[0])
+    curve, _, _ = generate_and_validate(
+        RotationType.HYPERBOLIC_A, ProfileFunction.from_text("2*u", (0.5, 12.5)),
+        CmcParams(C=0.5), (0.5, 12.5), nu=5, nv=5)
+    assert first_u == curve.domain[0]
 
 
 def test_validate_command_passes(tmp_path, capsys):

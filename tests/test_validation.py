@@ -254,16 +254,3 @@ def test_special_case_report_json():
     payload = json.loads(report.to_json())
     assert payload["verdict"] == "consistent"
     assert payload["rotation"] == "elliptic"
-
-
-def test_cmc_threads_env_cap(monkeypatch):
-    curve = cmc_curve_elliptic(interval=(0.0, 3.0))
-    patch = build_surface(curve)
-    grid = shrunk_grid(curve, 9, 7, patch.v_domain)
-    sequential = check_cmc(patch, 1.0 / 16.0, grid)
-    monkeypatch.setenv("CMC_THREADS", "3")
-    threaded = check_cmc(patch, 1.0 / 16.0, grid)
-    assert threaded == sequential
-    monkeypatch.setenv("CMC_THREADS", "not-a-number")
-    fallback = check_cmc(patch, 1.0 / 16.0, grid)
-    assert fallback == sequential
