@@ -19,6 +19,8 @@ from .errors import DegenerateFrameError
 
 #: Default tolerance for deciding whether <v,v> counts as zero.
 TAU_CAUSAL = 1e-10
+#: Largest |<u_i,u_j> - s_i*delta_ij| accepted in an orthonormal frame.
+TAU_ORTHO = 1e-12
 
 
 class Vec4(NamedTuple):
@@ -129,7 +131,10 @@ def orthonormalize_indefinite(
     {+1,-1}; the span of each prefix is preserved.  Raises
     DegenerateFrameError as soon as a partial residual becomes lightlike
     (or the inputs are dependent), which signals callers such as the
-    numeric normal frame to retry with different seed vectors.
+    numeric normal frame to retry with different seed vectors.  It is also
+    raised when the finished frame misses orthonormality by more than
+    TAU_ORTHO: nearly null or strongly boosted inputs give unit vectors of
+    large Euclidean norm, whose scalar products carry roundoff beyond it.
     """
     units: list[tuple[Vec4, int]] = []
     for v in basis:
@@ -141,4 +146,9 @@ def orthonormalize_indefinite(
                 # <u,u> = s, so the projection coefficient is s*<w,u>.
                 w = w - u * (s * inner(w, u))
         units.append(normalize_with_sign(w, tau_causal))
+    for i, (ui, si) in enumerate(units):
+        if abs(inner(ui, ui) - si) > TAU_ORTHO or any(
+                abs(inner(ui, uj)) > TAU_ORTHO for uj, _ in units[i + 1:]):
+            raise DegenerateFrameError(
+                f"frame misses orthonormality by more than {TAU_ORTHO!r}")
     return units
