@@ -6,27 +6,20 @@ and independent verification through a finite-difference curvature oracle.
 from .builders import (
     GeneratingCurve,
     RotationType,
-    build_elliptic,
-    build_hyperbolic,
-    build_parabolic,
     build_surface,
     elliptic_H_closed,
     elliptic_frame,
     elliptic_weingarten,
+    h2_closed,
     hyperbolic_H_closed,
     hyperbolic_frame,
     hyperplane_degeneracy,
-    parabolic_h2_closed,
 )
 from .errors import CmcError
 from .generator import (
     CmcParams,
     domain_validity,
     generate,
-    generate_elliptic,
-    generate_hyperbolic,
-    generate_parabolic,
-    special_phi,
 )
 from .geometry import CausalClass, Vec4, causal_character, inner, orthonormalize_indefinite
 from .profiles import Jet2, ProfileFunction, eval_jet, parse

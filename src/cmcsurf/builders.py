@@ -13,16 +13,17 @@ Three rotation types act on an arc-length generating curve:
 Every per-type fact lives in one RotationSpec per RotationType, held in
 the table SPECS at the end of this module: component order, the sign s of
 k = (r')^2 + s in the phi-equation, the trig pair of phi, the patch
-formula, the closed-form <H, H>, the arc-length and twist expressions, the
-default v window and the special profile with its closed-form phi.  The
-builders, the generator, validation, I/O and the CLI read the table
-instead of branching on the type.
+formula, the arc-length and twist expressions, the default v window and
+the special profile with its closed-form phi.  The entry points
+build_surface and h2_closed, the generator, validation, I/O and the CLI
+read the table instead of branching on the type.
 
-Besides the patch constructors this module carries the closed-form
-adapted frames, the closed-form mean curvature of each type, the
-Weingarten derivative table of the elliptic frame, and the hyperplane
-degeneracy detector.  Parabolic patches are stored in the standard
-e-basis; the lightlike pair xi1, xi2 appears only during assembly.
+Besides the patch constructor this module carries the closed-form
+adapted frames, the one closed form of <H, H> and the closed-form H
+vectors of the elliptic and hyperbolic types, the Weingarten derivative
+table of the elliptic frame, and the hyperplane degeneracy detector.
+Parabolic patches are stored in the standard e-basis; the lightlike pair
+xi1, xi2 appears only during assembly.
 """
 
 from __future__ import annotations
@@ -126,14 +127,18 @@ def _check_ff(f: Jet2, u: float) -> None:
 
 # --- patch constructors ------------------------------------------------------
 
-def _build(curve: GeneratingCurve, family: str,
-           v_window: tuple[float, float] | None, check: bool) -> SurfacePatch:
-    """Validate the arc-length invariant and the profile conditions of the
-    curve's spec on a sample grid, then assemble the spec's patch formula;
-    ``v_window`` defaults to the spec's window."""
+def build_surface(curve: GeneratingCurve,
+                  v_window: tuple[float, float] | None = None,
+                  check: bool = True) -> SurfacePatch:
+    """Rotate the curve by the one-parameter group of its rotation type.
+
+    With ``check``, the arc-length invariant and the profile conditions of
+    the curve's spec (r > 0 or f f' != 0, and the hyperbolic case's sign of
+    (r')^2 - 1) are validated on a sample grid before the spec's patch
+    formula is assembled from the curve jets.  ``v_window`` defaults to the
+    spec's window: [0, 2 pi] elliptic, [-2, 2] otherwise.
+    """
     spec = SPECS[curve.rotation]
-    if spec.family != family:
-        raise InvariantViolationError(f"{family} builder got a {curve.rotation.value} curve")
     if check:
         samples = _sample_points(curve.domain)
         for u in samples:
@@ -207,40 +212,6 @@ def _parabolic_jets(x1_fn: JetFn, f_fn: JetFn, g_fn: JetFn):
     return jets
 
 
-def build_elliptic(curve: GeneratingCurve,
-                   v_window: tuple[float, float] | None = None,
-                   check: bool = True) -> SurfacePatch:
-    """Rotate (x1, x2, r, 0) about the plane Oe1e2, v in [0, 2 pi] by default.
-
-    Validates the arc-length invariant and r > 0 on a sample grid before
-    assembling analytic partials from the curve jets.
-    """
-    return _build(curve, "elliptic", v_window, check)
-
-
-def build_hyperbolic(curve: GeneratingCurve,
-                     v_window: tuple[float, float] | None = None,
-                     check: bool = True) -> SurfacePatch:
-    """Boost (r, x2, 0, x4) about the Lorentz plane Oe2e4, v in [-2, 2] by
-    default; the samples must keep r > 0 and the case's sign of (r')^2 - 1."""
-    return _build(curve, "hyperbolic", v_window, check)
-
-
-def build_parabolic(curve: GeneratingCurve,
-                    v_window: tuple[float, float] | None = None,
-                    check: bool = True) -> SurfacePatch:
-    """Screw-rotate x1 e1 + f xi1 + g xi2 about the degenerate plane
-    span{e1, xi1}, v in [-2, 2] by default."""
-    return _build(curve, "parabolic", v_window, check)
-
-
-def build_surface(curve: GeneratingCurve,
-                  v_window: tuple[float, float] | None = None,
-                  check: bool = True) -> SurfacePatch:
-    """The patch constructor of the curve's rotation type."""
-    return _build(curve, SPECS[curve.rotation].family, v_window, check)
-
-
 # --- closed-form frames ------------------------------------------------------
 
 def elliptic_frame(curve: GeneratingCurve, u: float, v: float) -> Frame:
@@ -280,64 +251,60 @@ def hyperbolic_frame(curve: GeneratingCurve, u: float, v: float) -> Frame:
 
 # --- closed-form mean curvature ----------------------------------------------
 
+def h2_closed(curve: GeneratingCurve, u: float) -> float:
+    """Closed-form <H, H> of every rotation type:
+
+    h2 = ( r^2 tau^2 - q^2 ) / (4 r^2 k),  k = (r')^2 + s,  q = r r'' + k,
+
+    with the profile r (f for parabolic curves), the spec's sign s and the
+    curve's twist tau (see GeneratingCurve.twist).  Raises
+    InvariantViolationError where the profile condition fails (r <= 0, or
+    f f' = 0) and NearNullSlopeError inside the hyperbolic slope band.
+    """
+    spec = SPECS[curve.rotation]
+    jets = curve.jets(u)
+    r = jets[spec.profile_slot]
+    spec.check_profile(r, u)
+    k = r.d1 * r.d1 + spec.s
+    if spec.case_sign:
+        slope_sign(k, u)
+    tau = spec.twist(*jets)
+    q = r.val * r.d2 + k
+    return (r.val**2 * tau**2 - q * q) / (4.0 * r.val**2 * k)
+
+
 def elliptic_H_closed(curve: GeneratingCurve, u: float, v: float = 0.0) -> MeanCurvature:
-    """Closed-form mean curvature of the elliptic rotation:
+    """Closed-form mean curvature vector of the elliptic rotation,
 
     H = ( r(x1'x2''-x1''x2') n1 + (r r'' + (r')^2 + 1) n2 ) / (2 r w)
-    with w = sqrt(1+(r')^2), and
 
-    h2 = ( r^2(x1'x2''-x1''x2')^2 - (r r''+(r')^2+1)^2 ) / (4 r^2 w^2).
+    with w = sqrt(1+(r')^2); <H, H> comes from h2_closed.
     """
+    h2 = h2_closed(curve, u)
     x1, x2, r = curve.jets(u)
     w2 = 1.0 + r.d1 * r.d1
-    w = math.sqrt(w2)
     kappa = x1.d1 * x2.d2 - x1.d2 * x2.d1
     q = r.val * r.d2 + w2
     frame = elliptic_frame(curve, u, v)
-    scale = 1.0 / (2.0 * r.val * w)
-    H = (frame.n1 * (r.val * kappa) + frame.n2 * q) * scale
-    h2 = (r.val**2 * kappa**2 - q * q) / (4.0 * r.val**2 * w2)
-    return MeanCurvature(H, h2)
+    scale = 1.0 / (2.0 * r.val * math.sqrt(w2))
+    return MeanCurvature((frame.n1 * (r.val * kappa) + frame.n2 * q) * scale, h2)
 
 
 def hyperbolic_H_closed(curve: GeneratingCurve, u: float, v: float = 0.0) -> MeanCurvature:
-    """Closed-form mean curvature of the hyperbolic rotation:
+    """Closed-form mean curvature vector of the hyperbolic rotation,
 
     H = eps ( r(x4'x2''-x4''x2') n1 - (r r''+(r')^2-1) n2 ) / (2 r rho)
-    with rho = sqrt(eps((r')^2-1)), and
 
-    h2 = ( r^2(x4'x2''-x4''x2')^2 - (r r''+(r')^2-1)^2 ) / (4 r^2 ((r')^2-1)).
+    with rho = sqrt(eps((r')^2-1)); <H, H> comes from h2_closed.
     """
+    h2 = h2_closed(curve, u)
     r, x2, x4 = curve.jets(u)
     m = r.d1 * r.d1 - 1.0
     frame = hyperbolic_frame(curve, u, v)
-    rho = math.sqrt(frame.eps1 * m)
     kappa = x4.d1 * x2.d2 - x4.d2 * x2.d1
     q = r.val * r.d2 + m
-    scale = frame.eps1 / (2.0 * r.val * rho)
-    H = (frame.n1 * (r.val * kappa) - frame.n2 * q) * scale
-    h2 = (r.val**2 * kappa**2 - q * q) / (4.0 * r.val**2 * m)
-    return MeanCurvature(H, h2)
-
-
-def parabolic_h2_closed(curve: GeneratingCurve, u: float) -> float:
-    """Closed-form <H, H> of the parabolic rotation:
-
-    h2 = ( f^2 (x1''f' - x1'f'')^2 - (f f'' + (f')^2)^2 ) / (4 f^2 (f')^2).
-
-    Only the scalar is available in closed form; the H vector comes from
-    the surface kernel when needed.
-    """
-    x1, f, _ = curve.jets(u)
-    _check_ff(f, u)
-    kappa = x1.d2 * f.d1 - x1.d1 * f.d2
-    q = f.val * f.d2 + f.d1 * f.d1
-    return (f.val**2 * kappa**2 - q * q) / (4.0 * f.val**2 * f.d1**2)
-
-
-def h2_closed(curve: GeneratingCurve, u: float) -> float:
-    """Closed-form <H, H> of the curve's rotation type."""
-    return SPECS[curve.rotation].h2(curve, u)
+    scale = frame.eps1 / (2.0 * r.val * math.sqrt(frame.eps1 * m))
+    return MeanCurvature((frame.n1 * (r.val * kappa) - frame.n2 * q) * scale, h2)
 
 
 # --- Weingarten table and degeneracy -----------------------------------------
@@ -382,16 +349,16 @@ class DegeneracyReport:
     hyperplane: str | None
 
 
-def hyperplane_degeneracy(curve: GeneratingCurve, samples: int = 201,
-                          tol: float = 1e-9) -> DegeneracyReport:
+def hyperplane_degeneracy(curve: GeneratingCurve) -> DegeneracyReport:
     """Detect whether the rotated surface stays inside a hyperplane.
 
     The test quantity is the type-appropriate twist (see
-    GeneratingCurve.twist); when it vanishes on the whole domain the
-    normal n1 is constant and the surface lies in span{X, Y, n2}.
+    GeneratingCurve.twist); when it stays within 1e-9 on 201 samples of
+    the domain the normal n1 is constant and the surface lies in
+    span{X, Y, n2}.
     """
-    max_twist = max(abs(curve.twist(u)) for u in _sample_points(curve.domain, samples))
-    degenerate = max_twist <= tol
+    max_twist = max(abs(curve.twist(u)) for u in _sample_points(curve.domain, 201))
+    degenerate = max_twist <= 1e-9
     return DegeneracyReport(
         degenerate=degenerate,
         max_twist=max_twist,
@@ -415,6 +382,22 @@ def _special_phi_elliptic(consts: Mapping[str, float], params: CmcParams,
 
 def _special_phi_hyperbolic(consts: Mapping[str, float], params: CmcParams,
                             u: float, case_sign: int) -> float:
+    """phi of r = sqrt(u^2+2au+b) as transcribed: with D = a^2 - b,
+    eps = sign D and R = r(u),
+
+        phi = (2 eta C / sqrt(eps D)) ((u+a) R / 2 - (eps D / 2) ln|u+a+R| + d).
+
+    The form that differentiates to the phi-equation in both cases is
+
+        phi = (2 eta C eps / sqrt|D|) ((u+a) R / 2 - (D / 2) ln|u+a+R|) + d,
+
+    since r r'' + (r')^2 - 1 = 0 and (r')^2 - 1 = D / r^2 reduce phi' to
+    2 eta C eps r / sqrt|D|.  The two agree up to a constant in case A
+    (eps = +1) only, which is why the case-B audit reports a discrepancy.
+    Either the paper or this transcription is at fault; which one is open
+    until the paper's equations are in the repository.  The expression is
+    kept verbatim.
+    """
     a, b_c, d = float(consts["a"]), float(consts["b"]), float(consts.get("d", 0.0))
     rad = u * u + 2.0 * a * u + b_c
     diff = a * a - b_c
@@ -448,7 +431,6 @@ def _special_phi_parabolic(consts: Mapping[str, float], params: CmcParams,
 class RotationSpec:
     """Every per-type fact of one rotation type (see SPECS)."""
 
-    family: str                         # "elliptic", "hyperbolic" or "parabolic"
     names: tuple[str, str, str]         # component order of the generating curve
     profile_slot: int                   # index of the profile r (or f) among them
     s: float                            # k = (r')^2 + s in the phi-equation
@@ -458,20 +440,21 @@ class RotationSpec:
     patch_jets: Callable[[JetFn, JetFn, JetFn], Callable[[float, float], PatchJets]]
     check_profile: Callable[[Jet2, float], None]
     v_window: tuple[float, float]       # default v range of the patch
-    h2: Callable[[GeneratingCurve, float], float]
     arclength: Callable[[Jet2, Jet2, Jet2], float]
     twist: Callable[[Jet2, Jet2, Jet2], float]
     special_profile: str                # profile whose phi has a closed form
     special_h_sign: int                 # the h_sign that closed form assumes
+    # closed-form phi(u) of the special profile as transcribed; constants
+    # a, b and the offset d (default 0), parabolic a, b, A, B (B defaults
+    # to 1); compare_special_case audits it
     special_phi: Callable[[Mapping[str, float], CmcParams, float], float]
 
 
 def _hyperbolic_spec(case_sign: int, trig) -> RotationSpec:
     return RotationSpec(
-        "hyperbolic", ("r", "x2", "x4"), 0, s=-1.0, sw=float(case_sign),
+        ("r", "x2", "x4"), 0, s=-1.0, sw=float(case_sign),
         case_sign=case_sign, trig=trig, patch_jets=_hyperbolic_jets,
         check_profile=_check_radius, v_window=(-2.0, 2.0),
-        h2=lambda curve, u: hyperbolic_H_closed(curve, u).h2,
         arclength=lambda a, b, c: a.d1**2 + b.d1**2 - c.d1**2,  # (r')^2+(x2')^2-(x4')^2
         twist=lambda a, b, c: b.d1 * c.d2 - b.d2 * c.d1,
         special_profile="sqrt(u^2+2*a*u+b)",  # r r'' + (r')^2 - 1 = 0
@@ -484,10 +467,9 @@ def _hyperbolic_spec(case_sign: int, trig) -> RotationSpec:
 #: in case B; elliptic ones (x1', x2') = w (cos phi, sin phi).
 SPECS: dict[RotationType, RotationSpec] = {
     RotationType.ELLIPTIC: RotationSpec(
-        "elliptic", ("x1", "x2", "r"), 2, s=1.0, sw=1.0, case_sign=0,
+        ("x1", "x2", "r"), 2, s=1.0, sw=1.0, case_sign=0,
         trig=(math.cos, math.sin), patch_jets=_elliptic_jets,
         check_profile=_check_radius, v_window=(0.0, 2.0 * math.pi),
-        h2=lambda curve, u: elliptic_H_closed(curve, u).h2,
         arclength=lambda a, b, c: a.d1**2 + b.d1**2 - c.d1**2,  # (x1')^2+(x2')^2-(r')^2
         twist=lambda a, b, c: a.d1 * b.d2 - a.d2 * b.d1,
         special_profile="sqrt(-u^2+2*a*u+b)",  # r r'' + (r')^2 + 1 = 0
@@ -495,9 +477,9 @@ SPECS: dict[RotationType, RotationSpec] = {
     RotationType.HYPERBOLIC_A: _hyperbolic_spec(1, (math.sinh, math.cosh)),
     RotationType.HYPERBOLIC_B: _hyperbolic_spec(-1, (math.cosh, math.sinh)),
     RotationType.PARABOLIC: RotationSpec(
-        "parabolic", ("x1", "f", "g"), 1, s=0.0, sw=0.0, case_sign=0,
+        ("x1", "f", "g"), 1, s=0.0, sw=0.0, case_sign=0,
         trig=None, patch_jets=_parabolic_jets,
-        check_profile=_check_ff, v_window=(-2.0, 2.0), h2=parabolic_h2_closed,
+        check_profile=_check_ff, v_window=(-2.0, 2.0),
         arclength=lambda a, b, c: a.d1**2 - 2.0 * b.d1 * c.d1,  # (x1')^2 - 2 f' g'
         twist=lambda a, b, c: a.d2 * b.d1 - a.d1 * b.d2,
         special_profile="sqrt(2*a*u+b)",  # f f'' + (f')^2 = 0

@@ -235,13 +235,12 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_special(args) -> int:
-    rotation = RotationType(args.type)
-    if rotation is RotationType.ELLIPTIC and args.hsign == -1:
-        raise _CliError("the elliptic special profile forces h_sign=+1")
-    params = _params(args)
-    big_a = args.A if args.A is not None else (args.phi0 or 0.0)
-    consts = {"a": args.a, "b": args.b, "d": args.d, "A": big_a, "B": args.B}
-    report = compare_special_case(rotation, consts, params, args.interval)
+    try:
+        params = CmcParams(C=args.C, eta=args.eta)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
+    consts = {"a": args.a, "b": args.b, "d": args.d, "A": args.A, "B": args.B}
+    report = compare_special_case(RotationType(args.type), consts, params, args.interval)
     text = report.to_json()
     if args.report:
         cio._atomic_write(args.report, text + "\n")
@@ -303,13 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_special.add_argument("--d", type=float, default=0.0)
     p_special.add_argument("--B", type=float, default=1.0)
     p_special.add_argument("--C", type=float, default=0.5)
-    p_special.add_argument("--hsign", type=_sign, default=1)
     p_special.add_argument("--eta", type=_sign, default=1)
-    p_special.add_argument("--u0", type=float, default=None)
-    p_special.add_argument("--phi0", type=float, default=None)
-    p_special.add_argument("--A", type=float, default=None)
-    p_special.add_argument("--c1", type=float, default=0.0)
-    p_special.add_argument("--c2", type=float, default=0.0)
+    p_special.add_argument("--A", type=float, default=0.0)
     p_special.add_argument("--interval", type=_interval, required=True)
     p_special.add_argument("--report")
     p_special.set_defaults(func=_cmd_special)

@@ -28,10 +28,11 @@ For hyperbolic profiles h_sign = sign((r')^2-1) is always feasible; the
 opposite sign is admitted only where the radicand stays nonnegative, and
 infeasibility is reported as empty validity rather than as an error.
 
+The entry points are generate (every type) and phi_integrand(s, ...).
 The per-type facts (the sign s of k = (r')^2 + s, the trig pair, the
-component order, the special profiles) are read from builders.SPECS, so
-elliptic and both hyperbolic cases share one generator and one
-phi-integrand; only the parabolic psi-equation has its own.
+component order) are read from builders.SPECS, so elliptic and both
+hyperbolic cases share one generator body and one phi-integrand; only the
+parabolic psi-equation has its own.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Mapping
 
 from .builders import SPECS, GeneratingCurve, JetFn, RotationType, slope_sign
 from .errors import (
@@ -137,16 +137,6 @@ def phi_integrand(s: float, profile, params: CmcParams, u: float) -> float:
     return params.eta * math.sqrt(rad) / (r.val * k)
 
 
-def phi_integrand_elliptic(profile, params: CmcParams, u: float) -> float:
-    """phi'(u) for the elliptic type."""
-    return phi_integrand(1.0, profile, params, u)
-
-
-def phi_integrand_hyperbolic(profile, params: CmcParams, u: float) -> float:
-    """phi'(u) for the hyperbolic type (both cases share the formula)."""
-    return phi_integrand(-1.0, profile, params, u)
-
-
 def psi_integrand_parabolic(profile, params: CmcParams, u: float) -> float:
     """psi'(u) for the parabolic type, where phi = f' * psi."""
     f = as_jet_fn(profile)(u)
@@ -175,13 +165,19 @@ def generate(rotation: RotationType, profile, params: CmcParams,
              phi_scale: float = 1.0) -> GeneratingCurve:
     """Generate the CMC curve of type ``rotation`` over ``interval``.
 
-    Parabolic curves come from generate_parabolic.  Elliptic and
-    hyperbolic ones share this body: with k = (r')^2 + s and w = sqrt(sw k),
-    the two non-profile slopes are w times the spec's trig pair (t1, t2) of
-    phi, where t1' = -s t2 and t2' = t1 (see SPECS).
+    Elliptic and hyperbolic curves share this body: with k = (r')^2 + s and
+    w = sqrt(sw k), the two non-profile slopes are w times the spec's trig
+    pair (t1, t2) of phi, where t1' = -s t2 and t2' = t1 (see SPECS).
+    Parabolic curves come from the psi-equation.  A profile whose slope
+    contradicts the hyperbolic case, or crosses the null band, raises
+    CaseMismatchError / NearNullSlopeError.
+
+    ``phi_scale`` multiplies phi (psi for parabolic curves) after
+    quadrature; values other than 1.0 break the CMC property on purpose
+    (negative-control hook) while keeping the arc-length identity intact.
     """
     if rotation is RotationType.PARABOLIC:
-        return generate_parabolic(profile, params, config, interval, phi_scale)
+        return _generate_parabolic(profile, params, config, interval, phi_scale)
     spec = SPECS[rotation]
     s, sw = spec.s, spec.sw  # locals: the closures below run per quadrature node
     t1, t2 = spec.trig
@@ -235,40 +231,10 @@ def generate(rotation: RotationType, profile, params: CmcParams,
     return GeneratingCurve(rotation, tuple(components), interval)
 
 
-def generate_elliptic(profile, params: CmcParams,
-                      config: QuadratureConfig | None = None,
-                      interval: tuple[float, float] = (0.0, 1.0),
-                      phi_scale: float = 1.0) -> GeneratingCurve:
-    """Generate the elliptic CMC curve (x1, x2, r) over ``interval``.
-
-    ``phi_scale`` multiplies phi after quadrature; values other than 1.0
-    break the CMC property on purpose (negative-control hook) while
-    keeping the arc-length identity intact.
-    """
-    return generate(RotationType.ELLIPTIC, profile, params, config, interval, phi_scale)
-
-
-def generate_hyperbolic(profile, params: CmcParams,
-                        config: QuadratureConfig | None = None,
-                        interval: tuple[float, float] = (0.0, 1.0),
-                        case: RotationType = RotationType.HYPERBOLIC_A,
-                        phi_scale: float = 1.0) -> GeneratingCurve:
-    """Generate the hyperbolic CMC curve (r, x2, x4) over ``interval``.
-
-    ``case`` selects Case A ((r')^2 > 1) or Case B ((r')^2 < 1); a profile
-    whose slope contradicts the case, or crosses the null band, raises
-    CaseMismatchError / NearNullSlopeError.
-    """
-    if not SPECS[case].case_sign:
-        raise ValueError(f"case must be hyperbolic, got {case}")
-    return generate(case, profile, params, config, interval, phi_scale)
-
-
-def generate_parabolic(profile, params: CmcParams,
-                       config: QuadratureConfig | None = None,
-                       interval: tuple[float, float] = (0.5, 1.5),
-                       phi_scale: float = 1.0) -> GeneratingCurve:
-    """Generate the parabolic CMC curve (x1, f, g) over ``interval``.
+def _generate_parabolic(profile, params: CmcParams, config: QuadratureConfig | None,
+                        interval: tuple[float, float],
+                        phi_scale: float) -> GeneratingCurve:
+    """The parabolic CMC curve (x1, f, g) over ``interval``.
 
     ``params.phi0`` plays the role of the constant A in phi = f'(A + ...).
     The arc-length identity (x1')^2 - 2 f' g' = 1 holds exactly by
@@ -322,19 +288,6 @@ def generate_parabolic(profile, params: CmcParams,
                            interval)
 
 
-def special_phi(rotation: RotationType, consts: Mapping[str, float],
-                params: CmcParams, u: float) -> float:
-    """The closed-form phi(u) quoted for the special profile of the type
-    (``SPECS[rotation].special_profile``).
-
-    Constants: elliptic/hyperbolic use a, b and the inner offset d
-    (default 0); parabolic uses a, b, A, B (B defaults to 1).  The
-    expressions are evaluated verbatim; compare_special_case judges
-    whether they actually differentiate to the phi-equation.
-    """
-    return SPECS[rotation].special_phi(consts, params, u)
-
-
 # --- feasibility scan ------------------------------------------------------------
 
 def _validity_predicate(rotation: RotationType, profile, params: CmcParams):
@@ -361,26 +314,24 @@ def _validity_predicate(rotation: RotationType, profile, params: CmcParams):
 
 def domain_validity(profile, params: CmcParams,
                     interval: tuple[float, float],
-                    rotation: RotationType,
-                    samples: int = 1025,
-                    bisect_tol: float = 1e-10) -> list[tuple[float, float]]:
+                    rotation: RotationType) -> list[tuple[float, float]]:
     """Maximal subintervals where the generator's preconditions hold.
 
-    Scans a dense grid for changes of the validity predicate (profile
-    positivity, f f' != 0, case-consistent slope, nonnegative radicand,
-    evaluability) and locates each boundary by bisection to
-    ``bisect_tol``.  An empty list is a normal outcome: it reports an
-    infeasible (h_sign, C) choice.
+    Scans 1025 evenly spaced points for changes of the validity predicate
+    (profile positivity, f f' != 0, case-consistent slope, nonnegative
+    radicand, evaluability) and locates each boundary by bisection to
+    1e-10.  An empty list is a normal outcome: it reports an infeasible
+    (h_sign, C) choice.
     """
     lo, hi = interval
     if not hi > lo:
         raise ValueError("empty scan interval")
     ok = _validity_predicate(rotation, profile, params)
-    us = [lo + (hi - lo) * k / (samples - 1) for k in range(samples)]
+    us = [lo + (hi - lo) * k / 1024 for k in range(1025)]
     flags = [ok(u) for u in us]
 
     def refine(u_good: float, u_bad: float) -> float:
-        while abs(u_bad - u_good) > bisect_tol:
+        while abs(u_bad - u_good) > 1e-10:
             mid = 0.5 * (u_good + u_bad)
             if ok(mid):
                 u_good = mid
@@ -390,7 +341,7 @@ def domain_validity(profile, params: CmcParams,
 
     intervals: list[tuple[float, float]] = []
     start: float | None = us[0] if flags[0] else None
-    for k in range(1, samples):
+    for k in range(1, len(us)):
         if flags[k] == flags[k - 1]:
             continue
         if flags[k]:  # invalid -> valid

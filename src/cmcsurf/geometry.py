@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DegenerateFrameError
 
@@ -146,9 +146,14 @@ def orthonormalize_indefinite(
                 # <u,u> = s, so the projection coefficient is s*<w,u>.
                 w = w - u * (s * inner(w, u))
         units.append(normalize_with_sign(w, tau_causal))
-    for i, (ui, si) in enumerate(units):
-        if abs(inner(ui, ui) - si) > TAU_ORTHO or any(
-                abs(inner(ui, uj)) > TAU_ORTHO for uj, _ in units[i + 1:]):
-            raise DegenerateFrameError(
-                f"frame misses orthonormality by more than {TAU_ORTHO!r}")
+    if gram_residual([u for u, _ in units], [s for _, s in units]) > TAU_ORTHO:
+        raise DegenerateFrameError(
+            f"frame misses orthonormality by more than {TAU_ORTHO!r}")
     return units
+
+
+def gram_residual(vectors: Sequence[Vec4], signs: Sequence[int]) -> float:
+    """Max |<v_i, v_j> - s_i*delta_ij| over all pairs i <= j: how far the
+    vectors are from an orthonormal frame with norm signs ``signs``."""
+    return max(abs(inner(vi, vj) - (signs[i] if i == j else 0.0))
+               for i, vi in enumerate(vectors) for j, vj in enumerate(vectors[i:], i))

@@ -3,7 +3,7 @@
 Profiles such as ``r(u)`` and ``f(u)`` enter the library as strings in a
 small expression grammar and are evaluated to second-order jets
 (value, d/du, d^2/du^2) by forward propagation of the Leibniz and chain
-rules.  Grammar (EBNF, also documented in the README):
+rules.  Grammar (EBNF; this block is its reference):
 
     expr     = term { ("+" | "-") term } ;
     term     = unary { ("*" | "/") unary } ;
@@ -446,14 +446,13 @@ class ProfileFunction:
 
     @classmethod
     def from_text(cls, text: str, domain: tuple[float, float],
-                  consts: Mapping[str, float] | None = None,
-                  spot_checks: int = 17) -> "ProfileFunction":
-        """Parse and spot-check evaluability on the interval."""
+                  consts: Mapping[str, float] | None = None) -> "ProfileFunction":
+        """Parse and spot-check evaluability at 17 points of the interval."""
         expr = parse(text, tuple(consts) if consts else ())
         profile = cls(expr, domain, dict(consts) if consts else None)
         lo, hi = domain
-        for k in range(spot_checks):
-            t = lo + (hi - lo) * (k + 0.5) / spot_checks
+        for k in range(17):
+            t = lo + (hi - lo) * (k + 0.5) / 17
             profile.jet(t)  # raises EvalDomainError on failure
         return profile
 

@@ -22,7 +22,6 @@ from .errors import (
 )
 from .geometry import (
     BASIS,
-    TAU_CAUSAL,
     Vec4,
     inner,
     orthonormalize_indefinite,
@@ -102,8 +101,10 @@ def first_fundamental_form(patch: SurfacePatch, u: float, v: float) -> FirstFund
     return form
 
 
-def _tangent_frame(jets: PatchJets, u: float, v: float) -> tuple[Vec4, Vec4, float, float]:
-    """Unit spacelike X, unit timelike Y, plus E and F/E for sff scaling."""
+def _tangent_frame(jets: PatchJets, u: float,
+                   v: float) -> tuple[Vec4, Vec4, float, float, float]:
+    """Unit spacelike X, unit timelike Y, plus E, F/E and G - F^2/E for
+    sff scaling."""
     E = inner(jets.z_u, jets.z_u)
     F = inner(jets.z_u, jets.z_v)
     G = inner(jets.z_v, jets.z_v)
@@ -116,7 +117,7 @@ def _tangent_frame(jets: PatchJets, u: float, v: float) -> tuple[Vec4, Vec4, flo
     g_red = G - F * f_over_e  # < 0
     X = jets.z_u * (1.0 / math.sqrt(E))
     Y = (jets.z_v - jets.z_u * f_over_e) * (1.0 / math.sqrt(-g_red))
-    return X, Y, E, f_over_e
+    return X, Y, E, f_over_e, g_red
 
 
 def tangent_frame(patch: SurfacePatch, u: float, v: float) -> tuple[Vec4, Vec4]:
@@ -125,8 +126,7 @@ def tangent_frame(patch: SurfacePatch, u: float, v: float) -> tuple[Vec4, Vec4]:
     For arc-length rotational patches (E = 1, F = 0) this is exactly
     X = z_u, Y = z_v / sqrt(-G).
     """
-    X, Y, _, _ = _tangent_frame(patch.jets(u, v), u, v)
-    return X, Y
+    return _tangent_frame(patch.jets(u, v), u, v)[:2]
 
 
 def normal_projection(w: Vec4, X: Vec4, Y: Vec4) -> Vec4:
@@ -134,20 +134,8 @@ def normal_projection(w: Vec4, X: Vec4, Y: Vec4) -> Vec4:
     return w - X * inner(w, X) + Y * inner(w, Y)
 
 
-def normal_frame_numeric(
-    patch: SurfacePatch, u: float, v: float, tau_causal: float = TAU_CAUSAL
-) -> tuple[Vec4, Vec4, int, int]:
-    """Orthonormal normal pair built without any closed-form frame.
-
-    Runs indefinite Gram-Schmidt on {X, Y, w1, w2} where the seeds w1, w2
-    are the standard basis vectors most transverse to the tangent plane
-    (smallest Euclidean norm of the tangent projection, ties broken by
-    basis index).  Seed pairs are retried in deterministic order; if all
-    six fail the point is reported as singular.  The spacelike normal is
-    returned first.
-    """
-    jets = patch.jets(u, v)
-    X, Y, _, _ = _tangent_frame(jets, u, v)
+def _normal_pair(X: Vec4, Y: Vec4, u: float, v: float) -> tuple[Vec4, Vec4, int, int]:
+    """The seed search of normal_frame_numeric, given the tangent pair."""
     scores = []
     for idx, e in enumerate(BASIS):
         proj = X * inner(e, X) - Y * inner(e, Y)
@@ -157,7 +145,7 @@ def normal_frame_numeric(
     )
     for _, i, j in pairs:
         try:
-            units = orthonormalize_indefinite([X, Y, BASIS[i], BASIS[j]], tau_causal)
+            units = orthonormalize_indefinite([X, Y, BASIS[i], BASIS[j]])
         except DegenerateFrameError:
             continue
         (n1, s1), (n2, s2) = units[2], units[3]
@@ -168,31 +156,49 @@ def normal_frame_numeric(
         f"singular point: no seed pair yields a normal frame at ({u!r}, {v!r})")
 
 
+def normal_frame_numeric(patch: SurfacePatch, u: float,
+                         v: float) -> tuple[Vec4, Vec4, int, int]:
+    """Orthonormal normal pair built without any closed-form frame.
+
+    Runs indefinite Gram-Schmidt on {X, Y, w1, w2} where the seeds w1, w2
+    are the standard basis vectors most transverse to the tangent plane
+    (smallest Euclidean norm of the tangent projection, ties broken by
+    basis index).  Seed pairs are retried in deterministic order; if all
+    six fail the point is reported as singular.  The spacelike normal is
+    returned first.
+    """
+    X, Y = tangent_frame(patch, u, v)
+    return _normal_pair(X, Y, u, v)
+
+
 def frame_numeric(patch: SurfacePatch, u: float, v: float) -> Frame:
     """Full adapted frame with numerically constructed normals."""
     X, Y = tangent_frame(patch, u, v)
-    n1, n2, eps1, eps2 = normal_frame_numeric(patch, u, v)
-    return Frame(X, Y, n1, n2, eps1, eps2)
+    return Frame(X, Y, *_normal_pair(X, Y, u, v))
 
 
-def second_fundamental_form(
-    patch: SurfacePatch, frame: Frame, u: float, v: float
-) -> tuple[Vec4, Vec4, Vec4]:
-    """sigma(X,X), sigma(X,Y), sigma(Y,Y) as vectors in span{n1, n2}.
+def _sigma(patch: SurfacePatch, u: float, v: float):
+    """sigma(X,X) and sigma(Y,Y), plus the terms sigma(X,Y) is formed from,
+    which mean_curvature does not need.
 
     sigma is tensorial, so the values follow from the normal projections
     of z_uu, z_uv, z_vv rescaled by the frame coefficients.
     """
     jets = patch.jets(u, v)
-    X, Y, E, f_over_e = _tangent_frame(jets, u, v)
-    g_red = inner(jets.z_v, jets.z_v) - f_over_e * inner(jets.z_u, jets.z_v)
+    X, Y, E, f_over_e, g_red = _tangent_frame(jets, u, v)
     n_uu = normal_projection(jets.z_uu, X, Y)
     n_uv = normal_projection(jets.z_uv, X, Y)
     n_vv = normal_projection(jets.z_vv, X, Y)
     sxx = n_uu * (1.0 / E)
-    sxy = (n_uv - n_uu * f_over_e) * (1.0 / math.sqrt(E * -g_red))
     syy = (n_vv - n_uv * (2.0 * f_over_e) + n_uu * (f_over_e * f_over_e)) * (1.0 / -g_red)
-    return sxx, sxy, syy
+    return sxx, syy, (n_uu, n_uv, f_over_e, E * -g_red)
+
+
+def second_fundamental_form(patch: SurfacePatch, u: float,
+                            v: float) -> tuple[Vec4, Vec4, Vec4]:
+    """sigma(X,X), sigma(X,Y), sigma(Y,Y) as vectors in span{n1, n2}."""
+    sxx, syy, (n_uu, n_uv, f_over_e, e_g) = _sigma(patch, u, v)
+    return sxx, (n_uv - n_uu * f_over_e) * (1.0 / math.sqrt(e_g)), syy
 
 
 def mean_curvature(patch: SurfacePatch, u: float, v: float) -> MeanCurvature:
@@ -201,14 +207,7 @@ def mean_curvature(patch: SurfacePatch, u: float, v: float) -> MeanCurvature:
     Needs only the tangent frame (normal projection is frame-free), so it
     serves as the oracle side against the closed-form expressions.
     """
-    jets = patch.jets(u, v)
-    X, Y, E, f_over_e = _tangent_frame(jets, u, v)
-    g_red = inner(jets.z_v, jets.z_v) - f_over_e * inner(jets.z_u, jets.z_v)
-    n_uu = normal_projection(jets.z_uu, X, Y)
-    n_uv = normal_projection(jets.z_uv, X, Y)
-    n_vv = normal_projection(jets.z_vv, X, Y)
-    sxx = n_uu * (1.0 / E)
-    syy = (n_vv - n_uv * (2.0 * f_over_e) + n_uu * (f_over_e * f_over_e)) * (1.0 / -g_red)
+    sxx, syy, _ = _sigma(patch, u, v)
     H = (sxx - syy) * 0.5
     return MeanCurvature(H, inner(H, H))
 

@@ -30,9 +30,8 @@ from .generator import (
     generate,
     phi_integrand,
     psi_integrand_parabolic,
-    special_phi,
 )
-from .geometry import inner
+from .geometry import gram_residual
 from .profiles import ProfileFunction
 from .quadrature import QuadratureConfig
 from .surfaces import (
@@ -122,17 +121,16 @@ class CmcCheck:
 
 
 def check_cmc(patch: SurfacePatch, target_h2: float, grid: GridSpec,
-              fd_step: float = FD_STEP,
               fd_tol: float = 1e-4) -> CmcCheck:
     """Max |<H,H> - target| over the grid through both pipelines.
 
-    The finite-difference pipeline runs at ``fd_step`` and ``fd_step/2``
+    The finite-difference pipeline runs at FD_STEP and FD_STEP/2
     (Richardson consistency); points where the two FD values disagree by
     more than 10 * ``fd_tol`` are flagged singular instead of silently
     entering the maximum.
     """
-    oracle_h = fd_oracle(patch, fd_step)
-    oracle_h2 = fd_oracle(patch, 0.5 * fd_step)
+    oracle_h = fd_oracle(patch, FD_STEP)
+    oracle_h2 = fd_oracle(patch, 0.5 * FD_STEP)
     vs = grid.v_values()
     max_analytic = 0.0
     max_fd = 0.0
@@ -149,31 +147,16 @@ def check_cmc(patch: SurfacePatch, target_h2: float, grid: GridSpec,
     return CmcCheck(max_analytic, max_fd, flagged)
 
 
-def check_arclength(curve: GeneratingCurve, samples: int = 201) -> float:
-    """Max |arc-length expression - 1| over uniform samples of the domain."""
+def check_arclength(curve: GeneratingCurve) -> float:
+    """Max |arc-length expression - 1| over 201 uniform samples of the domain."""
     lo, hi = curve.domain
-    return max(
-        curve.arclength_residual(lo + (hi - lo) * k / (samples - 1))
-        for k in range(samples)
-    )
-
-
-_FRAME_TABLE = (
-    ("X", "X", lambda f: 1.0), ("X", "Y", lambda f: 0.0),
-    ("X", "n1", lambda f: 0.0), ("X", "n2", lambda f: 0.0),
-    ("Y", "Y", lambda f: -1.0), ("Y", "n1", lambda f: 0.0),
-    ("Y", "n2", lambda f: 0.0), ("n1", "n1", lambda f: float(f.eps1)),
-    ("n1", "n2", lambda f: 0.0), ("n2", "n2", lambda f: float(f.eps2)),
-)
+    return max(curve.arclength_residual(lo + (hi - lo) * k / 200) for k in range(201))
 
 
 def frame_residual(frame: Frame) -> float:
     """Max deviation of the ten pairwise products from the prescribed table."""
-    vecs = {"X": frame.X, "Y": frame.Y, "n1": frame.n1, "n2": frame.n2}
-    return max(
-        abs(inner(vecs[a], vecs[b]) - expected(frame))
-        for a, b, expected in _FRAME_TABLE
-    )
+    return gram_residual((frame.X, frame.Y, frame.n1, frame.n2),
+                         (1, -1, frame.eps1, frame.eps2))
 
 
 def check_frames(patch: SurfacePatch,
@@ -206,13 +189,12 @@ def closed_vs_oracle(curve: GeneratingCurve, patch: SurfacePatch,
 
 
 def shrunk_grid(curve: GeneratingCurve, nu: int, nv: int,
-                v_window: tuple[float, float],
-                fd_step: float = FD_STEP) -> GridSpec:
+                v_window: tuple[float, float]) -> GridSpec:
     """Default validation grid: the curve domain pulled in by 4 FD steps
     on each side (so every stencil of both Richardson levels stays inside),
     and the v window likewise."""
     lo, hi = curve.domain
-    margin = 4.0 * fd_step
+    margin = 4.0 * FD_STEP
     v_lo, v_hi = v_window
     return GridSpec(nu, nv, (lo + margin, hi - margin),
                     (v_lo + margin, v_hi - margin))
@@ -222,12 +204,11 @@ def validate_surface(curve: GeneratingCurve, target_h2: float,
                      surface_id: str = "",
                      nu: int = 41, nv: int = 41,
                      v_window: tuple[float, float] | None = None,
-                     fd_step: float = FD_STEP,
                      tols: Tolerances = Tolerances()) -> ValidationReport:
     """Run the full check battery on one generating curve."""
     patch = build_surface(curve, v_window)
-    grid = shrunk_grid(curve, nu, nv, patch.v_domain, fd_step)
-    cmc = check_cmc(patch, target_h2, grid, fd_step, tols.cmc_fd)
+    grid = shrunk_grid(curve, nu, nv, patch.v_domain)
+    cmc = check_cmc(patch, target_h2, grid, tols.cmc_fd)
     frame_worst, frame_flagged = check_frames(
         patch, lambda u, v: frame_numeric(patch, u, v), grid)
     report = ValidationReport(
@@ -272,11 +253,11 @@ class SpecialCaseReport:
 def compare_special_case(rotation: RotationType,
                          constants: Mapping[str, float],
                          params: CmcParams,
-                         interval: tuple[float, float],
-                         samples: int = 201,
-                         audit_tol: float = 1e-6) -> SpecialCaseReport:
-    """Differentiate the quoted closed-form phi numerically and compare it
-    pointwise with the phi-equation integrand for the special profile.
+                         interval: tuple[float, float]) -> SpecialCaseReport:
+    """Differentiate the quoted closed-form phi (``SPECS[rotation].special_phi``)
+    numerically and compare it with the phi-equation integrand for the
+    special profile at 201 points; relative discrepancies up to 1e-6 count
+    as consistent.
 
     The inner radical sign is forced to the only feasible choice for the
     special profiles (h_sign = +1 for elliptic/parabolic, the case sign
@@ -293,15 +274,15 @@ def compare_special_case(rotation: RotationType,
     lo, hi = interval
     step = 1e-6 * max(1.0, abs(lo), abs(hi))
     worst = 0.0
-    for k in range(samples):
-        u = lo + (hi - lo) * (k + 0.5) / samples
-        dphi_closed = (special_phi(rotation, constants, forced, u + step)
-                       - special_phi(rotation, constants, forced, u - step)) / (2 * step)
+    for k in range(201):
+        u = lo + (hi - lo) * (k + 0.5) / 201
+        dphi_closed = (spec.special_phi(constants, forced, u + step)
+                       - spec.special_phi(constants, forced, u - step)) / (2 * step)
         if rotation is RotationType.PARABOLIC:
             # Constants live inside phi = f' psi; compare the implied psi'
             # = (phi' f' - phi f'') / (f')^2 against the psi-equation.
             f = jf(u)
-            phi_val = special_phi(rotation, constants, forced, u)
+            phi_val = spec.special_phi(constants, forced, u)
             got = (dphi_closed * f.d1 - phi_val * f.d2) / (f.d1 * f.d1)
             expected = psi_integrand_parabolic(jf, forced, u)
         else:
@@ -309,24 +290,24 @@ def compare_special_case(rotation: RotationType,
             got = dphi_closed
         scale = 1.0 + max(abs(expected), abs(got))
         worst = max(worst, abs(got - expected) / scale)
-    verdict = "consistent" if worst <= audit_tol else "probable-misprint"
+    verdict = "consistent" if worst <= 1e-6 else "probable-misprint"
     return SpecialCaseReport(rotation.value, dict(constants), forced.h_sign,
                              worst, verdict)
 
 
 # --- orchestration helper for CLI / acceptance --------------------------------
 
-def generation_interval(validity: Sequence[tuple[float, float]],
-                        fd_step: float = FD_STEP) -> tuple[float, float] | None:
+def generation_interval(validity: Sequence[tuple[float, float]]
+                        ) -> tuple[float, float] | None:
     """The largest validity piece wider than 24 FD steps (room for the
-    validation grid's margins), pulled in by min(1e-7 * span, fd_step) at
+    validation grid's margins), pulled in by min(1e-7 * span, FD_STEP) at
     each end to keep quadrature off the exact validity edge; None when no
     piece is wide enough."""
-    usable = [(lo, hi) for lo, hi in validity if hi - lo > 24.0 * fd_step]
+    usable = [(lo, hi) for lo, hi in validity if hi - lo > 24.0 * FD_STEP]
     if not usable:
         return None
     lo, hi = max(usable, key=lambda ab: ab[1] - ab[0])
-    pad = min(1e-7 * (hi - lo), fd_step)
+    pad = min(1e-7 * (hi - lo), FD_STEP)
     return lo + pad, hi - pad
 
 
@@ -335,7 +316,6 @@ def generate_and_validate(rotation: RotationType, profile, params: CmcParams,
                           config: QuadratureConfig | None = None,
                           nu: int = 41, nv: int = 41,
                           v_window: tuple[float, float] | None = None,
-                          fd_step: float = FD_STEP,
                           tols: Tolerances = Tolerances(),
                           phi_scale: float = 1.0,
                           surface_id: str = "",
@@ -345,10 +325,10 @@ def generate_and_validate(rotation: RotationType, profile, params: CmcParams,
     ``interval``, and validate.  Returns (curve, report, validity); curve
     and report are None when the parameter choice is infeasible."""
     validity = domain_validity(profile, params, interval, rotation)
-    gen_interval = generation_interval(validity, fd_step)
+    gen_interval = generation_interval(validity)
     if gen_interval is None:
         return None, None, validity
     curve = generate(rotation, profile, params, config, gen_interval, phi_scale)
     report = validate_surface(curve, params.target_h2, surface_id,
-                              nu, nv, v_window, fd_step, tols)
+                              nu, nv, v_window, tols)
     return curve, report, validity

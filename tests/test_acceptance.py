@@ -25,7 +25,6 @@ from cmcsurf.profiles import ProfileFunction
 from cmcsurf.quadrature import QuadratureConfig
 from cmcsurf.surfaces import (
     fd_oracle,
-    frame_numeric,
     mean_curvature,
     normal_frame_numeric,
     second_fundamental_form,
@@ -272,8 +271,7 @@ def test_criterion_6_frames_and_mixed_sigma():
         grid = shrunk_grid(curve, 9, 7, patch.v_domain)
         for u in grid.u_values():
             for v in grid.v_values():
-                frame = frame_numeric(patch, u, v)
-                _, sxy, _ = second_fundamental_form(patch, frame, u, v)
+                _, sxy, _ = second_fundamental_form(patch, u, v)
                 worst_sigma = max(worst_sigma, max(abs(c) for c in sxy))
     assert worst_sigma <= 1e-9
     _report(6, f"frame tables within {worst_table:.2e}; "

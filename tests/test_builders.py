@@ -5,9 +5,6 @@ import pytest
 from cmcsurf.builders import (
     GeneratingCurve,
     RotationType,
-    build_elliptic,
-    build_hyperbolic,
-    build_parabolic,
     build_surface,
     elliptic_H_closed,
     elliptic_frame,
@@ -16,7 +13,6 @@ from cmcsurf.builders import (
     hyperbolic_H_closed,
     hyperbolic_frame,
     hyperplane_degeneracy,
-    parabolic_h2_closed,
 )
 from cmcsurf.errors import InvariantViolationError, NearNullSlopeError
 from cmcsurf.geometry import XI1, XI2, Vec4, inner
@@ -52,7 +48,7 @@ def grid(curve, n=7, v_lo=-1.5, v_hi=1.5):
 
 def test_elliptic_section_reproduces_curve():
     curve = elliptic_circle(2.0)
-    patch = build_elliptic(curve)
+    patch = build_surface(curve)
     for u in (0.3, 1.7, 4.4):
         x1, x2, r = curve.jets(u)
         jets = patch.jets(u, 0.0)
@@ -63,7 +59,7 @@ def test_elliptic_section_reproduces_curve():
 
 def test_hyperbolic_section_reproduces_curve():
     name, curve = HYPERBOLIC_CURVES[0]
-    patch = build_hyperbolic(curve)
+    patch = build_surface(curve)
     for u in (0.8, 1.5, 2.2):
         r, x2, x4 = curve.jets(u)
         jets = patch.jets(u, 0.0)
@@ -72,7 +68,7 @@ def test_hyperbolic_section_reproduces_curve():
 
 def test_hyperbolic_g_is_v_independent():
     name, curve = HYPERBOLIC_CURVES[1]
-    patch = build_hyperbolic(curve)
+    patch = build_surface(curve)
     u = 1.0
     r = curve.components[0](u).val
     for v in (-1.5, 0.0, 0.4, 2.0):
@@ -82,7 +78,7 @@ def test_hyperbolic_g_is_v_independent():
 
 def test_parabolic_section_reproduces_curve():
     name, curve = PARABOLIC_CURVES[0]
-    patch = build_parabolic(curve)
+    patch = build_surface(curve)
     for u in (0.7, 1.2, 1.8):
         x1, f, g = curve.jets(u)
         expected = (Vec4(x1.val, 0, 0, 0) + XI1 * f.val + XI2 * g.val)
@@ -100,7 +96,7 @@ def test_patches_are_lorentz_everywhere(name, curve):
 
 def test_arclength_violation_rejected():
     with pytest.raises(InvariantViolationError):
-        build_elliptic(non_arclength_curve())
+        build_surface(non_arclength_curve())
 
 
 def test_nonpositive_profile_rejected():
@@ -111,13 +107,13 @@ def test_nonpositive_profile_rejected():
          const_fn(-1.0)),
         (0.0, 3.0))
     with pytest.raises(InvariantViolationError):
-        build_elliptic(curve)
+        build_surface(curve)
 
 
 def test_near_null_slope_rejected():
     curve = hyperbolic_linear_a(1.0 + 1e-7, 0.5, 1.0, (0.5, 1.5))
     with pytest.raises(NearNullSlopeError):
-        build_hyperbolic(curve)
+        build_surface(curve)
 
 
 def test_case_tag_mismatch_rejected():
@@ -125,12 +121,7 @@ def test_case_tag_mismatch_rejected():
     relabeled = GeneratingCurve(RotationType.HYPERBOLIC_B, good.components,
                                 good.domain)
     with pytest.raises(InvariantViolationError):
-        build_hyperbolic(relabeled)
-
-
-def test_type_dispatch_guard():
-    with pytest.raises(InvariantViolationError):
-        build_parabolic(elliptic_circle(1.0))
+        build_surface(relabeled)
 
 
 def test_parabolic_ff_zero_rejected():
@@ -139,14 +130,14 @@ def test_parabolic_ff_zero_rejected():
         (linear_fn(1.0), const_fn(2.0), linear_fn(0.0)),  # f' = 0
         (0.5, 1.5))
     with pytest.raises(InvariantViolationError):
-        build_parabolic(curve)
+        build_surface(curve)
 
 
 # --- closed-form frames ----------------------------------------------------------
 
 @pytest.mark.parametrize("name,curve", ELLIPTIC_CURVES)
 def test_elliptic_frame_table(name, curve):
-    patch = build_elliptic(curve)
+    patch = build_surface(curve)
     for u, v in grid(curve, v_lo=0.2, v_hi=6.0):
         fr = elliptic_frame(curve, u, v)
         jets = patch.jets(u, v)
@@ -160,7 +151,7 @@ def test_elliptic_frame_table(name, curve):
 
 @pytest.mark.parametrize("name,curve", HYPERBOLIC_CURVES)
 def test_hyperbolic_frame_table(name, curve):
-    patch = build_hyperbolic(curve)
+    patch = build_surface(curve)
     eps = 1 if curve.rotation is RotationType.HYPERBOLIC_A else -1
     for u, v in grid(curve):
         fr = hyperbolic_frame(curve, u, v)
@@ -193,7 +184,7 @@ def test_circle_r1_H_is_lightlike_but_nonzero():
 
 @pytest.mark.parametrize("name,curve", ELLIPTIC_CURVES)
 def test_elliptic_closed_matches_kernel(name, curve):
-    patch = build_elliptic(curve)
+    patch = build_surface(curve)
     for u, v in grid(curve, v_lo=0.2, v_hi=6.0):
         closed = elliptic_H_closed(curve, u, v)
         kernel = mean_curvature(patch, u, v)
@@ -203,7 +194,7 @@ def test_elliptic_closed_matches_kernel(name, curve):
 
 @pytest.mark.parametrize("name,curve", HYPERBOLIC_CURVES)
 def test_hyperbolic_closed_matches_kernel(name, curve):
-    patch = build_hyperbolic(curve)
+    patch = build_surface(curve)
     for u, v in grid(curve):
         closed = hyperbolic_H_closed(curve, u, v)
         kernel = mean_curvature(patch, u, v)
@@ -213,9 +204,9 @@ def test_hyperbolic_closed_matches_kernel(name, curve):
 
 @pytest.mark.parametrize("name,curve", PARABOLIC_CURVES)
 def test_parabolic_closed_matches_kernel(name, curve):
-    patch = build_parabolic(curve)
+    patch = build_surface(curve)
     for u, v in grid(curve):
-        closed = parabolic_h2_closed(curve, u)
+        closed = h2_closed(curve, u)
         assert abs(closed - mean_curvature(patch, u, v).h2) <= 1e-8
 
 
@@ -224,7 +215,7 @@ def test_parabolic_poly_h2_value():
     for k, name_curve in ((2.0, PARABOLIC_CURVES[0]), (1.0, PARABOLIC_CURVES[1])):
         for u in (1.0, 1.3):
             expected = (k * k * u * u - 1.0) / (4.0 * u * u)
-            assert parabolic_h2_closed(name_curve[1], u) == pytest.approx(expected)
+            assert h2_closed(name_curve[1], u) == pytest.approx(expected)
 
 
 def test_parabolic_pure_n2_case_sign():
@@ -237,7 +228,7 @@ def test_parabolic_pure_n2_case_sign():
          const_fn(0.0)),        # g' = (1 - 1)/(2 f') = 0
         (0.5, 1.5))
     u = 0.9
-    value = parabolic_h2_closed(curve, u)
+    value = h2_closed(curve, u)
     assert value == pytest.approx(-1.0 / (4.0 * u * u))
     assert value < 0.0
 
@@ -329,9 +320,18 @@ def test_h2_closed_dispatch():
     assert h2_closed(elliptic_circle(2.0), 1.0) == pytest.approx(3.0 / 16.0)
     name, hyp = HYPERBOLIC_CURVES[0]
     assert h2_closed(hyp, 1.0) == pytest.approx(
-        hyperbolic_H_closed(hyp, 1.0).h2)
+        mean_curvature(build_surface(hyp), 1.0, 0.0).h2, abs=1e-8)
     name, par = PARABOLIC_CURVES[0]
-    assert h2_closed(par, 1.0) == pytest.approx(parabolic_h2_closed(par, 1.0))
+    assert h2_closed(par, 1.0) == pytest.approx(3.0 / 4.0)  # f = u, phi = 2u
+
+
+def test_h2_closed_rejects_nonpositive_radius():
+    # r = u reaches 0 at u = 0 and is negative before it
+    curve = GeneratingCurve(RotationType.ELLIPTIC,
+                            (const_fn(0.0), linear_fn(1.0), linear_fn(1.0)), (-1.0, 1.0))
+    for u in (0.0, -0.5):
+        with pytest.raises(InvariantViolationError):
+            h2_closed(curve, u)
 
 
 def test_hyperbolic_and_parabolic_degeneracy_detection():

@@ -110,6 +110,22 @@ def test_special_command(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "consistent"
 
 
+@pytest.mark.parametrize("flags", [["--hsign", "-1"], ["--u0", "7"], ["--c1", "3"],
+                                   ["--c2", "3"], ["--phi0", "0.3"]])
+def test_special_command_rejects_flags_it_cannot_honour(flags, capsys):
+    # the audit forces h_sign and reads no integration constant but A
+    code, _, _ = run(["special", "--type", "parabolic", "--a", "1", "--b", "0",
+                      "--interval", "0.5:2", *flags], capsys)
+    assert code == 2
+
+
+def test_special_command_zero_C_is_usage_error(capsys):
+    code, _, err = run(["special", "--type", "elliptic", "--a", "1", "--b", "0",
+                        "--C", "0", "--interval", "0.3:1.7"], capsys)
+    assert code == 2
+    assert "ERROR[usage]" in err
+
+
 def test_oracle_command(capsys):
     code, out, err = run(["oracle", "--type", "elliptic", "--profile", "2",
                           "--C", "0.25", "--interval", "0:6.28",

@@ -12,10 +12,7 @@ from cmcsurf.generator import (
     CmcParams,
     domain_validity,
     generate,
-    generate_elliptic,
-    generate_hyperbolic,
-    generate_parabolic,
-    phi_integrand_elliptic,
+    phi_integrand,
 )
 from cmcsurf.profiles import ProfileFunction
 from cmcsurf.quadrature import QuadratureConfig
@@ -55,10 +52,10 @@ def test_phi_integrand_elliptic_constant_profile():
     prof = profile("2", (0.0, 6.28))
     params = CmcParams(C=0.25, h_sign=1)
     for u in (0.5, 3.0, 6.0):
-        assert phi_integrand_elliptic(prof, params, u) == pytest.approx(
+        assert phi_integrand(1.0, prof, params, u) == pytest.approx(
             math.sqrt(2.0) / 2.0)
     flipped = CmcParams(C=0.25, h_sign=1, eta=-1)
-    assert phi_integrand_elliptic(prof, flipped, 1.0) == pytest.approx(
+    assert phi_integrand(1.0, prof, flipped, 1.0) == pytest.approx(
         -math.sqrt(2.0) / 2.0)
 
 
@@ -66,21 +63,21 @@ def test_phi_integrand_negative_radicand():
     prof = profile("1", (0.0, 2.0))
     params = CmcParams(C=1.0, h_sign=-1)  # 1 - 4C^2 = -3 < 0
     with pytest.raises(NegativeRadicandError):
-        phi_integrand_elliptic(prof, params, 1.0)
+        phi_integrand(1.0, prof, params, 1.0)
 
 
 def test_phi_integrand_nonpositive_profile():
     prof = ProfileFunction(ProfileFunction.from_text("u", (0.1, 1.0)).expr,
                            (-1.0, 1.0))
     with pytest.raises(NonpositiveProfileError):
-        phi_integrand_elliptic(prof, CmcParams(C=0.5), -0.5)
+        phi_integrand(1.0, prof, CmcParams(C=0.5), -0.5)
 
 
 def test_phi_integrand_zero_radicand_is_fine():
     # r = 1, C = 1/2, h_sign = -1: radicand exactly 0 -> phi' = 0
     prof = profile("1", (0.0, 2.0))
     params = CmcParams(C=0.5, h_sign=-1)
-    assert phi_integrand_elliptic(prof, params, 0.7) == 0.0
+    assert phi_integrand(1.0, prof, params, 0.7) == 0.0
 
 
 # --- elliptic ----------------------------------------------------------------------
@@ -105,19 +102,19 @@ def test_elliptic_round_trip_timelike_H():
 def test_elliptic_arc_length_and_twist_identities():
     params = CmcParams(C=0.4, h_sign=1)
     prof = profile("1+u/2", (0.0, 3.0))
-    curve = generate_elliptic(prof, params, CONFIG, (0.0, 3.0))
+    curve = generate(RotationType.ELLIPTIC, prof, params, CONFIG, (0.0, 3.0))
     for k in range(9):
         u = 0.1 + 0.35 * k
         assert curve.arclength_residual(u) <= 1e-9
         r = prof.jet(u)
         w2 = 1.0 + r.d1**2
-        expected_twist = w2 * phi_integrand_elliptic(prof, params, u)
+        expected_twist = w2 * phi_integrand(1.0, prof, params, u)
         assert curve.twist(u) == pytest.approx(expected_twist, abs=1e-9)
 
 
 def test_generated_curve_not_degenerate():
-    curve = generate_elliptic(profile("2", (0.0, 6.0)), CmcParams(C=0.25),
-                              CONFIG, (0.0, 6.0))
+    curve = generate(RotationType.ELLIPTIC, profile("2", (0.0, 6.0)), CmcParams(C=0.25),
+                     CONFIG, (0.0, 6.0))
     assert not hyperplane_degeneracy(curve).degenerate
 
 
@@ -142,11 +139,8 @@ def test_hyperbolic_case_b_round_trip():
 
 def test_hyperbolic_case_mismatch():
     with pytest.raises(CaseMismatchError):
-        generate_hyperbolic(profile("u/2", (0.5, 2.0)), CmcParams(C=0.5),
-                            CONFIG, (0.5, 2.0), RotationType.HYPERBOLIC_A)
-    with pytest.raises(ValueError):
-        generate_hyperbolic(profile("2*u", (0.5, 2.0)), CmcParams(C=0.5),
-                            CONFIG, (0.5, 2.0), RotationType.ELLIPTIC)
+        generate(RotationType.HYPERBOLIC_A, profile("u/2", (0.5, 2.0)), CmcParams(C=0.5),
+                 CONFIG, (0.5, 2.0))
 
 
 # --- parabolic ---------------------------------------------------------------------
@@ -160,8 +154,8 @@ def test_parabolic_round_trip():
 
 
 def test_parabolic_arc_identity_exact():
-    curve = generate_parabolic(profile("u", (0.5, 2.0)), CmcParams(C=0.5),
-                               CONFIG, (0.5, 2.0))
+    curve = generate(RotationType.PARABOLIC, profile("u", (0.5, 2.0)), CmcParams(C=0.5),
+                     CONFIG, (0.5, 2.0))
     assert max(curve.arclength_residual(0.55 + 0.15 * k) for k in range(9)) <= 1e-12
 
 
@@ -215,8 +209,8 @@ def test_special_profile_round_trips():
 
 def test_eta_flip_reflects_curve_and_preserves_h2():
     prof = profile("2", (0.0, 4.0))
-    plus = generate_elliptic(prof, CmcParams(C=0.25, eta=1), CONFIG, (0.0, 4.0))
-    minus = generate_elliptic(prof, CmcParams(C=0.25, eta=-1), CONFIG, (0.0, 4.0))
+    plus = generate(RotationType.ELLIPTIC, prof, CmcParams(C=0.25, eta=1), CONFIG, (0.0, 4.0))
+    minus = generate(RotationType.ELLIPTIC, prof, CmcParams(C=0.25, eta=-1), CONFIG, (0.0, 4.0))
     for k in range(7):
         u = 0.2 + 0.55 * k
         xp, yp, _ = plus.jets(u)
@@ -235,8 +229,8 @@ def test_integration_constants_only_move_the_curve():
     prof = profile("1+u/4", (0.0, 3.0))
     base = CmcParams(C=0.3, h_sign=1)
     shifted = CmcParams(C=0.3, h_sign=1, u0=1.5, phi0=0.4, c1=5.0, c2=-2.0)
-    curve_a = generate_elliptic(prof, base, CONFIG, (0.0, 3.0))
-    curve_b = generate_elliptic(prof, shifted, CONFIG, (0.0, 3.0))
+    curve_a = generate(RotationType.ELLIPTIC, prof, base, CONFIG, (0.0, 3.0))
+    curve_b = generate(RotationType.ELLIPTIC, prof, shifted, CONFIG, (0.0, 3.0))
     patch_a = build_surface(curve_a)
     patch_b = build_surface(curve_b)
     for k in range(6):
@@ -252,10 +246,10 @@ def test_quadrature_tolerance_convergence():
     prof = profile("1+u/2", (0.0, 3.0))
     params = CmcParams(C=0.4, h_sign=1)
     rel = 1e-8
-    loose = generate_elliptic(prof, params, QuadratureConfig(rel_tol=rel),
-                              (0.0, 3.0))
-    tight = generate_elliptic(prof, params, QuadratureConfig(rel_tol=rel / 2),
-                              (0.0, 3.0))
+    loose = generate(RotationType.ELLIPTIC, prof, params, QuadratureConfig(rel_tol=rel),
+                     (0.0, 3.0))
+    tight = generate(RotationType.ELLIPTIC, prof, params, QuadratureConfig(rel_tol=rel / 2),
+                     (0.0, 3.0))
     worst = 0.0
     for k in range(11):
         u = 0.1 + 0.28 * k
@@ -338,5 +332,5 @@ def test_params_validation():
     with pytest.raises(ValueError):
         CmcParams(C=1.0, h_sign=0)
     with pytest.raises(ValueError):
-        generate_elliptic(profile("2", (0.0, 1.0)), CmcParams(C=0.5, u0=5.0),
-                          CONFIG, (0.0, 1.0))
+        generate(RotationType.ELLIPTIC, profile("2", (0.0, 1.0)), CmcParams(C=0.5, u0=5.0),
+                 CONFIG, (0.0, 1.0))

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from cmcsurf.builders import RotationType, build_surface
-from cmcsurf.generator import CmcParams, generate_elliptic, generate_hyperbolic
+from cmcsurf.generator import CmcParams, generate
 from cmcsurf.io import (
     curve_from_samples,
     load_curve,
@@ -60,7 +60,7 @@ def test_hyperbolic_case_recovered_from_data(tmp_path):
 def test_rebuilt_curve_reproduces_validation(tmp_path):
     prof = ProfileFunction.from_text("2", (0.0, 6.28))
     params = CmcParams(C=0.25)
-    curve = generate_elliptic(prof, params, CONFIG, (0.0, 6.28))
+    curve = generate(RotationType.ELLIPTIC, prof, params, CONFIG, (0.0, 6.28))
     path = tmp_path / "cmc.csv"
     write_curve_csv(str(path), curve, samples=401)
     rebuilt = load_curve(str(path))
@@ -75,8 +75,7 @@ def test_rebuilt_curve_reproduces_validation(tmp_path):
 def test_rebuilt_hyperbolic_case_b(tmp_path):
     prof = ProfileFunction.from_text("2", (0.0, 2.0))
     params = CmcParams(C=0.3, h_sign=-1)
-    curve = generate_hyperbolic(prof, params, CONFIG, (0.0, 2.0),
-                                RotationType.HYPERBOLIC_B)
+    curve = generate(RotationType.HYPERBOLIC_B, prof, params, CONFIG, (0.0, 2.0))
     path = tmp_path / "hypb.csv"
     write_curve_csv(str(path), curve, samples=301)
     rebuilt = load_curve(str(path))

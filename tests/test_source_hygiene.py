@@ -1,0 +1,51 @@
+"""Static checks on the package source."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cmcsurf"
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each import (except ``__future__``) -> its line."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Every name the module loads, including names inside string annotations."""
+    used = set()
+    pending = [tree]
+    while pending:
+        for node in ast.walk(pending.pop()):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            annotations = []
+            if isinstance(node, ast.arg | ast.AnnAssign):
+                annotations.append(node.annotation)
+            elif isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef):
+                annotations.append(node.returns)
+            for ann in annotations:
+                for sub in ast.walk(ann) if ann is not None else ():
+                    if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                        pending.append(ast.parse(sub.value, mode="eval"))
+    return used
+
+
+# __init__.py is left out: its imports are the package's re-exports
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), str(path))
+    used = _referenced_names(tree)
+    unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
+    assert not unused, f"{path.name}: imported but never used: {unused}"

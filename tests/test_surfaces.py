@@ -2,9 +2,6 @@ import pytest
 
 from cmcsurf.builders import (
     RotationType,
-    build_elliptic,
-    build_hyperbolic,
-    build_parabolic,
     build_surface,
     elliptic_frame,
     hyperbolic_frame,
@@ -60,7 +57,7 @@ def degenerate_patch() -> SurfacePatch:
 # --- first fundamental form ----------------------------------------------------
 
 def test_fff_elliptic_circle_r2():
-    patch = build_elliptic(elliptic_circle(2.0))
+    patch = build_surface(elliptic_circle(2.0))
     form = first_fundamental_form(patch, 1.0, 2.0)
     assert form.E == pytest.approx(1.0, abs=1e-12)
     assert form.F == pytest.approx(0.0, abs=1e-12)
@@ -69,7 +66,7 @@ def test_fff_elliptic_circle_r2():
 
 @pytest.mark.parametrize("name,curve", HYPERBOLIC_CURVES)
 def test_fff_hyperbolic_f_zero(name, curve):
-    patch = build_hyperbolic(curve)
+    patch = build_surface(curve)
     lo, hi = curve.domain
     for k in range(5):
         u = lo + (hi - lo) * (k + 0.5) / 5
@@ -86,7 +83,7 @@ def test_fff_degenerate_raises():
 
 def test_parabolic_metric_and_causality():
     curve = PARABOLIC_CURVES[0][1]
-    patch = build_parabolic(curve)
+    patch = build_surface(curve)
     f = curve.components[1]
     for u, v in [(0.7, -1.0), (1.1, 0.0), (1.6, 1.3)]:
         jets = patch.jets(u, v)
@@ -101,7 +98,7 @@ def test_parabolic_metric_and_causality():
 
 def test_tangent_frame_elliptic_r2():
     curve = elliptic_circle(2.0)
-    patch = build_elliptic(curve)
+    patch = build_surface(curve)
     X, Y = tangent_frame(patch, 0.7, 1.9)
     jets = patch.jets(0.7, 1.9)
     assert vec_err(X, jets.z_u) <= 1e-12          # X = z_u
@@ -142,7 +139,7 @@ def normal_projector(n1, n2, eps1, eps2):
 
 def test_numeric_normal_span_matches_closed_elliptic():
     curve = ELLIPTIC_CURVES[2][1]  # helix: nonzero r'
-    patch = build_elliptic(curve)
+    patch = build_surface(curve)
     for u, v in [(0.5, 0.3), (2.0, 2.4), (3.3, 5.1)]:
         n1, n2, e1, e2 = normal_frame_numeric(patch, u, v)
         closed = elliptic_frame(curve, u, v)
@@ -155,7 +152,7 @@ def test_numeric_normal_span_matches_closed_elliptic():
 
 def test_numeric_normal_span_matches_closed_hyperbolic():
     for name, curve in HYPERBOLIC_CURVES[:3] + HYPERBOLIC_CURVES[3:5]:
-        patch = build_hyperbolic(curve)
+        patch = build_surface(curve)
         lo, hi = curve.domain
         u = lo + 0.45 * (hi - lo)
         n1, n2, e1, e2 = normal_frame_numeric(patch, u, -0.6)
@@ -180,7 +177,7 @@ def test_sigma_mixed_term_vanishes_and_tangency(name, curve):
         if curve.rotation is RotationType.ELLIPTIC:
             v = 0.3 + 1.4 * k
         frame = frame_numeric(patch, u, v)
-        sxx, sxy, syy = second_fundamental_form(patch, frame, u, v)
+        sxx, sxy, syy = second_fundamental_form(patch, u, v)
         assert max(abs(c) for c in sxy) <= 1e-9  # sigma(X,Y) = 0
         for sigma in (sxx, syy):
             assert abs(inner(sigma, frame.X)) <= 1e-9
@@ -190,21 +187,19 @@ def test_sigma_mixed_term_vanishes_and_tangency(name, curve):
 def test_sigma_circle_r1_value():
     # with r = 1 and r' = 0: sigma(Y,Y) = -sqrt(1+(r')^2)/r * n2 = -n2
     curve = elliptic_circle(1.0)
-    patch = build_elliptic(curve)
+    patch = build_surface(curve)
     frame = elliptic_frame(curve, 0.8, 1.1)
-    sxx, sxy, syy = second_fundamental_form(patch, frame, 0.8, 1.1)
+    sxx, sxy, syy = second_fundamental_form(patch, 0.8, 1.1)
     assert vec_err(syy, -frame.n2) <= 1e-12
 
 
 def test_sigma_against_fd_oracle():
     curve = elliptic_cosh()
-    patch = build_elliptic(curve)
+    patch = build_surface(curve)
     oracle = fd_oracle(patch, h=1e-4)
     for u, v in [(0.0, 1.0), (0.8, 2.5), (-0.5, 4.0)]:
-        frame = frame_numeric(patch, u, v)
-        frame_fd = frame_numeric(oracle, u, v)
-        exact = second_fundamental_form(patch, frame, u, v)
-        approx = second_fundamental_form(oracle, frame_fd, u, v)
+        exact = second_fundamental_form(patch, u, v)
+        approx = second_fundamental_form(oracle, u, v)
         for a, b in zip(exact, approx):
             assert vec_err(a, b) <= 1e-6
 
@@ -212,20 +207,20 @@ def test_sigma_against_fd_oracle():
 # --- mean curvature ---------------------------------------------------------------
 
 def test_mean_curvature_circle_values():
-    patch1 = build_elliptic(elliptic_circle(1.0))
+    patch1 = build_surface(elliptic_circle(1.0))
     assert mean_curvature(patch1, 1.0, 2.0).h2 == pytest.approx(0.0, abs=1e-8)
-    patch2 = build_elliptic(elliptic_circle(2.0))
+    patch2 = build_surface(elliptic_circle(2.0))
     assert mean_curvature(patch2, 1.0, 2.0).h2 == pytest.approx(3.0 / 16.0, abs=1e-12)
 
 
 def test_mean_curvature_frame_independence():
     # H rebuilt from sff components in two different normal frames agrees
     curve = elliptic_cosh()
-    patch = build_elliptic(curve)
+    patch = build_surface(curve)
     for u, v in [(0.2, 1.0), (1.0, 3.0)]:
         mc = mean_curvature(patch, u, v)
         for frame in (frame_numeric(patch, u, v), elliptic_frame(curve, u, v)):
-            sxx, _, syy = second_fundamental_form(patch, frame, u, v)
+            sxx, _, syy = second_fundamental_form(patch, u, v)
             half = (sxx - syy) * 0.5
             c1 = frame.eps1 * inner(half, frame.n1)
             c2 = frame.eps2 * inner(half, frame.n2)
@@ -266,7 +261,7 @@ def test_fd_patch_linear_map_exact():
 
 
 def test_fd_patch_matches_analytic_partials():
-    patch = build_elliptic(elliptic_cosh())
+    patch = build_surface(elliptic_cosh())
     oracle = fd_oracle(patch, h=1e-4)
     for u, v in [(0.3, 1.0), (1.2, 4.0)]:
         exact = patch.jets(u, v)
@@ -276,7 +271,7 @@ def test_fd_patch_matches_analytic_partials():
 
 
 def test_fd_patch_second_order_convergence():
-    patch = build_elliptic(elliptic_cosh())
+    patch = build_surface(elliptic_cosh())
     u, v = 0.6, 2.0
     exact = patch.jets(u, v)
 
@@ -309,7 +304,7 @@ def test_normal_frame_retries_seed_pairs(monkeypatch):
     import cmcsurf.surfaces as surfaces_mod
     from cmcsurf.errors import DegenerateFrameError
 
-    patch = build_elliptic(elliptic_circle(2.0))
+    patch = build_surface(elliptic_circle(2.0))
     real = surfaces_mod.orthonormalize_indefinite
     calls = {"n": 0}
 

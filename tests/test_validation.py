@@ -2,9 +2,10 @@ import json
 import math
 
 import pytest
+import sympy
 
-from cmcsurf.builders import GeneratingCurve, RotationType, build_surface
-from cmcsurf.generator import CmcParams, generate_elliptic, generate_parabolic
+from cmcsurf.builders import SPECS, GeneratingCurve, RotationType, build_surface
+from cmcsurf.generator import CmcParams, generate, phi_integrand
 from cmcsurf.profiles import Jet2, ProfileFunction
 from cmcsurf.quadrature import CumulativeIntegral, QuadratureConfig
 from cmcsurf.validation import (
@@ -35,7 +36,7 @@ CONFIG = QuadratureConfig()
 
 def cmc_curve_elliptic(C=0.25, h_sign=1, interval=(0.0, 6.28)):
     prof = ProfileFunction.from_text("2", interval)
-    return generate_elliptic(prof, CmcParams(C=C, h_sign=h_sign), CONFIG, interval)
+    return generate(RotationType.ELLIPTIC, prof, CmcParams(C=C, h_sign=h_sign), CONFIG, interval)
 
 
 def non_cmc_curve():
@@ -85,9 +86,9 @@ def test_check_cmc_negative_control_fails():
 
 def test_perturbed_phi_negative_control():
     prof = ProfileFunction.from_text("2", (0.0, 6.28))
-    good = generate_elliptic(prof, CmcParams(C=0.25), CONFIG, (0.0, 6.28))
-    bad = generate_elliptic(prof, CmcParams(C=0.25), CONFIG, (0.0, 6.28),
-                            phi_scale=1.01)
+    good = generate(RotationType.ELLIPTIC, prof, CmcParams(C=0.25), CONFIG, (0.0, 6.28))
+    bad = generate(RotationType.ELLIPTIC, prof, CmcParams(C=0.25), CONFIG, (0.0, 6.28),
+                   phi_scale=1.01)
     target = 1.0 / 16.0
     patch_good = build_surface(good)
     patch_bad = build_surface(bad)
@@ -104,7 +105,7 @@ def test_perturbed_phi_negative_control():
 def test_check_arclength_theorem_outputs():
     assert check_arclength(cmc_curve_elliptic()) <= 1e-9
     prof = ProfileFunction.from_text("u", (0.5, 2.0))
-    para = generate_parabolic(prof, CmcParams(C=0.5), CONFIG, (0.5, 2.0))
+    para = generate(RotationType.PARABOLIC, prof, CmcParams(C=0.5), CONFIG, (0.5, 2.0))
     assert check_arclength(para) <= 1e-12
 
 
@@ -163,8 +164,8 @@ def test_validate_surface_passes_on_cmc_output():
 
 def test_validate_surface_fails_on_perturbation():
     prof = ProfileFunction.from_text("2", (0.0, 6.28))
-    bad = generate_elliptic(prof, CmcParams(C=0.25), CONFIG, (0.0, 6.28),
-                            phi_scale=1.01)
+    bad = generate(RotationType.ELLIPTIC, prof, CmcParams(C=0.25), CONFIG, (0.0, 6.28),
+                   phi_scale=1.01)
     report = validate_surface(bad, 1.0 / 16.0, nu=9, nv=7)
     assert not report.passed()
     assert report.max_cmc_residual > 100.0 * Tolerances().cmc_analytic
@@ -231,6 +232,27 @@ def test_special_case_hyperbolic_b_misprint():
     assert report.verdict == "probable-misprint"
     assert report.max_discrepancy > 1e-2
     assert report.h_sign_used == -1
+
+
+@pytest.mark.parametrize("rotation,a,b", [(RotationType.HYPERBOLIC_A, 2.0, 1.0),
+                                          (RotationType.HYPERBOLIC_B, 1.0, 2.0)])
+@pytest.mark.parametrize("eta", [1, -1])
+def test_hyperbolic_special_phi_that_solves_the_phi_equation(rotation, a, b, eta):
+    # With D = a^2 - b and eps = sign D this closed form differentiates to
+    # phi' in both cases; the transcribed SPECS form matches it in case A only.
+    u = sympy.Symbol("u")
+    C, D = 0.5, a * a - b
+    eps = 1 if D > 0 else -1
+    R = sympy.sqrt(u**2 + 2 * a * u + b)
+    phi = (2 * eta * C * eps / math.sqrt(abs(D))) * (
+        (u + a) * R / 2 - D / 2 * sympy.log(u + a + R)) + 0.3
+    dphi = sympy.lambdify(u, sympy.diff(phi, u), "math")
+    params = CmcParams(C=C, h_sign=SPECS[rotation].special_h_sign, eta=eta)
+    prof = ProfileFunction.from_text(SPECS[rotation].special_profile, (0.5, 2.0),
+                                     {"a": a, "b": b})
+    for k in range(31):
+        x = 0.5 + 1.5 * k / 30
+        assert dphi(x) == pytest.approx(phi_integrand(-1.0, prof, params, x), rel=1e-8)
 
 
 def test_special_case_parabolic_b1_consistent():
