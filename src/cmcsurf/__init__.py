@@ -23,7 +23,7 @@ from .generator import (
 )
 from .geometry import CausalClass, Vec4, causal_character, inner, orthonormalize_indefinite
 from .profiles import Jet2, ProfileFunction, eval_jet, parse
-from .quadrature import QuadratureConfig, adaptive_simpson
+from .quadrature import QuadratureConfig
 from .surfaces import (
     Frame,
     MeanCurvature,

@@ -12,7 +12,10 @@ Three rotation types act on an arc-length generating curve:
 
 Every per-type fact lives in one RotationSpec per RotationType, held in
 the table SPECS at the end of this module: component order, the sign s of
-k = (r')^2 + s in the phi-equation, the trig pair of phi, the patch
+k = (r')^2 + s in the phi-equation, the turning equation (phi' for
+elliptic and hyperbolic profiles, psi' with phi = f' psi for parabolic
+ones, see phi_integrand and psi_integrand_parabolic), the two slopes of
+the non-profile components it fixes and their derivatives, the patch
 formula, the arc-length and twist expressions, the default v window and
 the special profile with its closed-form phi.  The entry points
 build_surface and h2_closed, the generator, validation, I/O and the CLI
@@ -29,7 +32,7 @@ xi1, xi2 appears only during assembly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Mapping
@@ -39,6 +42,9 @@ from .errors import (
     EvalDomainError,
     InvariantViolationError,
     NearNullSlopeError,
+    NegativeRadicandError,
+    NonpositiveProfileError,
+    ZeroDerivativeProfileError,
 )
 from .geometry import Vec4
 from .profiles import Jet2
@@ -56,6 +62,7 @@ ARC_TOL = 1e-9
 _SQRT2 = math.sqrt(2.0)
 
 JetFn = Callable[[float], Jet2]
+CurveJets = Callable[[float], tuple[Jet2, Jet2, Jet2]]
 
 
 class RotationType(Enum):
@@ -90,14 +97,21 @@ class GeneratingCurve:
     rotation: RotationType
     components: tuple[JetFn, JetFn, JetFn]
     domain: tuple[float, float]
+    _memo: dict[float, tuple[Jet2, Jet2, Jet2]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def component_names(self) -> tuple[str, str, str]:
         return SPECS[self.rotation].names
 
     def jets(self, u: float) -> tuple[Jet2, Jet2, Jet2]:
-        c1, c2, c3 = self.components
-        return c1(u), c2(u), c3(u)
+        """The three component jets at u, evaluated once per distinct u; a
+        miss reads ``components`` afresh, so swapped-in components see it."""
+        hit = self._memo.get(u)
+        if hit is None:
+            c1, c2, c3 = self.components
+            hit = self._memo[u] = (c1(u), c2(u), c3(u))
+        return hit
 
     def arclength_residual(self, u: float) -> float:
         """|type-appropriate arc-length expression - 1| at u."""
@@ -146,21 +160,20 @@ def build_surface(curve: GeneratingCurve,
             if not res <= ARC_TOL:
                 raise InvariantViolationError(
                     f"arc-length residual {res!r} at u={u!r} exceeds {ARC_TOL}")
-        profile = curve.components[spec.profile_slot]
         for u in samples:
-            p = profile(u)
+            p = curve.jets(u)[spec.profile_slot]
             spec.check_profile(p, u)
             m = p.d1 * p.d1 - 1.0
             if spec.case_sign and slope_sign(m, u) != spec.case_sign:
                 raise InvariantViolationError(
                     f"(r')^2 - 1 = {m!r} contradicts {curve.rotation} at u={u!r}")
-    return SurfacePatch(spec.patch_jets(*curve.components), curve.domain,
+    return SurfacePatch(spec.patch_jets(curve.jets), curve.domain,
                         v_window or spec.v_window, label=curve.rotation.value)
 
 
-def _elliptic_jets(x1_fn: JetFn, x2_fn: JetFn, r_fn: JetFn):
+def _elliptic_jets(curve_jets: CurveJets):
     def jets(u: float, v: float) -> PatchJets:
-        x1, x2, r = x1_fn(u), x2_fn(u), r_fn(u)
+        x1, x2, r = curve_jets(u)
         cv, sv = math.cos(v), math.sin(v)
         return PatchJets(
             position=Vec4(x1.val, x2.val, r.val * cv, r.val * sv),
@@ -174,9 +187,9 @@ def _elliptic_jets(x1_fn: JetFn, x2_fn: JetFn, r_fn: JetFn):
     return jets
 
 
-def _hyperbolic_jets(r_fn: JetFn, x2_fn: JetFn, x4_fn: JetFn):
+def _hyperbolic_jets(curve_jets: CurveJets):
     def jets(u: float, v: float) -> PatchJets:
-        r, x2, x4 = r_fn(u), x2_fn(u), x4_fn(u)
+        r, x2, x4 = curve_jets(u)
         ch, sh = math.cosh(v), math.sinh(v)
         return PatchJets(
             position=Vec4(r.val * ch, x2.val, r.val * sh, x4.val),
@@ -195,9 +208,9 @@ def _from_null_basis(a: float, b: float, c: float, d: float) -> Vec4:
     return Vec4(a, (b - c) / _SQRT2, (b + c) / _SQRT2, d)
 
 
-def _parabolic_jets(x1_fn: JetFn, f_fn: JetFn, g_fn: JetFn):
+def _parabolic_jets(curve_jets: CurveJets):
     def jets(u: float, v: float) -> PatchJets:
-        x1, f, g = x1_fn(u), f_fn(u), g_fn(u)
+        x1, f, g = curve_jets(u)
         v2 = v * v
         return PatchJets(
             position=_from_null_basis(x1.val, f.val, -v2 * f.val + g.val,
@@ -271,6 +284,78 @@ def h2_closed(curve: GeneratingCurve, u: float) -> float:
     tau = spec.twist(*jets)
     q = r.val * r.d2 + k
     return (r.val**2 * tau**2 - q * q) / (4.0 * r.val**2 * k)
+
+
+# --- turning equations and slopes ---------------------------------------------
+
+def _radicand_guarded(q: float, extra: float, u: float) -> float:
+    """q^2 + extra with a roundoff guard; negative values are infeasible."""
+    rad = q * q + extra
+    if rad < 0.0:
+        if rad > -1e-12 * (q * q + abs(extra) + 1.0):
+            return 0.0
+        raise NegativeRadicandError(
+            f"radicand {rad!r} negative (infeasible h_sign/C)", u)
+    return rad
+
+
+def phi_integrand(s: float, r: Jet2, params: CmcParams, u: float) -> float:
+    """phi'(u) at the profile jet r, with k = (r')^2 + s and q = r r'' + k
+    (as in h2_closed): s = +1 elliptic, s = -1 hyperbolic.
+
+    Raises NonpositiveProfileError, NearNullSlopeError (|k| < TAU_SLOPE,
+    which k >= 1 rules out for elliptic profiles) and NegativeRadicandError
+    where the preconditions fail.
+    """
+    if not r.val > 0.0:
+        raise NonpositiveProfileError(f"r(u)={r.val!r} <= 0 at u={u!r}")
+    k = r.d1 * r.d1 + s
+    slope_sign(k, u)
+    q = r.val * r.d2 + k
+    rad = _radicand_guarded(q, 4.0 * params.h_sign * (params.C * params.C)
+                            * (r.val * r.val) * k, u)
+    return params.eta * math.sqrt(rad) / (r.val * k)
+
+
+def psi_integrand_parabolic(f: Jet2, params: CmcParams, u: float) -> float:
+    """psi'(u) at the profile jet f of the parabolic type, where phi = f' psi."""
+    if f.d1 == 0.0:
+        raise ZeroDerivativeProfileError(f"f'(u) = 0 at u={u!r}")
+    if f.val == 0.0:
+        raise InvariantViolationError(f"f(u) = 0 at u={u!r}")
+    log_slope = (f.val * f.d2 + f.d1 * f.d1) / (f.val * f.d1)  # (ln|ff'|)'
+    rad = _radicand_guarded(log_slope,
+                            4.0 * params.h_sign * params.C * params.C, u)
+    return params.eta * math.sqrt(rad) / f.d1
+
+
+def _trig_slopes(s: float, sw: float, t1, t2, r: Jet2,
+                 phi: float) -> tuple[float, float]:
+    """w (t1(phi), t2(phi)) with w = sqrt(sw k), k = (r')^2 + s."""
+    w = math.sqrt(sw * (r.d1 * r.d1 + s))
+    return w * t1(phi), w * t2(phi)
+
+
+def _trig_slope_jets(s: float, sw: float, t1, t2, r: Jet2, phi: float, dphi: float):
+    """(x', x'') of both trig slopes, using t1' = -s t2 and t2' = t1."""
+    w = math.sqrt(sw * (r.d1 * r.d1 + s))
+    wp = sw * r.d1 * r.d2 / w
+    v1, v2 = t1(phi), t2(phi)
+    return (w * v1, wp * v1 + -s * w * v2 * dphi), (w * v2, wp * v2 + w * v1 * dphi)
+
+
+def _parabolic_slopes(f: Jet2, psi: float) -> tuple[float, float]:
+    """x1' = phi = f' psi and g' = (phi^2 - 1) / (2 f'), which makes
+    (x1')^2 - 2 f' g' = 1 exact."""
+    p = f.d1 * psi
+    return p, (p * p - 1.0) / (2.0 * f.d1)
+
+
+def _parabolic_slope_jets(f: Jet2, psi: float, dpsi: float):
+    """(x1', x1'') and (g', g'') with phi' = f'' psi + f' psi'."""
+    p, dp = f.d1 * psi, f.d2 * psi + f.d1 * dpsi
+    return (p, dp), ((p * p - 1.0) / (2.0 * f.d1),
+                     p * dp / f.d1 - (p * p - 1.0) * f.d2 / (2.0 * f.d1 * f.d1))
 
 
 def elliptic_H_closed(curve: GeneratingCurve, u: float, v: float = 0.0) -> MeanCurvature:
@@ -434,10 +519,12 @@ class RotationSpec:
     names: tuple[str, str, str]         # component order of the generating curve
     profile_slot: int                   # index of the profile r (or f) among them
     s: float                            # k = (r')^2 + s in the phi-equation
-    sw: float                           # slope factor w = sqrt(sw * k)
     case_sign: int                      # required sign of (r')^2 - 1; 0 if free
-    trig: tuple[Callable[[float], float], Callable[[float], float]] | None
-    patch_jets: Callable[[JetFn, JetFn, JetFn], Callable[[float, float], PatchJets]]
+    turning: Callable[[Jet2, CmcParams, float], float]  # phi' (psi') at a profile jet
+    slopes: Callable[[Jet2, float], tuple[float, float]]  # non-profile slopes at t
+    slope_jets: Callable[[Jet2, float, float],  # their (x', x'') at t and t'
+                         tuple[tuple[float, float], tuple[float, float]]]
+    patch_jets: Callable[[CurveJets], Callable[[float, float], PatchJets]]
     check_profile: Callable[[Jet2, float], None]
     v_window: tuple[float, float]       # default v range of the patch
     arclength: Callable[[Jet2, Jet2, Jet2], float]
@@ -450,10 +537,14 @@ class RotationSpec:
     special_phi: Callable[[Mapping[str, float], CmcParams, float], float]
 
 
-def _hyperbolic_spec(case_sign: int, trig) -> RotationSpec:
+def _hyperbolic_spec(case_sign: int, t1, t2) -> RotationSpec:
+    sw = float(case_sign)  # w = sqrt(|(r')^2 - 1|)
     return RotationSpec(
-        ("r", "x2", "x4"), 0, s=-1.0, sw=float(case_sign),
-        case_sign=case_sign, trig=trig, patch_jets=_hyperbolic_jets,
+        ("r", "x2", "x4"), 0, s=-1.0, case_sign=case_sign,
+        turning=partial(phi_integrand, -1.0),
+        slopes=partial(_trig_slopes, -1.0, sw, t1, t2),
+        slope_jets=partial(_trig_slope_jets, -1.0, sw, t1, t2),
+        patch_jets=_hyperbolic_jets,
         check_profile=_check_radius, v_window=(-2.0, 2.0),
         arclength=lambda a, b, c: a.d1**2 + b.d1**2 - c.d1**2,  # (r')^2+(x2')^2-(x4')^2
         twist=lambda a, b, c: b.d1 * c.d2 - b.d2 * c.d1,
@@ -467,18 +558,22 @@ def _hyperbolic_spec(case_sign: int, trig) -> RotationSpec:
 #: in case B; elliptic ones (x1', x2') = w (cos phi, sin phi).
 SPECS: dict[RotationType, RotationSpec] = {
     RotationType.ELLIPTIC: RotationSpec(
-        ("x1", "x2", "r"), 2, s=1.0, sw=1.0, case_sign=0,
-        trig=(math.cos, math.sin), patch_jets=_elliptic_jets,
+        ("x1", "x2", "r"), 2, s=1.0, case_sign=0,
+        turning=partial(phi_integrand, 1.0),
+        slopes=partial(_trig_slopes, 1.0, 1.0, math.cos, math.sin),
+        slope_jets=partial(_trig_slope_jets, 1.0, 1.0, math.cos, math.sin),
+        patch_jets=_elliptic_jets,
         check_profile=_check_radius, v_window=(0.0, 2.0 * math.pi),
         arclength=lambda a, b, c: a.d1**2 + b.d1**2 - c.d1**2,  # (x1')^2+(x2')^2-(r')^2
         twist=lambda a, b, c: a.d1 * b.d2 - a.d2 * b.d1,
         special_profile="sqrt(-u^2+2*a*u+b)",  # r r'' + (r')^2 + 1 = 0
         special_h_sign=1, special_phi=_special_phi_elliptic),
-    RotationType.HYPERBOLIC_A: _hyperbolic_spec(1, (math.sinh, math.cosh)),
-    RotationType.HYPERBOLIC_B: _hyperbolic_spec(-1, (math.cosh, math.sinh)),
+    RotationType.HYPERBOLIC_A: _hyperbolic_spec(1, math.sinh, math.cosh),
+    RotationType.HYPERBOLIC_B: _hyperbolic_spec(-1, math.cosh, math.sinh),
     RotationType.PARABOLIC: RotationSpec(
-        ("x1", "f", "g"), 1, s=0.0, sw=0.0, case_sign=0,
-        trig=None, patch_jets=_parabolic_jets,
+        ("x1", "f", "g"), 1, s=0.0, case_sign=0,
+        turning=psi_integrand_parabolic, slopes=_parabolic_slopes,
+        slope_jets=_parabolic_slope_jets, patch_jets=_parabolic_jets,
         check_profile=_check_ff, v_window=(-2.0, 2.0),
         arclength=lambda a, b, c: a.d1**2 - 2.0 * b.d1 * c.d1,  # (x1')^2 - 2 f' g'
         twist=lambda a, b, c: a.d2 * b.d1 - a.d1 * b.d2,

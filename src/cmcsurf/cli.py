@@ -75,6 +75,24 @@ def _grid(text: str) -> tuple[int, int]:
     return nu, nv
 
 
+def _checked(convert, ok, what: str):
+    """Argument type: ``convert`` the text, then reject values failing ``ok``."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return parse
+
+
+def _projection(text: str) -> tuple[str, str, str]:
+    names = tuple(text.split(","))
+    if len(names) != 3 or not set(names) <= set(cio.COORD_NAMES):
+        raise argparse.ArgumentTypeError(
+            f"bad projection {text!r}, expected three of {','.join(cio.COORD_NAMES)}")
+    return names
+
+
 def _sign(text: str) -> int:
     if text in ("+1", "1", "+"):
         return 1
@@ -111,25 +129,18 @@ def _add_common(sub: argparse.ArgumentParser, *, profile_required: bool = True):
                      metavar="A:B")
     sub.add_argument("--u0", type=float, default=None,
                      help="quadrature base point (default: interval start)")
-    sub.add_argument("--phi0", type=float, default=None,
-                     help="phi integration constant")
-    sub.add_argument("--A", type=float, default=None,
-                     help="parabolic constant A (alias of --phi0)")
+    sub.add_argument("--phi0", type=float, default=0.0,
+                     help="phi integration constant (the parabolic constant A)")
     sub.add_argument("--c1", type=float, default=0.0)
     sub.add_argument("--c2", type=float, default=0.0)
-    sub.add_argument("--rel-tol", type=float, default=1e-10,
-                     help="quadrature relative tolerance")
+    sub.add_argument("--rel-tol", type=_checked(float, lambda x: x > 0.0, "a positive number"),
+                     default=1e-10, help="quadrature relative tolerance")
 
 
 def _params(args) -> CmcParams:
-    phi0 = args.phi0
-    if args.A is not None:
-        if phi0 is not None and phi0 != args.A:
-            raise _CliError("--A and --phi0 are aliases; give one")
-        phi0 = args.A
     try:
         return CmcParams(C=args.C, h_sign=args.hsign, eta=args.eta,
-                         u0=args.u0, phi0=phi0 or 0.0, c1=args.c1, c2=args.c2)
+                         u0=args.u0, phi0=args.phi0, c1=args.c1, c2=args.c2)
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
 
@@ -181,7 +192,10 @@ def _cmd_curve(args) -> int:
 
 def _load_or_generate(args) -> GeneratingCurve:
     if getattr(args, "csv", None):
-        return cio.load_curve(args.csv)
+        try:
+            return cio.load_curve(args.csv)
+        except (OSError, ValueError) as exc:
+            raise _CliError(f"cannot read curve CSV {args.csv!r}: {exc}") from exc
     if not args.profile:
         raise _CliError("need --profile or --csv")
     return _generate_curve(args)
@@ -199,7 +213,7 @@ def _cmd_surface(args) -> int:
         cio.write_surface_csv(args.out, patch, us, vs)
         print(f"wrote {args.out}")
     if args.obj:
-        cio.write_surface_obj(args.obj, patch, us, vs, tuple(args.project.split(",")))
+        cio.write_surface_obj(args.obj, patch, us, vs, args.project)
         print(f"wrote {args.obj}")
     if not args.out and not args.obj:
         raise _CliError("give --out and/or --obj")
@@ -212,7 +226,7 @@ def _cmd_validate(args) -> int:
     tols = Tolerances(cmc_analytic=args.cmc_tol, cmc_fd=args.cmc_fd_tol)
     nu, nv = args.grid
     if getattr(args, "csv", None):
-        curve = cio.load_curve(args.csv)
+        curve = _load_or_generate(args)
         report = validate_surface(curve, params.target_h2, args.csv,
                                   nu, nv, args.v_window, tols=tols)
     else:
@@ -269,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_curve = subs.add_parser("curve", help="generate a generating curve (CSV)")
     _add_common(p_curve)
-    p_curve.add_argument("--samples", type=int, default=401)
+    p_curve.add_argument("--samples", type=_checked(int, lambda n: n >= 2, "at least 2"),
+                         default=401)
     p_curve.add_argument("--out", required=True)
     p_curve.set_defaults(func=_cmd_curve)
 
@@ -278,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_surface.add_argument("--csv", help="rebuild the curve from a curve CSV")
     p_surface.add_argument("--grid", type=_grid, default=(41, 41), metavar="NUxNV")
     p_surface.add_argument("--v-window", type=_interval, default=(-2.0, 2.0))
-    p_surface.add_argument("--project", default="x1,x3,x4")
+    p_surface.add_argument("--project", type=_projection, default=("x1", "x3", "x4"))
     p_surface.add_argument("--out")
     p_surface.add_argument("--obj")
     p_surface.set_defaults(func=_cmd_surface)

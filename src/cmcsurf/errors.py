@@ -93,6 +93,12 @@ class NegativeRadicandError(CmcError):
         self.u = u
 
 
+class BasePointError(CmcError, ValueError):
+    """The quadrature base point u0 lies outside the generation interval."""
+
+    code = "base-point"
+
+
 class NonpositiveProfileError(CmcError):
     """Profile r(u) is not strictly positive where required."""
 

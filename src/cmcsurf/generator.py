@@ -28,21 +28,20 @@ For hyperbolic profiles h_sign = sign((r')^2-1) is always feasible; the
 opposite sign is admitted only where the radicand stays nonnegative, and
 infeasibility is reported as empty validity rather than as an error.
 
-The entry points are generate (every type) and phi_integrand(s, ...).
-The per-type facts (the sign s of k = (r')^2 + s, the trig pair, the
-component order) are read from builders.SPECS, so elliptic and both
-hyperbolic cases share one generator body and one phi-integrand; only the
-parabolic psi-equation has its own.
+The turning equations (phi_integrand, psi_integrand_parabolic) and the
+slopes they fix live in builders, next to h2_closed, and each
+RotationSpec in builders.SPECS carries its own; generate is the one
+generator body for all four types.  This module keeps the quadrature of
+those equations, the profile memo and the feasibility scan.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import partial
 
 from .builders import SPECS, GeneratingCurve, JetFn, RotationType, slope_sign
 from .errors import (
+    BasePointError,
     CaseMismatchError,
     EvalDomainError,
     InvariantViolationError,
@@ -94,70 +93,7 @@ def as_jet_fn(profile) -> JetFn:
     return profile
 
 
-def _cached(fn: JetFn) -> JetFn:
-    cache: dict[float, Jet2] = {}
-
-    def wrapped(u: float) -> Jet2:
-        hit = cache.get(u)
-        if hit is None:
-            hit = cache[u] = fn(u)
-        return hit
-
-    return wrapped
-
-
-# --- phi-equation integrands ---------------------------------------------------
-
-def _radicand_guarded(q: float, extra: float, u: float) -> float:
-    """q^2 + extra with a roundoff guard; negative values are infeasible."""
-    rad = q * q + extra
-    if rad < 0.0:
-        if rad > -1e-12 * (q * q + abs(extra) + 1.0):
-            return 0.0
-        raise NegativeRadicandError(
-            f"radicand {rad!r} negative (infeasible h_sign/C)", u)
-    return rad
-
-
-def phi_integrand(s: float, profile, params: CmcParams, u: float) -> float:
-    """phi'(u) with k = (r')^2 + s: s = +1 elliptic, s = -1 hyperbolic.
-
-    Raises NonpositiveProfileError, NearNullSlopeError (|k| < TAU_SLOPE,
-    which k >= 1 rules out for elliptic profiles) and NegativeRadicandError
-    where the preconditions fail.
-    """
-    r = as_jet_fn(profile)(u)
-    if not r.val > 0.0:
-        raise NonpositiveProfileError(f"r(u)={r.val!r} <= 0 at u={u!r}")
-    k = r.d1 * r.d1 + s
-    slope_sign(k, u)
-    q = r.val * r.d2 + k
-    rad = _radicand_guarded(q, 4.0 * params.h_sign * (params.C * params.C)
-                            * (r.val * r.val) * k, u)
-    return params.eta * math.sqrt(rad) / (r.val * k)
-
-
-def psi_integrand_parabolic(profile, params: CmcParams, u: float) -> float:
-    """psi'(u) for the parabolic type, where phi = f' * psi."""
-    f = as_jet_fn(profile)(u)
-    if f.d1 == 0.0:
-        raise ZeroDerivativeProfileError(f"f'(u) = 0 at u={u!r}")
-    if f.val == 0.0:
-        raise InvariantViolationError(f"f(u) = 0 at u={u!r}")
-    log_slope = (f.val * f.d2 + f.d1 * f.d1) / (f.val * f.d1)  # (ln|ff'|)'
-    rad = _radicand_guarded(log_slope,
-                            4.0 * params.h_sign * params.C * params.C, u)
-    return params.eta * math.sqrt(rad) / f.d1
-
-
 # --- generators ----------------------------------------------------------------
-
-def _base_point(params: CmcParams, interval: tuple[float, float]) -> float:
-    u0 = interval[0] if params.u0 is None else params.u0
-    if not interval[0] <= u0 <= interval[1]:
-        raise ValueError(f"u0={u0!r} outside the generation interval {interval!r}")
-    return u0
-
 
 def generate(rotation: RotationType, profile, params: CmcParams,
              config: QuadratureConfig | None = None,
@@ -165,26 +101,35 @@ def generate(rotation: RotationType, profile, params: CmcParams,
              phi_scale: float = 1.0) -> GeneratingCurve:
     """Generate the CMC curve of type ``rotation`` over ``interval``.
 
-    Elliptic and hyperbolic curves share this body: with k = (r')^2 + s and
-    w = sqrt(sw k), the two non-profile slopes are w times the spec's trig
-    pair (t1, t2) of phi, where t1' = -s t2 and t2' = t1 (see SPECS).
-    Parabolic curves come from the psi-equation.  A profile whose slope
+    One body serves every type: the spec's turning function t (phi, or psi
+    for parabolic curves) is the quadrature of ``spec.turning`` from u0,
+    offset by ``params.phi0`` (the parabolic constant A in phi = f'(A +
+    ...)), and the two non-profile components are the quadratures of
+    ``spec.slopes`` at t, offset by ``params.c1`` and ``params.c2``; their
+    derivatives come from ``spec.slope_jets``.  A profile whose slope
     contradicts the hyperbolic case, or crosses the null band, raises
     CaseMismatchError / NearNullSlopeError.
 
-    ``phi_scale`` multiplies phi (psi for parabolic curves) after
-    quadrature; values other than 1.0 break the CMC property on purpose
-    (negative-control hook) while keeping the arc-length identity intact.
+    ``phi_scale`` multiplies t - phi0 after quadrature; values other than
+    1.0 break the CMC property on purpose (negative-control hook) while
+    keeping the arc-length identity intact.
     """
-    if rotation is RotationType.PARABOLIC:
-        return _generate_parabolic(profile, params, config, interval, phi_scale)
     spec = SPECS[rotation]
-    s, sw = spec.s, spec.sw  # locals: the closures below run per quadrature node
-    t1, t2 = spec.trig
+    # locals: the closures below run per quadrature node
+    turning, slopes, slope_jets = spec.turning, spec.slopes, spec.slope_jets
     config = config or QuadratureConfig()
-    rj = _cached(as_jet_fn(profile))
+    jet_fn, profile_memo = as_jet_fn(profile), {}
+
+    def rj(u: float) -> Jet2:
+        # a dict, not functools.cache, which keys each float u by a 1-tuple
+        hit = profile_memo.get(u)
+        if hit is None:
+            hit = profile_memo[u] = jet_fn(u)
+        return hit
     a, b = interval
-    u0 = _base_point(params, interval)
+    u0 = a if params.u0 is None else params.u0
+    if not a <= u0 <= b:
+        raise BasePointError(f"u0={u0!r} outside the generation interval {interval!r}")
     if spec.case_sign:  # the profile's slope must keep the case's sign of (r')^2 - 1
         for i in range(65):
             u = a + (b - a) * i / 64.0
@@ -193,124 +138,32 @@ def generate(rotation: RotationType, profile, params: CmcParams,
                 raise CaseMismatchError(
                     f"(r')^2 - 1 = {m!r} at u={u!r} contradicts {rotation.value}")
 
-    def dphi_raw(u: float) -> float:
-        return phi_integrand(s, rj, params, u)
+    def dt_raw(u: float) -> float:
+        return turning(rj(u), params, u)
 
-    phi_cum = CumulativeIntegral(dphi_raw, a, b, config)
-    phi_off = phi_cum(u0)
+    t_cum = CumulativeIntegral(dt_raw, a, b, config)
+    t_off = t_cum(u0)
 
-    def phi(u: float) -> float:
-        return params.phi0 + phi_scale * (phi_cum(u) - phi_off)
+    def t(u: float) -> float:
+        return params.phi0 + phi_scale * (t_cum(u) - t_off)
 
-    def dphi(u: float) -> float:
-        return phi_scale * dphi_raw(u)
-
-    def w_of(r: Jet2) -> float:
-        return math.sqrt(sw * (r.d1 * r.d1 + s))
-
-    def component(c: float, t, sign: float, t_other) -> JetFn:
-        """c + integral of w t(phi), where t' = sign * t_other."""
-        def slope(u: float) -> float:
-            return w_of(rj(u)) * t(phi(u))
-
-        cum = CumulativeIntegral(slope, a, b, config)
+    def component(i: int, c: float) -> JetFn:
+        """c + integral of the i-th slope."""
+        cum = CumulativeIntegral(lambda u: slopes(rj(u), t(u))[i], a, b, config)
         off = cum(u0)
 
         def jet(u: float) -> Jet2:
-            r = rj(u)
-            w = w_of(r)
-            wp = sw * r.d1 * r.d2 / w
-            p, dp = phi(u), dphi(u)
-            v, v_other = t(p), t_other(p)
-            return Jet2(c + cum(u) - off, w * v, wp * v + sign * w * v_other * dp)
+            d1, d2 = slope_jets(rj(u), t(u), phi_scale * dt_raw(u))[i]
+            return Jet2(c + cum(u) - off, d1, d2)
 
-        return _cached(jet)
+        return jet
 
-    components = [component(params.c1, t1, -s, t2), component(params.c2, t2, 1.0, t1)]
+    components = [component(0, params.c1), component(1, params.c2)]
     components.insert(spec.profile_slot, rj)
     return GeneratingCurve(rotation, tuple(components), interval)
 
 
-def _generate_parabolic(profile, params: CmcParams, config: QuadratureConfig | None,
-                        interval: tuple[float, float],
-                        phi_scale: float) -> GeneratingCurve:
-    """The parabolic CMC curve (x1, f, g) over ``interval``.
-
-    ``params.phi0`` plays the role of the constant A in phi = f'(A + ...).
-    The arc-length identity (x1')^2 - 2 f' g' = 1 holds exactly by
-    construction of g'.
-    """
-    config = config or QuadratureConfig()
-    fj = _cached(as_jet_fn(profile))
-    a, b = interval
-    u0 = _base_point(params, interval)
-
-    def dpsi_raw(u: float) -> float:
-        return psi_integrand_parabolic(fj, params, u)
-
-    psi_cum = CumulativeIntegral(dpsi_raw, a, b, config)
-    psi_off = psi_cum(u0)
-
-    def psi(u: float) -> float:
-        return params.phi0 + phi_scale * (psi_cum(u) - psi_off)
-
-    def phi_pair(u: float) -> tuple[float, float]:
-        """phi = f' psi and phi' = f'' psi + f' psi'."""
-        f = fj(u)
-        s = psi(u)
-        return f.d1 * s, f.d2 * s + f.d1 * phi_scale * dpsi_raw(u)
-
-    def x1_slope(u: float) -> float:
-        return phi_pair(u)[0]
-
-    def g_slope(u: float) -> float:
-        f = fj(u)
-        p = phi_pair(u)[0]
-        return (p * p - 1.0) / (2.0 * f.d1)
-
-    x1_cum = CumulativeIntegral(x1_slope, a, b, config)
-    g_cum = CumulativeIntegral(g_slope, a, b, config)
-    x1_off = x1_cum(u0)
-    g_off = g_cum(u0)
-
-    def x1_fn(u: float) -> Jet2:
-        p, dp = phi_pair(u)
-        return Jet2(params.c1 + x1_cum(u) - x1_off, p, dp)
-
-    def g_fn(u: float) -> Jet2:
-        f = fj(u)
-        p, dp = phi_pair(u)
-        d1 = (p * p - 1.0) / (2.0 * f.d1)
-        d2 = p * dp / f.d1 - (p * p - 1.0) * f.d2 / (2.0 * f.d1 * f.d1)
-        return Jet2(params.c2 + g_cum(u) - g_off, d1, d2)
-
-    return GeneratingCurve(RotationType.PARABOLIC, (_cached(x1_fn), fj, _cached(g_fn)),
-                           interval)
-
-
 # --- feasibility scan ------------------------------------------------------------
-
-def _validity_predicate(rotation: RotationType, profile, params: CmcParams):
-    jf = as_jet_fn(profile)
-    spec = SPECS[rotation]
-    integrand = (psi_integrand_parabolic if rotation is RotationType.PARABOLIC
-                 else partial(phi_integrand, spec.s))
-
-    def ok(u: float) -> bool:
-        try:
-            p = jf(u)  # evaluated once, then handed to the integrand
-            if spec.case_sign and slope_sign(p.d1 * p.d1 - 1.0, u) != spec.case_sign:
-                return False
-            integrand(lambda _: p, params, u)
-        except (ArithmeticError, ValueError,
-                NegativeRadicandError, NonpositiveProfileError,
-                ZeroDerivativeProfileError, InvariantViolationError,
-                NearNullSlopeError, EvalDomainError):
-            return False
-        return True
-
-    return ok
-
 
 def domain_validity(profile, params: CmcParams,
                     interval: tuple[float, float],
@@ -326,7 +179,22 @@ def domain_validity(profile, params: CmcParams,
     lo, hi = interval
     if not hi > lo:
         raise ValueError("empty scan interval")
-    ok = _validity_predicate(rotation, profile, params)
+    jf = as_jet_fn(profile)
+    spec = SPECS[rotation]
+
+    def ok(u: float) -> bool:
+        try:
+            p = jf(u)
+            if spec.case_sign and slope_sign(p.d1 * p.d1 - 1.0, u) != spec.case_sign:
+                return False
+            spec.turning(p, params, u)
+        except (ArithmeticError, ValueError,
+                NegativeRadicandError, NonpositiveProfileError,
+                ZeroDerivativeProfileError, InvariantViolationError,
+                NearNullSlopeError, EvalDomainError):
+            return False
+        return True
+
     us = [lo + (hi - lo) * k / 1024 for k in range(1025)]
     flags = [ok(u) for u in us]
 

@@ -22,6 +22,8 @@ TAU_CAUSAL = 1e-10
 #: Largest |<u_i,u_j> - s_i*delta_ij| accepted in an orthonormal frame.
 TAU_ORTHO = 1e-12
 
+_new = tuple.__new__
+
 
 class Vec4(NamedTuple):
     """Point or vector of the neutral 4-space, components in the e-basis."""
@@ -31,19 +33,20 @@ class Vec4(NamedTuple):
     x3: float
     x4: float
 
+    # tuple.__new__ skips NamedTuple's Python-level __new__ on these hot paths
     def __add__(self, other: "Vec4") -> "Vec4":  # type: ignore[override]
-        return Vec4(self.x1 + other.x1, self.x2 + other.x2,
-                    self.x3 + other.x3, self.x4 + other.x4)
+        return _new(Vec4, (self.x1 + other.x1, self.x2 + other.x2,
+                           self.x3 + other.x3, self.x4 + other.x4))
 
     def __sub__(self, other: "Vec4") -> "Vec4":
-        return Vec4(self.x1 - other.x1, self.x2 - other.x2,
-                    self.x3 - other.x3, self.x4 - other.x4)
+        return _new(Vec4, (self.x1 - other.x1, self.x2 - other.x2,
+                           self.x3 - other.x3, self.x4 - other.x4))
 
     def __neg__(self) -> "Vec4":
-        return Vec4(-self.x1, -self.x2, -self.x3, -self.x4)
+        return _new(Vec4, (-self.x1, -self.x2, -self.x3, -self.x4))
 
     def __mul__(self, s: float) -> "Vec4":  # type: ignore[override]
-        return Vec4(self.x1 * s, self.x2 * s, self.x3 * s, self.x4 * s)
+        return _new(Vec4, (self.x1 * s, self.x2 * s, self.x3 * s, self.x4 * s))
 
     __rmul__ = __mul__  # type: ignore[assignment]
 

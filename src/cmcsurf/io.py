@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import os
 import tempfile
+from io import StringIO
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +31,7 @@ from .builders import SPECS, GeneratingCurve, RotationType
 from .profiles import Jet2
 from .surfaces import SurfacePatch
 
-_COORD_NAMES = ("x1", "x2", "x3", "x4")
+COORD_NAMES = ("x1", "x2", "x3", "x4")
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -51,45 +52,43 @@ def curve_samples(curve: GeneratingCurve, n: int) -> list[float]:
     return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
 
 
+def _header(names: Sequence[str]) -> list[str]:
+    return ["u"] + list(names) + [f"d{c}" for c in names] + [f"dd{c}" for c in names]
+
+
 def write_curve_csv(path: str, curve: GeneratingCurve, samples: int = 401) -> None:
     """Sample the curve jets on a uniform grid and write them as CSV."""
-    names = curve.component_names
-    header = ["u"] + list(names) + [f"d{c}" for c in names] + [f"dd{c}" for c in names]
-    rows = [header]
+    rows = [_header(curve.component_names)]
     for u in curve_samples(curve, samples):
         jets = curve.jets(u)
         rows.append([repr(u)]
                     + [repr(j.val) for j in jets]
                     + [repr(j.d1) for j in jets]
                     + [repr(j.d2) for j in jets])
-    out = []
-    writer_target = _ListWriter(out)
-    writer = csv.writer(writer_target)
-    writer.writerows(rows)
-    _atomic_write(path, "".join(out))
-
-
-class _ListWriter:
-    def __init__(self, sink: list[str]):
-        self.sink = sink
-
-    def write(self, chunk: str) -> None:
-        self.sink.append(chunk)
+    out = StringIO()
+    csv.writer(out).writerows(rows)
+    _atomic_write(path, out.getvalue())
 
 
 def read_curve_csv(path: str) -> tuple[RotationType, np.ndarray, np.ndarray]:
     """Read a curve CSV; returns (rotation, u samples, jets[n, 3, 3]).
 
-    jets[i, k] holds (value, d1, d2) of component k at u[i].
+    jets[i, k] holds (value, d1, d2) of component k at u[i].  Raises
+    ValueError for a header that is not a rotation type's curve header, for
+    fewer than 2 sample rows, and for rows that are not numbers or do not
+    match the header.
     """
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        data = np.array([[float(cell) for cell in row] for row in reader])
-    names = tuple(header[1:4])
+        rows = list(csv.reader(handle))
+    names = tuple(rows[0][1:4]) if rows else ()
     matches = [rot for rot, spec in SPECS.items() if spec.names == names]
-    if not matches:
-        raise ValueError(f"unrecognized curve components {names!r} in {path}")
+    if not matches or rows[0] != _header(names):
+        raise ValueError(f"unrecognized curve header {rows[:1]!r} in {path}")
+    if len(rows) < 3:
+        raise ValueError(f"{path} has {len(rows) - 1} sample rows; need at least 2")
+    data = np.array([[float(cell) for cell in row] for row in rows[1:]])
+    if data.shape[1] != len(rows[0]):
+        raise ValueError(f"sample rows of {path} do not match its header")
     rotation = matches[0]
     if len(matches) > 1:  # the hyperbolic cases share names; the slope picks one
         slopes = data[:, 4]  # column "dr"
@@ -134,15 +133,15 @@ def load_curve(path: str) -> GeneratingCurve:
 def write_surface_csv(path: str, patch: SurfacePatch,
                       us: Sequence[float], vs: Sequence[float]) -> None:
     """Write grid samples of the patch as u,v,x1,x2,x3,x4 rows."""
-    out: list[str] = []
-    writer = csv.writer(_ListWriter(out))
-    writer.writerow(["u", "v"] + list(_COORD_NAMES))
+    out = StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["u", "v"] + list(COORD_NAMES))
     for u in us:
         for v in vs:
             p = patch.position(u, v)
             writer.writerow([repr(u), repr(v), repr(p.x1), repr(p.x2),
                              repr(p.x3), repr(p.x4)])
-    _atomic_write(path, "".join(out))
+    _atomic_write(path, out.getvalue())
 
 
 def write_surface_obj(path: str, patch: SurfacePatch,
@@ -153,7 +152,7 @@ def write_surface_obj(path: str, patch: SurfacePatch,
     The three projection axes are a viewing aid only; they are recorded in
     a leading comment.  Faces are the grid quads, 1-indexed.
     """
-    idx = [_COORD_NAMES.index(name) for name in project]
+    idx = [COORD_NAMES.index(name) for name in project]
     lines = ["# cmcsurf surface export", f"# projection: {','.join(project)}"]
     for u in us:
         for v in vs:

@@ -12,7 +12,6 @@ precision rather than to the global tolerance.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,20 +23,20 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 _GL_NODES = tuple(float(x) for x in _GL_NODES)
 _GL_WEIGHTS = tuple(float(w) for w in _GL_WEIGHTS)
 
+#: Absolute tolerance floor and depth limit of the adaptive refinement.
+ABS_TOL = 1e-12
+MAX_DEPTH = 48
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and depth limit for the adaptive refinement."""
+    """Relative tolerance of the adaptive refinement."""
 
-    abs_tol: float = 1e-12
     rel_tol: float = 1e-10
-    max_depth: int = 48
 
     def __post_init__(self):
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be at least 1")
+        if not self.rel_tol > 0.0:
+            raise ValueError("rel_tol must be positive")
 
 
 def gauss15(f: Callable[[float], float], a: float, b: float) -> float:
@@ -74,25 +73,10 @@ def _leaves(f, a, b, config: QuadratureConfig) -> list[tuple[float, float]]:
     m = 0.5 * (a + b)
     fm = f(m)
     s0 = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    tol = max(config.abs_tol, config.rel_tol * abs(s0))
+    tol = max(ABS_TOL, config.rel_tol * abs(s0))
     leaves: list[tuple[float, float]] = []
-    _refine(f, a, fa, b, fb, fm, s0, tol, config.max_depth, leaves)
+    _refine(f, a, fa, b, fb, fm, s0, tol, MAX_DEPTH, leaves)
     return leaves
-
-
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                     config: QuadratureConfig | None = None) -> float:
-    """Integral of f over [a, b] to the configured tolerance.
-
-    Raises QuadratureError when the panel subdivision hits ``max_depth``
-    before the Simpson error estimate meets the tolerance.
-    """
-    config = config or QuadratureConfig()
-    if a == b:
-        return 0.0
-    if a > b:
-        return -adaptive_simpson(f, b, a, config)
-    return math.fsum(gauss15(f, lo, hi) for lo, hi in _leaves(f, a, b, config))
 
 
 class CumulativeIntegral:
@@ -101,7 +85,9 @@ class CumulativeIntegral:
     Panel boundaries come from one adaptive Simpson refinement; each final
     panel is re-integrated with Gauss-Legendre so that differences of F at
     nearby points (finite-difference stencils) are accurate far beyond the
-    global tolerance.  Evaluations are memoized per instance.
+    global tolerance.  Evaluations are memoized per instance.  Raises
+    QuadratureError when the subdivision hits MAX_DEPTH before the Simpson
+    error estimate meets the tolerance.
     """
 
     def __init__(self, f: Callable[[float], float], a: float, b: float,

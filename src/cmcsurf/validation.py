@@ -23,14 +23,7 @@ from .builders import (
     hyperplane_degeneracy,
 )
 from .errors import DegenerateFrameError
-from .generator import (
-    CmcParams,
-    as_jet_fn,
-    domain_validity,
-    generate,
-    phi_integrand,
-    psi_integrand_parabolic,
-)
+from .generator import CmcParams, domain_validity, generate
 from .geometry import gram_residual
 from .profiles import ProfileFunction
 from .quadrature import QuadratureConfig
@@ -255,9 +248,9 @@ def compare_special_case(rotation: RotationType,
                          params: CmcParams,
                          interval: tuple[float, float]) -> SpecialCaseReport:
     """Differentiate the quoted closed-form phi (``SPECS[rotation].special_phi``)
-    numerically and compare it with the phi-equation integrand for the
-    special profile at 201 points; relative discrepancies up to 1e-6 count
-    as consistent.
+    numerically and compare it with the spec's turning equation
+    (``SPECS[rotation].turning``) for the special profile at 201 points;
+    relative discrepancies up to 1e-6 count as consistent.
 
     The inner radical sign is forced to the only feasible choice for the
     special profiles (h_sign = +1 for elliptic/parabolic, the case sign
@@ -270,7 +263,6 @@ def compare_special_case(rotation: RotationType,
     profile = ProfileFunction.from_text(
         spec.special_profile, interval,
         {"a": constants["a"], "b": constants["b"]})
-    jf = as_jet_fn(profile)
     lo, hi = interval
     step = 1e-6 * max(1.0, abs(lo), abs(hi))
     worst = 0.0
@@ -278,16 +270,14 @@ def compare_special_case(rotation: RotationType,
         u = lo + (hi - lo) * (k + 0.5) / 201
         dphi_closed = (spec.special_phi(constants, forced, u + step)
                        - spec.special_phi(constants, forced, u - step)) / (2 * step)
+        f = profile.jet(u)
+        got = dphi_closed
         if rotation is RotationType.PARABOLIC:
             # Constants live inside phi = f' psi; compare the implied psi'
             # = (phi' f' - phi f'') / (f')^2 against the psi-equation.
-            f = jf(u)
             phi_val = spec.special_phi(constants, forced, u)
             got = (dphi_closed * f.d1 - phi_val * f.d2) / (f.d1 * f.d1)
-            expected = psi_integrand_parabolic(jf, forced, u)
-        else:
-            expected = phi_integrand(spec.s, jf, forced, u)
-            got = dphi_closed
+        expected = spec.turning(f, forced, u)
         scale = 1.0 + max(abs(expected), abs(got))
         worst = max(worst, abs(got - expected) / scale)
     verdict = "consistent" if worst <= 1e-6 else "probable-misprint"

@@ -8,6 +8,7 @@ never at the fixtures.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 from cmcsurf.builders import GeneratingCurve, RotationType
 from cmcsurf.profiles import Jet2
@@ -15,6 +16,19 @@ from cmcsurf.profiles import Jet2
 
 def jet_fn(f, d1, d2):
     return lambda u: Jet2(f(u), d1(u), d2(u))
+
+
+def counted(components):
+    """The components wrapped to count their calls per u, and the counters."""
+    counters = [Counter() for _ in components]
+
+    def wrap(fn, counter):
+        def call(u):
+            counter[u] += 1
+            return fn(u)
+        return call
+
+    return tuple(map(wrap, components, counters)), counters
 
 
 def const_fn(c):

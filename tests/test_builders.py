@@ -17,13 +17,16 @@ from cmcsurf.builders import (
 from cmcsurf.errors import InvariantViolationError, NearNullSlopeError
 from cmcsurf.geometry import XI1, XI2, Vec4, inner
 from cmcsurf.surfaces import first_fundamental_form, mean_curvature
+from cmcsurf.validation import validate_surface
 
 from analytic_curves import (
     ELLIPTIC_CURVES,
     HYPERBOLIC_CURVES,
     PARABOLIC_CURVES,
     const_fn,
+    counted,
     elliptic_circle,
+    elliptic_helix,
     elliptic_straight,
     hyperbolic_linear_a,
     jet_fn,
@@ -348,3 +351,29 @@ def test_hyperbolic_and_parabolic_degeneracy_detection():
     assert hyperplane_degeneracy(par).degenerate
     name, productive = PARABOLIC_CURVES[0]
     assert not hyperplane_degeneracy(productive).degenerate
+
+
+# --- the per-curve jet memo ------------------------------------------------------
+
+def test_curve_memo_evaluates_each_component_once_per_u():
+    helix = elliptic_helix(0.5, 1.0, 1.3, (0.0, 4.0))
+    components, counters = counted(helix.components)
+    curve = GeneratingCurve(RotationType.ELLIPTIC, components, helix.domain)
+    validate_surface(curve, 0.0, nu=9, nv=7)
+    assert len(counters[0]) > 200  # grid, FD stencils and the 201-point scans
+    for counter in counters:
+        assert counter.keys() == counters[0].keys()
+        assert set(counter.values()) == {1}
+
+
+def test_curve_memo_misses_reach_components_swapped_in_later():
+    curve = elliptic_circle(2.0)
+    patch = build_surface(curve)
+    curve.jets(0.5)
+    components, counters = counted(curve.components)
+    object.__setattr__(curve, "components", components)
+    curve.jets(0.5)
+    patch.jets(1.5, 0.3)
+    patch.jets(1.5, 0.7)
+    curve.jets(2.5)
+    assert all(counter == {1.5: 1, 2.5: 1} for counter in counters)

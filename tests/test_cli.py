@@ -44,7 +44,7 @@ def test_curve_command_pads_like_generate_and_validate(tmp_path, capsys):
 def test_validate_command_passes(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     code, _, err = run(["validate", "--type", "parabolic", "--profile", "u",
-                        "--C", "0.5", "--A", "0", "--interval", "0.5:2",
+                        "--C", "0.5", "--phi0", "0", "--interval", "0.5:2",
                         "--grid", "11x7", "--report", str(report_path)], capsys)
     assert code == 0, err
     payload = json.loads(report_path.read_text())
@@ -148,6 +148,26 @@ def test_bad_flags_exit_2(tmp_path, capsys):
                         "--out", str(tmp_path / "x.csv")], capsys)
     assert code == 2
     assert "ERROR[usage]" in err
+
+
+ELLIPTIC_2 = ["--type", "elliptic", "--profile", "2", "--interval", "0:1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", *ELLIPTIC_2, "--rel-tol", "0", "--out", "{tmp}/x.csv"],
+    ["curve", *ELLIPTIC_2, "--samples", "1", "--out", "{tmp}/x.csv"],
+    ["surface", *ELLIPTIC_2, "--obj", "{tmp}/z.obj", "--project", "x1,x9,x4"],
+    # generation pads the interval to (1e-7, 0.9999999), which leaves u0 = 0 out
+    ["validate", *ELLIPTIC_2, "--C", "0.1", "--u0", "0"],
+    ["validate", "--type", "elliptic", "--csv", "{tmp}/missing.csv"],
+    ["validate", "--type", "elliptic", "--csv", "{tmp}/header_only.csv"],
+], ids=["rel-tol-0", "samples-1", "bad-projection", "u0-outside", "csv-missing",
+        "csv-header-only"])
+def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
+    (tmp_path / "header_only.csv").write_text("u,x1,x2,r,dx1,dx2,dr,ddx1,ddx2,ddr\r\n")
+    code, _, err = run([arg.replace("{tmp}", str(tmp_path)) for arg in argv], capsys)
+    assert code == 2, err
+    assert "Traceback" not in err
 
 
 def test_bad_profile_syntax_exits_2(tmp_path, capsys):

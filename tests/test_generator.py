@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from cmcsurf.builders import RotationType, build_surface, hyperplane_degeneracy
+from cmcsurf.builders import RotationType, build_surface, hyperplane_degeneracy, phi_integrand
 from cmcsurf.errors import (
     CaseMismatchError,
     NegativeRadicandError,
@@ -12,7 +12,6 @@ from cmcsurf.generator import (
     CmcParams,
     domain_validity,
     generate,
-    phi_integrand,
 )
 from cmcsurf.profiles import ProfileFunction
 from cmcsurf.quadrature import QuadratureConfig
@@ -52,10 +51,10 @@ def test_phi_integrand_elliptic_constant_profile():
     prof = profile("2", (0.0, 6.28))
     params = CmcParams(C=0.25, h_sign=1)
     for u in (0.5, 3.0, 6.0):
-        assert phi_integrand(1.0, prof, params, u) == pytest.approx(
+        assert phi_integrand(1.0, prof(u), params, u) == pytest.approx(
             math.sqrt(2.0) / 2.0)
     flipped = CmcParams(C=0.25, h_sign=1, eta=-1)
-    assert phi_integrand(1.0, prof, flipped, 1.0) == pytest.approx(
+    assert phi_integrand(1.0, prof(1.0), flipped, 1.0) == pytest.approx(
         -math.sqrt(2.0) / 2.0)
 
 
@@ -63,21 +62,21 @@ def test_phi_integrand_negative_radicand():
     prof = profile("1", (0.0, 2.0))
     params = CmcParams(C=1.0, h_sign=-1)  # 1 - 4C^2 = -3 < 0
     with pytest.raises(NegativeRadicandError):
-        phi_integrand(1.0, prof, params, 1.0)
+        phi_integrand(1.0, prof(1.0), params, 1.0)
 
 
 def test_phi_integrand_nonpositive_profile():
     prof = ProfileFunction(ProfileFunction.from_text("u", (0.1, 1.0)).expr,
                            (-1.0, 1.0))
     with pytest.raises(NonpositiveProfileError):
-        phi_integrand(1.0, prof, CmcParams(C=0.5), -0.5)
+        phi_integrand(1.0, prof(-0.5), CmcParams(C=0.5), -0.5)
 
 
 def test_phi_integrand_zero_radicand_is_fine():
     # r = 1, C = 1/2, h_sign = -1: radicand exactly 0 -> phi' = 0
     prof = profile("1", (0.0, 2.0))
     params = CmcParams(C=0.5, h_sign=-1)
-    assert phi_integrand(1.0, prof, params, 0.7) == 0.0
+    assert phi_integrand(1.0, prof(0.7), params, 0.7) == 0.0
 
 
 # --- elliptic ----------------------------------------------------------------------
@@ -108,7 +107,7 @@ def test_elliptic_arc_length_and_twist_identities():
         assert curve.arclength_residual(u) <= 1e-9
         r = prof.jet(u)
         w2 = 1.0 + r.d1**2
-        expected_twist = w2 * phi_integrand(1.0, prof, params, u)
+        expected_twist = w2 * phi_integrand(1.0, prof(u), params, u)
         assert curve.twist(u) == pytest.approx(expected_twist, abs=1e-9)
 
 

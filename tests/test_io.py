@@ -17,7 +17,7 @@ from cmcsurf.profiles import ProfileFunction
 from cmcsurf.quadrature import QuadratureConfig
 from cmcsurf.validation import check_cmc, shrunk_grid, validate_surface
 
-from analytic_curves import elliptic_circle, hyperbolic_linear_a
+from analytic_curves import counted, elliptic_circle, hyperbolic_linear_a
 
 CONFIG = QuadratureConfig()
 
@@ -70,6 +70,16 @@ def test_rebuilt_curve_reproduces_validation(tmp_path):
     assert report.max_cmc_residual <= 1e-6
     assert report.max_arclength_residual <= 1e-6
     assert report.max_closed_vs_oracle <= 1e-6
+
+
+def test_reloaded_curve_evaluates_each_spline_once_per_u(tmp_path):
+    path = tmp_path / "circle.csv"
+    write_curve_csv(str(path), elliptic_circle(2.0), samples=101)
+    curve = load_curve(str(path))
+    components, counters = counted(curve.components)
+    object.__setattr__(curve, "components", components)
+    validate_surface(curve, 0.0, "reloaded", nu=9, nv=7)
+    assert all(counter and max(counter.values()) == 1 for counter in counters)
 
 
 def test_rebuilt_hyperbolic_case_b(tmp_path):

@@ -3,36 +3,43 @@ import math
 import pytest
 
 from cmcsurf.errors import QuadratureError
-from cmcsurf.quadrature import CumulativeIntegral, QuadratureConfig, adaptive_simpson, gauss15
+from cmcsurf.quadrature import CumulativeIntegral, QuadratureConfig, gauss15
+
+
+def integral(f, a, b):
+    return CumulativeIntegral(f, a, b).total
 
 
 def test_polynomial_exact():
-    assert adaptive_simpson(lambda x: x**3 - 2 * x, 0.0, 2.0) == pytest.approx(0.0, abs=1e-14)
+    assert integral(lambda x: x**3 - 2 * x, 0.0, 2.0) == pytest.approx(0.0, abs=1e-14)
     assert gauss15(lambda x: x**8, 0.0, 1.0) == pytest.approx(1.0 / 9.0, rel=1e-14)
 
 
 def test_known_integrals():
-    assert adaptive_simpson(math.exp, 0.0, 1.0) == pytest.approx(math.e - 1.0, rel=1e-12)
-    assert adaptive_simpson(math.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-12)
-    assert adaptive_simpson(lambda x: 1.0 / x, 1.0, 4.0) == pytest.approx(
+    assert integral(math.exp, 0.0, 1.0) == pytest.approx(math.e - 1.0, rel=1e-12)
+    assert integral(math.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-12)
+    assert integral(lambda x: 1.0 / x, 1.0, 4.0) == pytest.approx(
         math.log(4.0), rel=1e-12)
 
 
 def test_reversed_and_empty_interval():
-    assert adaptive_simpson(math.exp, 1.0, 0.0) == pytest.approx(1.0 - math.e, rel=1e-12)
-    assert adaptive_simpson(math.exp, 1.0, 1.0) == 0.0
+    with pytest.raises(ValueError):
+        CumulativeIntegral(math.exp, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        CumulativeIntegral(math.exp, 1.0, 1.0)
 
 
 def test_needs_refinement_near_kink():
     # |x|^1.5 has unbounded curvature at 0; adaptivity must still converge
-    value = adaptive_simpson(lambda x: abs(x) ** 1.5, -1.0, 1.0)
+    value = integral(lambda x: abs(x) ** 1.5, -1.0, 1.0)
     assert value == pytest.approx(0.8, rel=1e-9)
 
 
 def test_depth_exhaustion_raises():
-    config = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_depth=2)
+    # the Simpson estimate on the panel holding the jump never shrinks
+    # faster than the halved tolerance, so the refinement runs out of depth
     with pytest.raises(QuadratureError):
-        adaptive_simpson(lambda x: math.sin(40.0 * x) / (1e-3 + x * x), 0.0, 3.0, config)
+        CumulativeIntegral(lambda x: 0.0 if x < 1.0 / 3.0 else 1.0, 0.0, 1.0)
 
 
 def test_cumulative_matches_antiderivative():
@@ -68,6 +75,4 @@ def test_cumulative_rejects_outside():
 
 def test_tolerance_validation():
     with pytest.raises(ValueError):
-        QuadratureConfig(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_depth=0)
+        QuadratureConfig(rel_tol=0.0)

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -49,3 +50,17 @@ def test_no_unused_imports(path):
     used = _referenced_names(tree)
     unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name}: imported but never used: {unused}"
+
+
+#: Branches on the rotation type outside the SPECS table.
+DISPATCH = re.compile(r"is (not )?RotationType\.|in \(RotationType\.|\bcase_a\b")
+
+
+def test_rotation_dispatch_stays_in_the_table():
+    # the one branch left converts the parabolic phi of the special-case
+    # audit to psi'; any other per-type fact belongs in builders.SPECS
+    hits = [f"{path.name}:{n}: {line.strip()}"
+            for path in sorted(SRC.glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if DISPATCH.search(line)]
+    assert len(hits) <= 1, hits
