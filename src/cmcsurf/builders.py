@@ -168,7 +168,18 @@ def build_surface(curve: GeneratingCurve,
                 raise InvariantViolationError(
                     f"(r')^2 - 1 = {m!r} contradicts {curve.rotation} at u={u!r}")
     return SurfacePatch(spec.patch_jets(curve.jets), curve.domain,
-                        v_window or spec.v_window, label=curve.rotation.value)
+                        v_window or spec.v_window, label=curve.rotation.value,
+                        position=partial(_patch_position, spec.position, curve.jets))
+
+
+def _patch_position(position, curve_jets: CurveJets, u: float, v: float) -> Vec4:
+    """The spec's position formula at the curve values; no partials."""
+    a, b, c = curve_jets(u)
+    return position(a.val, b.val, c.val, v)
+
+
+def _elliptic_position(x1: float, x2: float, r: float, v: float) -> Vec4:
+    return Vec4(x1, x2, r * math.cos(v), r * math.sin(v))
 
 
 def _elliptic_jets(curve_jets: CurveJets):
@@ -176,7 +187,7 @@ def _elliptic_jets(curve_jets: CurveJets):
         x1, x2, r = curve_jets(u)
         cv, sv = math.cos(v), math.sin(v)
         return PatchJets(
-            position=Vec4(x1.val, x2.val, r.val * cv, r.val * sv),
+            position=_elliptic_position(x1.val, x2.val, r.val, v),
             z_u=Vec4(x1.d1, x2.d1, r.d1 * cv, r.d1 * sv),
             z_v=Vec4(0.0, 0.0, -r.val * sv, r.val * cv),
             z_uu=Vec4(x1.d2, x2.d2, r.d2 * cv, r.d2 * sv),
@@ -187,12 +198,16 @@ def _elliptic_jets(curve_jets: CurveJets):
     return jets
 
 
+def _hyperbolic_position(r: float, x2: float, x4: float, v: float) -> Vec4:
+    return Vec4(r * math.cosh(v), x2, r * math.sinh(v), x4)
+
+
 def _hyperbolic_jets(curve_jets: CurveJets):
     def jets(u: float, v: float) -> PatchJets:
         r, x2, x4 = curve_jets(u)
         ch, sh = math.cosh(v), math.sinh(v)
         return PatchJets(
-            position=Vec4(r.val * ch, x2.val, r.val * sh, x4.val),
+            position=_hyperbolic_position(r.val, x2.val, x4.val, v),
             z_u=Vec4(r.d1 * ch, x2.d1, r.d1 * sh, x4.d1),
             z_v=Vec4(r.val * sh, 0.0, r.val * ch, 0.0),
             z_uu=Vec4(r.d2 * ch, x2.d2, r.d2 * sh, x4.d2),
@@ -208,13 +223,16 @@ def _from_null_basis(a: float, b: float, c: float, d: float) -> Vec4:
     return Vec4(a, (b - c) / _SQRT2, (b + c) / _SQRT2, d)
 
 
+def _parabolic_position(x1: float, f: float, g: float, v: float) -> Vec4:
+    return _from_null_basis(x1, f, -v * v * f + g, _SQRT2 * v * f)
+
+
 def _parabolic_jets(curve_jets: CurveJets):
     def jets(u: float, v: float) -> PatchJets:
         x1, f, g = curve_jets(u)
         v2 = v * v
         return PatchJets(
-            position=_from_null_basis(x1.val, f.val, -v2 * f.val + g.val,
-                                      _SQRT2 * v * f.val),
+            position=_parabolic_position(x1.val, f.val, g.val, v),
             z_u=_from_null_basis(x1.d1, f.d1, -v2 * f.d1 + g.d1, _SQRT2 * v * f.d1),
             z_v=_from_null_basis(0.0, 0.0, -2.0 * v * f.val, _SQRT2 * f.val),
             z_uu=_from_null_basis(x1.d2, f.d2, -v2 * f.d2 + g.d2, _SQRT2 * v * f.d2),
@@ -524,7 +542,8 @@ class RotationSpec:
     slopes: Callable[[Jet2, float], tuple[float, float]]  # non-profile slopes at t
     slope_jets: Callable[[Jet2, float, float],  # their (x', x'') at t and t'
                          tuple[tuple[float, float], tuple[float, float]]]
-    patch_jets: Callable[[CurveJets], Callable[[float, float], PatchJets]]
+    position: Callable[[float, float, float, float], Vec4]  # at the curve values and v
+    patch_jets: Callable[[CurveJets], Callable[[float, float], PatchJets]]  # uses position
     check_profile: Callable[[Jet2, float], None]
     v_window: tuple[float, float]       # default v range of the patch
     arclength: Callable[[Jet2, Jet2, Jet2], float]
@@ -544,7 +563,7 @@ def _hyperbolic_spec(case_sign: int, t1, t2) -> RotationSpec:
         turning=partial(phi_integrand, -1.0),
         slopes=partial(_trig_slopes, -1.0, sw, t1, t2),
         slope_jets=partial(_trig_slope_jets, -1.0, sw, t1, t2),
-        patch_jets=_hyperbolic_jets,
+        position=_hyperbolic_position, patch_jets=_hyperbolic_jets,
         check_profile=_check_radius, v_window=(-2.0, 2.0),
         arclength=lambda a, b, c: a.d1**2 + b.d1**2 - c.d1**2,  # (r')^2+(x2')^2-(x4')^2
         twist=lambda a, b, c: b.d1 * c.d2 - b.d2 * c.d1,
@@ -562,7 +581,7 @@ SPECS: dict[RotationType, RotationSpec] = {
         turning=partial(phi_integrand, 1.0),
         slopes=partial(_trig_slopes, 1.0, 1.0, math.cos, math.sin),
         slope_jets=partial(_trig_slope_jets, 1.0, 1.0, math.cos, math.sin),
-        patch_jets=_elliptic_jets,
+        position=_elliptic_position, patch_jets=_elliptic_jets,
         check_profile=_check_radius, v_window=(0.0, 2.0 * math.pi),
         arclength=lambda a, b, c: a.d1**2 + b.d1**2 - c.d1**2,  # (x1')^2+(x2')^2-(r')^2
         twist=lambda a, b, c: a.d1 * b.d2 - a.d2 * b.d1,
@@ -573,7 +592,8 @@ SPECS: dict[RotationType, RotationSpec] = {
     RotationType.PARABOLIC: RotationSpec(
         ("x1", "f", "g"), 1, s=0.0, case_sign=0,
         turning=psi_integrand_parabolic, slopes=_parabolic_slopes,
-        slope_jets=_parabolic_slope_jets, patch_jets=_parabolic_jets,
+        slope_jets=_parabolic_slope_jets,
+        position=_parabolic_position, patch_jets=_parabolic_jets,
         check_profile=_check_ff, v_window=(-2.0, 2.0),
         arclength=lambda a, b, c: a.d1**2 - 2.0 * b.d1 * c.d1,  # (x1')^2 - 2 f' g'
         twist=lambda a, b, c: a.d2 * b.d1 - a.d1 * b.d2,

@@ -37,7 +37,7 @@ from .validation import (
     closed_vs_oracle,
     compare_special_case,
     generate_and_validate,
-    generation_interval,
+    generation_plan,
     shrunk_grid,
     validate_surface,
 )
@@ -176,10 +176,10 @@ def _generate_curve(args) -> GeneratingCurve:
     profile = _profile(args)
     params = _params(args)
     config = _config(args)
-    interval = generation_interval(
-        domain_validity(profile, params, args.interval, rotation))
-    if interval is None:
+    plan = generation_plan(domain_validity(profile, params, args.interval, rotation), params)
+    if plan is None:
         _diagnose_empty_validity(rotation, profile, params, config, args.interval)
+    interval, params = plan
     return generate(rotation, profile, params, config, interval)
 
 

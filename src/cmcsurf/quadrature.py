@@ -3,10 +3,14 @@
 The curve generator integrates the phi-equation and the coordinate
 integrands over one interval but needs the antiderivative at arbitrary
 interior points (grid samples, finite-difference stencils).  The engine
-therefore keeps the adaptive panel decomposition: panel boundaries carry
-prefix sums, and evaluation inside a panel finishes with a fixed 15-point
-Gauss-Legendre rule, so values at nearby points are consistent to machine
-precision rather than to the global tolerance.
+keeps the adaptive panel decomposition: each final panel is integrated
+with a fixed 15-point Gauss-Legendre rule, panel boundaries carry the
+prefix sums, and the 15 samples of each panel also fix the degree-14
+Legendre interpolant of the integrand there.  Its antiderivative
+(Greengard's spectral integration, as in Chebfun's piecewise ``cumsum``)
+is stored per panel, so a query inside a panel is one Clenshaw sum and
+never calls the integrand.  Values at nearby points are therefore
+consistent to machine precision rather than to the global tolerance.
 """
 
 from __future__ import annotations
@@ -19,9 +23,17 @@ import numpy as np
 
 from .errors import QuadratureError
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
-_GL_NODES = tuple(float(x) for x in _GL_NODES)
-_GL_WEIGHTS = tuple(float(w) for w in _GL_WEIGHTS)
+_legendre = np.polynomial.legendre
+_GL_X, _GL_W = _legendre.leggauss(15)
+_GL_NODES = tuple(float(x) for x in _GL_X)
+_GL_WEIGHTS = tuple(float(w) for w in _GL_W)
+#: Samples at the 15 Gauss nodes times this matrix give the Legendre
+#: coefficients of their degree-14 interpolant: c_j = (2j+1)/2 sum_k w_k
+#: P_j(x_k) f_k, exact because the rule integrates P_j P_i (degree <= 28).
+_TO_LEGENDRE = _legendre.legvander(_GL_X, 14) * _GL_W[:, None] * (np.arange(15) + 0.5)
+#: (index, (n-1)/n, (2n-1)/n) of each Clenshaw step over 16 coefficients.
+_CLENSHAW = tuple((-i, (n - 1) / n, (2 * n - 1) / n)
+                  for i, n in zip(range(3, 17), range(15, 1, -1)))
 
 #: Absolute tolerance floor and depth limit of the adaptive refinement.
 ABS_TOL = 1e-12
@@ -47,6 +59,15 @@ def gauss15(f: Callable[[float], float], a: float, b: float) -> float:
     for x, w in zip(_GL_NODES, _GL_WEIGHTS):
         total += w * f(mid + half * x)
     return total * half
+
+
+def _legval(x: float, c: list[float]) -> float:
+    """sum_j c[j] P_j(x) for 16 coefficients, by Clenshaw's recurrence
+    (the steps of numpy's legval)."""
+    c0, c1 = c[-2], c[-1]
+    for k, a, b in _CLENSHAW:
+        c0, c1 = c[k] - c1 * a, c0 + c1 * x * b
+    return c0 + c1 * x
 
 
 def _refine(f, a, fa, b, fb, fm, s_whole, tol, depth, leaves):
@@ -82,30 +103,50 @@ def _leaves(f, a, b, config: QuadratureConfig) -> list[tuple[float, float]]:
 class CumulativeIntegral:
     """Antiderivative F(u) = integral of f from ``a`` to u, for u in [a, b].
 
-    Panel boundaries come from one adaptive Simpson refinement; each final
-    panel is re-integrated with Gauss-Legendre so that differences of F at
-    nearby points (finite-difference stencils) are accurate far beyond the
-    global tolerance.  Evaluations are memoized per instance.  Raises
-    QuadratureError when the subdivision hits MAX_DEPTH before the Simpson
-    error estimate meets the tolerance.
+    Panel boundaries come from one adaptive Simpson refinement.  Each final
+    panel is sampled once, through ``gauss15``: the Gauss-Legendre sums
+    give F at the panel boundaries, and the same 15 samples give the
+    Legendre coefficients of the panel's degree-14 interpolant, whose
+    antiderivative (vanishing at the panel's left end) is kept.  A query
+    adds that polynomial at u to the prefix sum of its panel and calls f
+    zero times, so differences of F at nearby points (finite-difference
+    stencils) are accurate far beyond the global tolerance.  Queries are
+    memoized per instance.  Raises QuadratureError when the subdivision
+    hits MAX_DEPTH before the Simpson error estimate meets the tolerance.
     """
 
     def __init__(self, f: Callable[[float], float], a: float, b: float,
                  config: QuadratureConfig | None = None):
         if not b > a:
             raise ValueError("need b > a")
-        self.f = f
         self.a = a
         self.b = b
         config = config or QuadratureConfig()
         leaves = _leaves(f, a, b, config)
         self._nodes = [a] + [hi for _, hi in leaves]
+        samples: list[float] = []
+
+        def sampled(u: float) -> float:  # gauss15 visits the nodes in order
+            y = f(u)
+            samples.append(y)
+            return y
+
         cums = [0.0]
         running = 0.0
         for lo, hi in leaves:
-            running += gauss15(f, lo, hi)
+            running += gauss15(sampled, lo, hi)
             cums.append(running)
         self._cums = cums
+        # all panels at once: numpy per panel costs more than the sampling
+        halves = 0.5 * np.diff(self._nodes)[:, None]
+        values = np.reshape(samples, (len(leaves), 15))
+        mean = values @ _TO_LEGENDRE[:, 0]
+        # with rounded nodes, sum_k w_k P_j(x_k) is ~1e-16 rather than 0 for
+        # j > 0; taking c_j from the deviations keeps that defect, times the
+        # mean, out of the coefficients (it doubled the error of phi)
+        coefs = (values - mean[:, None]) @ _TO_LEGENDRE
+        coefs[:, 0] = mean
+        self._coefs = (_legendre.legint(coefs, lbnd=-1, axis=1) * halves).tolist()
         self._cache: dict[float, float] = {}
         # keep endpoints exact
         self._cache[a] = 0.0
@@ -126,6 +167,10 @@ class CumulativeIntegral:
         uu = min(max(u, self.a), self.b)
         i = bisect.bisect_right(self._nodes, uu) - 1
         i = min(max(i, 0), len(self._cums) - 2)
-        value = self._cums[i] + gauss15(self.f, self._nodes[i], uu)
+        lo, hi = self._nodes[i], self._nodes[i + 1]
+        # from lo, not from the rounded midpoint: its error times f would be
+        # an offset of about ulp(u) * |f| in the value
+        x = (uu - lo) / (0.5 * (hi - lo)) - 1.0
+        value = self._cums[i] + _legval(x, self._coefs[i])
         self._cache[u] = value
         return value

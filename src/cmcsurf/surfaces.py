@@ -46,15 +46,22 @@ class PatchJets:
 
 @dataclass(frozen=True)
 class SurfacePatch:
-    """An immutable surface patch over a parameter rectangle."""
+    """An immutable surface patch over a parameter rectangle.
+
+    ``position`` defaults to the position slot of ``jets``; a patch that
+    can place a point without its partials passes that cheaper map, which
+    the finite-difference oracle samples.
+    """
 
     jets: Callable[[float, float], PatchJets]
     u_domain: tuple[float, float]
     v_domain: tuple[float, float]
     label: str = ""
+    position: Callable[[float, float], Vec4] | None = None
 
-    def position(self, u: float, v: float) -> Vec4:
-        return self.jets(u, v).position
+    def __post_init__(self):
+        if self.position is None:
+            object.__setattr__(self, "position", lambda u, v: self.jets(u, v).position)
 
 
 @dataclass(frozen=True)

@@ -287,18 +287,26 @@ def compare_special_case(rotation: RotationType,
 
 # --- orchestration helper for CLI / acceptance --------------------------------
 
-def generation_interval(validity: Sequence[tuple[float, float]]
-                        ) -> tuple[float, float] | None:
-    """The largest validity piece wider than 24 FD steps (room for the
-    validation grid's margins), pulled in by min(1e-7 * span, FD_STEP) at
-    each end to keep quadrature off the exact validity edge; None when no
-    piece is wide enough."""
+def generation_plan(validity: Sequence[tuple[float, float]], params: CmcParams
+                    ) -> tuple[tuple[float, float], CmcParams] | None:
+    """The generation interval and the params to generate with.
+
+    The interval is the largest validity piece wider than 24 FD steps (room
+    for the validation grid's margins), pulled in by the pad min(1e-7 *
+    span, FD_STEP) at each end to keep quadrature off the exact validity
+    edge; None when no piece is wide enough.  A base point ``params.u0``
+    inside that piece but within the pad of an end snaps to that end; a u0
+    farther out is left for generate to reject.
+    """
     usable = [(lo, hi) for lo, hi in validity if hi - lo > 24.0 * FD_STEP]
     if not usable:
         return None
     lo, hi = max(usable, key=lambda ab: ab[1] - ab[0])
     pad = min(1e-7 * (hi - lo), FD_STEP)
-    return lo + pad, hi - pad
+    interval = lo + pad, hi - pad
+    if params.u0 is not None and lo <= params.u0 <= hi:
+        params = replace(params, u0=min(max(params.u0, interval[0]), interval[1]))
+    return interval, params
 
 
 def generate_and_validate(rotation: RotationType, profile, params: CmcParams,
@@ -315,9 +323,10 @@ def generate_and_validate(rotation: RotationType, profile, params: CmcParams,
     ``interval``, and validate.  Returns (curve, report, validity); curve
     and report are None when the parameter choice is infeasible."""
     validity = domain_validity(profile, params, interval, rotation)
-    gen_interval = generation_interval(validity)
-    if gen_interval is None:
+    plan = generation_plan(validity, params)
+    if plan is None:
         return None, None, validity
+    gen_interval, params = plan
     curve = generate(rotation, profile, params, config, gen_interval, phi_scale)
     report = validate_surface(curve, params.target_h2, surface_id,
                               nu, nv, v_window, tols)

@@ -157,8 +157,8 @@ ELLIPTIC_2 = ["--type", "elliptic", "--profile", "2", "--interval", "0:1"]
     ["curve", *ELLIPTIC_2, "--rel-tol", "0", "--out", "{tmp}/x.csv"],
     ["curve", *ELLIPTIC_2, "--samples", "1", "--out", "{tmp}/x.csv"],
     ["surface", *ELLIPTIC_2, "--obj", "{tmp}/z.obj", "--project", "x1,x9,x4"],
-    # generation pads the interval to (1e-7, 0.9999999), which leaves u0 = 0 out
-    ["validate", *ELLIPTIC_2, "--C", "0.1", "--u0", "0"],
+    # farther from the generation interval (1e-7, 0.9999999) than its pad
+    ["validate", *ELLIPTIC_2, "--C", "0.1", "--u0", "-0.01"],
     ["validate", "--type", "elliptic", "--csv", "{tmp}/missing.csv"],
     ["validate", "--type", "elliptic", "--csv", "{tmp}/header_only.csv"],
 ], ids=["rel-tol-0", "samples-1", "bad-projection", "u0-outside", "csv-missing",
@@ -168,6 +168,28 @@ def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
     code, _, err = run([arg.replace("{tmp}", str(tmp_path)) for arg in argv], capsys)
     assert code == 2, err
     assert "Traceback" not in err
+
+
+def test_u0_within_the_pad_snaps_to_the_generation_interval(tmp_path, capsys):
+    # generation pads 0:1 to (1e-7, 0.9999999); u0 = 0 snaps to 1e-7, the default
+    base = ["validate", *ELLIPTIC_2, "--C", "0.1", "--grid", "5x5"]
+    code, snapped, err = run([*base, "--u0", "0"], capsys)
+    assert code == 0, err
+    assert snapped == run(base, capsys)[1]
+    code, _, err = run([*base, "--u0", "1"], capsys)
+    assert code == 0, err
+    curve = ["curve", *ELLIPTIC_2, "--C", "0.1", "--samples", "5"]
+    code, _, err = run([*curve, "--u0", "0", "--out", str(tmp_path / "a.csv")], capsys)
+    assert code == 0, err
+    run([*curve, "--out", str(tmp_path / "b.csv")], capsys)
+    assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
+
+
+def test_u0_beyond_the_pad_is_a_base_point_error(capsys):
+    code, _, err = run(["validate", *ELLIPTIC_2, "--C", "0.1", "--grid", "5x5",
+                        "--u0", "1.01"], capsys)
+    assert code == 2
+    assert "ERROR[base-point]" in err
 
 
 def test_bad_profile_syntax_exits_2(tmp_path, capsys):

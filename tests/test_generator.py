@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -13,7 +14,7 @@ from cmcsurf.generator import (
     domain_validity,
     generate,
 )
-from cmcsurf.profiles import ProfileFunction
+from cmcsurf.profiles import Jet2, ProfileFunction
 from cmcsurf.quadrature import QuadratureConfig
 from cmcsurf.surfaces import fd_oracle, mean_curvature
 from cmcsurf.validation import shrunk_grid
@@ -259,6 +260,24 @@ def test_quadrature_tolerance_convergence():
 
 
 # --- domain validity ----------------------------------------------------------------
+
+def test_fresh_u_evaluates_the_profile_at_most_once():
+    # after the build, a curve query runs no quadrature: each fresh u costs
+    # at most one profile jet, shared by all three components
+    calls = Counter()
+
+    def counted(u):
+        calls[u] += 1
+        return Jet2(1.0 + 0.5 * u, 0.5, 0.0)
+
+    curve = generate(RotationType.ELLIPTIC, counted, CmcParams(C=0.1), CONFIG, (0.0, 3.0))
+    calls.clear()
+    us = [0.01 + 2.98 * k / 499 for k in range(500)]
+    for u in us:
+        curve.jets(u)
+    assert max(calls.values(), default=0) <= 1
+    assert set(calls) <= set(us)
+
 
 def test_validity_full_interval():
     prof = profile("2", (0.0, 6.28))

@@ -2,9 +2,10 @@
 
 The reference is the truth to far beyond double precision, so the bound
 measures the generator's own error rather than its drift from an earlier
-build.  Over the recorded cases the worst error, relative to 1 + |ref|,
-was 9.3e-16 (the x1 value of elliptic "2" at C = 0.1, h_sign = -1); the
-bound keeps a factor of about 2 above it.
+build.  Over the 7 recorded cases the worst error, relative to 1 + |ref|,
+was 1.3e-15 (the x1 value of elliptic "2" at C = 0.1, h_sign = +1, u =
+5.652); the 5 cases recorded first peak at 8.8e-16.  The bound keeps a
+factor of about 1.5 above the worst.
 """
 
 import json

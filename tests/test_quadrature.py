@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -63,6 +64,24 @@ def test_cumulative_local_differences_are_sharp():
         fd_true = (truth(u + h) - truth(u - h)) / (2 * h)
         fd_cum = (cum(u + h) - cum(u - h)) / (2 * h)
         assert fd_cum == pytest.approx(fd_true, abs=1e-11)
+
+
+def test_queries_never_call_the_integrand():
+    # each panel keeps the antiderivative of its Legendre interpolant, so a
+    # query at a fresh u costs no integrand calls and stays at roundoff
+    calls = []
+
+    def counted_cos(x):
+        calls.append(x)
+        return math.cos(x)
+
+    cum = CumulativeIntegral(counted_cos, 0.0, 3.0)
+    built = len(calls)
+    rng = random.Random(2024)
+    us = [rng.uniform(0.0, 3.0) for _ in range(2000)]
+    worst = max(abs(cum(u) - math.sin(u)) for u in us)
+    assert len(calls) == built
+    assert worst <= 1e-15
 
 
 def test_cumulative_rejects_outside():
