@@ -193,9 +193,13 @@ def _cmd_curve(args) -> int:
 def _load_or_generate(args) -> GeneratingCurve:
     if getattr(args, "csv", None):
         try:
-            return cio.load_curve(args.csv)
+            curve = cio.load_curve(args.csv)
         except (OSError, ValueError) as exc:
             raise _CliError(f"cannot read curve CSV {args.csv!r}: {exc}") from exc
+        if curve.rotation.value != args.type:
+            raise _CliError(f"--type {args.type} contradicts the "
+                            f"{curve.rotation.value} curve in {args.csv!r}")
+        return curve
     if not args.profile:
         raise _CliError("need --profile or --csv")
     return _generate_curve(args)

@@ -10,7 +10,9 @@ The component names identify the rotation type on re-read; for hyperbolic
 curves the case (A/B) is recovered from the sign of (r')^2 - 1 in the
 data.  Reconstruction uses piecewise quintic Hermite interpolation that
 matches value and both stored derivatives at every sample, so a re-read
-curve reproduces validation results to the sampling resolution.
+curve reproduces validation results to the sampling resolution.  Each
+spline is a ``quadrature.PiecewiseLegendre``, the evaluator of generated
+curves, so neither kind of curve extrapolates.
 
 OBJ export projects the 4-coordinate samples to three viewing axes; the
 projection is recorded in a comment and carries no geometric claim.
@@ -25,10 +27,10 @@ from io import StringIO
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import BPoly
 
 from .builders import SPECS, GeneratingCurve, RotationType
 from .profiles import Jet2
+from .quadrature import PiecewiseLegendre
 from .surfaces import SurfacePatch
 
 COORD_NAMES = ("x1", "x2", "x3", "x4")
@@ -108,20 +110,24 @@ def curve_from_samples(rotation: RotationType, us: Sequence[float],
     Each component becomes a quintic Hermite spline matching value and
     both derivatives at every sample; the jets of the rebuilt curve come
     from the spline and its analytic derivatives (no differencing).
+    Raises ValueError unless ``us`` is finite and strictly increasing and
+    every jet is finite.
     """
     us = np.asarray(us, dtype=float)
+    if not (len(us) >= 2 and np.all(np.diff(us) > 0.0)
+            and np.isfinite(us).all() and np.isfinite(jets).all()):
+        raise ValueError("curve samples need finite jets at finite, strictly increasing u")
     components = []
     for k in range(3):
-        poly = BPoly.from_derivatives(us, jets[:, k, :])
+        poly = PiecewiseLegendre.hermite(us, jets[:, k, :])
         d1 = poly.derivative()
         d2 = d1.derivative()
 
         def jet_fn(u: float, p=poly, q=d1, s=d2) -> Jet2:
-            return Jet2(float(p(u)), float(q(u)), float(s(u)))
+            return Jet2(p(u), q(u), s(u))
 
         components.append(jet_fn)
-    return GeneratingCurve(rotation, tuple(components),
-                           (float(us[0]), float(us[-1])))
+    return GeneratingCurve(rotation, tuple(components), (float(us[0]), float(us[-1])))
 
 
 def load_curve(path: str) -> GeneratingCurve:

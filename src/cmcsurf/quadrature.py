@@ -1,4 +1,4 @@
-"""Adaptive Simpson quadrature with cumulative (antiderivative) evaluation.
+"""Piecewise-Legendre evaluation and adaptive cumulative quadrature.
 
 The curve generator integrates the phi-equation and the coordinate
 integrands over one interval but needs the antiderivative at arbitrary
@@ -11,6 +11,10 @@ Legendre interpolant of the integrand there.  Its antiderivative
 is stored per panel, so a query inside a panel is one Clenshaw sum and
 never calls the integrand.  Values at nearby points are therefore
 consistent to machine precision rather than to the global tolerance.
+
+``PiecewiseLegendre`` is that per-panel form (de Boor's pp-form in a
+Legendre basis); ``CumulativeIntegral`` builds it from an integrand, and
+``PiecewiseLegendre.hermite`` from the sampled jets of a curve CSV.
 """
 
 from __future__ import annotations
@@ -34,6 +38,11 @@ _TO_LEGENDRE = _legendre.legvander(_GL_X, 14) * _GL_W[:, None] * (np.arange(15) 
 #: (index, (n-1)/n, (2n-1)/n) of each Clenshaw step over 16 coefficients.
 _CLENSHAW = tuple((-i, (n - 1) / n, (2 * n - 1) / n)
                   for i, n in zip(range(3, 17), range(15, 1, -1)))
+#: Inverse of (P_j, P_j', P_j'') at x = -1, then +1 (j <= 5): maps a panel's end
+#: jets in the local coordinate to the coefficients of its quintic Hermite form.
+_FROM_END_JETS = np.linalg.inv(np.vstack([
+    _legendre.legvander(np.array([x]), 5 - k) @ _legendre.legder(np.eye(6), k)
+    for x in (-1.0, 1.0) for k in range(3)]))
 
 #: Absolute tolerance floor and depth limit of the adaptive refinement.
 ABS_TOL = 1e-12
@@ -63,7 +72,8 @@ def gauss15(f: Callable[[float], float], a: float, b: float) -> float:
 
 def _legval(x: float, c: list[float]) -> float:
     """sum_j c[j] P_j(x) for 16 coefficients, by Clenshaw's recurrence
-    (the steps of numpy's legval)."""
+    (the steps of numpy's legval); the leading zeros that pad each
+    ``PiecewiseLegendre`` panel to 16 leave the sum bit-equal."""
     c0, c1 = c[-2], c[-1]
     for k, a, b in _CLENSHAW:
         c0, c1 = c[k] - c1 * a, c0 + c1 * x * b
@@ -100,16 +110,58 @@ def _leaves(f, a, b, config: QuadratureConfig) -> list[tuple[float, float]]:
     return leaves
 
 
-class CumulativeIntegral:
+class PiecewiseLegendre:
+    """offsets[i] + sum_j coefs[i][j] P_j(x) on panel i between ``nodes``,
+    with x in [-1, 1] the local coordinate of u.  Everything is kept as
+    Python floats (a query at a float returns a float), coefficients
+    zero-padded to 16.  A u outside [a, b] by more than 1e-12 (1 + |a| +
+    |b|) raises ValueError; one within that pad is clamped."""
+
+    def __init__(self, nodes, offsets, coefs):
+        self._nodes = [float(u) for u in nodes]
+        self.a, self.b = self._nodes[0], self._nodes[-1]
+        self._offsets = [float(c) for c in offsets]
+        self._coefs = np.pad(coefs, ((0, 0), (0, 16 - np.shape(coefs)[1]))).tolist()
+
+    @staticmethod
+    def hermite(us, jets) -> PiecewiseLegendre:
+        """Quintic Hermite interpolant of the (value, d1, d2) rows ``jets``
+        at the increasing ``us``: each panel matches both end jets."""
+        us = np.asarray(us, dtype=float)
+        jets = np.asarray(jets, dtype=float)
+        scale = (0.5 * np.diff(us)[:, None]) ** np.arange(3)  # d/dx = h d/du
+        ends = np.hstack([jets[:-1] * scale, jets[1:] * scale])
+        return PiecewiseLegendre(us, np.zeros(len(us) - 1), ends @ _FROM_END_JETS.T)
+
+    def derivative(self) -> PiecewiseLegendre:
+        halves = 0.5 * np.diff(self._nodes)[:, None]
+        return PiecewiseLegendre(self._nodes, [0.0] * len(self._offsets),
+                                 _legendre.legder(self._coefs, axis=1) / halves)
+
+    def __call__(self, u: float) -> float:
+        pad = 1e-12 * (1.0 + abs(self.a) + abs(self.b))
+        if u < self.a - pad or u > self.b + pad:
+            raise ValueError(f"u={u!r} outside the domain [{self.a!r}, {self.b!r}]")
+        uu = min(max(u, self.a), self.b)
+        i = bisect.bisect_right(self._nodes, uu) - 1
+        i = min(max(i, 0), len(self._offsets) - 1)
+        lo, hi = self._nodes[i], self._nodes[i + 1]
+        # from lo, not from the rounded midpoint: its error times f would be
+        # an offset of about ulp(u) * |f| in the value
+        x = (uu - lo) / (0.5 * (hi - lo)) - 1.0
+        return self._offsets[i] + _legval(x, self._coefs[i])
+
+
+class CumulativeIntegral(PiecewiseLegendre):
     """Antiderivative F(u) = integral of f from ``a`` to u, for u in [a, b].
 
     Panel boundaries come from one adaptive Simpson refinement.  Each final
     panel is sampled once, through ``gauss15``: the Gauss-Legendre sums
-    give F at the panel boundaries, and the same 15 samples give the
-    Legendre coefficients of the panel's degree-14 interpolant, whose
-    antiderivative (vanishing at the panel's left end) is kept.  A query
-    adds that polynomial at u to the prefix sum of its panel and calls f
-    zero times, so differences of F at nearby points (finite-difference
+    give F at the panel boundaries (the panel offsets), and the same 15
+    samples give the Legendre coefficients of the panel's degree-14
+    interpolant, whose antiderivative (vanishing at the panel's left end)
+    is kept.  A query is a ``PiecewiseLegendre`` query and calls f zero
+    times, so differences of F at nearby points (finite-difference
     stencils) are accurate far beyond the global tolerance.  Queries are
     memoized per instance.  Raises QuadratureError when the subdivision
     hits MAX_DEPTH before the Simpson error estimate meets the tolerance.
@@ -119,11 +171,9 @@ class CumulativeIntegral:
                  config: QuadratureConfig | None = None):
         if not b > a:
             raise ValueError("need b > a")
-        self.a = a
-        self.b = b
         config = config or QuadratureConfig()
         leaves = _leaves(f, a, b, config)
-        self._nodes = [a] + [hi for _, hi in leaves]
+        nodes = [a] + [hi for _, hi in leaves]
         samples: list[float] = []
 
         def sampled(u: float) -> float:  # gauss15 visits the nodes in order
@@ -131,14 +181,13 @@ class CumulativeIntegral:
             samples.append(y)
             return y
 
-        cums = [0.0]
+        offsets = []
         running = 0.0
         for lo, hi in leaves:
+            offsets.append(running)
             running += gauss15(sampled, lo, hi)
-            cums.append(running)
-        self._cums = cums
         # all panels at once: numpy per panel costs more than the sampling
-        halves = 0.5 * np.diff(self._nodes)[:, None]
+        halves = 0.5 * np.diff(nodes)[:, None]
         values = np.reshape(samples, (len(leaves), 15))
         mean = values @ _TO_LEGENDRE[:, 0]
         # with rounded nodes, sum_k w_k P_j(x_k) is ~1e-16 rather than 0 for
@@ -146,31 +195,13 @@ class CumulativeIntegral:
         # mean, out of the coefficients (it doubled the error of phi)
         coefs = (values - mean[:, None]) @ _TO_LEGENDRE
         coefs[:, 0] = mean
-        self._coefs = (_legendre.legint(coefs, lbnd=-1, axis=1) * halves).tolist()
-        self._cache: dict[float, float] = {}
+        super().__init__(nodes, offsets, _legendre.legint(coefs, lbnd=-1, axis=1) * halves)
+        self.total = running
         # keep endpoints exact
-        self._cache[a] = 0.0
-        self._cache[b] = running
-
-    @property
-    def total(self) -> float:
-        return self._cums[-1]
+        self._cache: dict[float, float] = {a: 0.0, b: running}
 
     def __call__(self, u: float) -> float:
-        cached = self._cache.get(u)
-        if cached is not None:
-            return cached
-        pad = 1e-12 * (1.0 + abs(self.a) + abs(self.b))
-        if u < self.a - pad or u > self.b + pad:
-            raise ValueError(
-                f"u={u!r} outside the integration interval [{self.a!r}, {self.b!r}]")
-        uu = min(max(u, self.a), self.b)
-        i = bisect.bisect_right(self._nodes, uu) - 1
-        i = min(max(i, 0), len(self._cums) - 2)
-        lo, hi = self._nodes[i], self._nodes[i + 1]
-        # from lo, not from the rounded midpoint: its error times f would be
-        # an offset of about ulp(u) * |f| in the value
-        x = (uu - lo) / (0.5 * (hi - lo)) - 1.0
-        value = self._cums[i] + _legval(x, self._coefs[i])
-        self._cache[u] = value
+        value = self._cache.get(u)
+        if value is None:
+            value = self._cache[u] = super().__call__(u)
         return value

@@ -7,8 +7,11 @@ import pytest
 from cmcsurf.builders import RotationType
 from cmcsurf.cli import main
 from cmcsurf.generator import CmcParams
+from cmcsurf.io import write_curve_csv
 from cmcsurf.profiles import ProfileFunction
 from cmcsurf.validation import generate_and_validate
+
+from analytic_curves import elliptic_circle
 
 
 def run(argv, capsys):
@@ -64,6 +67,37 @@ def test_validate_csv_round_trip(tmp_path, capsys):
     assert code == 0, err
     payload = json.loads(out)
     assert payload["max_cmc_residual"] <= 1e-6
+
+
+@pytest.fixture
+def circle_csv(tmp_path):
+    path = tmp_path / "circle.csv"
+    write_curve_csv(str(path), elliptic_circle(2.0), samples=21)
+    return path
+
+
+@pytest.mark.parametrize("edit", [
+    lambda rows: rows.insert(5, rows[5]),
+    lambda rows: rows[5].__setitem__(-1, "nan"),  # column ddr
+], ids=["duplicated-u", "nan-dd"])
+def test_validate_csv_with_bad_samples_is_usage_error(circle_csv, edit, capsys):
+    rows = [line.split(",") for line in circle_csv.read_text().splitlines()]
+    edit(rows)
+    circle_csv.write_text("".join(",".join(row) + "\n" for row in rows))
+    code, _, err = run(["validate", "--type", "elliptic", "--csv", str(circle_csv),
+                        "--grid", "5x5"], capsys)
+    assert code == 2
+    assert "ERROR[usage]" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["validate", "--grid", "5x5"], ["surface", "--out", "{tmp}/s.csv"],
+    ["oracle", "--grid", "5x5"]], ids=lambda argv: argv[0])
+def test_csv_type_must_match_the_curve(circle_csv, command, tmp_path, capsys):
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in command]
+    code, _, err = run([*argv, "--type", "parabolic", "--csv", str(circle_csv)], capsys)
+    assert code == 2
+    assert "ERROR[usage]" in err and "elliptic" in err
 
 
 def test_case_mismatch_exits_2(tmp_path, capsys):

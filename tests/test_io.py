@@ -1,6 +1,7 @@
 import csv
 import math
 
+import numpy as np
 import pytest
 
 from cmcsurf.builders import RotationType, build_surface
@@ -98,8 +99,6 @@ def test_rebuilt_hyperbolic_case_b(tmp_path):
 def test_curve_from_samples_interpolates_jets():
     curve = elliptic_circle(1.5)
     us = [k * 2.0 * math.pi / 200 for k in range(201)]
-    import numpy as np
-
     jets = np.array([[[j.val, j.d1, j.d2] for j in curve.jets(u)] for u in us])
     rebuilt = curve_from_samples(RotationType.ELLIPTIC, us, jets)
     for u in (0.123, 2.345, 5.67):
@@ -107,6 +106,52 @@ def test_curve_from_samples_interpolates_jets():
             assert interp.val == pytest.approx(orig.val, abs=1e-10)
             assert interp.d1 == pytest.approx(orig.d1, abs=1e-8)
             assert interp.d2 == pytest.approx(orig.d2, abs=1e-6)
+
+
+#: 0.3 - 1.2u + 0.7u^2 + 2u^3 - 0.4u^4 + 0.05u^5, which a quintic Hermite
+#: panel reproduces exactly
+QUINTIC = np.polynomial.Polynomial([0.3, -1.2, 0.7, 2.0, -0.4, 0.05])
+
+
+def quintic_jets(us):
+    rows = [[QUINTIC(u), QUINTIC.deriv(1)(u), QUINTIC.deriv(2)(u)] for u in us]
+    return np.array([[row, row, row] for row in rows])
+
+
+def test_reloaded_quintic_is_reproduced_with_float_jets():
+    us = np.linspace(0.3, 2.1, 13)
+    curve = curve_from_samples(RotationType.ELLIPTIC, us, quintic_jets(us))
+    assert curve.domain == (0.3, 2.1)
+    for u in [0.3 + 1.8 * k / 40 for k in range(41)]:
+        jet = curve.jets(u)[1]
+        for got, ref in zip(jet, (QUINTIC(u), QUINTIC.deriv(1)(u), QUINTIC.deriv(2)(u))):
+            assert type(got) is float
+            assert abs(got - ref) <= 1e-10 * (1.0 + abs(ref))
+
+
+def test_reloaded_curve_does_not_extrapolate():
+    us = np.linspace(0.0, 2.0, 9)
+    curve = curve_from_samples(RotationType.ELLIPTIC, us, quintic_jets(us))
+    x1 = curve.components[0]
+    assert x1(2.0 + 1e-13).val == pytest.approx(QUINTIC(2.0), rel=1e-12)
+    for u in (5.0, 2.0 + 1e-9, -1e-9):
+        with pytest.raises(ValueError):
+            x1(u)
+
+
+@pytest.mark.parametrize("us, bad_jet", [
+    ([0.0, 0.5, 0.5, 1.0], None),
+    ([0.0, 0.5, 0.25, 1.0], None),
+    ([0.0, float("nan"), 0.6, 1.0], None),
+    ([0.0, 0.4, 0.6, math.inf], None),
+    ([0.0, 0.4, 0.6, 1.0], (2, 1, 2)),
+], ids=["repeated-u", "decreasing-u", "nan-u", "inf-u", "nan-dd"])
+def test_curve_from_samples_rejects_bad_samples(us, bad_jet):
+    jets = quintic_jets([0.0, 0.4, 0.6, 1.0])
+    if bad_jet:
+        jets[bad_jet] = math.nan
+    with pytest.raises(ValueError):
+        curve_from_samples(RotationType.ELLIPTIC, us, jets)
 
 
 def test_unknown_header_rejected(tmp_path):

@@ -3,6 +3,7 @@
 import ast
 import pathlib
 import re
+import sys
 
 import pytest
 
@@ -64,3 +65,21 @@ def test_rotation_dispatch_stays_in_the_table():
             for n, line in enumerate(path.read_text().splitlines(), 1)
             if DISPATCH.search(line)]
     assert len(hits) <= 1, hits
+
+
+#: Top-level packages the library may import besides the standard library.
+DEPENDENCIES = {"numpy", "cmcsurf"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_stdlib_numpy_and_the_package(path):
+    tree = ast.parse(path.read_text(), str(path))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module)
+    foreign = {m for m in modules
+               if m.split(".")[0] not in sys.stdlib_module_names | DEPENDENCIES}
+    assert not foreign, f"{path.name} imports {sorted(foreign)}"
