@@ -134,7 +134,21 @@ def _add_common(sub: argparse.ArgumentParser, *, profile_required: bool = True):
     sub.add_argument("--c1", type=float, default=0.0)
     sub.add_argument("--c2", type=float, default=0.0)
     sub.add_argument("--rel-tol", type=_checked(float, lambda x: x > 0.0, "a positive number"),
-                     default=1e-10, help="quadrature relative tolerance")
+                     default=QuadratureConfig.rel_tol,
+                     help="quadrature tolerance: a panel is bisected until its Legendre "
+                          "tail, times its width, is below this times the interval "
+                          "width times max|integrand| (default %(default)g, floor 1e-16)")
+
+
+#: Flags that only generation reads.  With --csv a subcommand rejects each
+#: of them, and its own extras, set to other than its default; ``validate``
+#: still reads --C and --hsign for the target <H,H>.
+_GENERATION_ONLY = ("profile", "const", "interval", "eta", "u0", "phi0", "c1", "c2",
+                    "rel_tol")
+
+
+def _reject_with_csv(sub: argparse.ArgumentParser, *dests: str):
+    sub.set_defaults(csv_rejects={d: sub.get_default(d) for d in _GENERATION_ONLY + dests})
 
 
 def _params(args) -> CmcParams:
@@ -192,6 +206,12 @@ def _cmd_curve(args) -> int:
 
 def _load_or_generate(args) -> GeneratingCurve:
     if getattr(args, "csv", None):
+        given = [dest for dest, default in args.csv_rejects.items()
+                 if getattr(args, dest) != default]
+        if given:
+            flags = ", ".join("--" + dest.replace("_", "-") for dest in given)
+            raise _CliError(f"--csv reloads the curve without generating it: {flags} "
+                            "would be ignored")
         try:
             curve = cio.load_curve(args.csv)
         except (OSError, ValueError) as exc:
@@ -209,10 +229,9 @@ def _cmd_surface(args) -> int:
     curve = _load_or_generate(args)
     patch = build_surface(curve, args.v_window)
     nu, nv = args.grid
-    lo, hi = curve.domain
+    (lo, hi), (v_lo, v_hi) = curve.domain, patch.v_domain
     us = [lo + (hi - lo) * k / (nu - 1) for k in range(nu)]
-    vs = [args.v_window[0] + (args.v_window[1] - args.v_window[0]) * k / (nv - 1)
-          for k in range(nv)]
+    vs = [v_lo + (v_hi - v_lo) * k / (nv - 1) for k in range(nv)]
     if args.out:
         cio.write_surface_csv(args.out, patch, us, vs)
         print(f"wrote {args.out}")
@@ -296,11 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_surface, profile_required=False)
     p_surface.add_argument("--csv", help="rebuild the curve from a curve CSV")
     p_surface.add_argument("--grid", type=_grid, default=(41, 41), metavar="NUxNV")
-    p_surface.add_argument("--v-window", type=_interval, default=(-2.0, 2.0))
+    p_surface.add_argument("--v-window", type=_interval, default=None,
+                           help="v range (default: the rotation type's window)")
     p_surface.add_argument("--project", type=_projection, default=("x1", "x3", "x4"))
     p_surface.add_argument("--out")
     p_surface.add_argument("--obj")
     p_surface.set_defaults(func=_cmd_surface)
+    _reject_with_csv(p_surface, "C", "hsign")
 
     p_val = subs.add_parser("validate", help="generate and validate (JSON report)")
     _add_common(p_val, profile_required=False)
@@ -313,6 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--cmc-tol", type=float, default=1e-6)
     p_val.add_argument("--cmc-fd-tol", type=float, default=1e-4)
     p_val.set_defaults(func=_cmd_validate)
+    _reject_with_csv(p_val, "perturb_phi")
 
     p_special = subs.add_parser("special", help="audit a special-case closed form")
     p_special.add_argument("--type", required=True, choices=[t.value for t in RotationType])
@@ -332,9 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_oracle, profile_required=False)
     p_oracle.add_argument("--csv")
     p_oracle.add_argument("--grid", type=_grid, default=(21, 21), metavar="NUxNV")
-    p_oracle.add_argument("--v-window", type=_interval, default=(-2.0, 2.0))
+    p_oracle.add_argument("--v-window", type=_interval, default=None,
+                          help="v range (default: the rotation type's window)")
     p_oracle.add_argument("--tol", type=float, default=1e-6)
     p_oracle.set_defaults(func=_cmd_oracle)
+    _reject_with_csv(p_oracle, "C", "hsign")
 
     return parser
 

@@ -2,15 +2,15 @@
 
 The curve generator integrates the phi-equation and the coordinate
 integrands over one interval but needs the antiderivative at arbitrary
-interior points (grid samples, finite-difference stencils).  The engine
-keeps the adaptive panel decomposition: each final panel is integrated
-with a fixed 15-point Gauss-Legendre rule, panel boundaries carry the
-prefix sums, and the 15 samples of each panel also fix the degree-14
-Legendre interpolant of the integrand there.  Its antiderivative
-(Greengard's spectral integration, as in Chebfun's piecewise ``cumsum``)
-is stored per panel, so a query inside a panel is one Clenshaw sum and
-never calls the integrand.  Values at nearby points are therefore
-consistent to machine precision rather than to the global tolerance.
+interior points (grid samples, finite-difference stencils).  One rule
+places the panels: a panel's 15 Gauss-Legendre samples fix the Legendre
+coefficients of its degree-14 interpolant, and it is accepted once their
+tail has decayed, or else bisected (Chebfun's chopping, applied to
+fixed-size panels).  Panel boundaries carry the Gauss-Legendre prefix sums
+and each panel keeps the antiderivative of its interpolant (Greengard's
+spectral integration, as in Chebfun's piecewise ``cumsum``), so a query is
+one Clenshaw sum, never calls the integrand, and nearby values agree to
+machine precision rather than to the global tolerance.
 
 ``PiecewiseLegendre`` is that per-panel form (de Boor's pp-form in a
 Legendre basis); ``CumulativeIntegral`` builds it from an integrand, and
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -44,16 +45,26 @@ _FROM_END_JETS = np.linalg.inv(np.vstack([
     _legendre.legvander(np.array([x]), 5 - k) @ _legendre.legder(np.eye(6), k)
     for x in (-1.0, 1.0) for k in range(3)]))
 
-#: Absolute tolerance floor and depth limit of the adaptive refinement.
-ABS_TOL = 1e-12
+#: Floor of the relative tolerance, bisection depth limit, and the most
+#: panels one bisection level may sample (an integrand that is rough
+#: everywhere doubles them per level).
+REL_TOL_FLOOR = 1e-16
 MAX_DEPTH = 48
+MAX_PANELS = 1 << 16
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Relative tolerance of the adaptive refinement."""
+    """Relative tolerance of the panel refinement.
 
-    rel_tol: float = 1e-10
+    A panel of width w is accepted when w (|c13| + |c14|) <= rel_tol (b - a)
+    max|f|, with c13, c14 its two highest Legendre coefficients and max|f|
+    over every sample taken so far; values below ``REL_TOL_FLOOR`` act as
+    the floor.  The default sits at roundoff: a looser one lets the panel
+    holding a jump pass before ``MAX_DEPTH``.
+    """
+
+    rel_tol: float = 1e-15
 
     def __post_init__(self):
         if not self.rel_tol > 0.0:
@@ -78,36 +89,6 @@ def _legval(x: float, c: list[float]) -> float:
     for k, a, b in _CLENSHAW:
         c0, c1 = c[k] - c1 * a, c0 + c1 * x * b
     return c0 + c1 * x
-
-
-def _refine(f, a, fa, b, fb, fm, s_whole, tol, depth, leaves):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    s_left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    s_right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if abs(s_left + s_right - s_whole) <= 15.0 * tol:
-        leaves.append((a, m))
-        leaves.append((m, b))
-        return
-    if depth <= 0:
-        raise QuadratureError(
-            f"adaptive Simpson did not converge on [{a!r}, {b!r}]")
-    _refine(f, a, fa, m, fm, flm, s_left, 0.5 * tol, depth - 1, leaves)
-    _refine(f, m, fm, b, fb, frm, s_right, 0.5 * tol, depth - 1, leaves)
-
-
-def _leaves(f, a, b, config: QuadratureConfig) -> list[tuple[float, float]]:
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    s0 = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    tol = max(ABS_TOL, config.rel_tol * abs(s0))
-    leaves: list[tuple[float, float]] = []
-    _refine(f, a, fa, b, fb, fm, s0, tol, MAX_DEPTH, leaves)
-    return leaves
 
 
 class PiecewiseLegendre:
@@ -155,25 +136,25 @@ class PiecewiseLegendre:
 class CumulativeIntegral(PiecewiseLegendre):
     """Antiderivative F(u) = integral of f from ``a`` to u, for u in [a, b].
 
-    Panel boundaries come from one adaptive Simpson refinement.  Each final
-    panel is sampled once, through ``gauss15``: the Gauss-Legendre sums
-    give F at the panel boundaries (the panel offsets), and the same 15
-    samples give the Legendre coefficients of the panel's degree-14
-    interpolant, whose antiderivative (vanishing at the panel's left end)
-    is kept.  A query is a ``PiecewiseLegendre`` query and calls f zero
-    times, so differences of F at nearby points (finite-difference
+    Panels come from one breadth-first bisection of [a, b]: each pending
+    panel is sampled once, through ``gauss15``, and is accepted when the
+    Legendre tail of its degree-14 interpolant has decayed
+    (``QuadratureConfig``), else split in two.  The Gauss-Legendre sums of
+    the accepted panels give F at the panel boundaries (the offsets), and
+    each panel keeps the antiderivative of its interpolant, vanishing at
+    its left end.  A query is a ``PiecewiseLegendre`` query and calls f
+    zero times, so differences of F at nearby points (finite-difference
     stencils) are accurate far beyond the global tolerance.  Queries are
-    memoized per instance.  Raises QuadratureError when the subdivision
-    hits MAX_DEPTH before the Simpson error estimate meets the tolerance.
+    memoized per instance.  Raises QuadratureError when a panel at
+    MAX_DEPTH still fails, when a level would sample more than MAX_PANELS
+    panels, or when f is not finite at a node.
     """
 
     def __init__(self, f: Callable[[float], float], a: float, b: float,
                  config: QuadratureConfig | None = None):
         if not b > a:
             raise ValueError("need b > a")
-        config = config or QuadratureConfig()
-        leaves = _leaves(f, a, b, config)
-        nodes = [a] + [hi for _, hi in leaves]
+        tol = max((config or QuadratureConfig()).rel_tol, REL_TOL_FLOOR) * (b - a)
         samples: list[float] = []
 
         def sampled(u: float) -> float:  # gauss15 visits the nodes in order
@@ -181,24 +162,42 @@ class CumulativeIntegral(PiecewiseLegendre):
             samples.append(y)
             return y
 
-        offsets = []
-        running = 0.0
-        for lo, hi in leaves:
-            offsets.append(running)
-            running += gauss15(sampled, lo, hi)
-        # all panels at once: numpy per panel costs more than the sampling
+        accepted = []  # (lo, hi, Gauss-Legendre sum, Legendre coefficients)
+        pending, scale, depth = [(a, b)], 0.0, 0
+        while pending:
+            samples.clear()
+            sums = [gauss15(sampled, lo, hi) for lo, hi in pending]
+            # a whole level at once: numpy per panel costs more than the sampling
+            values = np.reshape(samples, (len(pending), 15))
+            if not np.isfinite(values).all():
+                raise QuadratureError(f"integrand not finite on [{a!r}, {b!r}]")
+            scale = max(scale, float(np.abs(values).max()))
+            mean = values @ _TO_LEGENDRE[:, 0]
+            # with rounded nodes, sum_k w_k P_j(x_k) is ~1e-16 rather than 0 for
+            # j > 0; taking c_j from the deviations keeps that defect, times the
+            # mean, out of the coefficients (it doubled the error of phi) and
+            # out of the tail (it split a constant integrand into 8 panels)
+            coefs = (values - mean[:, None]) @ _TO_LEGENDRE
+            coefs[:, 0] = mean
+            ok = np.diff(pending).ravel() * np.abs(coefs[:, 13:]).sum(axis=1) <= tol * scale
+            accepted += [(*p, q, c) for p, q, c, k in zip(pending, sums, coefs, ok) if k]
+            failed = [p for p, k in zip(pending, ok) if not k]
+            if failed and (depth == MAX_DEPTH or 2 * len(failed) > MAX_PANELS):
+                raise QuadratureError(f"Legendre tail did not decay on {failed[0]!r} "
+                                      f"({len(failed)} panels at depth {depth})")
+            pending = [half for lo, hi in failed
+                       for half in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))]
+            depth += 1
+        accepted.sort(key=lambda panel: panel[0])
+        _, his, sums, coefs = zip(*accepted)
+        nodes = (a, *his)
+        offsets = list(accumulate(sums, initial=0.0))  # F at the nodes
         halves = 0.5 * np.diff(nodes)[:, None]
-        values = np.reshape(samples, (len(leaves), 15))
-        mean = values @ _TO_LEGENDRE[:, 0]
-        # with rounded nodes, sum_k w_k P_j(x_k) is ~1e-16 rather than 0 for
-        # j > 0; taking c_j from the deviations keeps that defect, times the
-        # mean, out of the coefficients (it doubled the error of phi)
-        coefs = (values - mean[:, None]) @ _TO_LEGENDRE
-        coefs[:, 0] = mean
-        super().__init__(nodes, offsets, _legendre.legint(coefs, lbnd=-1, axis=1) * halves)
-        self.total = running
+        super().__init__(nodes, offsets[:-1],
+                         _legendre.legint(np.array(coefs), lbnd=-1, axis=1) * halves)
+        self.total = offsets[-1]
         # keep endpoints exact
-        self._cache: dict[float, float] = {a: 0.0, b: running}
+        self._cache: dict[float, float] = {a: 0.0, b: self.total}
 
     def __call__(self, u: float) -> float:
         value = self._cache.get(u)

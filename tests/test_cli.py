@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -98,6 +99,42 @@ def test_csv_type_must_match_the_curve(circle_csv, command, tmp_path, capsys):
     code, _, err = run([*argv, "--type", "parabolic", "--csv", str(circle_csv)], capsys)
     assert code == 2
     assert "ERROR[usage]" in err and "elliptic" in err
+
+
+_GENERATION_FLAGS = [["--profile", "u"], ["--const", "a=1"], ["--interval", "0:1"],
+                     ["--eta", "-1"], ["--u0", "0.5"], ["--phi0", "0.3"], ["--c1", "3"],
+                     ["--c2", "3"], ["--rel-tol", "1e-8"]]
+
+
+@pytest.mark.parametrize("command, flag", [
+    *((command, flag) for command in (["validate", "--grid", "5x5"],
+                                      ["surface", "--out", "{tmp}/s.csv"],
+                                      ["oracle", "--grid", "5x5"])
+      for flag in _GENERATION_FLAGS),
+    (["validate", "--grid", "5x5"], ["--perturb-phi", "1.01"]),
+    *((command, flag) for command in (["surface", "--out", "{tmp}/s.csv"],
+                                      ["oracle", "--grid", "5x5"])
+      for flag in (["--C", "0.3"], ["--hsign", "-1"])),
+], ids=lambda arg: arg[0])
+def test_csv_rejects_flags_only_generation_reads(circle_csv, command, flag, tmp_path,
+                                                 capsys):
+    # a reloaded curve is not regenerated: a negative control or a changed
+    # constant given with --csv would be silently dropped
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in command]
+    code, _, err = run([*argv, "--type", "elliptic", "--csv", str(circle_csv), *flag],
+                       capsys)
+    assert code == 2
+    assert "ERROR[usage]" in err and flag[0] in err
+
+
+def test_surface_samples_the_rotation_types_v_window(tmp_path, capsys):
+    circle, out = tmp_path / "circle.csv", tmp_path / "s.csv"
+    write_curve_csv(str(circle), elliptic_circle(2.0), samples=201)
+    code, _, err = run(["surface", "--type", "elliptic", "--csv", str(circle),
+                        "--grid", "3x5", "--out", str(out)], capsys)
+    assert code == 0, err
+    vs = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+    assert min(vs) == 0.0 and max(vs) == 2.0 * math.pi
 
 
 def test_case_mismatch_exits_2(tmp_path, capsys):

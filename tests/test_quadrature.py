@@ -1,10 +1,15 @@
 import math
 import random
+import time
 
 import pytest
 
+from cmcsurf.builders import RotationType
 from cmcsurf.errors import QuadratureError
+from cmcsurf.generator import CmcParams, domain_validity, generate
+from cmcsurf.profiles import ProfileFunction
 from cmcsurf.quadrature import CumulativeIntegral, QuadratureConfig, gauss15
+from cmcsurf.validation import generation_plan
 
 
 def integral(f, a, b):
@@ -37,8 +42,8 @@ def test_needs_refinement_near_kink():
 
 
 def test_depth_exhaustion_raises():
-    # the Simpson estimate on the panel holding the jump never shrinks
-    # faster than the halved tolerance, so the refinement runs out of depth
+    # the panel holding the jump keeps a Legendre tail of order 1, so its
+    # width times the tail stays above the tolerance down to MAX_DEPTH
     with pytest.raises(QuadratureError):
         CumulativeIntegral(lambda x: 0.0 if x < 1.0 / 3.0 else 1.0, 0.0, 1.0)
 
@@ -95,3 +100,56 @@ def test_cumulative_rejects_outside():
 def test_tolerance_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=0.0)
+
+
+def test_smooth_integrand_takes_few_panels():
+    # the tail rule stops where the degree-14 interpolant is resolved
+    # (adaptive Simpson needed 364 panels and 6,189 calls here)
+    calls = []
+
+    def counted_cos(x):
+        calls.append(x)
+        return math.cos(x)
+
+    cum = CumulativeIntegral(counted_cos, 0.0, 3.0)
+    assert len(cum._offsets) <= 16 and len(calls) <= 500
+    assert abs(cum.total - math.sin(3.0)) <= 1e-15
+    for u in [0.1, 0.7854, 1.5, 2.2, 2.999]:
+        assert abs(cum(u) - math.sin(u)) <= 1e-15
+
+
+def test_square_root_endpoint_singularity():
+    # the width weighting lets the panels at u = 1 shrink until they pass
+    assert abs(CumulativeIntegral(lambda x: math.sqrt(1.0 - x), 0.0, 1.0).total
+               - 2.0 / 3.0) <= 1e-15
+
+
+def test_tolerance_below_the_floor_is_clamped():
+    start = time.process_time()
+    cum = CumulativeIntegral(math.exp, 0.0, 1.0, QuadratureConfig(rel_tol=1e-300))
+    assert time.process_time() - start < 1.0
+    floor = CumulativeIntegral(math.exp, 0.0, 1.0, QuadratureConfig(rel_tol=1e-16))
+    assert cum._nodes == floor._nodes and len(cum._offsets) <= 16
+    assert cum.total == pytest.approx(math.e - 1.0, abs=1e-15)
+
+
+def test_non_finite_integrand_raises():
+    with pytest.raises(QuadratureError):
+        CumulativeIntegral(lambda x: math.nan, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("rotation, text, interval, C", [
+    ("hyperbolicA", "2*u", (0.5, 2.5), 0.5),
+    ("parabolic", "u", (0.5, 2.0), 0.5),
+    ("parabolic", "u^2", (0.5, 1.8), 1.0),
+])
+def test_generate_next_to_a_radicand_zero(rotation, text, interval, C):
+    # h_sign = -1 puts a zero of the turning radicand just past the padded
+    # interval; an unweighted tail test refined there past 4,096 panels
+    rotation = RotationType(rotation)
+    profile = ProfileFunction.from_text(text, interval)
+    params = CmcParams(C=C, h_sign=-1)
+    (lo, hi), params = generation_plan(domain_validity(profile, params, interval, rotation),
+                                       params)
+    curve = generate(rotation, profile, params, None, (lo, hi))
+    assert curve.arclength_residual(0.5 * (lo + hi)) <= 1e-12
