@@ -27,6 +27,12 @@ vectors of the elliptic and hyperbolic types, the Weingarten derivative
 table of the elliptic frame, and the hyperplane degeneracy detector.
 Parabolic patches are stored in the standard e-basis; the lightlike pair
 xi1, xi2 appears only during assembly.
+
+The patch formulas, the position formulas and the closed-form frames
+accept a broadcast grid (u a column, v a row; see ``surfaces``) as well as
+a float (u, v): ``GeneratingCurve.jets`` stacks the curve jets of a u
+column, one Python-float lookup per u, and the trigonometric functions of
+v are libm's, one call per grid value.
 """
 
 from __future__ import annotations
@@ -37,6 +43,8 @@ from enum import Enum
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Mapping
 
+import numpy as np
+
 from .errors import (
     CaseMismatchError,
     EvalDomainError,
@@ -46,7 +54,7 @@ from .errors import (
     NonpositiveProfileError,
     ZeroDerivativeProfileError,
 )
-from .geometry import Vec4
+from .geometry import Vec4, libm, raise_at
 from .profiles import Jet2
 from .surfaces import Frame, MeanCurvature, PatchJets, SurfacePatch
 
@@ -60,6 +68,10 @@ TAU_SLOPE = 1e-6
 ARC_TOL = 1e-9
 
 _SQRT2 = math.sqrt(2.0)
+
+#: tuple.__new__ skips NamedTuple's Python-level __new__ in the position
+#: formulas, which the finite-difference stencil calls nine times a point
+_new = tuple.__new__
 
 JetFn = Callable[[float], Jet2]
 CurveJets = Callable[[float], tuple[Jet2, Jet2, Jet2]]
@@ -80,9 +92,12 @@ def slope_sign(m: float, u: float) -> int:
 
     Raises NearNullSlopeError inside the exclusion band |m| < TAU_SLOPE.
     """
-    if abs(m) < TAU_SLOPE:
-        raise NearNullSlopeError(
-            f"(r')^2 - 1 = {m!r} inside the exclusion band at u={u!r}")
+    near = abs(m) < TAU_SLOPE
+    if near is not False:
+        raise_at(near, NearNullSlopeError,
+                 "(r')^2 - 1 = {!r} inside the exclusion band at u={!r}", m, u)
+    if isinstance(m, np.ndarray):
+        return np.where(m > 0.0, 1, -1)
     return 1 if m > 0.0 else -1
 
 
@@ -106,8 +121,17 @@ class GeneratingCurve:
 
     def jets(self, u: float) -> tuple[Jet2, Jet2, Jet2]:
         """The three component jets at u, evaluated once per distinct u; a
-        miss reads ``components`` afresh, so swapped-in components see it."""
-        hit = self._memo.get(u)
+        miss reads ``components`` afresh, so swapped-in components see it.
+
+        At an ndarray of u values each one is looked up as a Python float,
+        and every Jet2 field comes back as an array shaped like u.
+        """
+        try:
+            hit = self._memo.get(u)
+        except TypeError:  # an ndarray is unhashable
+            rows = np.array([self.jets(t) for t in u.ravel().tolist()])
+            return tuple(Jet2(*(rows[:, c, k].reshape(u.shape) for k in range(3)))
+                         for c in range(3))
         if hit is None:
             c1, c2, c3 = self.components
             hit = self._memo[u] = (c1(u), c2(u), c3(u))
@@ -179,13 +203,15 @@ def _patch_position(position, curve_jets: CurveJets, u: float, v: float) -> Vec4
 
 
 def _elliptic_position(x1: float, x2: float, r: float, v: float) -> Vec4:
-    return Vec4(x1, x2, r * math.cos(v), r * math.sin(v))
+    m = libm(v)
+    return _new(Vec4, (x1, x2, r * m.cos(v), r * m.sin(v)))
 
 
 def _elliptic_jets(curve_jets: CurveJets):
     def jets(u: float, v: float) -> PatchJets:
         x1, x2, r = curve_jets(u)
-        cv, sv = math.cos(v), math.sin(v)
+        m = libm(v)
+        cv, sv = m.cos(v), m.sin(v)
         return PatchJets(
             position=_elliptic_position(x1.val, x2.val, r.val, v),
             z_u=Vec4(x1.d1, x2.d1, r.d1 * cv, r.d1 * sv),
@@ -199,13 +225,15 @@ def _elliptic_jets(curve_jets: CurveJets):
 
 
 def _hyperbolic_position(r: float, x2: float, x4: float, v: float) -> Vec4:
-    return Vec4(r * math.cosh(v), x2, r * math.sinh(v), x4)
+    m = libm(v)
+    return _new(Vec4, (r * m.cosh(v), x2, r * m.sinh(v), x4))
 
 
 def _hyperbolic_jets(curve_jets: CurveJets):
     def jets(u: float, v: float) -> PatchJets:
         r, x2, x4 = curve_jets(u)
-        ch, sh = math.cosh(v), math.sinh(v)
+        m = libm(v)
+        ch, sh = m.cosh(v), m.sinh(v)
         return PatchJets(
             position=_hyperbolic_position(r.val, x2.val, x4.val, v),
             z_u=Vec4(r.d1 * ch, x2.d1, r.d1 * sh, x4.d1),
@@ -220,7 +248,7 @@ def _hyperbolic_jets(curve_jets: CurveJets):
 
 def _from_null_basis(a: float, b: float, c: float, d: float) -> Vec4:
     """a*e1 + b*xi1 + c*xi2 + d*e4 expressed in the e-basis."""
-    return Vec4(a, (b - c) / _SQRT2, (b + c) / _SQRT2, d)
+    return _new(Vec4, (a, (b - c) / _SQRT2, (b + c) / _SQRT2, d))
 
 
 def _parabolic_position(x1: float, f: float, g: float, v: float) -> Vec4:
@@ -252,8 +280,9 @@ def elliptic_frame(curve: GeneratingCurve, u: float, v: float) -> Frame:
     w^2 sin v)/w with w = sqrt(1+(r')^2); <n1,n1> = 1, <n2,n2> = -1.
     """
     x1, x2, r = curve.jets(u)
-    w = math.sqrt(1.0 + r.d1 * r.d1)
-    cv, sv = math.cos(v), math.sin(v)
+    w = libm(u).sqrt(1.0 + r.d1 * r.d1)
+    m = libm(v)
+    cv, sv = m.cos(v), m.sin(v)
     X = Vec4(x1.d1, x2.d1, r.d1 * cv, r.d1 * sv)
     Y = Vec4(0.0, 0.0, -sv, cv)
     n1 = Vec4(-x2.d1 / w, x1.d1 / w, 0.0, 0.0)
@@ -271,8 +300,8 @@ def hyperbolic_frame(curve: GeneratingCurve, u: float, v: float) -> Frame:
     r, x2, x4 = curve.jets(u)
     m = r.d1 * r.d1 - 1.0
     eps = slope_sign(m, u)
-    rho = math.sqrt(eps * m)
-    ch, sh = math.cosh(v), math.sinh(v)
+    rho = libm(u).sqrt(eps * m)
+    ch, sh = libm(v).cosh(v), libm(v).sinh(v)
     X = Vec4(r.d1 * ch, x2.d1, r.d1 * sh, x4.d1)
     Y = Vec4(sh, 0.0, ch, 0.0)
     n1 = Vec4(0.0, x4.d1 / rho, 0.0, x2.d1 / rho)

@@ -17,6 +17,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import io as cio
@@ -292,9 +293,11 @@ def _cmd_oracle(args) -> int:
     patch = build_surface(curve, args.v_window)
     nu, nv = args.grid
     grid = shrunk_grid(curve, nu, nv, patch.v_domain)
-    worst = closed_vs_oracle(curve, patch, grid)
+    worst, flagged = closed_vs_oracle(curve, patch, grid)
     print(f"max closed-form vs kernel h2 discrepancy: {worst:.3e}")
-    return 0 if worst <= args.tol else 1
+    if flagged:
+        print(f"{len(flagged)} grid points with a non-finite h2, left out of the maximum")
+    return 0 if worst <= args.tol and not flagged else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,10 +373,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, inside the try
+        return code
     except CmcError as exc:
         print(f"ERROR[{exc.code}] {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader of stdout has gone; send the rest of the output to
+        # devnull, or the flush at interpreter exit fails again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -7,13 +7,27 @@ The ambient space is R^4 with the scalar product
 i.e. signature (+, +, -, -).  Everything downstream (patches, frames,
 curvature) reduces to three primitives defined here: the scalar product,
 causal classification, and Gram-Schmidt that tracks norm signs.
+
+The components of a Vec4 are floats at one point or, on a grid, ndarrays
+that broadcast against each other (a column over u, a row over v, or the
+full (nu, nv) grid).  The arithmetic is the same expressions in the same
+order either way, so a grid entry equals the float computed at its point
+bit for bit; the helpers below (libm, negate, raise_at) are the few
+places where floats and grids need different calls.  Transcendental
+functions of grid values go through libm's own functions entry by entry
+(``libm(x).cosh(x)``), never through numpy's ufuncs, whose results differ
+from libm's in the last bit for some arguments (cosh and sinh among them).
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import reduce
+from types import SimpleNamespace
 from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import DegenerateFrameError
 
@@ -50,9 +64,65 @@ class Vec4(NamedTuple):
 
     __rmul__ = __mul__  # type: ignore[assignment]
 
-    def is_finite(self) -> bool:
+    def is_finite(self):
+        """Whether every component is finite: a bool, or a grid of them."""
+        if np.ndarray in map(type, self):
+            return (np.isfinite(self.x1) & np.isfinite(self.x2)
+                    & np.isfinite(self.x3) & np.isfinite(self.x4))
         return (math.isfinite(self.x1) and math.isfinite(self.x2)
                 and math.isfinite(self.x3) and math.isfinite(self.x4))
+
+
+# --- floats and grids ----------------------------------------------------------
+
+def is_grid(x) -> bool:
+    return isinstance(x, np.ndarray)
+
+
+def _entrywise(fn):
+    def call(x):
+        return np.array([fn(t) for t in x.ravel().tolist()]).reshape(x.shape)
+    return call
+
+
+#: What the surface formulas take from ``math``, for grid arguments: the
+#: transcendental functions entry by entry through libm itself (numpy's
+#: cosh and sinh differ from libm's in the last bit for some arguments),
+#: sqrt through numpy (correctly rounded, as libm's is).
+GRID_MATH = SimpleNamespace(cos=_entrywise(math.cos), sin=_entrywise(math.sin),
+                            cosh=_entrywise(math.cosh), sinh=_entrywise(math.sinh),
+                            sqrt=np.sqrt)
+
+
+def libm(x):
+    """``math`` for a float x, GRID_MATH for a grid x: ``libm(v).cos(v)``
+    gives the same value at every grid entry as ``math.cos`` at its point."""
+    return GRID_MATH if isinstance(x, np.ndarray) else math
+
+
+def negate(cond):
+    """``not cond`` at a point, the elementwise not on a grid."""
+    return ~cond if isinstance(cond, np.ndarray) else not cond
+
+
+def raise_at(bad, error, message: str, *values) -> None:
+    """Raise ``error(message.format(*values))`` if ``bad`` holds.
+
+    On a grid the error names the first offending point in u-major order
+    (row-major over (u, v)), the order of a loop over u and then v: every
+    value is taken at that point as a Python scalar, so the message reads
+    exactly as the scalar call at that point would have it.
+    """
+    if isinstance(bad, np.ndarray):
+        if not bad.any():
+            return
+    elif not bad:
+        return
+    shape = np.broadcast_shapes(np.shape(bad), *map(np.shape, values))
+    if shape:
+        at = np.unravel_index(np.argmax(np.broadcast_to(bad, shape)), shape)
+        values = tuple(np.broadcast_to(x, shape)[at].item() for x in values)
+    raise error(message.format(*values))
 
 
 E1 = Vec4(1.0, 0.0, 0.0, 0.0)
@@ -87,9 +157,12 @@ def inf_norm(v: Vec4) -> float:
 
 
 def require_finite(v: Vec4, context: str = "vector") -> Vec4:
-    """Boundary check: reject NaN/inf components before they propagate."""
-    if not v.is_finite():
-        raise ValueError(f"non-finite {context}: {v}")
+    """Boundary check: reject NaN/inf components before they propagate; on
+    a grid the error names the vector at the first offending point."""
+    finite = v.is_finite()
+    if finite is not True:
+        raise_at(negate(finite), ValueError,
+                 "non-finite " + context + ": Vec4(x1={!r}, x2={!r}, x3={!r}, x4={!r})", *v)
     return v
 
 
@@ -115,14 +188,21 @@ def normalize_with_sign(v: Vec4, tau_causal: float = TAU_CAUSAL) -> tuple[Vec4, 
     """Scale ``v`` to |<v,v>| = 1 and return (unit, sign of <v,v>).
 
     Raises DegenerateFrameError when ``v`` is lightlike or zero within
-    ``tau_causal``: such vectors admit no unit representative.
+    ``tau_causal``: such vectors admit no unit representative.  On a grid
+    nothing is raised: such points get sign 0, and their unit is
+    meaningless (finite, so later arithmetic raises no warnings).
     """
     q = inner(v, v)
-    if abs(q) <= tau_causal:
+    degenerate = abs(q) <= tau_causal
+    if isinstance(degenerate, np.ndarray):
+        sign = np.where(degenerate, 0, np.where(q > 0.0, 1, -1))
+        q = np.where(degenerate, 1.0, q)
+    elif degenerate:
         raise DegenerateFrameError(
             f"cannot normalize near-lightlike vector (<v,v>={q!r})")
-    sign = 1 if q > 0.0 else -1
-    return v * (1.0 / math.sqrt(abs(q))), sign
+    else:
+        sign = 1 if q > 0.0 else -1
+    return v * (1.0 / libm(q).sqrt(abs(q))), sign
 
 
 def orthonormalize_indefinite(
@@ -138,6 +218,9 @@ def orthonormalize_indefinite(
     raised when the finished frame misses orthonormality by more than
     TAU_ORTHO: nearly null or strongly boosted inputs give unit vectors of
     large Euclidean norm, whose scalar products carry roundoff beyond it.
+
+    On a grid nothing is raised: every sign is 0 at the points where the
+    scalar call would raise.
     """
     units: list[tuple[Vec4, int]] = []
     for v in basis:
@@ -149,7 +232,11 @@ def orthonormalize_indefinite(
                 # <u,u> = s, so the projection coefficient is s*<w,u>.
                 w = w - u * (s * inner(w, u))
         units.append(normalize_with_sign(w, tau_causal))
-    if gram_residual([u for u, _ in units], [s for _, s in units]) > TAU_ORTHO:
+    missed = gram_residual([u for u, _ in units], [s for _, s in units]) > TAU_ORTHO
+    if isinstance(missed, np.ndarray):
+        failed = reduce(np.logical_or, [s == 0 for _, s in units], missed)
+        return [(u, np.where(failed, 0, s)) for u, s in units]
+    if missed:
         raise DegenerateFrameError(
             f"frame misses orthonormality by more than {TAU_ORTHO!r}")
     return units
@@ -157,6 +244,8 @@ def orthonormalize_indefinite(
 
 def gram_residual(vectors: Sequence[Vec4], signs: Sequence[int]) -> float:
     """Max |<v_i, v_j> - s_i*delta_ij| over all pairs i <= j: how far the
-    vectors are from an orthonormal frame with norm signs ``signs``."""
-    return max(abs(inner(vi, vj) - (signs[i] if i == j else 0.0))
-               for i, vi in enumerate(vectors) for j, vj in enumerate(vectors[i:], i))
+    vectors are from an orthonormal frame with norm signs ``signs``; on a
+    grid, the grid of these maxima."""
+    terms = [abs(inner(vi, vj) - (signs[i] if i == j else 0.0))
+             for i, vi in enumerate(vectors) for j, vj in enumerate(vectors[i:], i)]
+    return reduce(np.maximum, terms) if any(map(is_grid, terms)) else max(terms)

@@ -7,13 +7,27 @@ second fundamental form with respect to an orthonormal (+,-) tangent
 frame, H = (sigma(X,X) - sigma(Y,Y)) / 2; the sign-carrying trace is the
 one consistent with the closed-form curvature of the rotational builders,
 which the test suite asserts.
+
+Grids.  ``SurfacePatch.jets`` and ``position``, the finite-difference
+stencil of ``fd_patch``, ``tangent_frame``, ``mean_curvature``,
+``second_fundamental_form``, ``normal_frame_numeric`` and ``frame_numeric``
+take either a float (u, v) or a broadcast grid: u an ndarray column of
+shape (nu, 1), v an ndarray row of shape (1, nv).  On a grid every Vec4
+component and every scalar they return is an ndarray that broadcasts to
+(nu, nv), and each entry equals the float call at its point bit for bit
+(see ``geometry``).  Errors keep their class and name the first offending
+(u, v) in u-major order, the order of a loop over u and then v.  A grid
+frame does not raise at singular points: there both of its normal signs
+(eps1, eps2) are 0, where the float call raises DegenerateFrameError.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .errors import (
     DegenerateFrameError,
@@ -24,7 +38,11 @@ from .geometry import (
     BASIS,
     Vec4,
     inner,
+    is_grid,
+    libm,
+    negate,
     orthonormalize_indefinite,
+    raise_at,
     require_finite,
 )
 
@@ -32,8 +50,7 @@ from .geometry import (
 FD_STEP = 1e-4
 
 
-@dataclass(frozen=True)
-class PatchJets:
+class PatchJets(NamedTuple):
     """Position and partials of a patch at one (u, v)."""
 
     position: Vec4
@@ -61,7 +78,14 @@ class SurfacePatch:
 
     def __post_init__(self):
         if self.position is None:
-            object.__setattr__(self, "position", lambda u, v: self.jets(u, v).position)
+            # bound to the jets map, not to self: a closure over self would
+            # make every such patch a reference cycle that keeps its curve
+            # alive until the cyclic garbage collector runs
+            object.__setattr__(self, "position", partial(_position_slot, self.jets))
+
+
+def _position_slot(jets, u, v) -> Vec4:
+    return jets(u, v).position
 
 
 @dataclass(frozen=True)
@@ -75,10 +99,10 @@ class FirstFundamentalForm:
         return self.E * self.G - self.F * self.F
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     """Adapted frame: unit spacelike X, unit timelike Y, normals n1, n2
-    with <n_i, n_j> = eps_i * delta_ij."""
+    with <n_i, n_j> = eps_i * delta_ij.  On a grid eps1 and eps2 are int
+    arrays, 0 at the points where no normal frame was found."""
 
     X: Vec4
     Y: Vec4
@@ -88,8 +112,7 @@ class Frame:
     eps2: int
 
 
-@dataclass(frozen=True)
-class MeanCurvature:
+class MeanCurvature(NamedTuple):
     H: Vec4
     h2: float  # <H, H>
 
@@ -116,14 +139,16 @@ def _tangent_frame(jets: PatchJets, u: float,
     F = inner(jets.z_u, jets.z_v)
     G = inner(jets.z_v, jets.z_v)
     det = E * G - F * F
-    if not (det < 0.0 and E > 0.0):
-        raise NonLorentzMetricError(
-            f"no (+,-) tangent frame at (u, v) = ({u!r}, {v!r}): "
-            f"E={E!r}, EG-F^2={det!r}")
+    lorentz = (det < 0.0) & (E > 0.0)
+    if lorentz is not True:
+        raise_at(negate(lorentz), NonLorentzMetricError,
+                 "no (+,-) tangent frame at (u, v) = ({!r}, {!r}): E={!r}, EG-F^2={!r}",
+                 u, v, E, det)
     f_over_e = F / E
     g_red = G - F * f_over_e  # < 0
-    X = jets.z_u * (1.0 / math.sqrt(E))
-    Y = (jets.z_v - jets.z_u * f_over_e) * (1.0 / math.sqrt(-g_red))
+    sqrt = libm(E).sqrt
+    X = jets.z_u * (1.0 / sqrt(E))
+    Y = (jets.z_v - jets.z_u * f_over_e) * (1.0 / sqrt(-g_red))
     return X, Y, E, f_over_e, g_red
 
 
@@ -141,26 +166,69 @@ def normal_projection(w: Vec4, X: Vec4, Y: Vec4) -> Vec4:
     return w - X * inner(w, X) + Y * inner(w, Y)
 
 
-def _normal_pair(X: Vec4, Y: Vec4, u: float, v: float) -> tuple[Vec4, Vec4, int, int]:
+#: The six seed pairs (i, j), i < j, of standard basis vectors, in the
+#: order that breaks ties between equal scores.
+_SEED_PAIRS = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+
+
+def _normal_pair(X: Vec4, Y: Vec4, u, v) -> tuple[Vec4, Vec4, int, int]:
     """The seed search of normal_frame_numeric, given the tangent pair."""
-    scores = []
-    for idx, e in enumerate(BASIS):
+    norms = []
+    for e in BASIS:
         proj = X * inner(e, X) - Y * inner(e, Y)
-        scores.append((math.sqrt(proj.x1**2 + proj.x2**2 + proj.x3**2 + proj.x4**2), idx))
-    pairs = sorted(
-        ((scores[i][0] + scores[j][0], i, j) for i in range(4) for j in range(i + 1, 4))
-    )
-    for _, i, j in pairs:
+        square = proj.x1 * proj.x1 + proj.x2 * proj.x2 + proj.x3 * proj.x3 + proj.x4 * proj.x4
+        norms.append(libm(square).sqrt(square))
+    scores = [norms[i] + norms[j] for i, j in _SEED_PAIRS]
+    if is_grid(u) or is_grid(v):
+        return _normal_pair_grid(X, Y, scores)
+    for k in sorted(range(len(_SEED_PAIRS)), key=scores.__getitem__):
+        i, j = _SEED_PAIRS[k]
         try:
             units = orthonormalize_indefinite([X, Y, BASIS[i], BASIS[j]])
         except DegenerateFrameError:
             continue
-        (n1, s1), (n2, s2) = units[2], units[3]
-        if s1 < s2:  # put the spacelike normal first
-            n1, s1, n2, s2 = n2, s2, n1, s1
-        return n1, n2, s1, s2
+        return _spacelike_first(units[2], units[3])
     raise DegenerateFrameError(
         f"singular point: no seed pair yields a normal frame at ({u!r}, {v!r})")
+
+
+def _normal_pair_grid(X: Vec4, Y: Vec4, scores):
+    """The seed search at every grid point: each point tries its seed pairs
+    in the order of a stable argsort of their scores (the order the float
+    call's sort gives), and keeps the first pair whose Gram-Schmidt
+    succeeds; points where none does keep signs 0."""
+    order = np.argsort(np.broadcast_arrays(*scores), axis=0, kind="stable")
+    found = None
+    for rank in order:
+        seeds = [Vec4(*((np.choose(rank, idx) == c) * 1.0 for c in range(4)))
+                 for idx in zip(*_SEED_PAIRS)]
+        units = orthonormalize_indefinite([X, Y, *seeds])
+        pair = _spacelike_first(units[2], units[3])
+        if found is None:  # signs are 0 where this first pair failed
+            found = pair
+        else:
+            take = (found[2] == 0) & (pair[2] != 0)
+            found = (_take(take, pair[0], found[0]), _take(take, pair[1], found[1]),
+                     np.where(take, pair[2], found[2]), np.where(take, pair[3], found[3]))
+        if found[2].all():
+            break
+    return found
+
+
+def _take(mask, new: Vec4, old: Vec4) -> Vec4:
+    return Vec4(*(np.where(mask, a, b) for a, b in zip(new, old)))
+
+
+def _spacelike_first(first, second):
+    """(n1, n2, s1, s2) from two (unit, sign) pairs, spacelike normal first."""
+    (n1, s1), (n2, s2) = first, second
+    if is_grid(s1):
+        swap = s1 < s2
+        return (_take(swap, n2, n1), _take(swap, n1, n2),
+                np.where(swap, s2, s1), np.where(swap, s1, s2))
+    if s1 < s2:
+        return n2, n1, s2, s1
+    return n1, n2, s1, s2
 
 
 def normal_frame_numeric(patch: SurfacePatch, u: float,
@@ -205,7 +273,7 @@ def second_fundamental_form(patch: SurfacePatch, u: float,
                             v: float) -> tuple[Vec4, Vec4, Vec4]:
     """sigma(X,X), sigma(X,Y), sigma(Y,Y) as vectors in span{n1, n2}."""
     sxx, syy, (n_uu, n_uv, f_over_e, e_g) = _sigma(patch, u, v)
-    return sxx, (n_uv - n_uu * f_over_e) * (1.0 / math.sqrt(e_g)), syy
+    return sxx, (n_uv - n_uu * f_over_e) * (1.0 / libm(e_g).sqrt(e_g)), syy
 
 
 def mean_curvature(patch: SurfacePatch, u: float, v: float) -> MeanCurvature:
@@ -232,17 +300,20 @@ def fd_patch(
     result an oracle independent of any analytic jet assembly.  Stencils
     reaching outside ``u_domain`` x ``v_domain`` raise
     StencilOutOfDomainError; the returned patch domain is shrunk by h.
+    On a grid the stencil samples ``position`` at three u columns and three
+    v rows, nine grid calls in all.
     """
     if not h > 0.0:
         raise ValueError("h must be positive")
     u_lo, u_hi = u_domain
     v_lo, v_hi = v_domain
 
-    def jets(u: float, v: float) -> PatchJets:
-        if u - h < u_lo - 1e-12 or u + h > u_hi + 1e-12 \
-                or v - h < v_lo - 1e-12 or v + h > v_hi + 1e-12:
-            raise StencilOutOfDomainError(
-                f"stencil around ({u!r}, {v!r}) with h={h!r} leaves the domain")
+    def jets(u, v) -> PatchJets:
+        outside = ((u - h < u_lo - 1e-12) | (u + h > u_hi + 1e-12)
+                   | (v - h < v_lo - 1e-12) | (v + h > v_hi + 1e-12))
+        if outside is not False:
+            raise_at(outside, StencilOutOfDomainError,
+                     "stencil around ({!r}, {!r}) with h={!r} leaves the domain", u, v, h)
         c = position(u, v)
         pu = position(u + h, v)
         mu = position(u - h, v)

@@ -6,13 +6,36 @@ the finite-difference oracle), arc-length of the generating curve, frame
 orthonormality, and hyperplane degeneracy.  Reports serialize to JSON
 with a fixed key order so CI can diff them; identical inputs produce
 bit-identical reports.
+
+The grid checks (check_cmc, check_frames, closed_vs_oracle) call the
+surface functions once per grid, on the broadcast (u, v) arrays of
+``GridSpec.mesh`` (see ``surfaces``), and give the values of a loop over u
+and then v bit for bit.  A point is never silently dropped from a maximum:
+it is flagged with its reason instead.  Each check lists its flagged points
+in u-major order, and a report lists those of the CMC check, then those of
+the closed-form check (each (u, v, reason) once), then those of the frames:
+
+* ``fd-richardson-disagreement``: the FD <H,H> at FD_STEP and FD_STEP/2
+  differ by more than 10 * ``fd_tol``;
+* ``non-finite-h2``: an analytic, FD or closed-form <H,H> at the point is
+  NaN or infinite; it enters no maximum;
+* ``singular-frame``: no seed pair yields a numeric normal frame there;
+* ``non-finite-frame``: the frame residual there is NaN or infinite; it
+  enters no maximum.
+
+Errors (NonLorentzMetricError, StencilOutOfDomainError, ...) propagate and
+name the first offending point, in u-major order, of the grid call that
+raised: the analytic kernel runs before the FD oracles and the frames.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, replace
+from functools import reduce
 from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from .builders import (
     SPECS,
@@ -22,7 +45,6 @@ from .builders import (
     h2_closed,
     hyperplane_degeneracy,
 )
-from .errors import DegenerateFrameError
 from .generator import CmcParams, domain_validity, generate
 from .geometry import gram_residual
 from .profiles import ProfileFunction
@@ -66,6 +88,21 @@ class GridSpec:
     def v_values(self) -> list[float]:
         lo, hi = self.v_window
         return [lo + (hi - lo) * k / (self.nv - 1) for k in range(self.nv)]
+
+    def mesh(self) -> tuple[np.ndarray, np.ndarray]:
+        """The grid as the surface functions take it: u values as an (nu, 1)
+        column, v values as a (1, nv) row."""
+        return np.array(self.u_values())[:, None], np.array(self.v_values())[None, :]
+
+    def flags(self, *checks: tuple[object, str]) -> list[tuple[float, float, str]]:
+        """(u, v, reason) for every point where a (mask, reason) check holds,
+        in u-major order; the reasons at one point in the order given."""
+        shape = (self.nu, self.nv)
+        masks = [np.broadcast_to(mask, shape) for mask, _ in checks]
+        us, vs = self.u_values(), self.v_values()
+        return [(us[i], vs[j], reason)
+                for i, j in np.argwhere(reduce(np.logical_or, masks)).tolist()
+                for mask, (_, reason) in zip(masks, checks) if mask[i, j]]
 
 
 @dataclass
@@ -111,6 +148,14 @@ class CmcCheck:
     max_analytic: float
     max_fd: float
     flagged: list[tuple[float, float, str]]
+    #: the analytic <H,H> over the grid, which closed_vs_oracle reuses
+    analytic_h2: np.ndarray = field(repr=False, compare=False)
+
+
+def _finite_max(values) -> float:
+    """max(0, finite entries of ``values``): NaN and inf enter no maximum."""
+    values = np.asarray(values)
+    return float(np.max(values, initial=0.0, where=np.isfinite(values)))
 
 
 def check_cmc(patch: SurfacePatch, target_h2: float, grid: GridSpec,
@@ -120,24 +165,18 @@ def check_cmc(patch: SurfacePatch, target_h2: float, grid: GridSpec,
     The finite-difference pipeline runs at FD_STEP and FD_STEP/2
     (Richardson consistency); points where the two FD values disagree by
     more than 10 * ``fd_tol`` are flagged singular instead of silently
-    entering the maximum.
+    entering the maximum, and so are points where any of the three values
+    is not finite.
     """
-    oracle_h = fd_oracle(patch, FD_STEP)
-    oracle_h2 = fd_oracle(patch, 0.5 * FD_STEP)
-    vs = grid.v_values()
-    max_analytic = 0.0
-    max_fd = 0.0
-    flagged: list[tuple[float, float, str]] = []
-    for u in grid.u_values():
-        for v in vs:
-            analytic = mean_curvature(patch, u, v).h2
-            fd_a = mean_curvature(oracle_h, u, v).h2
-            fd_b = mean_curvature(oracle_h2, u, v).h2
-            max_analytic = max(max_analytic, abs(analytic - target_h2))
-            if abs(fd_a - fd_b) > 10.0 * fd_tol:
-                flagged.append((u, v, "fd-richardson-disagreement"))
-            max_fd = max(max_fd, abs(fd_b - target_h2))
-    return CmcCheck(max_analytic, max_fd, flagged)
+    us, vs = grid.mesh()
+    analytic = mean_curvature(patch, us, vs).h2
+    fd_a = mean_curvature(fd_oracle(patch, FD_STEP), us, vs).h2
+    fd_b = mean_curvature(fd_oracle(patch, 0.5 * FD_STEP), us, vs).h2
+    finite = np.isfinite(analytic) & np.isfinite(fd_a) & np.isfinite(fd_b)
+    flagged = grid.flags((~finite, "non-finite-h2"),
+                         (np.abs(fd_a - fd_b) > 10.0 * fd_tol, "fd-richardson-disagreement"))
+    return CmcCheck(_finite_max(np.abs(analytic - target_h2)),
+                    _finite_max(np.abs(fd_b - target_h2)), flagged, analytic)
 
 
 def check_arclength(curve: GeneratingCurve) -> float:
@@ -153,32 +192,33 @@ def frame_residual(frame: Frame) -> float:
 
 
 def check_frames(patch: SurfacePatch,
-                 frames: Callable[[float, float], Frame],
+                 frames: Callable[[np.ndarray, np.ndarray], Frame],
                  grid: GridSpec) -> tuple[float, list[tuple[float, float, str]]]:
-    """Worst frame-table residual over the grid; singular points are
-    flagged rather than raised."""
-    worst = 0.0
-    flagged: list[tuple[float, float, str]] = []
-    for u in grid.u_values():
-        for v in grid.v_values():
-            try:
-                worst = max(worst, frame_residual(frames(u, v)))
-            except DegenerateFrameError:
-                flagged.append((u, v, "singular-frame"))
-    return worst, flagged
+    """Worst frame-table residual over the grid; ``frames`` is called once,
+    on ``grid.mesh()``.  Singular points (normal signs 0) are flagged rather
+    than raised, and so are points whose residual is not finite."""
+    frame = frames(*grid.mesh())
+    residual = frame_residual(frame)
+    singular = np.asarray(frame.eps1 == 0)
+    finite = np.isfinite(residual)
+    flagged = grid.flags((singular, "singular-frame"),
+                         (~singular & ~finite, "non-finite-frame"))
+    return _finite_max(np.where(singular, np.nan, residual)), flagged
 
 
-def closed_vs_oracle(curve: GeneratingCurve, patch: SurfacePatch,
-                     grid: GridSpec) -> float:
-    """Max |closed-form h2 - kernel h2| over the grid (relative scale)."""
-    worst = 0.0
-    for u in grid.u_values():
-        closed = h2_closed(curve, u)
-        for v in grid.v_values():
-            oracle = mean_curvature(patch, u, v).h2
-            scale = 1.0 + max(abs(closed), abs(oracle))
-            worst = max(worst, abs(closed - oracle) / scale)
-    return worst
+def closed_vs_oracle(curve: GeneratingCurve, patch: SurfacePatch, grid: GridSpec,
+                     kernel_h2: np.ndarray | None = None
+                     ) -> tuple[float, list[tuple[float, float, str]]]:
+    """Max |closed-form h2 - kernel h2| over the grid (relative scale), and
+    the points where either value is not finite.  ``kernel_h2`` is the
+    grid of mean_curvature(patch, ...).h2 when the caller already has it."""
+    if kernel_h2 is None:
+        kernel_h2 = mean_curvature(patch, *grid.mesh()).h2
+    closed = np.array([h2_closed(curve, u) for u in grid.u_values()])[:, None]
+    scale = 1.0 + np.maximum(np.abs(closed), np.abs(kernel_h2))
+    finite = np.isfinite(closed) & np.isfinite(kernel_h2)
+    return (_finite_max(np.where(finite, np.abs(closed - kernel_h2) / scale, np.nan)),
+            grid.flags((~finite, "non-finite-h2")))
 
 
 def shrunk_grid(curve: GeneratingCurve, nu: int, nv: int,
@@ -204,17 +244,21 @@ def validate_surface(curve: GeneratingCurve, target_h2: float,
     cmc = check_cmc(patch, target_h2, grid, tols.cmc_fd)
     frame_worst, frame_flagged = check_frames(
         patch, lambda u, v: frame_numeric(patch, u, v), grid)
+    arclength = check_arclength(curve)
+    closed_worst, closed_flagged = closed_vs_oracle(curve, patch, grid, cmc.analytic_h2)
+    # a point with a non-finite h2 may be flagged by both h2 checks; list it once
+    flagged = list(dict.fromkeys(cmc.flagged + closed_flagged + frame_flagged))
     report = ValidationReport(
         surface_id=surface_id or patch.label,
         grid=grid,
         target_h2=target_h2,
         max_cmc_residual=cmc.max_analytic,
         max_cmc_residual_fd=cmc.max_fd,
-        max_arclength_residual=check_arclength(curve),
+        max_arclength_residual=arclength,
         max_frame_residual=frame_worst,
-        max_closed_vs_oracle=closed_vs_oracle(curve, patch, grid),
+        max_closed_vs_oracle=closed_worst,
         degenerate=hyperplane_degeneracy(curve).degenerate,
-        flagged_points=(cmc.flagged + frame_flagged)[:MAX_FLAGGED],
+        flagged_points=flagged[:MAX_FLAGGED],
     )
     return report
 

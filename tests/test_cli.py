@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -277,3 +278,17 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert "curve" in result.stdout and "validate" in result.stdout
+
+
+def test_closed_stdout_pipe_exits_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the report is written
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "cmcsurf", "validate", "--type", "elliptic",
+             "--profile", "2", "--interval", "0:6.28", "--C", "0.1", "--grid", "5x5"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr and "BrokenPipeError" not in result.stderr

@@ -83,3 +83,36 @@ def test_imports_only_stdlib_numpy_and_the_package(path):
     foreign = {m for m in modules
                if m.split(".")[0] not in sys.stdlib_module_names | DEPENDENCIES}
     assert not foreign, f"{path.name} imports {sorted(foreign)}"
+
+
+#: numpy ufuncs whose values may differ from libm's in the last bit; grid
+#: code takes them from geometry.libm, which calls libm entry by entry.
+TRANSCENDENTAL = {"cos", "sin", "tan", "cosh", "sinh", "tanh", "exp", "expm1",
+                  "log", "log1p", "power", "float_power", "arcsin", "arccos", "arctan"}
+
+
+def _numpy_transcendentals(tree: ast.Module) -> list[str]:
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names
+               if alias.name == "numpy"}
+    hits = [f"{node.lineno}: numpy.{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in TRANSCENDENTAL
+            and isinstance(node.value, ast.Name) and node.value.id in aliases]
+    hits += [f"{node.lineno}: from numpy import {alias.name}" for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "numpy"
+             for alias in node.names if alias.name in TRANSCENDENTAL]
+    return hits
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_numpy_transcendental_ufuncs(path):
+    # reports are byte-identical between the float and the grid path only
+    # while every transcendental value comes from libm
+    hits = _numpy_transcendentals(ast.parse(path.read_text(), str(path)))
+    assert not hits, f"{path.name}: {hits}"
+
+
+def test_the_transcendental_check_sees_numpy_calls():
+    source = "import numpy as np\nfrom numpy import exp\ny = np.cosh(x) + np.power(x, 2)\n"
+    assert _numpy_transcendentals(ast.parse(source)) == [
+        "3: numpy.cosh", "3: numpy.power", "2: from numpy import exp"]
