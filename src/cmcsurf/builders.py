@@ -28,11 +28,17 @@ table of the elliptic frame, and the hyperplane degeneracy detector.
 Parabolic patches are stored in the standard e-basis; the lightlike pair
 xi1, xi2 appears only during assembly.
 
-The patch formulas, the position formulas and the closed-form frames
+The patch formulas, the position formulas, the closed-form frames,
+h2_closed, the arc-length and twist expressions and the profile checks
 accept a broadcast grid (u a column, v a row; see ``surfaces``) as well as
-a float (u, v): ``GeneratingCurve.jets`` stacks the curve jets of a u
-column, one Python-float lookup per u, and the trigonometric functions of
-v are libm's, one call per grid value.
+a float (u, v), and a grid entry equals the float call at its point bit
+for bit.  ``GeneratingCurve.jets`` answers a u column with one call per
+component when the curve's components take columns (reloaded curves), and
+otherwise with one Python-float lookup per u; the trigonometric functions
+of v and the squares of the spec expressions are libm's, one call per grid
+value.  build_surface, h2_closed and hyperplane_degeneracy check a curve on
+one u column each, and raise for the first offending u of the check that
+fails first.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ from .errors import (
     NonpositiveProfileError,
     ZeroDerivativeProfileError,
 )
-from .geometry import Vec4, libm, raise_at
+from .geometry import Vec4, libm, negate, raise_at, square
 from .profiles import Jet2
 from .surfaces import Frame, MeanCurvature, PatchJets, SurfacePatch
 
@@ -107,11 +113,20 @@ class GeneratingCurve:
 
     Component order follows the rotation type: elliptic (x1, x2, r),
     hyperbolic (r, x2, x4), parabolic (x1, f, g).
+
+    ``columns`` says whether every component also takes an ndarray of u
+    and returns a Jet2 of arrays of its shape, each entry equal to the
+    float call's (the splines of a reloaded curve, see
+    ``io.curve_from_samples``).  Generated and analytic curves take floats
+    only: their jets, and the quadratures and profile memo behind them,
+    are memoized per float u.  Generated curves switch to columns once
+    their quadratures take arrays too (ROADMAP item 1).
     """
 
     rotation: RotationType
     components: tuple[JetFn, JetFn, JetFn]
     domain: tuple[float, float]
+    columns: bool = False
     _memo: dict[float, tuple[Jet2, Jet2, Jet2]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -123,12 +138,16 @@ class GeneratingCurve:
         """The three component jets at u, evaluated once per distinct u; a
         miss reads ``components`` afresh, so swapped-in components see it.
 
-        At an ndarray of u values each one is looked up as a Python float,
-        and every Jet2 field comes back as an array shaped like u.
+        At an ndarray of u values every Jet2 field comes back as an array
+        shaped like u: from one call per component when the curve takes
+        ``columns``, unmemoized, and else from a Python-float lookup per u.
         """
         try:
             hit = self._memo.get(u)
         except TypeError:  # an ndarray is unhashable
+            if self.columns:
+                c1, c2, c3 = self.components
+                return c1(u), c2(u), c3(u)
             rows = np.array([self.jets(t) for t in u.ravel().tolist()])
             return tuple(Jet2(*(rows[:, c, k].reshape(u.shape) for k in range(3)))
                          for c in range(3))
@@ -138,7 +157,8 @@ class GeneratingCurve:
         return hit
 
     def arclength_residual(self, u: float) -> float:
-        """|type-appropriate arc-length expression - 1| at u."""
+        """|type-appropriate arc-length expression - 1| at u (at each u of
+        a column)."""
         return abs(SPECS[self.rotation].arclength(*self.jets(u)) - 1.0)
 
     def twist(self, u: float) -> float:
@@ -148,19 +168,22 @@ class GeneratingCurve:
         return SPECS[self.rotation].twist(*self.jets(u))
 
 
-def _sample_points(domain: tuple[float, float], n: int = 33) -> list[float]:
+def check_samples(domain: tuple[float, float]) -> np.ndarray:
+    """The (201, 1) u column lo + (hi - lo) k / 200, k = 0..200, of the
+    arc-length and degeneracy checks; build_surface checks its interior
+    subset k = 3, 9, ..., 195."""
     lo, hi = domain
-    return [lo + (hi - lo) * (k + 0.5) / n for k in range(n)]
+    return np.array([lo + (hi - lo) * k / 200 for k in range(201)])[:, None]
 
 
 def _check_radius(r: Jet2, u: float) -> None:
-    if not r.val > 0.0:
-        raise InvariantViolationError(f"r(u)={r.val!r} <= 0 at u={u!r}")
+    raise_at(negate(r.val > 0.0), InvariantViolationError,
+             "r(u)={!r} <= 0 at u={!r}", r.val, u)
 
 
 def _check_ff(f: Jet2, u: float) -> None:
-    if f.val == 0.0 or f.d1 == 0.0:
-        raise InvariantViolationError(f"f*f' vanishes at u={u!r}")
+    raise_at((f.val == 0.0) | (f.d1 == 0.0), InvariantViolationError,
+             "f*f' vanishes at u={!r}", u)
 
 
 # --- patch constructors ------------------------------------------------------
@@ -172,25 +195,25 @@ def build_surface(curve: GeneratingCurve,
 
     With ``check``, the arc-length invariant and the profile conditions of
     the curve's spec (r > 0 or f f' != 0, and the hyperbolic case's sign of
-    (r')^2 - 1) are validated on a sample grid before the spec's patch
-    formula is assembled from the curve jets.  ``v_window`` defaults to the
-    spec's window: [0, 2 pi] elliptic, [-2, 2] otherwise.
+    (r')^2 - 1) are validated at 33 of the ``check_samples``, one u column,
+    before the spec's patch formula is assembled from the curve jets.  The
+    conditions are checked in that order, each naming its first offending
+    u.  ``v_window`` defaults to the spec's window: [0, 2 pi] elliptic,
+    [-2, 2] otherwise.
     """
     spec = SPECS[curve.rotation]
     if check:
-        samples = _sample_points(curve.domain)
-        for u in samples:
-            res = curve.arclength_residual(u)
-            if not res <= ARC_TOL:
-                raise InvariantViolationError(
-                    f"arc-length residual {res!r} at u={u!r} exceeds {ARC_TOL}")
-        for u in samples:
-            p = curve.jets(u)[spec.profile_slot]
-            spec.check_profile(p, u)
+        us = check_samples(curve.domain)[3::6]
+        jets = curve.jets(us)
+        res = abs(spec.arclength(*jets) - 1.0)
+        raise_at(negate(res <= ARC_TOL), InvariantViolationError,
+                 f"arc-length residual {{!r}} at u={{!r}} exceeds {ARC_TOL}", res, us)
+        p = jets[spec.profile_slot]
+        spec.check_profile(p, us)
+        if spec.case_sign:
             m = p.d1 * p.d1 - 1.0
-            if spec.case_sign and slope_sign(m, u) != spec.case_sign:
-                raise InvariantViolationError(
-                    f"(r')^2 - 1 = {m!r} contradicts {curve.rotation} at u={u!r}")
+            raise_at(slope_sign(m, us) != spec.case_sign, InvariantViolationError,
+                     f"(r')^2 - 1 = {{!r}} contradicts {curve.rotation} at u={{!r}}", m, us)
     return SurfacePatch(spec.patch_jets(curve.jets), curve.domain,
                         v_window or spec.v_window, label=curve.rotation.value,
                         position=partial(_patch_position, spec.position, curve.jets))
@@ -319,7 +342,9 @@ def h2_closed(curve: GeneratingCurve, u: float) -> float:
     with the profile r (f for parabolic curves), the spec's sign s and the
     curve's twist tau (see GeneratingCurve.twist).  Raises
     InvariantViolationError where the profile condition fails (r <= 0, or
-    f f' = 0) and NearNullSlopeError inside the hyperbolic slope band.
+    f f' = 0) and NearNullSlopeError inside the hyperbolic slope band.  At
+    a u column it returns the column of values, and an error names the
+    first offending u.
     """
     spec = SPECS[curve.rotation]
     jets = curve.jets(u)
@@ -330,7 +355,7 @@ def h2_closed(curve: GeneratingCurve, u: float) -> float:
         slope_sign(k, u)
     tau = spec.twist(*jets)
     q = r.val * r.d2 + k
-    return (r.val**2 * tau**2 - q * q) / (4.0 * r.val**2 * k)
+    return (square(r.val) * square(tau) - q * q) / (4.0 * square(r.val) * k)
 
 
 # --- turning equations and slopes ---------------------------------------------
@@ -485,11 +510,11 @@ def hyperplane_degeneracy(curve: GeneratingCurve) -> DegeneracyReport:
     """Detect whether the rotated surface stays inside a hyperplane.
 
     The test quantity is the type-appropriate twist (see
-    GeneratingCurve.twist); when it stays within 1e-9 on 201 samples of
-    the domain the normal n1 is constant and the surface lies in
-    span{X, Y, n2}.
+    GeneratingCurve.twist); when it stays within 1e-9 on the 201
+    ``check_samples`` of the domain the normal n1 is constant and the
+    surface lies in span{X, Y, n2}.
     """
-    max_twist = max(abs(curve.twist(u)) for u in _sample_points(curve.domain, 201))
+    max_twist = max(abs(curve.twist(check_samples(curve.domain))).ravel().tolist())
     degenerate = max_twist <= 1e-9
     return DegeneracyReport(
         degenerate=degenerate,
@@ -594,7 +619,8 @@ def _hyperbolic_spec(case_sign: int, t1, t2) -> RotationSpec:
         slope_jets=partial(_trig_slope_jets, -1.0, sw, t1, t2),
         position=_hyperbolic_position, patch_jets=_hyperbolic_jets,
         check_profile=_check_radius, v_window=(-2.0, 2.0),
-        arclength=lambda a, b, c: a.d1**2 + b.d1**2 - c.d1**2,  # (r')^2+(x2')^2-(x4')^2
+        # (r')^2 + (x2')^2 - (x4')^2
+        arclength=lambda a, b, c: square(a.d1) + square(b.d1) - square(c.d1),
         twist=lambda a, b, c: b.d1 * c.d2 - b.d2 * c.d1,
         special_profile="sqrt(u^2+2*a*u+b)",  # r r'' + (r')^2 - 1 = 0
         special_h_sign=case_sign, special_phi=partial(_special_phi_hyperbolic,
@@ -612,7 +638,8 @@ SPECS: dict[RotationType, RotationSpec] = {
         slope_jets=partial(_trig_slope_jets, 1.0, 1.0, math.cos, math.sin),
         position=_elliptic_position, patch_jets=_elliptic_jets,
         check_profile=_check_radius, v_window=(0.0, 2.0 * math.pi),
-        arclength=lambda a, b, c: a.d1**2 + b.d1**2 - c.d1**2,  # (x1')^2+(x2')^2-(r')^2
+        # (x1')^2 + (x2')^2 - (r')^2
+        arclength=lambda a, b, c: square(a.d1) + square(b.d1) - square(c.d1),
         twist=lambda a, b, c: a.d1 * b.d2 - a.d2 * b.d1,
         special_profile="sqrt(-u^2+2*a*u+b)",  # r r'' + (r')^2 + 1 = 0
         special_h_sign=1, special_phi=_special_phi_elliptic),
@@ -624,7 +651,7 @@ SPECS: dict[RotationType, RotationSpec] = {
         slope_jets=_parabolic_slope_jets,
         position=_parabolic_position, patch_jets=_parabolic_jets,
         check_profile=_check_ff, v_window=(-2.0, 2.0),
-        arclength=lambda a, b, c: a.d1**2 - 2.0 * b.d1 * c.d1,  # (x1')^2 - 2 f' g'
+        arclength=lambda a, b, c: square(a.d1) - 2.0 * b.d1 * c.d1,  # (x1')^2 - 2 f' g'
         twist=lambda a, b, c: a.d2 * b.d1 - a.d1 * b.d2,
         special_profile="sqrt(2*a*u+b)",  # f f'' + (f')^2 = 0
         special_h_sign=1, special_phi=_special_phi_parabolic),

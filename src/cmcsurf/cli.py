@@ -17,6 +17,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -59,6 +60,8 @@ def _interval(text: str) -> tuple[float, float]:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"bad interval {text!r}, expected a:b") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise _CliError(f"interval {text!r} has a bound that is not finite")
     if not hi > lo:
         raise argparse.ArgumentTypeError(f"empty interval {text!r}")
     return lo, hi
@@ -369,10 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, inside the try
         return code

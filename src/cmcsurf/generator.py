@@ -37,6 +37,7 @@ those equations, the profile memo and the feasibility scan.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .builders import SPECS, GeneratingCurve, JetFn, RotationType, slope_sign
@@ -63,7 +64,8 @@ class CmcParams:
     is the base point of all quadratures (interval left endpoint when
     None); ``phi0`` is the phi integration constant, which doubles as the
     parabolic constant A; ``c1``/``c2`` shift the two coordinate
-    integrals.  The constants only translate/rotate the curve.
+    integrals.  The constants only translate/rotate the curve.  A C, u0,
+    phi0, c1 or c2 that is not finite raises ValueError, as C = 0 does.
     """
 
     C: float
@@ -75,6 +77,10 @@ class CmcParams:
     c2: float = 0.0
 
     def __post_init__(self):
+        values = (self.C, self.phi0, self.c1, self.c2,
+                  0.0 if self.u0 is None else self.u0)
+        if not all(map(math.isfinite, values)):
+            raise ValueError("C, u0, phi0, c1 and c2 must be finite")
         if self.C == 0.0:
             raise ValueError("C must be nonzero")
         if self.h_sign not in (-1, 1) or self.eta not in (-1, 1):

@@ -94,6 +94,18 @@ GRID_MATH = SimpleNamespace(cos=_entrywise(math.cos), sin=_entrywise(math.sin),
                             sqrt=np.sqrt)
 
 
+_square_entries = _entrywise(lambda t: t**2)
+
+
+def square(x):
+    """x**2 as Python computes it at a float, where it calls libm's pow:
+    that misses the correctly rounded x*x, which numpy's x**2 gives, in the
+    last bit for about one argument in 1000.  On a grid, entry by entry."""
+    if isinstance(x, np.ndarray):
+        return _square_entries(x)
+    return x**2
+
+
 def libm(x):
     """``math`` for a float x, GRID_MATH for a grid x: ``libm(v).cos(v)``
     gives the same value at every grid entry as ``math.cos`` at its point."""

@@ -12,7 +12,9 @@ data.  Reconstruction uses piecewise quintic Hermite interpolation that
 matches value and both stored derivatives at every sample, so a re-read
 curve reproduces validation results to the sampling resolution.  Each
 spline is a ``quadrature.PiecewiseLegendre``, the evaluator of generated
-curves, so neither kind of curve extrapolates.
+curves, so neither kind of curve extrapolates.  A reloaded curve's
+components take a float u or a u column, so validation evaluates it a
+column at a time (``GeneratingCurve.columns``).
 
 OBJ export projects the 4-coordinate samples to three viewing axes; the
 projection is recorded in a comment and carries no geometric claim.
@@ -109,9 +111,11 @@ def curve_from_samples(rotation: RotationType, us: Sequence[float],
 
     Each component becomes a quintic Hermite spline matching value and
     both derivatives at every sample; the jets of the rebuilt curve come
-    from the spline and its analytic derivatives (no differencing).
-    Raises ValueError unless ``us`` is finite and strictly increasing and
-    every jet is finite.
+    from the spline and its analytic derivatives (no differencing).  The
+    components take a float u, or an ndarray of u and return a Jet2 of
+    arrays of its shape, so the curve takes ``columns``.  Raises
+    ValueError unless ``us`` is finite and strictly increasing and every
+    jet is finite.
     """
     us = np.asarray(us, dtype=float)
     if not (len(us) >= 2 and np.all(np.diff(us) > 0.0)
@@ -123,11 +127,12 @@ def curve_from_samples(rotation: RotationType, us: Sequence[float],
         d1 = poly.derivative()
         d2 = d1.derivative()
 
-        def jet_fn(u: float, p=poly, q=d1, s=d2) -> Jet2:
+        def jet_fn(u, p=poly, q=d1, s=d2) -> Jet2:
             return Jet2(p(u), q(u), s(u))
 
         components.append(jet_fn)
-    return GeneratingCurve(rotation, tuple(components), (float(us[0]), float(us[-1])))
+    return GeneratingCurve(rotation, tuple(components), (float(us[0]), float(us[-1])),
+                           columns=True)
 
 
 def load_curve(path: str) -> GeneratingCurve:

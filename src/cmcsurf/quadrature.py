@@ -14,7 +14,12 @@ machine precision rather than to the global tolerance.
 
 ``PiecewiseLegendre`` is that per-panel form (de Boor's pp-form in a
 Legendre basis); ``CumulativeIntegral`` builds it from an integrand, and
-``PiecewiseLegendre.hermite`` from the sampled jets of a curve CSV.
+``PiecewiseLegendre.hermite`` from the sampled jets of a curve CSV.  A
+``PiecewiseLegendre`` answers a float u with one Clenshaw sum on Python
+floats, or a whole ndarray of u with one Clenshaw sweep over numpy arrays
+that repeats the float sum's operations entry by entry, so both give the
+same value bit for bit.  ``CumulativeIntegral`` memoizes its queries per
+float u and takes floats only.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import QuadratureError
+from .geometry import raise_at
 
 _legendre = np.polynomial.legendre
 _GL_X, _GL_W = _legendre.leggauss(15)
@@ -36,9 +42,9 @@ _GL_WEIGHTS = tuple(float(w) for w in _GL_W)
 #: coefficients of their degree-14 interpolant: c_j = (2j+1)/2 sum_k w_k
 #: P_j(x_k) f_k, exact because the rule integrates P_j P_i (degree <= 28).
 _TO_LEGENDRE = _legendre.legvander(_GL_X, 14) * _GL_W[:, None] * (np.arange(15) + 0.5)
-#: (index, (n-1)/n, (2n-1)/n) of each Clenshaw step over 16 coefficients.
-_CLENSHAW = tuple((-i, (n - 1) / n, (2 * n - 1) / n)
-                  for i, n in zip(range(3, 17), range(15, 1, -1)))
+#: (j, (n-1)/n, (2n-1)/n) with n = j + 2 of each Clenshaw step, from j = 13
+#: down to 0; a sum over L coefficients runs the last L - 2 of them.
+_CLENSHAW = tuple((j, (j + 1) / (j + 2), (2 * j + 3) / (j + 2)) for j in range(13, -1, -1))
 #: Inverse of (P_j, P_j', P_j'') at x = -1, then +1 (j <= 5): maps a panel's end
 #: jets in the local coordinate to the coefficients of its quintic Hermite form.
 _FROM_END_JETS = np.linalg.inv(np.vstack([
@@ -81,28 +87,38 @@ def gauss15(f: Callable[[float], float], a: float, b: float) -> float:
     return total * half
 
 
-def _legval(x: float, c: list[float]) -> float:
-    """sum_j c[j] P_j(x) for 16 coefficients, by Clenshaw's recurrence
-    (the steps of numpy's legval); the leading zeros that pad each
-    ``PiecewiseLegendre`` panel to 16 leave the sum bit-equal."""
+def _legval(x, c, steps):
+    """sum_j c[j] P_j(x) by Clenshaw's recurrence (the steps of numpy's
+    legval), for ``steps`` the last len(c) - 2 entries of ``_CLENSHAW``.
+    ``x`` and the entries of ``c`` are floats, or arrays of one shape: the
+    same operations in the same order give each entry the float's value."""
     c0, c1 = c[-2], c[-1]
-    for k, a, b in _CLENSHAW:
+    for k, a, b in steps:
         c0, c1 = c[k] - c1 * a, c0 + c1 * x * b
     return c0 + c1 * x
 
 
 class PiecewiseLegendre:
     """offsets[i] + sum_j coefs[i][j] P_j(x) on panel i between ``nodes``,
-    with x in [-1, 1] the local coordinate of u.  Everything is kept as
-    Python floats (a query at a float returns a float), coefficients
-    zero-padded to 16.  A u outside [a, b] by more than 1e-12 (1 + |a| +
-    |b|) raises ValueError; one within that pad is clamped."""
+    with x in [-1, 1] the local coordinate of u, for coefficients up to
+    degree 15.  A query takes a float u and returns a float, or takes an
+    ndarray of u and returns an array of that shape whose every entry is
+    the float query's value at it, bit for bit.  A float query runs on
+    Python floats (the coefficient rows become lists at the first one); an
+    array query gathers each u's panel from ndarrays.  Both run the same
+    Clenshaw steps, from the panels' own degree.  A u outside [a, b] by
+    more than 1e-12 (1 + |a| + |b|) raises ValueError naming it (the first
+    such u of an array); one within that pad is clamped."""
 
     def __init__(self, nodes, offsets, coefs):
-        self._nodes = [float(u) for u in nodes]
+        self._knots = np.asarray(nodes, dtype=float)
+        self._shifts = np.asarray(offsets, dtype=float)
+        self._coefs = np.asarray(coefs, dtype=float)
+        self._nodes, self._offsets = self._knots.tolist(), self._shifts.tolist()
         self.a, self.b = self._nodes[0], self._nodes[-1]
-        self._offsets = [float(c) for c in offsets]
-        self._coefs = np.pad(coefs, ((0, 0), (0, 16 - np.shape(coefs)[1]))).tolist()
+        self._pad = 1e-12 * (1.0 + abs(self.a) + abs(self.b))
+        self._steps = _CLENSHAW[16 - self._coefs.shape[1]:]
+        self._rows = None  # _coefs as lists, made by the first float query
 
     @staticmethod
     def hermite(us, jets) -> PiecewiseLegendre:
@@ -115,14 +131,18 @@ class PiecewiseLegendre:
         return PiecewiseLegendre(us, np.zeros(len(us) - 1), ends @ _FROM_END_JETS.T)
 
     def derivative(self) -> PiecewiseLegendre:
-        halves = 0.5 * np.diff(self._nodes)[:, None]
-        return PiecewiseLegendre(self._nodes, [0.0] * len(self._offsets),
+        halves = 0.5 * np.diff(self._knots)[:, None]
+        return PiecewiseLegendre(self._knots, np.zeros(len(self._offsets)),
                                  _legendre.legder(self._coefs, axis=1) / halves)
 
-    def __call__(self, u: float) -> float:
-        pad = 1e-12 * (1.0 + abs(self.a) + abs(self.b))
-        if u < self.a - pad or u > self.b + pad:
+    def __call__(self, u):
+        if isinstance(u, np.ndarray):
+            return self._column(u)
+        if u < self.a - self._pad or u > self.b + self._pad:
             raise ValueError(f"u={u!r} outside the domain [{self.a!r}, {self.b!r}]")
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = self._coefs.tolist()
         uu = min(max(u, self.a), self.b)
         i = bisect.bisect_right(self._nodes, uu) - 1
         i = min(max(i, 0), len(self._offsets) - 1)
@@ -130,7 +150,19 @@ class PiecewiseLegendre:
         # from lo, not from the rounded midpoint: its error times f would be
         # an offset of about ulp(u) * |f| in the value
         x = (uu - lo) / (0.5 * (hi - lo)) - 1.0
-        return self._offsets[i] + _legval(x, self._coefs[i])
+        return self._offsets[i] + _legval(x, rows[i], self._steps)
+
+    def _column(self, u: np.ndarray) -> np.ndarray:
+        """The float query's operations on every entry of u at once."""
+        raise_at((u < self.a - self._pad) | (u > self.b + self._pad), ValueError,
+                 "u={!r} outside the domain [{!r}, {!r}]", u, self.a, self.b)
+        uu = np.minimum(np.maximum(u.ravel(), self.a), self.b)
+        i = np.searchsorted(self._knots, uu, side="right") - 1
+        i = np.minimum(np.maximum(i, 0), len(self._offsets) - 1)
+        lo, hi = self._knots[i], self._knots[i + 1]
+        x = (uu - lo) / (0.5 * (hi - lo)) - 1.0
+        value = self._shifts[i] + _legval(x, self._coefs[i].T, self._steps)
+        return value.reshape(u.shape)
 
 
 class CumulativeIntegral(PiecewiseLegendre):
@@ -145,9 +177,10 @@ class CumulativeIntegral(PiecewiseLegendre):
     its left end.  A query is a ``PiecewiseLegendre`` query and calls f
     zero times, so differences of F at nearby points (finite-difference
     stencils) are accurate far beyond the global tolerance.  Queries are
-    memoized per instance.  Raises QuadratureError when a panel at
-    MAX_DEPTH still fails, when a level would sample more than MAX_PANELS
-    panels, or when f is not finite at a node.
+    memoized per instance and take floats only.  Raises QuadratureError
+    when a panel at MAX_DEPTH still fails, when a level would sample more
+    than MAX_PANELS panels, or when f is not finite at a node or raises
+    OverflowError there.
     """
 
     def __init__(self, f: Callable[[float], float], a: float, b: float,
@@ -166,7 +199,10 @@ class CumulativeIntegral(PiecewiseLegendre):
         pending, scale, depth = [(a, b)], 0.0, 0
         while pending:
             samples.clear()
-            sums = [gauss15(sampled, lo, hi) for lo, hi in pending]
+            try:
+                sums = [gauss15(sampled, lo, hi) for lo, hi in pending]
+            except OverflowError as exc:  # math.sinh and friends raise, not return inf
+                raise QuadratureError(f"integrand overflows on [{a!r}, {b!r}]") from exc
             # a whole level at once: numpy per panel costs more than the sampling
             values = np.reshape(samples, (len(pending), 15))
             if not np.isfinite(values).all():

@@ -300,8 +300,9 @@ def fd_patch(
     result an oracle independent of any analytic jet assembly.  Stencils
     reaching outside ``u_domain`` x ``v_domain`` raise
     StencilOutOfDomainError; the returned patch domain is shrunk by h.
-    On a grid the stencil samples ``position`` at three u columns and three
-    v rows, nine grid calls in all.
+    At a float (u, v) the stencil makes nine ``position`` calls.  On a
+    grid it makes one, at the stacked column (u - h, u, u + h) and row
+    (v - h, v, v + h), and slices the nine stencil grids from it.
     """
     if not h > 0.0:
         raise ValueError("h must be positive")
@@ -314,15 +315,18 @@ def fd_patch(
         if outside is not False:
             raise_at(outside, StencilOutOfDomainError,
                      "stencil around ({!r}, {!r}) with h={!r} leaves the domain", u, v, h)
-        c = position(u, v)
-        pu = position(u + h, v)
-        mu = position(u - h, v)
-        pv = position(u, v + h)
-        mv = position(u, v - h)
-        pp = position(u + h, v + h)
-        pm = position(u + h, v - h)
-        mp = position(u - h, v + h)
-        mm = position(u - h, v - h)
+        if is_grid(u) and is_grid(v):
+            c, pu, mu, pv, mv, pp, pm, mp, mm = _stencil_grid(position, u, v, h)
+        else:
+            c = position(u, v)
+            pu = position(u + h, v)
+            mu = position(u - h, v)
+            pv = position(u, v + h)
+            mv = position(u, v - h)
+            pp = position(u + h, v + h)
+            pm = position(u + h, v - h)
+            mp = position(u - h, v + h)
+            mm = position(u - h, v - h)
         require_finite(c, "stencil position")
         inv2h = 0.5 / h
         invh2 = 1.0 / (h * h)
@@ -341,6 +345,27 @@ def fd_patch(
         v_domain=(v_lo + h, v_hi - h),
         label="fd-oracle",
     )
+
+
+def _stencil_grid(position, u: np.ndarray, v: np.ndarray, h: float) -> list[Vec4]:
+    """The nine stencil grids of ``fd_patch`` in its order (c, pu, mu, pv,
+    mv, pp, pm, mp, mm), sliced from one ``position`` call at the stacked
+    (3 nu, 1) column (u - h, u, u + h) and (1, 3 nv) row (v - h, v, v + h):
+    each entry comes from the same shifted u and v as a call per grid."""
+    nu, nv = u.shape[0], v.shape[1]
+    stacked = position(np.concatenate([u - h, u, u + h]),
+                       np.concatenate([v - h, v, v + h], axis=1))
+
+    def block(x, i: int, j: int):  # i, j = 0, 1, 2 for -h, 0, +h
+        if not np.ndim(x):
+            return x
+        rows = slice(None) if x.shape[0] == 1 else slice(i * nu, (i + 1) * nu)
+        cols = slice(None) if x.shape[1] == 1 else slice(j * nv, (j + 1) * nv)
+        return x[rows, cols]
+
+    return [Vec4(*(block(x, i, j) for x in stacked))
+            for i, j in ((1, 1), (2, 1), (0, 1), (1, 2), (1, 0),
+                         (2, 2), (2, 0), (0, 2), (0, 0))]
 
 
 def fd_oracle(patch: SurfacePatch, h: float = FD_STEP) -> SurfacePatch:

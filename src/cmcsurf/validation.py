@@ -10,7 +10,10 @@ bit-identical reports.
 The grid checks (check_cmc, check_frames, closed_vs_oracle) call the
 surface functions once per grid, on the broadcast (u, v) arrays of
 ``GridSpec.mesh`` (see ``surfaces``), and give the values of a loop over u
-and then v bit for bit.  A point is never silently dropped from a maximum:
+and then v bit for bit; check_arclength, h2_closed and the checks of
+build_surface and hyperplane_degeneracy take one u column each.  So a
+reloaded curve, whose splines take columns, is evaluated in eight column
+calls per validate_surface.  A point is never silently dropped from a maximum:
 it is flagged with its reason instead.  Each check lists its flagged points
 in u-major order, and a report lists those of the CMC check, then those of
 the closed-form check (each (u, v, reason) once), then those of the frames:
@@ -42,6 +45,7 @@ from .builders import (
     GeneratingCurve,
     RotationType,
     build_surface,
+    check_samples,
     h2_closed,
     hyperplane_degeneracy,
 )
@@ -180,9 +184,9 @@ def check_cmc(patch: SurfacePatch, target_h2: float, grid: GridSpec,
 
 
 def check_arclength(curve: GeneratingCurve) -> float:
-    """Max |arc-length expression - 1| over 201 uniform samples of the domain."""
-    lo, hi = curve.domain
-    return max(curve.arclength_residual(lo + (hi - lo) * k / 200) for k in range(201))
+    """Max |arc-length expression - 1| over the 201 uniform ``check_samples``
+    of the domain, evaluated as one u column."""
+    return max(curve.arclength_residual(check_samples(curve.domain)).ravel().tolist())
 
 
 def frame_residual(frame: Frame) -> float:
@@ -214,7 +218,7 @@ def closed_vs_oracle(curve: GeneratingCurve, patch: SurfacePatch, grid: GridSpec
     grid of mean_curvature(patch, ...).h2 when the caller already has it."""
     if kernel_h2 is None:
         kernel_h2 = mean_curvature(patch, *grid.mesh()).h2
-    closed = np.array([h2_closed(curve, u) for u in grid.u_values()])[:, None]
+    closed = h2_closed(curve, grid.mesh()[0])
     scale = 1.0 + np.maximum(np.abs(closed), np.abs(kernel_h2))
     finite = np.isfinite(closed) & np.isfinite(kernel_h2)
     return (_finite_max(np.where(finite, np.abs(closed - kernel_h2) / scale, np.nan)),

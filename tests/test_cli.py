@@ -225,6 +225,34 @@ def test_bad_flags_exit_2(tmp_path, capsys):
 ELLIPTIC_2 = ["--type", "elliptic", "--profile", "2", "--interval", "0:1"]
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("curve", ["--C", "0"]), ("curve", ["--C", "nan"]), ("curve", ["--C", "inf"]),
+    ("curve", ["--phi0", "nan"]), ("curve", ["--c1", "inf"]), ("curve", ["--c2=-inf"]),
+    ("curve", ["--u0", "nan"]), ("curve", ["--interval=0:inf"]),
+    ("curve", ["--interval=nan:1"]), ("validate", ["--interval=0:inf"]),
+    ("validate", ["--C", "nan"]), ("special", ["--C", "nan"]), ("special", ["--C", "inf"]),
+], ids=lambda x: x if isinstance(x, str) else "".join(x).lstrip("-"))
+def test_zero_or_non_finite_input_is_usage_error(command, flags, tmp_path, capsys):
+    argv = {"curve": ["curve", *ELLIPTIC_2, "--out", str(tmp_path / "x.csv")],
+            "validate": ["validate", *ELLIPTIC_2, "--grid", "5x5"],
+            "special": ["special", "--type", "elliptic", "--a", "1", "--b", "0",
+                        "--interval", "0.3:1.7"]}[command]
+    code, _, err = run([*argv, *flags], capsys)
+    assert code == 2
+    assert "ERROR[usage]" in err and "Traceback" not in err
+
+
+def test_overflowing_slope_is_a_quadrature_failure(capsys):
+    # cosh(phi) of the hyperbolic-B slopes overflows inside the quadrature
+    code, _, err = run(["validate", "--type", "hyperbolicB", "--profile",
+                        "(((u)/(1.212+(0.836)^2))/(0.806+(sin(-1.047*u+-0.711))^2))^3",
+                        "--interval=-0.19609421772404723:0.8173533501804369",
+                        "--C", "0.05", "--hsign", "-1", "--eta", "-1", "--grid", "11x11"],
+                       capsys)
+    assert code == 2
+    assert "ERROR[quadrature-failure]" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["curve", *ELLIPTIC_2, "--rel-tol", "0", "--out", "{tmp}/x.csv"],
     ["curve", *ELLIPTIC_2, "--samples", "1", "--out", "{tmp}/x.csv"],

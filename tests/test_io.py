@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from cmcsurf.profiles import ProfileFunction
 from cmcsurf.quadrature import QuadratureConfig
 from cmcsurf.validation import check_cmc, shrunk_grid, validate_surface
 
-from analytic_curves import counted, elliptic_circle, hyperbolic_linear_a
+from analytic_curves import ALL_CURVES, elliptic_circle, hyperbolic_linear_a
 
 CONFIG = QuadratureConfig()
 
@@ -73,14 +74,35 @@ def test_rebuilt_curve_reproduces_validation(tmp_path):
     assert report.max_closed_vs_oracle <= 1e-6
 
 
-def test_reloaded_curve_evaluates_each_spline_once_per_u(tmp_path):
+def test_reloaded_curve_is_evaluated_a_column_at_a_time(tmp_path):
     path = tmp_path / "circle.csv"
     write_curve_csv(str(path), elliptic_circle(2.0), samples=101)
     curve = load_curve(str(path))
-    components, counters = counted(curve.components)
-    object.__setattr__(curve, "components", components)
+    kinds, calls = set(), [0, 0, 0]
+
+    def watched(k, component):
+        def call(u):
+            kinds.add(type(u))
+            calls[k] += 1
+            return component(u)
+        return call
+
+    object.__setattr__(curve, "components",
+                       tuple(watched(k, c) for k, c in enumerate(curve.components)))
     validate_surface(curve, 0.0, "reloaded", nu=9, nv=7)
-    assert all(counter and max(counter.values()) == 1 for counter in counters)
+    assert kinds == {np.ndarray}
+    assert all(0 < n <= 8 for n in calls), calls
+
+
+@pytest.mark.parametrize("name,curve", ALL_CURVES, ids=[n for n, _ in ALL_CURVES])
+def test_column_calls_give_the_float_calls_report(name, curve, tmp_path):
+    path = tmp_path / "curve.csv"
+    write_curve_csv(str(path), curve, samples=201)
+    columns = load_curve(str(path))
+    floats = replace(columns, columns=False)
+    reports = [validate_surface(c, 0.0, name, nu=41, nv=41).to_json()
+               for c in (columns, floats)]
+    assert reports[0] == reports[1]
 
 
 def test_rebuilt_hyperbolic_case_b(tmp_path):

@@ -2,13 +2,14 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 from cmcsurf.builders import RotationType
 from cmcsurf.errors import QuadratureError
 from cmcsurf.generator import CmcParams, domain_validity, generate
 from cmcsurf.profiles import ProfileFunction
-from cmcsurf.quadrature import CumulativeIntegral, QuadratureConfig, gauss15
+from cmcsurf.quadrature import CumulativeIntegral, PiecewiseLegendre, QuadratureConfig, gauss15
 from cmcsurf.validation import generation_plan
 
 
@@ -136,6 +137,59 @@ def test_tolerance_below_the_floor_is_clamped():
 def test_non_finite_integrand_raises():
     with pytest.raises(QuadratureError):
         CumulativeIntegral(lambda x: math.nan, 0.0, 1.0)
+
+
+def test_overflowing_integrand_raises_quadrature_error():
+    with pytest.raises(QuadratureError, match="overflows"):
+        CumulativeIntegral(lambda x: math.sinh(1e3 * x), 0.0, 1.0)
+
+
+#: (f, f', f'', domain): cos on [0, 3], sqrt(1 - x) on [0, 1] and
+#: exp(sin 5x) on [-1, 4]
+FUNCTIONS = {
+    "cos": (math.cos, lambda x: -math.sin(x), lambda x: -math.cos(x), (0.0, 3.0)),
+    "sqrt": (lambda x: math.sqrt(1.0 - x), lambda x: -0.5 / math.sqrt(1.0 - x),
+             lambda x: -0.25 / (1.0 - x) ** 1.5, (0.0, 1.0)),
+    "exp-sin": (lambda x: math.exp(math.sin(5.0 * x)),
+                lambda x: 5.0 * math.cos(5.0 * x) * math.exp(math.sin(5.0 * x)),
+                lambda x: 25.0 * (math.cos(5.0 * x) ** 2 - math.sin(5.0 * x))
+                * math.exp(math.sin(5.0 * x)), (-1.0, 4.0)),
+}
+
+
+def piecewise_legendre_forms(name):
+    """The CumulativeIntegral of f, and the quintic Hermite interpolant of f
+    with its two derivatives; the Hermite samples stop short of x = 1,
+    where sqrt(1 - x) has no finite derivative."""
+    f, d1, d2, (a, b) = FUNCTIONS[name]
+    us = np.linspace(a, 0.999 if name == "sqrt" else b, 97)
+    hermite = PiecewiseLegendre.hermite(us, [[f(u), d1(u), d2(u)] for u in us])
+    return [CumulativeIntegral(f, a, b), hermite, hermite.derivative(),
+            hermite.derivative().derivative()]
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_array_query_equals_the_float_query_bit_for_bit(name):
+    rng = np.random.default_rng(20)
+    for poly in piecewise_legendre_forms(name):
+        a, b = poly.a, poly.b
+        pad = 1e-12 * (1.0 + abs(a) + abs(b))
+        us = np.concatenate([
+            rng.uniform(a, b, 20_000), poly._nodes,
+            [a, b, a - 0.5 * pad, b + 0.5 * pad, a - pad, b + pad, np.nextafter(a, b)]])
+        floats = [PiecewiseLegendre.__call__(poly, u) for u in us.tolist()]
+        column = PiecewiseLegendre.__call__(poly, us[:, None])
+        assert column.shape == (len(us), 1)
+        assert column.ravel().tolist() == floats
+        grid = PiecewiseLegendre.__call__(poly, us[:100].reshape(10, 10))
+        assert grid.ravel().tolist() == floats[:100]
+
+
+def test_array_query_names_the_first_u_outside_the_domain():
+    poly = piecewise_legendre_forms("cos")[1]
+    us = np.array([[0.5], [3.5], [-1.0], [2.0]])
+    with pytest.raises(ValueError, match=r"^u=3\.5 outside the domain \[0\.0, 3\.0\]$"):
+        poly(us)
 
 
 @pytest.mark.parametrize("rotation, text, interval, C", [
