@@ -60,7 +60,7 @@ from .errors import (
     NonpositiveProfileError,
     ZeroDerivativeProfileError,
 )
-from .geometry import Vec4, libm, negate, raise_at, square
+from .geometry import Vec4, libm, negate, raise_at, square, uniform
 from .profiles import Jet2
 from .surfaces import Frame, MeanCurvature, PatchJets, SurfacePatch
 
@@ -130,10 +130,6 @@ class GeneratingCurve:
     _memo: dict[float, tuple[Jet2, Jet2, Jet2]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def component_names(self) -> tuple[str, str, str]:
-        return SPECS[self.rotation].names
-
     def jets(self, u: float) -> tuple[Jet2, Jet2, Jet2]:
         """The three component jets at u, evaluated once per distinct u; a
         miss reads ``components`` afresh, so swapped-in components see it.
@@ -169,11 +165,10 @@ class GeneratingCurve:
 
 
 def check_samples(domain: tuple[float, float]) -> np.ndarray:
-    """The (201, 1) u column lo + (hi - lo) k / 200, k = 0..200, of the
-    arc-length and degeneracy checks; build_surface checks its interior
-    subset k = 3, 9, ..., 195."""
-    lo, hi = domain
-    return np.array([lo + (hi - lo) * k / 200 for k in range(201)])[:, None]
+    """The (201, 1) u column of the 201 ``uniform`` samples of the domain,
+    taken by the arc-length and degeneracy checks; build_surface checks
+    their interior subset k = 3, 9, ..., 195."""
+    return np.array(uniform(*domain, 201))[:, None]
 
 
 def _check_radius(r: Jet2, u: float) -> None:
@@ -189,31 +184,34 @@ def _check_ff(f: Jet2, u: float) -> None:
 # --- patch constructors ------------------------------------------------------
 
 def build_surface(curve: GeneratingCurve,
-                  v_window: tuple[float, float] | None = None,
-                  check: bool = True) -> SurfacePatch:
+                  v_window: tuple[float, float] | None = None) -> SurfacePatch:
     """Rotate the curve by the one-parameter group of its rotation type.
 
-    With ``check``, the arc-length invariant and the profile conditions of
-    the curve's spec (r > 0 or f f' != 0, and the hyperbolic case's sign of
-    (r')^2 - 1) are validated at 33 of the ``check_samples``, one u column,
-    before the spec's patch formula is assembled from the curve jets.  The
-    conditions are checked in that order, each naming its first offending
-    u.  ``v_window`` defaults to the spec's window: [0, 2 pi] elliptic,
-    [-2, 2] otherwise.
+    The curve is always checked first: the arc-length invariant and the
+    profile conditions of the curve's spec (r > 0 or f f' != 0, and the
+    hyperbolic case's sign of (r')^2 - 1) are validated at 33 of the
+    ``check_samples``, one u column, before the spec's patch formula is
+    assembled from the curve jets.  The conditions are checked in that
+    order, each naming its first offending u; an arc-length expression
+    that overflows the float range fails the invariant too.  ``v_window``
+    defaults to the spec's window: [0, 2 pi] elliptic, [-2, 2] otherwise.
     """
     spec = SPECS[curve.rotation]
-    if check:
-        us = check_samples(curve.domain)[3::6]
-        jets = curve.jets(us)
+    us = check_samples(curve.domain)[3::6]
+    jets = curve.jets(us)
+    try:
         res = abs(spec.arclength(*jets) - 1.0)
-        raise_at(negate(res <= ARC_TOL), InvariantViolationError,
-                 f"arc-length residual {{!r}} at u={{!r}} exceeds {ARC_TOL}", res, us)
-        p = jets[spec.profile_slot]
-        spec.check_profile(p, us)
-        if spec.case_sign:
-            m = p.d1 * p.d1 - 1.0
-            raise_at(slope_sign(m, us) != spec.case_sign, InvariantViolationError,
-                     f"(r')^2 - 1 = {{!r}} contradicts {curve.rotation} at u={{!r}}", m, us)
+    except OverflowError as exc:  # libm's pow, in ``square``, raises past ~1e154
+        raise InvariantViolationError(
+            f"arc-length expression overflows on {curve.domain!r}") from exc
+    raise_at(negate(res <= ARC_TOL), InvariantViolationError,
+             f"arc-length residual {{!r}} at u={{!r}} exceeds {ARC_TOL}", res, us)
+    p = jets[spec.profile_slot]
+    spec.check_profile(p, us)
+    if spec.case_sign:
+        m = p.d1 * p.d1 - 1.0
+        raise_at(slope_sign(m, us) != spec.case_sign, InvariantViolationError,
+                 f"(r')^2 - 1 = {{!r}} contradicts {curve.rotation} at u={{!r}}", m, us)
     return SurfacePatch(spec.patch_jets(curve.jets), curve.domain,
                         v_window or spec.v_window, label=curve.rotation.value,
                         position=partial(_patch_position, spec.position, curve.jets))

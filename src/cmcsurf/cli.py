@@ -9,6 +9,10 @@ Subcommands:
 * ``cmc oracle``   compare closed-form curvature against the kernel and
                    finite-difference pipelines for a curve (CSV or generated).
 
+Every curve command gets its curve from ``_load_or_generate``: reloaded
+from ``--csv`` where the command takes it, else generated from
+``--profile`` on the largest usable piece of ``--interval``.
+
 Exit codes: 0 success (validations passing), 1 validation failure,
 2 usage or domain errors.  Errors print as ``ERROR[<code>] message`` on
 stderr.
@@ -32,13 +36,13 @@ from .errors import (
     ZeroDerivativeProfileError,
 )
 from .generator import CmcParams, domain_validity, generate
+from .geometry import uniform
 from .profiles import ProfileFunction
 from .quadrature import QuadratureConfig
 from .validation import (
     Tolerances,
     closed_vs_oracle,
     compare_special_case,
-    generate_and_validate,
     generation_plan,
     shrunk_grid,
     validate_surface,
@@ -118,10 +122,13 @@ def _consts(pairs: list[str]) -> dict[str, float]:
     return out
 
 
-def _add_common(sub: argparse.ArgumentParser, *, profile_required: bool = True):
+def _add_common(sub: argparse.ArgumentParser, grid: tuple[int, int] | None = None):
+    """The flags of a curve command.  With a default ``grid`` the command
+    also samples a surface: it takes --csv, --grid and --v-window, and
+    --profile and --interval are needed only without --csv."""
     sub.add_argument("--type", required=True, choices=[t.value for t in RotationType],
                      help="rotation type")
-    sub.add_argument("--profile", required=profile_required,
+    sub.add_argument("--profile", required=grid is None,
                      help="profile expression r(u) or f(u)")
     sub.add_argument("--const", action="append", default=[],
                      metavar="NAME=VALUE", help="bind a named constant (repeatable)")
@@ -129,7 +136,7 @@ def _add_common(sub: argparse.ArgumentParser, *, profile_required: bool = True):
     sub.add_argument("--hsign", type=_sign, default=1,
                      help="sign of <H,H> (+1 or -1)")
     sub.add_argument("--eta", type=_sign, default=1, help="orientation of phi")
-    sub.add_argument("--interval", type=_interval, required=profile_required,
+    sub.add_argument("--interval", type=_interval, required=grid is None,
                      metavar="A:B")
     sub.add_argument("--u0", type=float, default=None,
                      help="quadrature base point (default: interval start)")
@@ -142,6 +149,12 @@ def _add_common(sub: argparse.ArgumentParser, *, profile_required: bool = True):
                      help="quadrature tolerance: a panel is bisected until its Legendre "
                           "tail, times its width, is below this times the interval "
                           "width times max|integrand| (default %(default)g, floor 1e-16)")
+    if grid is not None:
+        sub.add_argument("--csv", help="reload the curve from a curve CSV instead of "
+                                       "generating it")
+        sub.add_argument("--grid", type=_grid, default=grid, metavar="NUxNV")
+        sub.add_argument("--v-window", type=_interval, default=None,
+                         help="v range (default: the rotation type's window)")
 
 
 #: Flags that only generation reads.  With --csv a subcommand rejects each
@@ -163,52 +176,10 @@ def _params(args) -> CmcParams:
         raise _CliError(str(exc)) from exc
 
 
-def _profile(args) -> ProfileFunction:
-    if args.interval is None:
-        raise _CliError("need --interval when generating from --profile")
-    return ProfileFunction.from_text(args.profile, args.interval, _consts(args.const))
-
-
-def _config(args) -> QuadratureConfig:
-    return QuadratureConfig(rel_tol=args.rel_tol)
-
-
-def _diagnose_empty_validity(rotation, profile, params, config, interval):
-    """Distinguish structural errors (wrong case, null slope) from a
-    genuinely infeasible parameter choice: the former keep their own
-    error codes, the latter reports as empty validity."""
-    try:
-        generate(rotation, profile, params, config, interval)
-    except (NegativeRadicandError, NonpositiveProfileError,
-            ZeroDerivativeProfileError, InvariantViolationError,
-            EvalDomainError) as exc:
-        raise _EmptyValidityError(
-            f"the (h_sign, C) choice is infeasible on the interval ({exc})"
-        ) from exc
-    raise _EmptyValidityError(
-        "no usable subinterval inside the requested interval")
-
-
-def _generate_curve(args) -> GeneratingCurve:
-    rotation = RotationType(args.type)
-    profile = _profile(args)
-    params = _params(args)
-    config = _config(args)
-    plan = generation_plan(domain_validity(profile, params, args.interval, rotation), params)
-    if plan is None:
-        _diagnose_empty_validity(rotation, profile, params, config, args.interval)
-    interval, params = plan
-    return generate(rotation, profile, params, config, interval)
-
-
-def _cmd_curve(args) -> int:
-    curve = _generate_curve(args)
-    cio.write_curve_csv(args.out, curve, samples=args.samples)
-    print(f"wrote {args.out}")
-    return 0
-
-
 def _load_or_generate(args) -> GeneratingCurve:
+    """The curve of every curve command: reloaded from --csv, or generated
+    (scaled by --perturb-phi, where the command takes it) on the largest
+    usable piece of the validity scan of --interval."""
     if getattr(args, "csv", None):
         given = [dest for dest, default in args.csv_rejects.items()
                  if getattr(args, dest) != default]
@@ -226,16 +197,52 @@ def _load_or_generate(args) -> GeneratingCurve:
         return curve
     if not args.profile:
         raise _CliError("need --profile or --csv")
-    return _generate_curve(args)
+    if args.interval is None:
+        raise _CliError("need --interval when generating from --profile")
+    rotation = RotationType(args.type)
+    profile = ProfileFunction.from_text(args.profile, args.interval, _consts(args.const))
+    params = _params(args)
+    config = QuadratureConfig(rel_tol=args.rel_tol)
+    plan = generation_plan(domain_validity(profile, params, args.interval, rotation), params)
+    if plan is None:
+        # generating on the whole interval tells a structural error (wrong
+        # case, null slope), which keeps its own code, from an infeasible
+        # parameter choice, which reports as empty validity
+        try:
+            generate(rotation, profile, params, config, args.interval)
+        except (NegativeRadicandError, NonpositiveProfileError,
+                ZeroDerivativeProfileError, InvariantViolationError,
+                EvalDomainError) as exc:
+            raise _EmptyValidityError(
+                f"the (h_sign, C) choice is infeasible on the interval ({exc})") from exc
+        raise _EmptyValidityError("no usable subinterval inside the requested interval")
+    interval, params = plan
+    return generate(rotation, profile, params, config, interval,
+                    getattr(args, "perturb_phi", 1.0))
+
+
+def _print_report(report, path: str | None) -> None:
+    """The report's JSON, written to ``path`` (--report) or to stdout."""
+    text = report.to_json()
+    if path:
+        cio._atomic_write(path, text + "\n")
+        print(f"wrote {path}")
+    else:
+        print(text)
+
+
+def _cmd_curve(args) -> int:
+    curve = _load_or_generate(args)
+    cio.write_curve_csv(args.out, curve, samples=args.samples)
+    print(f"wrote {args.out}")
+    return 0
 
 
 def _cmd_surface(args) -> int:
     curve = _load_or_generate(args)
     patch = build_surface(curve, args.v_window)
     nu, nv = args.grid
-    (lo, hi), (v_lo, v_hi) = curve.domain, patch.v_domain
-    us = [lo + (hi - lo) * k / (nu - 1) for k in range(nu)]
-    vs = [v_lo + (v_hi - v_lo) * k / (nv - 1) for k in range(nv)]
+    us, vs = uniform(*curve.domain, nu), uniform(*patch.v_domain, nv)
     if args.out:
         cio.write_surface_csv(args.out, patch, us, vs)
         print(f"wrote {args.out}")
@@ -248,30 +255,13 @@ def _cmd_surface(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    rotation = RotationType(args.type)
     params = _params(args)
     tols = Tolerances(cmc_analytic=args.cmc_tol, cmc_fd=args.cmc_fd_tol)
-    nu, nv = args.grid
-    if getattr(args, "csv", None):
-        curve = _load_or_generate(args)
-        report = validate_surface(curve, params.target_h2, args.csv,
-                                  nu, nv, args.v_window, tols=tols)
-    else:
-        profile = _profile(args)
-        curve, report, validity = generate_and_validate(
-            rotation, profile, params, args.interval, _config(args),
-            nu, nv, args.v_window, tols=tols,
-            phi_scale=args.perturb_phi,
-            surface_id=f"{args.type}:{args.profile}")
-        if report is None:
-            _diagnose_empty_validity(rotation, profile, params,
-                                     _config(args), args.interval)
-    text = report.to_json()
-    if args.report:
-        cio._atomic_write(args.report, text + "\n")
-        print(f"wrote {args.report}")
-    else:
-        print(text)
+    curve = _load_or_generate(args)
+    report = validate_surface(curve, params.target_h2,
+                              args.csv or f"{args.type}:{args.profile}",
+                              *args.grid, args.v_window, tols)
+    _print_report(report, args.report)
     return 0 if report.passed(tols) else 1
 
 
@@ -282,12 +272,7 @@ def _cmd_special(args) -> int:
         raise _CliError(str(exc)) from exc
     consts = {"a": args.a, "b": args.b, "d": args.d, "A": args.A, "B": args.B}
     report = compare_special_case(RotationType(args.type), consts, params, args.interval)
-    text = report.to_json()
-    if args.report:
-        cio._atomic_write(args.report, text + "\n")
-        print(f"wrote {args.report}")
-    else:
-        print(text)
+    _print_report(report, args.report)
     return 0
 
 
@@ -318,11 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.set_defaults(func=_cmd_curve)
 
     p_surface = subs.add_parser("surface", help="sample the rotated surface")
-    _add_common(p_surface, profile_required=False)
-    p_surface.add_argument("--csv", help="rebuild the curve from a curve CSV")
-    p_surface.add_argument("--grid", type=_grid, default=(41, 41), metavar="NUxNV")
-    p_surface.add_argument("--v-window", type=_interval, default=None,
-                           help="v range (default: the rotation type's window)")
+    _add_common(p_surface, grid=(41, 41))
     p_surface.add_argument("--project", type=_projection, default=("x1", "x3", "x4"))
     p_surface.add_argument("--out")
     p_surface.add_argument("--obj")
@@ -330,10 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     _reject_with_csv(p_surface, "C", "hsign")
 
     p_val = subs.add_parser("validate", help="generate and validate (JSON report)")
-    _add_common(p_val, profile_required=False)
-    p_val.add_argument("--csv", help="validate a curve re-read from CSV")
-    p_val.add_argument("--grid", type=_grid, default=(41, 41), metavar="NUxNV")
-    p_val.add_argument("--v-window", type=_interval, default=None)
+    _add_common(p_val, grid=(41, 41))
     p_val.add_argument("--report", help="report path (default: stdout)")
     p_val.add_argument("--perturb-phi", type=float, default=1.0,
                        help="scale phi by this factor (negative control)")
@@ -357,11 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = subs.add_parser("oracle",
                                help="closed form vs kernel curvature comparison")
-    _add_common(p_oracle, profile_required=False)
-    p_oracle.add_argument("--csv")
-    p_oracle.add_argument("--grid", type=_grid, default=(21, 21), metavar="NUxNV")
-    p_oracle.add_argument("--v-window", type=_interval, default=None,
-                          help="v range (default: the rotation type's window)")
+    _add_common(p_oracle, grid=(21, 21))
     p_oracle.add_argument("--tol", type=float, default=1e-6)
     p_oracle.set_defaults(func=_cmd_oracle)
     _reject_with_csv(p_oracle, "C", "hsign")

@@ -51,6 +51,7 @@ from .errors import (
     NonpositiveProfileError,
     ZeroDerivativeProfileError,
 )
+from .geometry import uniform
 from .profiles import Jet2
 from .quadrature import CumulativeIntegral, QuadratureConfig
 
@@ -137,8 +138,7 @@ def generate(rotation: RotationType, profile, params: CmcParams,
     if not a <= u0 <= b:
         raise BasePointError(f"u0={u0!r} outside the generation interval {interval!r}")
     if spec.case_sign:  # the profile's slope must keep the case's sign of (r')^2 - 1
-        for i in range(65):
-            u = a + (b - a) * i / 64.0
+        for u in uniform(a, b, 65):
             m = rj(u).d1 ** 2 - 1.0
             if slope_sign(m, u) != spec.case_sign:
                 raise CaseMismatchError(
@@ -201,7 +201,7 @@ def domain_validity(profile, params: CmcParams,
             return False
         return True
 
-    us = [lo + (hi - lo) * k / 1024 for k in range(1025)]
+    us = uniform(lo, hi, 1025)
     flags = [ok(u) for u in us]
 
     def refine(u_good: float, u_bad: float) -> float:

@@ -6,7 +6,9 @@ The ambient space is R^4 with the scalar product
 
 i.e. signature (+, +, -, -).  Everything downstream (patches, frames,
 curvature) reduces to three primitives defined here: the scalar product,
-causal classification, and Gram-Schmidt that tracks norm signs.
+causal classification, and Gram-Schmidt that tracks norm signs.  The
+tolerance of the last two is the constant TAU_CAUSAL, and ``uniform`` is
+the one rule for evenly spaced samples.
 
 The components of a Vec4 are floats at one point or, on a grid, ndarrays
 that broadcast against each other (a column over u, a row over v, or the
@@ -31,7 +33,8 @@ import numpy as np
 
 from .errors import DegenerateFrameError
 
-#: Default tolerance for deciding whether <v,v> counts as zero.
+#: Tolerance for deciding whether <v,v> counts as zero; a constant, not a
+#: parameter, of the causal classification, normalization and Gram-Schmidt.
 TAU_CAUSAL = 1e-10
 #: Largest |<u_i,u_j> - s_i*delta_ij| accepted in an orthonormal frame.
 TAU_ORTHO = 1e-12
@@ -74,6 +77,12 @@ class Vec4(NamedTuple):
 
 
 # --- floats and grids ----------------------------------------------------------
+
+def uniform(lo: float, hi: float, n: int) -> list[float]:
+    """The n >= 2 evenly spaced samples lo + (hi - lo) k / (n - 1), k = 0..n-1,
+    of [lo, hi]: the one sample rule of grids, scans, checks and exports."""
+    return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+
 
 def is_grid(x) -> bool:
     return isinstance(x, np.ndarray)
@@ -178,34 +187,32 @@ def require_finite(v: Vec4, context: str = "vector") -> Vec4:
     return v
 
 
-def causal_character(v: Vec4, tau_causal: float = TAU_CAUSAL) -> CausalClass:
+def causal_character(v: Vec4) -> CausalClass:
     """Classify ``v`` as spacelike/timelike/lightlike/zero.
 
-    A vector counts as lightlike when |<v,v>| <= tau_causal while the
-    vector itself is not negligibly small; ``tau_causal`` must be > 0.
+    A vector counts as lightlike when |<v,v>| <= TAU_CAUSAL while the
+    vector itself is not negligibly small.
     """
-    if not tau_causal > 0.0:
-        raise ValueError("tau_causal must be positive")
     q = inner(v, v)
-    if q > tau_causal:
+    if q > TAU_CAUSAL:
         return CausalClass.SPACELIKE
-    if q < -tau_causal:
+    if q < -TAU_CAUSAL:
         return CausalClass.TIMELIKE
-    if inf_norm(v) > tau_causal:
+    if inf_norm(v) > TAU_CAUSAL:
         return CausalClass.LIGHTLIKE
     return CausalClass.ZERO
 
 
-def normalize_with_sign(v: Vec4, tau_causal: float = TAU_CAUSAL) -> tuple[Vec4, int]:
+def normalize_with_sign(v: Vec4) -> tuple[Vec4, int]:
     """Scale ``v`` to |<v,v>| = 1 and return (unit, sign of <v,v>).
 
     Raises DegenerateFrameError when ``v`` is lightlike or zero within
-    ``tau_causal``: such vectors admit no unit representative.  On a grid
+    TAU_CAUSAL: such vectors admit no unit representative.  On a grid
     nothing is raised: such points get sign 0, and their unit is
     meaningless (finite, so later arithmetic raises no warnings).
     """
     q = inner(v, v)
-    degenerate = abs(q) <= tau_causal
+    degenerate = abs(q) <= TAU_CAUSAL
     if isinstance(degenerate, np.ndarray):
         sign = np.where(degenerate, 0, np.where(q > 0.0, 1, -1))
         q = np.where(degenerate, 1.0, q)
@@ -217,9 +224,7 @@ def normalize_with_sign(v: Vec4, tau_causal: float = TAU_CAUSAL) -> tuple[Vec4, 
     return v * (1.0 / libm(q).sqrt(abs(q))), sign
 
 
-def orthonormalize_indefinite(
-    basis: Iterable[Vec4], tau_causal: float = TAU_CAUSAL
-) -> list[tuple[Vec4, int]]:
+def orthonormalize_indefinite(basis: Iterable[Vec4]) -> list[tuple[Vec4, int]]:
     """Gram-Schmidt with the indefinite scalar product.
 
     Returns one (unit vector, sign) pair per input, where sign = <u,u> in
@@ -243,7 +248,7 @@ def orthonormalize_indefinite(
             for u, s in units:
                 # <u,u> = s, so the projection coefficient is s*<w,u>.
                 w = w - u * (s * inner(w, u))
-        units.append(normalize_with_sign(w, tau_causal))
+        units.append(normalize_with_sign(w))
     missed = gram_residual([u for u, _ in units], [s for _, s in units]) > TAU_ORTHO
     if isinstance(missed, np.ndarray):
         failed = reduce(np.logical_or, [s == 0 for _, s in units], missed)

@@ -31,6 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .builders import SPECS, GeneratingCurve, RotationType
+from .geometry import uniform
 from .profiles import Jet2
 from .quadrature import PiecewiseLegendre
 from .surfaces import SurfacePatch
@@ -51,19 +52,14 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def curve_samples(curve: GeneratingCurve, n: int) -> list[float]:
-    lo, hi = curve.domain
-    return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
-
-
 def _header(names: Sequence[str]) -> list[str]:
     return ["u"] + list(names) + [f"d{c}" for c in names] + [f"dd{c}" for c in names]
 
 
 def write_curve_csv(path: str, curve: GeneratingCurve, samples: int = 401) -> None:
     """Sample the curve jets on a uniform grid and write them as CSV."""
-    rows = [_header(curve.component_names)]
-    for u in curve_samples(curve, samples):
+    rows = [_header(SPECS[curve.rotation].names)]
+    for u in uniform(*curve.domain, samples):
         jets = curve.jets(u)
         rows.append([repr(u)]
                     + [repr(j.val) for j in jets]
@@ -90,7 +86,7 @@ def read_curve_csv(path: str) -> tuple[RotationType, np.ndarray, np.ndarray]:
         raise ValueError(f"unrecognized curve header {rows[:1]!r} in {path}")
     if len(rows) < 3:
         raise ValueError(f"{path} has {len(rows) - 1} sample rows; need at least 2")
-    data = np.array([[float(cell) for cell in row] for row in rows[1:]])
+    data = np.array(rows[1:], dtype=float)
     if data.shape[1] != len(rows[0]):
         raise ValueError(f"sample rows of {path} do not match its header")
     rotation = matches[0]

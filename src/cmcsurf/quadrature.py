@@ -179,8 +179,8 @@ class CumulativeIntegral(PiecewiseLegendre):
     stencils) are accurate far beyond the global tolerance.  Queries are
     memoized per instance and take floats only.  Raises QuadratureError
     when a panel at MAX_DEPTH still fails, when a level would sample more
-    than MAX_PANELS panels, or when f is not finite at a node or raises
-    OverflowError there.
+    than MAX_PANELS panels, or when f is not finite at a node or raises an
+    ArithmeticError (OverflowError, ZeroDivisionError) there.
     """
 
     def __init__(self, f: Callable[[float], float], a: float, b: float,
@@ -201,8 +201,9 @@ class CumulativeIntegral(PiecewiseLegendre):
             samples.clear()
             try:
                 sums = [gauss15(sampled, lo, hi) for lo, hi in pending]
-            except OverflowError as exc:  # math.sinh and friends raise, not return inf
-                raise QuadratureError(f"integrand overflows on [{a!r}, {b!r}]") from exc
+            except ArithmeticError as exc:  # math.sinh and x / 0.0 raise, not return inf
+                raise QuadratureError(f"integrand overflows or divides by zero on "
+                                      f"[{a!r}, {b!r}] ({type(exc).__name__}: {exc})") from exc
             # a whole level at once: numpy per panel costs more than the sampling
             values = np.reshape(samples, (len(pending), 15))
             if not np.isfinite(values).all():

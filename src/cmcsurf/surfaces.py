@@ -196,23 +196,29 @@ def _normal_pair_grid(X: Vec4, Y: Vec4, scores):
     """The seed search at every grid point: each point tries its seed pairs
     in the order of a stable argsort of their scores (the order the float
     call's sort gives), and keeps the first pair whose Gram-Schmidt
-    succeeds; points where none does keep signs 0."""
+    succeeds; points where none does keep signs 0.  A later rank runs only
+    at the points still unresolved, on their flat indices; Gram-Schmidt is
+    entrywise, so each point's values are those of a whole-grid pass."""
     order = np.argsort(np.broadcast_arrays(*scores), axis=0, kind="stable")
-    found = None
-    for rank in order:
-        seeds = [Vec4(*((np.choose(rank, idx) == c) * 1.0 for c in range(4)))
+    shape = order.shape[1:]
+    tangents = [c.ravel() for c in np.broadcast_arrays(*X, *Y)]
+    todo, found = slice(None), None  # found: flat (n1, n2, s1, s2)
+    for rank in order.reshape(len(order), -1):
+        seeds = [Vec4(*((np.choose(rank[todo], idx) == c) * 1.0 for c in range(4)))
                  for idx in zip(*_SEED_PAIRS)]
-        units = orthonormalize_indefinite([X, Y, *seeds])
-        pair = _spacelike_first(units[2], units[3])
+        at = [c[todo] for c in tangents]
+        units = orthonormalize_indefinite([Vec4(*at[:4]), Vec4(*at[4:]), *seeds])
+        n1, n2, s1, s2 = _spacelike_first(units[2], units[3])
         if found is None:  # signs are 0 where this first pair failed
-            found = pair
+            found = [*n1, *n2, s1, s2]
         else:
-            take = (found[2] == 0) & (pair[2] != 0)
-            found = (_take(take, pair[0], found[0]), _take(take, pair[1], found[1]),
-                     np.where(take, pair[2], found[2]), np.where(take, pair[3], found[3]))
-        if found[2].all():
+            for column, new in zip(found, (*n1, *n2, s1, s2)):
+                column[todo[s1 != 0]] = new[s1 != 0]
+        todo = np.flatnonzero(found[8] == 0)
+        if not todo.size:
             break
-    return found
+    columns = [c.reshape(shape) for c in found]
+    return Vec4(*columns[:4]), Vec4(*columns[4:8]), columns[8], columns[9]
 
 
 def _take(mask, new: Vec4, old: Vec4) -> Vec4:

@@ -50,7 +50,7 @@ from .builders import (
     hyperplane_degeneracy,
 )
 from .generator import CmcParams, domain_validity, generate
-from .geometry import gram_residual
+from .geometry import gram_residual, uniform
 from .profiles import ProfileFunction
 from .quadrature import QuadratureConfig
 from .surfaces import (
@@ -86,12 +86,10 @@ class GridSpec:
     v_window: tuple[float, float] = (0.0, 1.0)
 
     def u_values(self) -> list[float]:
-        lo, hi = self.u_window
-        return [lo + (hi - lo) * k / (self.nu - 1) for k in range(self.nu)]
+        return uniform(*self.u_window, self.nu)
 
     def v_values(self) -> list[float]:
-        lo, hi = self.v_window
-        return [lo + (hi - lo) * k / (self.nv - 1) for k in range(self.nv)]
+        return uniform(*self.v_window, self.nv)
 
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         """The grid as the surface functions take it: u values as an (nu, 1)
@@ -195,8 +193,7 @@ def frame_residual(frame: Frame) -> float:
                          (1, -1, frame.eps1, frame.eps2))
 
 
-def check_frames(patch: SurfacePatch,
-                 frames: Callable[[np.ndarray, np.ndarray], Frame],
+def check_frames(frames: Callable[[np.ndarray, np.ndarray], Frame],
                  grid: GridSpec) -> tuple[float, list[tuple[float, float, str]]]:
     """Worst frame-table residual over the grid; ``frames`` is called once,
     on ``grid.mesh()``.  Singular points (normal signs 0) are flagged rather
@@ -246,8 +243,7 @@ def validate_surface(curve: GeneratingCurve, target_h2: float,
     patch = build_surface(curve, v_window)
     grid = shrunk_grid(curve, nu, nv, patch.v_domain)
     cmc = check_cmc(patch, target_h2, grid, tols.cmc_fd)
-    frame_worst, frame_flagged = check_frames(
-        patch, lambda u, v: frame_numeric(patch, u, v), grid)
+    frame_worst, frame_flagged = check_frames(lambda u, v: frame_numeric(patch, u, v), grid)
     arclength = check_arclength(curve)
     closed_worst, closed_flagged = closed_vs_oracle(curve, patch, grid, cmc.analytic_h2)
     # a point with a non-finite h2 may be flagged by both h2 checks; list it once

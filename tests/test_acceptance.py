@@ -252,15 +252,13 @@ def test_criterion_6_frames_and_mixed_sigma():
     for name, curve in ELLIPTIC_CURVES:
         patch = build_surface(curve)
         grid = shrunk_grid(curve, 15, 11, patch.v_domain)
-        worst, flagged = check_frames(
-            patch, lambda u, v, c=curve: elliptic_frame(c, u, v), grid)
+        worst, flagged = check_frames(lambda u, v, c=curve: elliptic_frame(c, u, v), grid)
         worst_table = max(worst_table, worst)
         assert flagged == []
     for name, curve in HYPERBOLIC_CURVES:
         patch = build_surface(curve)
         grid = shrunk_grid(curve, 15, 11, patch.v_domain)
-        worst, flagged = check_frames(
-            patch, lambda u, v, c=curve: hyperbolic_frame(c, u, v), grid)
+        worst, flagged = check_frames(lambda u, v, c=curve: hyperbolic_frame(c, u, v), grid)
         worst_table = max(worst_table, worst)
         assert flagged == []
     assert worst_table <= 1e-12

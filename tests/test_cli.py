@@ -253,6 +253,45 @@ def test_overflowing_slope_is_a_quadrature_failure(capsys):
     assert "ERROR[quadrature-failure]" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("code, flags", [
+    # a Gauss node of the parabolic slopes lands on f' = 0: the validity scan
+    # keeps a piece across the zero of f' near u = 0.3208
+    ("quadrature-failure", ["--type", "parabolic", "--profile", "cos(0.823*u+-0.264)",
+                            "--interval=-0.4348935868064354:1.9277890762750751",
+                            "--C", "1", "--hsign", "-1"]),
+    # slopes near 1e154, whose squares overflow in build_surface's arc-length check
+    ("invariant-violation", ["--type", "hyperbolicB", "--profile",
+                             "(((1.140)+(u))*((1.529)^2))/(1.143+(((u)+(2.031))^3)^2)",
+                             "--interval=0.4385178354398085:2.1587471014559805",
+                             "--C", "0.5", "--hsign", "-1"]),
+], ids=["zero-division", "overflow"])
+def test_arithmetic_errors_end_in_their_error_code(code, flags, capsys):
+    exit_code, out, err = run(["validate", *flags, "--eta", "1", "--grid", "11x11"], capsys)
+    assert exit_code == 2
+    assert out == ""
+    assert err.startswith(f"ERROR[{code}] ") and err.count("\n") == 1, err
+
+
+#: The feasible ``roundtrip`` cases of the benchmark: type, profile,
+#: interval, C and h_sign.
+FEASIBLE = [("elliptic", "2", (0.0, 6.28), 0.1, 1), ("hyperbolicB", "2", (0.0, 2.0), 0.1, 1),
+            ("hyperbolicA", "2*u", (0.5, 2.5), 0.5, 1), ("parabolic", "u", (0.5, 2.0), 0.5, 1)]
+
+
+@pytest.mark.parametrize("eta", [1, -1])
+@pytest.mark.parametrize("case", FEASIBLE, ids=lambda case: f"{case[0]}:{case[1]}")
+def test_validate_prints_the_library_report(case, eta, capsys):
+    kind, text, (lo, hi), c, h_sign = case
+    code, out, err = run(["validate", "--type", kind, "--profile", text,
+                          f"--interval={lo!r}:{hi!r}", "--C", repr(c),
+                          "--hsign", str(h_sign), "--eta", str(eta)], capsys)
+    assert code == 0, err
+    _, report, _ = generate_and_validate(
+        RotationType(kind), ProfileFunction.from_text(text, (lo, hi)),
+        CmcParams(C=c, h_sign=h_sign, eta=eta), (lo, hi), surface_id=f"{kind}:{text}")
+    assert out == report.to_json() + "\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["curve", *ELLIPTIC_2, "--rel-tol", "0", "--out", "{tmp}/x.csv"],
     ["curve", *ELLIPTIC_2, "--samples", "1", "--out", "{tmp}/x.csv"],
@@ -261,8 +300,9 @@ def test_overflowing_slope_is_a_quadrature_failure(capsys):
     ["validate", *ELLIPTIC_2, "--C", "0.1", "--u0", "-0.01"],
     ["validate", "--type", "elliptic", "--csv", "{tmp}/missing.csv"],
     ["validate", "--type", "elliptic", "--csv", "{tmp}/header_only.csv"],
+    ["validate", "--type", "elliptic", "--interval", "0:1"],
 ], ids=["rel-tol-0", "samples-1", "bad-projection", "u0-outside", "csv-missing",
-        "csv-header-only"])
+        "csv-header-only", "no-profile"])
 def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
     (tmp_path / "header_only.csv").write_text("u,x1,x2,r,dx1,dx2,dr,ddx1,ddx2,ddr\r\n")
     code, _, err = run([arg.replace("{tmp}", str(tmp_path)) for arg in argv], capsys)

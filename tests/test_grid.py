@@ -102,7 +102,7 @@ def test_singular_frames_are_flagged_in_loop_order():
         except DegenerateFrameError:
             flagged.append((u, v, "singular-frame"))
     assert 0 < len(flagged) < grid.nu * grid.nv
-    assert check_frames(patch, lambda u, v: frame_numeric(patch, u, v), grid) == (
+    assert check_frames(lambda u, v: frame_numeric(patch, u, v), grid) == (
         worst, flagged)
 
 

@@ -113,7 +113,7 @@ def test_rebuilt_hyperbolic_case_b(tmp_path):
     write_curve_csv(str(path), curve, samples=301)
     rebuilt = load_curve(str(path))
     assert rebuilt.rotation is RotationType.HYPERBOLIC_B
-    patch = build_surface(rebuilt, check=False)
+    patch = build_surface(rebuilt)
     grid = shrunk_grid(rebuilt, 9, 7, patch.v_domain)
     assert check_cmc(patch, params.target_h2, grid).max_analytic <= 1e-6
 
@@ -179,6 +179,37 @@ def test_curve_from_samples_rejects_bad_samples(us, bad_jet):
 def test_unknown_header_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("u,p,q,s\n0,1,2,3\n")
+    with pytest.raises(ValueError):
+        read_curve_csv(str(path))
+
+
+@pytest.mark.parametrize("cell", [
+    " 1.5", "1_000", "+1e3", "-0", "nan", "inf", "-Infinity", "1e400", "١٢", "\t2",
+    "0x10", "", "1,5"])
+def test_read_curve_csv_takes_the_cells_float_takes(cell, tmp_path):
+    # the sample rows are parsed as one numpy array, which must accept and
+    # reject the same cells, with the same values, as float()
+    path = tmp_path / "cells.csv"
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle).writerows([
+            "u,x1,x2,r,dx1,dx2,dr,ddx1,ddx2,ddr".split(","),
+            ["0", cell, *["1"] * 8], ["1"] * 10])
+    try:
+        expected = float(cell)
+    except ValueError:
+        with pytest.raises(ValueError):
+            read_curve_csv(str(path))
+        return
+    _, _, jets = read_curve_csv(str(path))
+    assert repr(float(jets[0, 0, 0])) == repr(expected)
+
+
+@pytest.mark.parametrize("row", [["1"] * 9, ["1"] * 11, []], ids=["short", "long", "empty"])
+def test_read_curve_csv_rejects_ragged_rows(row, tmp_path):
+    path = tmp_path / "ragged.csv"
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle).writerows([
+            "u,x1,x2,r,dx1,dx2,dr,ddx1,ddx2,ddr".split(","), ["0"] * 10, row])
     with pytest.raises(ValueError):
         read_curve_csv(str(path))
 

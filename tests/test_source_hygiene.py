@@ -116,3 +116,16 @@ def test_the_transcendental_check_sees_numpy_calls():
     source = "import numpy as np\nfrom numpy import exp\ny = np.cosh(x) + np.power(x, 2)\n"
     assert _numpy_transcendentals(ast.parse(source)) == [
         "3: numpy.cosh", "3: numpy.power", "2: from numpy import exp"]
+
+
+#: An evenly spaced sample written out, lo + (hi - lo) * k / ...; the one
+#: rule for it is geometry.uniform.
+SAMPLE_RULE = re.compile(r"\+ \(\w+ - \w+\) \* \w+ / ")
+
+
+def test_one_sample_rule():
+    hits = [f"{path.name}:{n}: {line.strip()}"
+            for path in sorted(SRC.glob("*.py")) if path.name != "geometry.py"
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if SAMPLE_RULE.search(line)]
+    assert not hits, hits

@@ -308,11 +308,11 @@ def test_normal_frame_retries_seed_pairs(monkeypatch):
     real = surfaces_mod.orthonormalize_indefinite
     calls = {"n": 0}
 
-    def flaky(basis, tau=1e-10):
+    def flaky(basis):
         calls["n"] += 1
         if calls["n"] == 1:
             raise DegenerateFrameError("synthetic first-pair failure")
-        return real(basis, tau)
+        return real(basis)
 
     monkeypatch.setattr(surfaces_mod, "orthonormalize_indefinite", flaky)
     n1, n2, eps1, eps2 = normal_frame_numeric(patch, 0.5, 0.5)
@@ -322,7 +322,7 @@ def test_normal_frame_retries_seed_pairs(monkeypatch):
     assert abs(inner(n1, jets.z_u)) <= 1e-10
     assert abs(inner(n2, jets.z_v)) <= 1e-10
 
-    def always_bad(basis, tau=1e-10):
+    def always_bad(basis):
         raise DegenerateFrameError("synthetic failure")
 
     monkeypatch.setattr(surfaces_mod, "orthonormalize_indefinite", always_bad)

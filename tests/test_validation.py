@@ -119,8 +119,7 @@ def test_check_frames_closed_elliptic():
     name, curve = ELLIPTIC_CURVES[2]
     patch = build_surface(curve)
     grid = shrunk_grid(curve, 9, 9, patch.v_domain)
-    worst, flagged = check_frames(patch,
-                                  lambda u, v: elliptic_frame(curve, u, v), grid)
+    worst, flagged = check_frames(lambda u, v: elliptic_frame(curve, u, v), grid)
     assert worst <= 1e-12
     assert flagged == []
 
@@ -129,8 +128,7 @@ def test_check_frames_closed_hyperbolic():
     for name, curve in (HYPERBOLIC_CURVES[0], HYPERBOLIC_CURVES[3]):
         patch = build_surface(curve)
         grid = shrunk_grid(curve, 9, 9, patch.v_domain)
-        worst, _ = check_frames(patch,
-                                lambda u, v: hyperbolic_frame(curve, u, v), grid)
+        worst, _ = check_frames(lambda u, v: hyperbolic_frame(curve, u, v), grid)
         assert worst <= 1e-12
 
 
@@ -138,8 +136,7 @@ def test_check_frames_numeric():
     name, curve = ELLIPTIC_CURVES[3]
     patch = build_surface(curve)
     grid = shrunk_grid(curve, 9, 9, patch.v_domain)
-    worst, flagged = check_frames(patch,
-                                  lambda u, v: frame_numeric(patch, u, v), grid)
+    worst, flagged = check_frames(lambda u, v: frame_numeric(patch, u, v), grid)
     assert worst <= 1e-10
     assert flagged == []
 
