@@ -29,10 +29,10 @@ Parabolic patches are stored in the standard e-basis; the lightlike pair
 xi1, xi2 appears only during assembly.
 
 The patch formulas, the position formulas, the closed-form frames,
-h2_closed, the arc-length and twist expressions and the profile checks
-accept a broadcast grid (u a column, v a row; see ``surfaces``) as well as
-a float (u, v), and a grid entry equals the float call at its point bit
-for bit.  ``GeneratingCurve.jets`` answers a u column with one call per
+h2_closed, the arc-length and twist expressions, the profile checks and
+the turning equations accept a broadcast grid (u a column, v a row; see
+``surfaces``) as well as a float (u, v), and a grid entry equals the float
+call at its point bit for bit.  ``GeneratingCurve.jets`` answers a u column with one call per
 component when the curve's components take columns (reloaded curves), and
 otherwise with one Python-float lookup per u; the trigonometric functions
 of v and the squares of the spec expressions are libm's, one call per grid
@@ -60,7 +60,7 @@ from .errors import (
     NonpositiveProfileError,
     ZeroDerivativeProfileError,
 )
-from .geometry import Vec4, libm, negate, raise_at, square, uniform
+from .geometry import Vec4, divisor, fail_at, libm, negate, raise_at, square, uniform
 from .profiles import Jet2
 from .surfaces import Frame, MeanCurvature, PatchJets, SurfacePatch
 
@@ -120,7 +120,8 @@ class GeneratingCurve:
     ``io.curve_from_samples``).  Generated and analytic curves take floats
     only: their jets, and the quadratures and profile memo behind them,
     are memoized per float u.  Generated curves switch to columns once
-    their quadratures take arrays too (ROADMAP item 1).
+    their quadratures take arrays too (ROADMAP item 2, which waits on
+    item 1).
     """
 
     rotation: RotationType
@@ -179,6 +180,15 @@ def _check_radius(r: Jet2, u: float) -> None:
 def _check_ff(f: Jet2, u: float) -> None:
     raise_at((f.val == 0.0) | (f.d1 == 0.0), InvariantViolationError,
              "f*f' vanishes at u={!r}", u)
+
+
+def _ff_signs(f: Jet2) -> int:
+    """2 [f > 0] + [f' > 0]: constant on an interval where f f' != 0."""
+    return 2 * (f.val > 0.0) + (f.d1 > 0.0)
+
+
+def _no_signs(r: Jet2) -> int:
+    return 0
 
 
 # --- patch constructors ------------------------------------------------------
@@ -359,14 +369,19 @@ def h2_closed(curve: GeneratingCurve, u: float) -> float:
 # --- turning equations and slopes ---------------------------------------------
 
 def _radicand_guarded(q: float, extra: float, u: float) -> float:
-    """q^2 + extra with a roundoff guard; negative values are infeasible."""
+    """q^2 + extra with a roundoff guard; negative values are infeasible.
+    At a column the guarded entries are 0.0."""
     rad = q * q + extra
-    if rad < 0.0:
-        if rad > -1e-12 * (q * q + abs(extra) + 1.0):
-            return 0.0
-        raise NegativeRadicandError(
-            f"radicand {rad!r} negative (infeasible h_sign/C)", u)
-    return rad
+    negative = rad < 0.0
+    if negative is False:
+        return rad
+    roundoff = rad > -1e-12 * (q * q + abs(extra) + 1.0)
+    fail_at(negative & negate(roundoff), _negative_radicand, rad, u)
+    return np.where(negative, 0.0, rad) if isinstance(rad, np.ndarray) else 0.0
+
+
+def _negative_radicand(rad: float, u: float) -> NegativeRadicandError:
+    return NegativeRadicandError(f"radicand {rad!r} negative (infeasible h_sign/C)", u)
 
 
 def phi_integrand(s: float, r: Jet2, params: CmcParams, u: float) -> float:
@@ -375,28 +390,34 @@ def phi_integrand(s: float, r: Jet2, params: CmcParams, u: float) -> float:
 
     Raises NonpositiveProfileError, NearNullSlopeError (|k| < TAU_SLOPE,
     which k >= 1 rules out for elliptic profiles) and NegativeRadicandError
-    where the preconditions fail.
+    where the preconditions fail.  At a column of jets it returns the column
+    of values, and each check is a mask (see ``geometry.collect_faults``).
     """
-    if not r.val > 0.0:
-        raise NonpositiveProfileError(f"r(u)={r.val!r} <= 0 at u={u!r}")
+    positive = r.val > 0.0
+    if positive is not True:
+        raise_at(negate(positive), NonpositiveProfileError,
+                 "r(u)={!r} <= 0 at u={!r}", r.val, u)
     k = r.d1 * r.d1 + s
     slope_sign(k, u)
     q = r.val * r.d2 + k
     rad = _radicand_guarded(q, 4.0 * params.h_sign * (params.C * params.C)
                             * (r.val * r.val) * k, u)
-    return params.eta * math.sqrt(rad) / (r.val * k)
+    return params.eta * libm(rad).sqrt(rad) / divisor(r.val * k)
 
 
 def psi_integrand_parabolic(f: Jet2, params: CmcParams, u: float) -> float:
-    """psi'(u) at the profile jet f of the parabolic type, where phi = f' psi."""
-    if f.d1 == 0.0:
-        raise ZeroDerivativeProfileError(f"f'(u) = 0 at u={u!r}")
-    if f.val == 0.0:
-        raise InvariantViolationError(f"f(u) = 0 at u={u!r}")
-    log_slope = (f.val * f.d2 + f.d1 * f.d1) / (f.val * f.d1)  # (ln|ff'|)'
+    """psi'(u) at the profile jet f of the parabolic type, where phi = f' psi;
+    at a column of jets, as phi_integrand."""
+    flat = f.d1 == 0.0
+    if flat is not False:
+        raise_at(flat, ZeroDerivativeProfileError, "f'(u) = 0 at u={!r}", u)
+    zero = f.val == 0.0
+    if zero is not False:
+        raise_at(zero, InvariantViolationError, "f(u) = 0 at u={!r}", u)
+    log_slope = (f.val * f.d2 + f.d1 * f.d1) / divisor(f.val * f.d1)  # (ln|ff'|)'
     rad = _radicand_guarded(log_slope,
                             4.0 * params.h_sign * params.C * params.C, u)
-    return params.eta * math.sqrt(rad) / f.d1
+    return params.eta * libm(rad).sqrt(rad) / f.d1
 
 
 def _trig_slopes(s: float, sw: float, t1, t2, r: Jet2,
@@ -597,6 +618,10 @@ class RotationSpec:
     position: Callable[[float, float, float, float], Vec4]  # at the curve values and v
     patch_jets: Callable[[CurveJets], Callable[[float, float], PatchJets]]  # uses position
     check_profile: Callable[[Jet2, float], None]
+    # the signs of the profile terms that must not vanish but may have
+    # either sign (f and f' of a parabolic profile), as one int; a change
+    # of it between two valid scan points bounds a validity piece
+    kept_signs: Callable[[Jet2], int]
     v_window: tuple[float, float]       # default v range of the patch
     arclength: Callable[[Jet2, Jet2, Jet2], float]
     twist: Callable[[Jet2, Jet2, Jet2], float]
@@ -616,7 +641,7 @@ def _hyperbolic_spec(case_sign: int, t1, t2) -> RotationSpec:
         slopes=partial(_trig_slopes, -1.0, sw, t1, t2),
         slope_jets=partial(_trig_slope_jets, -1.0, sw, t1, t2),
         position=_hyperbolic_position, patch_jets=_hyperbolic_jets,
-        check_profile=_check_radius, v_window=(-2.0, 2.0),
+        check_profile=_check_radius, kept_signs=_no_signs, v_window=(-2.0, 2.0),
         # (r')^2 + (x2')^2 - (x4')^2
         arclength=lambda a, b, c: square(a.d1) + square(b.d1) - square(c.d1),
         twist=lambda a, b, c: b.d1 * c.d2 - b.d2 * c.d1,
@@ -635,7 +660,7 @@ SPECS: dict[RotationType, RotationSpec] = {
         slopes=partial(_trig_slopes, 1.0, 1.0, math.cos, math.sin),
         slope_jets=partial(_trig_slope_jets, 1.0, 1.0, math.cos, math.sin),
         position=_elliptic_position, patch_jets=_elliptic_jets,
-        check_profile=_check_radius, v_window=(0.0, 2.0 * math.pi),
+        check_profile=_check_radius, kept_signs=_no_signs, v_window=(0.0, 2.0 * math.pi),
         # (x1')^2 + (x2')^2 - (r')^2
         arclength=lambda a, b, c: square(a.d1) + square(b.d1) - square(c.d1),
         twist=lambda a, b, c: a.d1 * b.d2 - a.d2 * b.d1,
@@ -648,7 +673,7 @@ SPECS: dict[RotationType, RotationSpec] = {
         turning=psi_integrand_parabolic, slopes=_parabolic_slopes,
         slope_jets=_parabolic_slope_jets,
         position=_parabolic_position, patch_jets=_parabolic_jets,
-        check_profile=_check_ff, v_window=(-2.0, 2.0),
+        check_profile=_check_ff, kept_signs=_ff_signs, v_window=(-2.0, 2.0),
         arclength=lambda a, b, c: square(a.d1) - 2.0 * b.d1 * c.d1,  # (x1')^2 - 2 f' g'
         twist=lambda a, b, c: a.d2 * b.d1 - a.d1 * b.d2,
         special_profile="sqrt(2*a*u+b)",  # f f'' + (f')^2 = 0

@@ -33,6 +33,12 @@ slopes they fix live in builders, next to h2_closed, and each
 RotationSpec in builders.SPECS carries its own; generate is the one
 generator body for all four types.  This module keeps the quadrature of
 those equations, the profile memo and the feasibility scan.
+
+The scan (domain_validity) evaluates its 1025 points as one u column: one
+profile jet and one turning call over all of them, whose failed checks
+become masks (``geometry.collect_faults``).  Only the bisection of each
+boundary evaluates single float points.  generate evaluates the profile
+at floats only, as the quadratures query it.
 """
 
 from __future__ import annotations
@@ -40,7 +46,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .builders import SPECS, GeneratingCurve, JetFn, RotationType, slope_sign
+import numpy as np
+
+from .builders import SPECS, GeneratingCurve, JetFn, RotationSpec, RotationType, slope_sign
 from .errors import (
     BasePointError,
     CaseMismatchError,
@@ -51,8 +59,8 @@ from .errors import (
     NonpositiveProfileError,
     ZeroDerivativeProfileError,
 )
-from .geometry import uniform
-from .profiles import Jet2
+from .geometry import collect_faults, raise_at, uniform
+from .profiles import Jet2, ProfileFunction
 from .quadrature import CumulativeIntegral, QuadratureConfig
 
 
@@ -171,58 +179,89 @@ def generate(rotation: RotationType, profile, params: CmcParams,
 
 # --- feasibility scan ------------------------------------------------------------
 
-def domain_validity(profile, params: CmcParams,
+#: What the generator's preconditions raise where they fail.
+_INFEASIBLE = (ArithmeticError, ValueError, CaseMismatchError, EvalDomainError,
+               InvariantViolationError, NearNullSlopeError, NegativeRadicandError,
+               NonpositiveProfileError, ZeroDerivativeProfileError)
+
+
+def _preconditions(profile: ProfileFunction, spec: RotationSpec, params: CmcParams,
+                   u: float) -> Jet2:
+    """The profile jet at u, raising where a precondition of the generator
+    fails: evaluability, the case-consistent slope and the turning
+    equation's own checks (r > 0, f f' != 0, nonnegative radicand)."""
+    p = profile.jet(u)
+    if spec.case_sign:
+        m = p.d1 * p.d1 - 1.0
+        raise_at(slope_sign(m, u) != spec.case_sign, CaseMismatchError,
+                 "(r')^2 - 1 = {!r} contradicts the case at u={!r}", m, u)
+    spec.turning(p, params, u)
+    return p
+
+
+def validity_state(profile: ProfileFunction, params: CmcParams,
+                   rotation: RotationType, u: float) -> int:
+    """-1 where the generator's preconditions fail at u, else the spec's
+    ``kept_signs`` of the profile jet there (0 unless parabolic).
+
+    At an ndarray of u it returns the int array of the float calls' values,
+    from one ``profile.jet`` call and one ``spec.turning`` call on the
+    column: their checks record masks instead of raising.
+    """
+    spec = SPECS[rotation]
+    if isinstance(u, np.ndarray):
+        with np.errstate(all="ignore"), collect_faults() as faults:
+            p = _preconditions(profile, spec, params, u)
+        failed = np.zeros(u.shape, dtype=bool)
+        for fault in faults:
+            failed |= fault.bad
+        return np.where(failed, -1, spec.kept_signs(p))
+    try:
+        p = _preconditions(profile, spec, params, u)
+    except _INFEASIBLE:
+        return -1
+    return spec.kept_signs(p)
+
+
+def domain_validity(profile: ProfileFunction, params: CmcParams,
                     interval: tuple[float, float],
                     rotation: RotationType) -> list[tuple[float, float]]:
     """Maximal subintervals where the generator's preconditions hold.
 
-    Scans 1025 evenly spaced points for changes of the validity predicate
-    (profile positivity, f f' != 0, case-consistent slope, nonnegative
-    radicand, evaluability) and locates each boundary by bisection to
-    1e-10.  An empty list is a normal outcome: it reports an infeasible
+    Scans 1025 evenly spaced points for changes of ``validity_state``
+    (profile evaluability and positivity, f f' != 0, case-consistent slope,
+    nonnegative radicand) and locates each boundary by bisection to 1e-10.
+    ``profile`` is a ProfileFunction: the scan takes its jet at all points
+    in one column call, and only the bisection evaluates it at single
+    floats.  For a parabolic profile a sign change of f or f' between two
+    valid neighbours is a boundary too, bisected on that sign, so a piece
+    never spans a zero of f (where G = -2 f^2 vanishes) or of f' (a pole of
+    psi').  An empty list is a normal outcome: it reports an infeasible
     (h_sign, C) choice.
     """
     lo, hi = interval
     if not hi > lo:
         raise ValueError("empty scan interval")
-    jf = as_jet_fn(profile)
-    spec = SPECS[rotation]
-
-    def ok(u: float) -> bool:
-        try:
-            p = jf(u)
-            if spec.case_sign and slope_sign(p.d1 * p.d1 - 1.0, u) != spec.case_sign:
-                return False
-            spec.turning(p, params, u)
-        except (ArithmeticError, ValueError,
-                NegativeRadicandError, NonpositiveProfileError,
-                ZeroDerivativeProfileError, InvariantViolationError,
-                NearNullSlopeError, EvalDomainError):
-            return False
-        return True
-
     us = uniform(lo, hi, 1025)
-    flags = [ok(u) for u in us]
+    states = validity_state(profile, params, rotation, np.array(us))
 
-    def refine(u_good: float, u_bad: float) -> float:
+    def refine(u_good: float, u_bad: float, state: int) -> float:
+        """The end, to 1e-10, of the run of ``state`` from u_good toward u_bad."""
         while abs(u_bad - u_good) > 1e-10:
             mid = 0.5 * (u_good + u_bad)
-            if ok(mid):
+            if validity_state(profile, params, rotation, mid) == state:
                 u_good = mid
             else:
                 u_bad = mid
         return u_good
 
     intervals: list[tuple[float, float]] = []
-    start: float | None = us[0] if flags[0] else None
-    for k in range(1, len(us)):
-        if flags[k] == flags[k - 1]:
-            continue
-        if flags[k]:  # invalid -> valid
-            start = refine(us[k], us[k - 1])
-        else:  # valid -> invalid
-            intervals.append((start, refine(us[k - 1], us[k])))
-            start = None
+    start: float | None = us[0] if states[0] >= 0 else None
+    for k in (np.flatnonzero(states[1:] != states[:-1]) + 1).tolist():
+        before, after = states[k - 1].item(), states[k].item()
+        if before >= 0:  # a piece ends
+            intervals.append((start, refine(us[k - 1], us[k], before)))
+        start = refine(us[k], us[k - 1], after) if after >= 0 else None
     if start is not None:
         intervals.append((start, us[-1]))
     return [(s, e) for s, e in intervals if e > s]

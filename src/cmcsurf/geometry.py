@@ -14,20 +14,28 @@ The components of a Vec4 are floats at one point or, on a grid, ndarrays
 that broadcast against each other (a column over u, a row over v, or the
 full (nu, nv) grid).  The arithmetic is the same expressions in the same
 order either way, so a grid entry equals the float computed at its point
-bit for bit; the helpers below (libm, negate, raise_at) are the few
-places where floats and grids need different calls.  Transcendental
-functions of grid values go through libm's own functions entry by entry
-(``libm(x).cosh(x)``), never through numpy's ufuncs, whose results differ
-from libm's in the last bit for some arguments (cosh and sinh among them).
+bit for bit; the helpers below (libm, power, negate, raise_at, fail_at,
+divisor) are the few places where floats and grids need different calls.
+Transcendental functions of grid values go through libm's own functions
+entry by entry (``libm(x).cosh(x)``), never through numpy's ufuncs, whose
+results differ from libm's in the last bit for some arguments (cosh and
+sinh among them).
+
+A check that would raise at a float raises on a grid for the first
+offending point, unless it runs inside ``collect_faults()``: there it
+records the grid of points where it fails and the computation goes on, so
+one grid pass yields the mask of every point where the float call raises.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from enum import Enum
 from functools import reduce
 from types import SimpleNamespace
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -89,30 +97,52 @@ def is_grid(x) -> bool:
 
 
 def _entrywise(fn):
+    """fn at every entry of a grid.  Where fn raises (libm's range and
+    domain errors), the entry is NaN and the error goes to ``raise_at``:
+    the first failing entry raises it, as a loop over the entries would."""
     def call(x):
-        return np.array([fn(t) for t in x.ravel().tolist()]).reshape(x.shape)
+        flat = x.ravel().tolist()
+        try:
+            values = [fn(t) for t in flat]
+        except (ValueError, ArithmeticError):
+            values, failed = [], {}
+            for i, t in enumerate(flat):
+                try:
+                    values.append(fn(t))
+                except (ValueError, ArithmeticError) as exc:
+                    values.append(math.nan)
+                    failed.setdefault((type(exc), str(exc)), []).append(i)
+            for (error, message), at in failed.items():  # first failure first
+                bad = np.zeros(len(flat), dtype=bool)
+                bad[at] = True
+                raise_at(bad.reshape(x.shape), error, "{}", message)
+        return np.array(values).reshape(x.shape)
     return call
 
 
-#: What the surface formulas take from ``math``, for grid arguments: the
-#: transcendental functions entry by entry through libm itself (numpy's
-#: cosh and sinh differ from libm's in the last bit for some arguments),
-#: sqrt through numpy (correctly rounded, as libm's is).
+#: What the surface and profile formulas take from ``math``, for grid
+#: arguments: the transcendental functions entry by entry through libm
+#: itself (numpy's cosh and sinh differ from libm's in the last bit for
+#: some arguments), sqrt through numpy (correctly rounded, as libm's is).
 GRID_MATH = SimpleNamespace(cos=_entrywise(math.cos), sin=_entrywise(math.sin),
                             cosh=_entrywise(math.cosh), sinh=_entrywise(math.sinh),
+                            exp=_entrywise(math.exp), log=_entrywise(math.log),
                             sqrt=np.sqrt)
 
 
-_square_entries = _entrywise(lambda t: t**2)
+def power(x, e: float):
+    """x ** e as Python computes it at a float, through libm's pow, with its
+    errors (OverflowError past the float range); on a grid, entry by entry."""
+    if isinstance(x, np.ndarray):
+        return _entrywise(lambda t: t ** e)(x)
+    return x ** e
 
 
 def square(x):
     """x**2 as Python computes it at a float, where it calls libm's pow:
     that misses the correctly rounded x*x, which numpy's x**2 gives, in the
     last bit for about one argument in 1000.  On a grid, entry by entry."""
-    if isinstance(x, np.ndarray):
-        return _square_entries(x)
-    return x**2
+    return power(x, 2)
 
 
 def libm(x):
@@ -126,24 +156,74 @@ def negate(cond):
     return ~cond if isinstance(cond, np.ndarray) else not cond
 
 
-def raise_at(bad, error, message: str, *values) -> None:
-    """Raise ``error(message.format(*values))`` if ``bad`` holds.
+#: The fault list of the innermost ``collect_faults`` block, if any.
+_FAULTS: ContextVar[list | None] = ContextVar("cmcsurf_faults", default=None)
+
+
+@contextmanager
+def collect_faults():
+    """Inside the block, a check that fails on a grid records its fault
+    (see ``fail_at``) in the yielded list instead of raising, and the
+    computation goes on with unspecified values at those points; a check on
+    a float still raises.  Like ``np.errstate``, the setting belongs to the
+    current context and ends with the block."""
+    faults: list = []
+    token = _FAULTS.set(faults)
+    try:
+        yield faults
+    finally:
+        _FAULTS.reset(token)
+
+
+class Fault(NamedTuple):
+    """A failed check on a grid: ``bad`` holds where it fails, and
+    ``make_error(*values)`` is its error at a point, from the values there."""
+
+    bad: np.ndarray
+    make_error: Callable[..., Exception]
+    values: tuple
+
+
+def fail_at(bad, make_error, *values) -> None:
+    """Raise ``make_error(*values)`` if ``bad`` holds.
 
     On a grid the error names the first offending point in u-major order
     (row-major over (u, v)), the order of a loop over u and then v: every
-    value is taken at that point as a Python scalar, so the message reads
-    exactly as the scalar call at that point would have it.
+    value is taken at that point as a Python scalar, so the error reads
+    exactly as the scalar call at that point would have it.  Inside
+    ``collect_faults()`` a grid ``bad`` is recorded as a Fault instead.
     """
     if isinstance(bad, np.ndarray):
         if not bad.any():
+            return
+        faults = _FAULTS.get()
+        if faults is not None:
+            faults.append(Fault(bad, make_error, values))
             return
     elif not bad:
         return
     shape = np.broadcast_shapes(np.shape(bad), *map(np.shape, values))
     if shape:
         at = np.unravel_index(np.argmax(np.broadcast_to(bad, shape)), shape)
-        values = tuple(np.broadcast_to(x, shape)[at].item() for x in values)
-    raise error(message.format(*values))
+        values = tuple(np.broadcast_to(x, shape).item(at) for x in values)
+    raise make_error(*values)
+
+
+def raise_at(bad, error, message: str, *values) -> None:
+    """Raise ``error(message.format(*values))`` if ``bad`` holds: ``fail_at``
+    for an error made from one message."""
+    if bad is not False:
+        fail_at(bad, lambda *at: error(message.format(*at)), *values)
+
+
+def divisor(den):
+    """``den``, checked as Python's division checks a divisor: it raises
+    ZeroDivisionError at 0, which a product of nonzero factors reaches by
+    underflow (numpy's division returns inf instead)."""
+    zero = den == 0.0
+    if zero is not False:
+        raise_at(zero, ZeroDivisionError, "float division by zero")
+    return den
 
 
 E1 = Vec4(1.0, 0.0, 0.0, 0.0)

@@ -17,6 +17,21 @@ Precedence is ^ > unary minus > * / > + -, binary operators associate to
 the left, and exponents are restricted to constant subexpressions.  Named
 constants are resolved at evaluation time so a single parsed profile can
 serve parameter sweeps; ``pi`` is predefined.
+
+Columns.  A profile is evaluated at one float u, or at an ndarray of u (a
+column) in one pass: the jet's fields are then arrays shaped like u, and
+each entry equals the float call at its u bit for bit.  The arithmetic is
+the same expressions in the same order; +, -, *, / and sqrt run in numpy,
+which rounds them as Python does, while sin, cos, sinh, cosh, exp, ln and
+the power x^c run through libm entry by entry (``geometry.libm`` and
+``geometry.power``).  Each domain check (sqrt and ln of a non-positive
+value, abs at zero, division by zero, a zero or non-positive base of a
+power, libm's overflow and a product that underflows to a zero divisor) is
+one comparison that raises at a float.  At a column it is a per-entry mask:
+``eval_jet`` raises EvalDomainError at the first offending u, with the
+float call's message, or, inside ``geometry.collect_faults()``, records
+the union of the masks as one fault and returns the jet, whose failed
+entries hold unspecified values.
 """
 
 from __future__ import annotations
@@ -26,7 +41,10 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Union
 
+import numpy as np
+
 from .errors import EvalDomainError, ExprSyntaxError, UnknownIdentifierError
+from .geometry import collect_faults, divisor, fail_at, libm, power, raise_at
 
 FUNCTIONS = frozenset({"sqrt", "sin", "cos", "sinh", "cosh", "exp", "ln", "abs"})
 BUILTIN_CONSTS: Mapping[str, float] = {"pi": math.pi}
@@ -38,7 +56,8 @@ class Jet2(NamedTuple):
     ``val`` is the value, ``d1`` the first and ``d2`` the second
     derivative with respect to u.  Arithmetic follows the Leibniz/chain
     rules truncated at second order, which is exactly the depth the
-    curvature formulas consume (r, r', r'' and f, f', f'').
+    curvature formulas consume (r, r', r'' and f, f', f'').  At a column
+    of u the fields are arrays (see the module docstring).
     """
 
     val: float
@@ -79,8 +98,9 @@ class Jet2(NamedTuple):
         return _as_jet(other) * self.reciprocal()
 
     def reciprocal(self) -> "Jet2":
-        if self.val == 0.0:
-            raise ZeroDivisionError("jet division by zero")
+        zero = self.val == 0.0
+        if zero is not False:
+            raise_at(zero, ZeroDivisionError, "jet division by zero")
         inv = 1.0 / self.val
         d1 = -self.d1 * inv * inv
         d2 = (2.0 * self.d1 * self.d1 * inv - self.d2) * inv * inv
@@ -96,11 +116,17 @@ class Jet2(NamedTuple):
         ci = round(c)
         if abs(c - ci) < 1e-12:
             c = float(ci)
-            if x == 0.0 and c < 2.0:
-                raise ZeroDivisionError("zero base with exponent below 2")
-        elif x <= 0.0:
-            raise ValueError("non-integer power of a non-positive base")
-        p2 = x ** (c - 2.0)
+            zero = x == 0.0 if c < 2.0 else False
+            if zero is not False:
+                raise_at(zero, ZeroDivisionError, "zero base with exponent below 2")
+        else:
+            bad = x <= 0.0
+            if bad is not False:
+                raise_at(bad, ValueError, "non-integer power of a non-positive base")
+                # only a column inside collect_faults gets here: its failed
+                # entries take a base whose power is real
+                x = np.where(bad, math.nan, x)
+        p2 = power(x, c - 2.0)
         p1 = p2 * x
         return Jet2(p1 * x, c * p1 * d1, c * ((c - 1.0) * p2 * d1 * d1 + p1 * d2))
 
@@ -121,49 +147,56 @@ def _chain(x: Jet2, g: float, gp: float, gpp: float) -> Jet2:
 
 
 def jsqrt(x: Jet2) -> Jet2:
-    if x.val <= 0.0:
-        raise ValueError("sqrt of a non-positive value")
-    s = math.sqrt(x.val)
-    return _chain(x, s, 0.5 / s, -0.25 / (s * x.val))
+    bad = x.val <= 0.0
+    if bad is not False:
+        raise_at(bad, ValueError, "sqrt of a non-positive value")
+    s = libm(x.val).sqrt(x.val)
+    return _chain(x, s, 0.5 / s, -0.25 / divisor(s * x.val))
 
 
 def jsin(x: Jet2) -> Jet2:
-    s, c = math.sin(x.val), math.cos(x.val)
+    m = libm(x.val)
+    s, c = m.sin(x.val), m.cos(x.val)
     return _chain(x, s, c, -s)
 
 
 def jcos(x: Jet2) -> Jet2:
-    s, c = math.sin(x.val), math.cos(x.val)
+    m = libm(x.val)
+    s, c = m.sin(x.val), m.cos(x.val)
     return _chain(x, c, -s, -c)
 
 
 def jsinh(x: Jet2) -> Jet2:
-    s, c = math.sinh(x.val), math.cosh(x.val)
+    m = libm(x.val)
+    s, c = m.sinh(x.val), m.cosh(x.val)
     return _chain(x, s, c, s)
 
 
 def jcosh(x: Jet2) -> Jet2:
-    s, c = math.sinh(x.val), math.cosh(x.val)
+    m = libm(x.val)
+    s, c = m.sinh(x.val), m.cosh(x.val)
     return _chain(x, c, s, c)
 
 
 def jexp(x: Jet2) -> Jet2:
-    e = math.exp(x.val)
+    e = libm(x.val).exp(x.val)
     return _chain(x, e, e, e)
 
 
 def jln(x: Jet2) -> Jet2:
-    if x.val <= 0.0:
-        raise ValueError("ln of a non-positive value")
+    bad = x.val <= 0.0
+    if bad is not False:
+        raise_at(bad, ValueError, "ln of a non-positive value")
     inv = 1.0 / x.val
-    return _chain(x, math.log(x.val), inv, -inv * inv)
+    return _chain(x, libm(x.val).log(x.val), inv, -inv * inv)
 
 
 def jabs(x: Jet2) -> Jet2:
     # Defined away from zero only; the kink has no jet.
-    if x.val == 0.0:
-        raise ValueError("abs is not differentiable at zero")
-    s = 1.0 if x.val > 0.0 else -1.0
+    zero = x.val == 0.0
+    if zero is not False:
+        raise_at(zero, ValueError, "abs is not differentiable at zero")
+    s = (x.val > 0.0) * 2.0 - 1.0  # the sign, +1.0 or -1.0
     return Jet2(s * x.val, s * x.d1, s * x.d2)
 
 
@@ -400,12 +433,37 @@ def eval_jet(expr: Expr, u: float, consts: Mapping[str, float] | None = None) ->
 
     The jet is exact to machine precision (no differencing).  Domain
     violations (sqrt/ln of non-positive arguments, division by zero,
-    abs at zero, bad powers) raise EvalDomainError carrying ``u``.
+    abs at zero, bad powers, overflow) raise EvalDomainError carrying ``u``.
+    At an ndarray of u the jet's fields are arrays shaped like u, and a
+    violation raises for the first offending u (see the module docstring).
     """
+    if isinstance(u, np.ndarray):
+        return _eval_column(expr, u, consts or {})
     try:
         return _eval(expr, variable(u), consts or {})
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise EvalDomainError(str(exc), u) from exc
+
+
+def _eval_column(expr: Expr, u: np.ndarray, consts: Mapping[str, float]) -> Jet2:
+    """eval_jet at a column: every check records its mask, and the error of
+    each failed entry is the first one recorded there, the one the float
+    call at that u raises."""
+    with np.errstate(all="ignore"), collect_faults() as faults:
+        try:
+            jet = _eval(expr, variable(u), consts)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            # a subexpression free of u failed, so every entry fails here
+            jet = Jet2(math.nan, math.nan, math.nan)
+            raise_at(np.ones(u.shape, dtype=bool), type(exc), "{}", str(exc))
+    if faults:
+        failed = np.zeros(u.shape, dtype=bool)
+        message = np.empty(u.shape, dtype=object)
+        for fault in faults:
+            message[fault.bad & ~failed] = str(fault.make_error(*fault.values))
+            failed |= fault.bad
+        fail_at(failed, EvalDomainError, message, u)
+    return Jet2(*(f if isinstance(f, np.ndarray) else np.full(u.shape, f) for f in jet))
 
 
 def _eval(expr: Expr, uj: Jet2, consts: Mapping[str, float]) -> Jet2:
@@ -457,6 +515,10 @@ class ProfileFunction:
         return profile
 
     def jet(self, u: float) -> Jet2:
+        """The jet at u, or at an ndarray of u a jet of arrays shaped like u
+        whose entries equal the float calls bit for bit; a domain violation
+        raises EvalDomainError for the first offending u, or is recorded as
+        one mask inside ``geometry.collect_faults()`` (see ``eval_jet``)."""
         return eval_jet(self.expr, u, self.consts)
 
     def __call__(self, u: float) -> Jet2:

@@ -252,20 +252,21 @@ def normal_frame_numeric(patch: SurfacePatch, u: float,
     return _normal_pair(X, Y, u, v)
 
 
-def frame_numeric(patch: SurfacePatch, u: float, v: float) -> Frame:
-    """Full adapted frame with numerically constructed normals."""
-    X, Y = tangent_frame(patch, u, v)
+def frame_numeric(patch: SurfacePatch, u: float, v: float,
+                  jets: PatchJets | None = None) -> Frame:
+    """Full adapted frame with numerically constructed normals; ``jets`` is
+    patch.jets(u, v) when the caller already has it."""
+    X, Y = _tangent_frame(patch.jets(u, v) if jets is None else jets, u, v)[:2]
     return Frame(X, Y, *_normal_pair(X, Y, u, v))
 
 
-def _sigma(patch: SurfacePatch, u: float, v: float):
-    """sigma(X,X) and sigma(Y,Y), plus the terms sigma(X,Y) is formed from,
-    which mean_curvature does not need.
+def _sigma(jets: PatchJets, u: float, v: float):
+    """sigma(X,X) and sigma(Y,Y) from the patch jets at (u, v), plus the
+    terms sigma(X,Y) is formed from, which mean_curvature does not need.
 
     sigma is tensorial, so the values follow from the normal projections
     of z_uu, z_uv, z_vv rescaled by the frame coefficients.
     """
-    jets = patch.jets(u, v)
     X, Y, E, f_over_e, g_red = _tangent_frame(jets, u, v)
     n_uu = normal_projection(jets.z_uu, X, Y)
     n_uv = normal_projection(jets.z_uv, X, Y)
@@ -278,17 +279,19 @@ def _sigma(patch: SurfacePatch, u: float, v: float):
 def second_fundamental_form(patch: SurfacePatch, u: float,
                             v: float) -> tuple[Vec4, Vec4, Vec4]:
     """sigma(X,X), sigma(X,Y), sigma(Y,Y) as vectors in span{n1, n2}."""
-    sxx, syy, (n_uu, n_uv, f_over_e, e_g) = _sigma(patch, u, v)
+    sxx, syy, (n_uu, n_uv, f_over_e, e_g) = _sigma(patch.jets(u, v), u, v)
     return sxx, (n_uv - n_uu * f_over_e) * (1.0 / libm(e_g).sqrt(e_g)), syy
 
 
-def mean_curvature(patch: SurfacePatch, u: float, v: float) -> MeanCurvature:
-    """H = (sigma(X,X) - sigma(Y,Y)) / 2 and h2 = <H, H> at (u, v).
+def mean_curvature(patch: SurfacePatch, u: float, v: float,
+                   jets: PatchJets | None = None) -> MeanCurvature:
+    """H = (sigma(X,X) - sigma(Y,Y)) / 2 and h2 = <H, H> at (u, v); ``jets``
+    is patch.jets(u, v) when the caller already has it.
 
     Needs only the tangent frame (normal projection is frame-free), so it
     serves as the oracle side against the closed-form expressions.
     """
-    sxx, syy, _ = _sigma(patch, u, v)
+    sxx, syy, _ = _sigma(patch.jets(u, v) if jets is None else jets, u, v)
     H = (sxx - syy) * 0.5
     return MeanCurvature(H, inner(H, H))
 

@@ -56,6 +56,7 @@ from .quadrature import QuadratureConfig
 from .surfaces import (
     FD_STEP,
     Frame,
+    PatchJets,
     SurfacePatch,
     fd_oracle,
     frame_numeric,
@@ -161,17 +162,18 @@ def _finite_max(values) -> float:
 
 
 def check_cmc(patch: SurfacePatch, target_h2: float, grid: GridSpec,
-              fd_tol: float = 1e-4) -> CmcCheck:
+              fd_tol: float = 1e-4, jets: PatchJets | None = None) -> CmcCheck:
     """Max |<H,H> - target| over the grid through both pipelines.
 
     The finite-difference pipeline runs at FD_STEP and FD_STEP/2
     (Richardson consistency); points where the two FD values disagree by
     more than 10 * ``fd_tol`` are flagged singular instead of silently
     entering the maximum, and so are points where any of the three values
-    is not finite.
+    is not finite.  ``jets`` is patch.jets on ``grid.mesh()`` when the
+    caller already has it.
     """
     us, vs = grid.mesh()
-    analytic = mean_curvature(patch, us, vs).h2
+    analytic = mean_curvature(patch, us, vs, jets).h2
     fd_a = mean_curvature(fd_oracle(patch, FD_STEP), us, vs).h2
     fd_b = mean_curvature(fd_oracle(patch, 0.5 * FD_STEP), us, vs).h2
     finite = np.isfinite(analytic) & np.isfinite(fd_a) & np.isfinite(fd_b)
@@ -242,8 +244,10 @@ def validate_surface(curve: GeneratingCurve, target_h2: float,
     """Run the full check battery on one generating curve."""
     patch = build_surface(curve, v_window)
     grid = shrunk_grid(curve, nu, nv, patch.v_domain)
-    cmc = check_cmc(patch, target_h2, grid, tols.cmc_fd)
-    frame_worst, frame_flagged = check_frames(lambda u, v: frame_numeric(patch, u, v), grid)
+    jets = patch.jets(*grid.mesh())  # the analytic curvature and the frames share it
+    cmc = check_cmc(patch, target_h2, grid, tols.cmc_fd, jets)
+    frame_worst, frame_flagged = check_frames(
+        lambda u, v: frame_numeric(patch, u, v, jets), grid)
     arclength = check_arclength(curve)
     closed_worst, closed_flagged = closed_vs_oracle(curve, patch, grid, cmc.analytic_h2)
     # a point with a non-finite h2 may be flagged by both h2 checks; list it once

@@ -253,23 +253,42 @@ def test_overflowing_slope_is_a_quadrature_failure(capsys):
     assert "ERROR[quadrature-failure]" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("code, flags", [
-    # a Gauss node of the parabolic slopes lands on f' = 0: the validity scan
-    # keeps a piece across the zero of f' near u = 0.3208
+@pytest.mark.parametrize("code, flags, message", [
+    # f' = 0 near u = 0.3208 lies between two validity scan points.  The scan
+    # ends the largest piece there, at a pole of psi', which its quadrature
+    # fails to resolve (when the piece spanned the zero, a Gauss node landed
+    # on f' = 0 and divided by zero)
     ("quadrature-failure", ["--type", "parabolic", "--profile", "cos(0.823*u+-0.264)",
                             "--interval=-0.4348935868064354:1.9277890762750751",
-                            "--C", "1", "--hsign", "-1"]),
+                            "--C", "1", "--hsign", "-1"],
+     "Legendre tail did not decay on (0.32077"),
     # slopes near 1e154, whose squares overflow in build_surface's arc-length check
     ("invariant-violation", ["--type", "hyperbolicB", "--profile",
                              "(((1.140)+(u))*((1.529)^2))/(1.143+(((u)+(2.031))^3)^2)",
                              "--interval=0.4385178354398085:2.1587471014559805",
-                             "--C", "0.5", "--hsign", "-1"]),
+                             "--C", "0.5", "--hsign", "-1"],
+     "arc-length expression overflows"),
 ], ids=["zero-division", "overflow"])
-def test_arithmetic_errors_end_in_their_error_code(code, flags, capsys):
+def test_arithmetic_errors_end_in_their_error_code(code, flags, message, capsys):
     exit_code, out, err = run(["validate", *flags, "--eta", "1", "--grid", "11x11"], capsys)
     assert exit_code == 2
     assert out == ""
-    assert err.startswith(f"ERROR[{code}] ") and err.count("\n") == 1, err
+    assert err.startswith(f"ERROR[{code}] {message}") and err.count("\n") == 1, err
+
+
+def test_validate_keeps_a_parabolic_piece_off_a_zero_of_f(capsys):
+    # f = sinh(-0.709 u - 0.130) vanishes between two validity scan points, at
+    # u = -0.1834, where the metric G = -2 f^2 degenerates: the report covers
+    # the largest piece on one side.  It still fails the FD oracle next to the
+    # degenerate end.
+    code, out, err = run(["validate", "--type", "parabolic", "--profile",
+                          "sinh(-0.709*u+-0.130)",
+                          "--interval=-0.4719491037756429:0.07469876395076991",
+                          "--C", "1", "--hsign", "1", "--eta", "-1", "--grid", "11x11"],
+                         capsys)
+    assert code == 1, err
+    lo, hi = json.loads(out)["grid"]["u_window"]
+    assert lo < hi < 0.130 / -0.709
 
 
 #: The feasible ``roundtrip`` cases of the benchmark: type, profile,

@@ -1,11 +1,16 @@
 import math
+import random
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmcsurf.builders import RotationType, build_surface, hyperplane_degeneracy, phi_integrand
 from cmcsurf.errors import (
     CaseMismatchError,
+    EvalDomainError,
     NegativeRadicandError,
     NonpositiveProfileError,
 )
@@ -13,11 +18,15 @@ from cmcsurf.generator import (
     CmcParams,
     domain_validity,
     generate,
+    validity_state,
 )
-from cmcsurf.profiles import Jet2, ProfileFunction
+from cmcsurf.geometry import collect_faults, uniform
+from cmcsurf.profiles import Jet2, ProfileFunction, parse
 from cmcsurf.quadrature import QuadratureConfig
 from cmcsurf.surfaces import fd_oracle, mean_curvature
 from cmcsurf.validation import shrunk_grid
+
+from dsl_random import random_expression
 
 CONFIG = QuadratureConfig()
 
@@ -338,6 +347,23 @@ def test_validity_parabolic_fprime_zero():
     assert out[1][0] == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("text, interval, h_sign, eta, zero", [
+    # f = 0 between two scan points: the metric G = -2 f^2 degenerates there
+    ("sinh(-0.709*u+-0.130)", (-0.4719491037756429, 0.07469876395076991), 1, -1,
+     0.130 / -0.709),
+    # f' = 0 between two scan points: a pole of psi'
+    ("cos(0.823*u+-0.264)", (-0.4348935868064354, 1.9277890762750751), -1, 1,
+     0.264 / 0.823),
+], ids=["f", "f-prime"])
+def test_validity_parabolic_sign_change_between_scan_points(text, interval, h_sign, eta,
+                                                            zero):
+    out = domain_validity(profile(text, interval), CmcParams(C=1.0, h_sign=h_sign, eta=eta),
+                          interval, RotationType.PARABOLIC)
+    assert not any(lo < zero < hi for lo, hi in out)
+    assert any(hi == pytest.approx(zero, abs=1e-9) for _, hi in out)
+    assert any(lo == pytest.approx(zero, abs=1e-9) for lo, _ in out)
+
+
 def test_validity_parabolic_constant_profile_empty():
     prof = profile("2", (0.0, 2.0))
     assert domain_validity(prof, CmcParams(C=0.5), (0.0, 2.0),
@@ -352,3 +378,84 @@ def test_params_validation():
     with pytest.raises(ValueError):
         generate(RotationType.ELLIPTIC, profile("2", (0.0, 1.0)), CmcParams(C=0.5, u0=5.0),
                  CONFIG, (0.0, 1.0))
+
+
+# --- the column scan --------------------------------------------------------------
+
+def counted_profile(text, domain):
+    """A ProfileFunction that logs the u of every jet call."""
+    calls = []
+
+    class Counted(ProfileFunction):
+        def jet(self, u):
+            calls.append(u)
+            return super().jet(u)
+
+    return Counted(parse(text), domain), calls
+
+
+def test_validity_scan_is_one_column_call():
+    prof, calls = counted_profile("2", (0.0, 6.28))
+    assert domain_validity(prof, CmcParams(C=1.0, h_sign=1), (0.0, 6.28),
+                           RotationType.ELLIPTIC) == [(0.0, 6.28)]
+    assert len(calls) == 1
+    assert isinstance(calls[0], np.ndarray) and calls[0].shape == (1025,)
+
+
+def test_validity_bisection_is_the_only_float_work():
+    # the profile of test_validity_partial_radicand: one boundary near sqrt(5) - 2
+    prof, calls = counted_profile("1+u/2", (0.0, 2.0))
+    (_, hi), = domain_validity(prof, CmcParams(C=0.5, h_sign=-1), (0.0, 2.0),
+                               RotationType.ELLIPTIC)
+    column, floats = calls[0], calls[1:]
+    assert isinstance(column, np.ndarray) and column.shape == (1025,)
+    assert all(isinstance(u, float) for u in floats)
+    # bisection from one scan step (2/1024) down to 1e-10, inside that step
+    assert len(floats) == math.ceil(math.log2((2.0 / 1024) / 1e-10))
+    assert all(abs(u - hi) < 2.0 / 1024 for u in floats)
+
+
+#: Profile variants that leave the domain of the grammar's functions: ln
+#: across 0, non-integer powers of negative bases, reciprocals of values near
+#: 0, and cosh(400 u), which overflows past |u| = 1.78.
+VARIANTS = ["{}", "ln(u)+({})", "({})^0.5", "1/({})", "({})*cosh(400*u)", "sqrt(u)*({})"]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 3),
+       variant=st.sampled_from(VARIANTS), rotation=st.sampled_from(list(RotationType)),
+       C=st.sampled_from([0.05, 0.5, 1.0, 3.0]), h_sign=st.sampled_from([1, -1]),
+       eta=st.sampled_from([1, -1]), lo=st.floats(-1.0, 1.5), width=st.floats(0.5, 2.5))
+def test_column_scan_matches_the_float_calls(seed, depth, variant, rotation, C, h_sign,
+                                             eta, lo, width):
+    text = variant.format(random_expression(random.Random(seed), depth))
+    prof = ProfileFunction(parse(text), (lo, lo + width))
+    params = CmcParams(C=C, h_sign=h_sign, eta=eta)
+    us = uniform(lo, lo + width, 1025)
+    column = np.array(us)
+
+    states = validity_state(prof, params, rotation, column)
+    assert states.tolist() == [validity_state(prof, params, rotation, u) for u in us], text
+
+    jets, errors = {}, {}
+    for k, u in enumerate(us):
+        try:
+            jets[k] = prof.jet(u)
+        except EvalDomainError as exc:
+            errors[k] = exc
+    with collect_faults():
+        jet = prof.jet(column)
+    for field in range(3):
+        assert _bits([jet[field][k] for k in jets]) == _bits(
+            [j[field] for j in jets.values()]), text
+    if errors:
+        first = errors[min(errors)]
+        with pytest.raises(EvalDomainError) as err:
+            prof.jet(column)
+        assert (str(err.value), err.value.u) == (str(first), first.u)
+    else:
+        assert _bits(prof.jet(column).val) == _bits(jet.val)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 import sympy
 
@@ -121,11 +122,17 @@ def test_builtin_pi():
     ("abs(u)", 0.0),
     ("u^0.5", -2.0),
     ("exp(u)", 1000.0),
+    ("u^-400", 0.1),  # pow overflows
+    ("sqrt(u)", 1e-300),  # sqrt(u) * u, a divisor of the jet, underflows to 0
 ])
 def test_domain_errors_carry_u(text, bad_u):
     with pytest.raises(EvalDomainError) as err:
         eval_jet(parse(text), bad_u)
     assert err.value.u == bad_u
+    # at a column, the first offending u raises the float call's error
+    with pytest.raises(EvalDomainError) as first:
+        eval_jet(parse(text), np.array([1.0, bad_u, -bad_u]))
+    assert (str(first.value), first.value.u) == (str(err.value), bad_u)
 
 
 def test_abs_away_from_zero():
