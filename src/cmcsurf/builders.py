@@ -384,21 +384,30 @@ def _negative_radicand(rad: float, u: float) -> NegativeRadicandError:
     return NegativeRadicandError(f"radicand {rad!r} negative (infeasible h_sign/C)", u)
 
 
-def phi_integrand(s: float, r: Jet2, params: CmcParams, u: float) -> float:
+def phi_integrand(s: float, r: Jet2, params: CmcParams, u: float,
+                  case_sign: int = 0) -> float:
     """phi'(u) at the profile jet r, with k = (r')^2 + s and q = r r'' + k
-    (as in h2_closed): s = +1 elliptic, s = -1 hyperbolic.
+    (as in h2_closed): s = +1 elliptic, s = -1 hyperbolic, whose
+    ``case_sign`` (the spec's: +1 case A, -1 case B, 0 elliptic) is the
+    sign k must have.
 
-    Raises NonpositiveProfileError, NearNullSlopeError (|k| < TAU_SLOPE,
-    which k >= 1 rules out for elliptic profiles) and NegativeRadicandError
-    where the preconditions fail.  At a column of jets it returns the column
-    of values, and each check is a mask (see ``geometry.collect_faults``).
+    Raises NearNullSlopeError (|k| < TAU_SLOPE, which k >= 1 rules out for
+    elliptic profiles), CaseMismatchError (k of the other case's sign),
+    NonpositiveProfileError and NegativeRadicandError where the
+    preconditions fail.  At a column of jets it returns the column of
+    values, and each check is a mask (see ``geometry.collect_faults``).
     """
+    k = r.d1 * r.d1 + s
+    sign = slope_sign(k, u)
+    if case_sign:
+        other = sign != case_sign
+        if other is not False:
+            raise_at(other, CaseMismatchError, "(r')^2 - 1 = {!r} at u={!r} contradicts "
+                     + ("hyperbolicA" if case_sign > 0 else "hyperbolicB"), k, u)
     positive = r.val > 0.0
     if positive is not True:
         raise_at(negate(positive), NonpositiveProfileError,
                  "r(u)={!r} <= 0 at u={!r}", r.val, u)
-    k = r.d1 * r.d1 + s
-    slope_sign(k, u)
     q = r.val * r.d2 + k
     rad = _radicand_guarded(q, 4.0 * params.h_sign * (params.C * params.C)
                             * (r.val * r.val) * k, u)
@@ -637,7 +646,7 @@ def _hyperbolic_spec(case_sign: int, t1, t2) -> RotationSpec:
     sw = float(case_sign)  # w = sqrt(|(r')^2 - 1|)
     return RotationSpec(
         ("r", "x2", "x4"), 0, s=-1.0, case_sign=case_sign,
-        turning=partial(phi_integrand, -1.0),
+        turning=partial(phi_integrand, -1.0, case_sign=case_sign),
         slopes=partial(_trig_slopes, -1.0, sw, t1, t2),
         slope_jets=partial(_trig_slope_jets, -1.0, sw, t1, t2),
         position=_hyperbolic_position, patch_jets=_hyperbolic_jets,

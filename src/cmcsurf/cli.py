@@ -315,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--report", help="report path (default: stdout)")
     p_val.add_argument("--perturb-phi", type=float, default=1.0,
                        help="scale phi by this factor (negative control)")
-    p_val.add_argument("--cmc-tol", type=float, default=1e-6)
-    p_val.add_argument("--cmc-fd-tol", type=float, default=1e-4)
+    p_val.add_argument("--cmc-tol", type=float, default=Tolerances.cmc_analytic)
+    p_val.add_argument("--cmc-fd-tol", type=float, default=Tolerances.cmc_fd)
     p_val.set_defaults(func=_cmd_validate)
     _reject_with_csv(p_val, "perturb_phi")
 
@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = subs.add_parser("oracle",
                                help="closed form vs kernel curvature comparison")
     _add_common(p_oracle, grid=(21, 21))
-    p_oracle.add_argument("--tol", type=float, default=1e-6)
+    p_oracle.add_argument("--tol", type=float, default=Tolerances.closed_vs_oracle)
     p_oracle.set_defaults(func=_cmd_oracle)
     _reject_with_csv(p_oracle, "C", "hsign")
 

@@ -34,21 +34,26 @@ RotationSpec in builders.SPECS carries its own; generate is the one
 generator body for all four types.  This module keeps the quadrature of
 those equations, the profile memo and the feasibility scan.
 
-The scan (domain_validity) evaluates its 1025 points as one u column: one
-profile jet and one turning call over all of them, whose failed checks
-become masks (``geometry.collect_faults``).  Only the bisection of each
-boundary evaluates single float points.  generate evaluates the profile
-at floats only, as the quadratures query it.
+The turning equation is the one gate of generation: its checks (r > 0 or
+f f' != 0, the hyperbolic case's sign of (r')^2 - 1 outside the null band,
+a nonnegative radicand) run at every node of the turning quadrature and at
+every curve query, and the scan asks the same equation.  The scan
+(domain_validity) evaluates its 1025 points as one u column: one profile
+jet and one turning call over all of them, whose failed checks become
+masks (``geometry.collect_faults``).  Only the bisection of each boundary
+evaluates single float points.  generate evaluates the profile at floats
+only, as the quadratures query it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .builders import SPECS, GeneratingCurve, JetFn, RotationSpec, RotationType, slope_sign
+from .builders import SPECS, GeneratingCurve, JetFn, RotationType
 from .errors import (
     BasePointError,
     CaseMismatchError,
@@ -59,7 +64,7 @@ from .errors import (
     NonpositiveProfileError,
     ZeroDerivativeProfileError,
 )
-from .geometry import collect_faults, raise_at, uniform
+from .geometry import collect_faults, uniform
 from .profiles import Jet2, ProfileFunction
 from .quadrature import CumulativeIntegral, QuadratureConfig
 
@@ -121,9 +126,11 @@ def generate(rotation: RotationType, profile, params: CmcParams,
     offset by ``params.phi0`` (the parabolic constant A in phi = f'(A +
     ...)), and the two non-profile components are the quadratures of
     ``spec.slopes`` at t, offset by ``params.c1`` and ``params.c2``; their
-    derivatives come from ``spec.slope_jets``.  A profile whose slope
-    contradicts the hyperbolic case, or crosses the null band, raises
-    CaseMismatchError / NearNullSlopeError.
+    derivatives come from ``spec.slope_jets``.  The turning equation
+    checks the profile at every quadrature node and curve query: it raises
+    CaseMismatchError / NearNullSlopeError where a hyperbolic profile's
+    slope contradicts the case or enters the null band, and the error of
+    any other precondition (see ``validity_state``) where that fails.
 
     ``phi_scale`` multiplies t - phi0 after quadrature; values other than
     1.0 break the CMC property on purpose (negative-control hook) while
@@ -145,12 +152,6 @@ def generate(rotation: RotationType, profile, params: CmcParams,
     u0 = a if params.u0 is None else params.u0
     if not a <= u0 <= b:
         raise BasePointError(f"u0={u0!r} outside the generation interval {interval!r}")
-    if spec.case_sign:  # the profile's slope must keep the case's sign of (r')^2 - 1
-        for u in uniform(a, b, 65):
-            m = rj(u).d1 ** 2 - 1.0
-            if slope_sign(m, u) != spec.case_sign:
-                raise CaseMismatchError(
-                    f"(r')^2 - 1 = {m!r} at u={u!r} contradicts {rotation.value}")
 
     def dt_raw(u: float) -> float:
         return turning(rj(u), params, u)
@@ -185,39 +186,29 @@ _INFEASIBLE = (ArithmeticError, ValueError, CaseMismatchError, EvalDomainError,
                NonpositiveProfileError, ZeroDerivativeProfileError)
 
 
-def _preconditions(profile: ProfileFunction, spec: RotationSpec, params: CmcParams,
-                   u: float) -> Jet2:
-    """The profile jet at u, raising where a precondition of the generator
-    fails: evaluability, the case-consistent slope and the turning
-    equation's own checks (r > 0, f f' != 0, nonnegative radicand)."""
-    p = profile.jet(u)
-    if spec.case_sign:
-        m = p.d1 * p.d1 - 1.0
-        raise_at(slope_sign(m, u) != spec.case_sign, CaseMismatchError,
-                 "(r')^2 - 1 = {!r} contradicts the case at u={!r}", m, u)
-    spec.turning(p, params, u)
-    return p
-
-
 def validity_state(profile: ProfileFunction, params: CmcParams,
                    rotation: RotationType, u: float) -> int:
     """-1 where the generator's preconditions fail at u, else the spec's
     ``kept_signs`` of the profile jet there (0 unless parabolic).
 
-    At an ndarray of u it returns the int array of the float calls' values,
-    from one ``profile.jet`` call and one ``spec.turning`` call on the
-    column: their checks record masks instead of raising.
+    The preconditions are the profile's evaluability and the checks of the
+    spec's turning equation, which gates generation: r > 0 or f f' != 0,
+    the hyperbolic case's sign of (r')^2 - 1 outside the null band, and a
+    nonnegative radicand.  At an ndarray of u it returns the int array of
+    the float calls' values, from one ``profile.jet`` call and one
+    ``spec.turning`` call on the column: their checks record masks instead
+    of raising.
     """
     spec = SPECS[rotation]
     if isinstance(u, np.ndarray):
         with np.errstate(all="ignore"), collect_faults() as faults:
-            p = _preconditions(profile, spec, params, u)
-        failed = np.zeros(u.shape, dtype=bool)
-        for fault in faults:
-            failed |= fault.bad
-        return np.where(failed, -1, spec.kept_signs(p))
+            p = profile.jet(u)
+            spec.turning(p, params, u)
+        return np.where(reduce(np.logical_or, faults, np.zeros(u.shape, dtype=bool)),
+                        -1, spec.kept_signs(p))
     try:
-        p = _preconditions(profile, spec, params, u)
+        p = profile.jet(u)
+        spec.turning(p, params, u)
     except _INFEASIBLE:
         return -1
     return spec.kept_signs(p)
@@ -229,8 +220,9 @@ def domain_validity(profile: ProfileFunction, params: CmcParams,
     """Maximal subintervals where the generator's preconditions hold.
 
     Scans 1025 evenly spaced points for changes of ``validity_state``
-    (profile evaluability and positivity, f f' != 0, case-consistent slope,
-    nonnegative radicand) and locates each boundary by bisection to 1e-10.
+    (profile evaluability and the turning equation's checks: positivity,
+    f f' != 0, case-consistent slope, nonnegative radicand) and locates
+    each boundary by bisection to 1e-10.
     ``profile`` is a ProfileFunction: the scan takes its jet at all points
     in one column call, and only the bisection evaluates it at single
     floats.  For a parabolic profile a sign change of f or f' between two

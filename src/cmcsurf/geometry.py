@@ -22,9 +22,10 @@ results differ from libm's in the last bit for some arguments (cosh and
 sinh among them).
 
 A check that would raise at a float raises on a grid for the first
-offending point, unless it runs inside ``collect_faults()``: there it
-records the grid of points where it fails and the computation goes on, so
-one grid pass yields the mask of every point where the float call raises.
+offending point, with the error the float call raises there, unless it
+runs inside ``collect_faults()``: there a fault is only its mask, the grid
+of points where the check fails, and the computation goes on, so one grid
+pass yields the mask of every point where the float call raises.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from contextvars import ContextVar
 from enum import Enum
 from functools import reduce
 from types import SimpleNamespace
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -92,30 +93,24 @@ def uniform(lo: float, hi: float, n: int) -> list[float]:
     return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
 
 
-def is_grid(x) -> bool:
-    return isinstance(x, np.ndarray)
-
-
 def _entrywise(fn):
     """fn at every entry of a grid.  Where fn raises (libm's range and
-    domain errors), the entry is NaN and the error goes to ``raise_at``:
-    the first failing entry raises it, as a loop over the entries would."""
+    domain errors), the entry is NaN and the check fails there: outside
+    ``collect_faults`` fn at the first failing entry raises its own error,
+    as a loop over the entries would."""
     def call(x):
         flat = x.ravel().tolist()
         try:
             values = [fn(t) for t in flat]
         except (ValueError, ArithmeticError):
-            values, failed = [], {}
+            values, failed = [], np.zeros(len(flat), dtype=bool)
             for i, t in enumerate(flat):
                 try:
                     values.append(fn(t))
-                except (ValueError, ArithmeticError) as exc:
+                except (ValueError, ArithmeticError):
                     values.append(math.nan)
-                    failed.setdefault((type(exc), str(exc)), []).append(i)
-            for (error, message), at in failed.items():  # first failure first
-                bad = np.zeros(len(flat), dtype=bool)
-                bad[at] = True
-                raise_at(bad.reshape(x.shape), error, "{}", message)
+                    failed[i] = True
+            fail_at(failed.reshape(x.shape), fn, x)
         return np.array(values).reshape(x.shape)
     return call
 
@@ -162,11 +157,11 @@ _FAULTS: ContextVar[list | None] = ContextVar("cmcsurf_faults", default=None)
 
 @contextmanager
 def collect_faults():
-    """Inside the block, a check that fails on a grid records its fault
-    (see ``fail_at``) in the yielded list instead of raising, and the
-    computation goes on with unspecified values at those points; a check on
-    a float still raises.  Like ``np.errstate``, the setting belongs to the
-    current context and ends with the block."""
+    """Inside the block, a check that fails on a grid appends its boolean
+    mask, the grid of points where it fails, to the yielded list instead of
+    raising, and the computation goes on with unspecified values at those
+    points; a check on a float still raises.  Like ``np.errstate``, the
+    setting belongs to the current context and ends with the block."""
     faults: list = []
     token = _FAULTS.set(faults)
     try:
@@ -175,30 +170,22 @@ def collect_faults():
         _FAULTS.reset(token)
 
 
-class Fault(NamedTuple):
-    """A failed check on a grid: ``bad`` holds where it fails, and
-    ``make_error(*values)`` is its error at a point, from the values there."""
-
-    bad: np.ndarray
-    make_error: Callable[..., Exception]
-    values: tuple
-
-
 def fail_at(bad, make_error, *values) -> None:
     """Raise ``make_error(*values)`` if ``bad`` holds.
 
-    On a grid the error names the first offending point in u-major order
-    (row-major over (u, v)), the order of a loop over u and then v: every
-    value is taken at that point as a Python scalar, so the error reads
-    exactly as the scalar call at that point would have it.  Inside
-    ``collect_faults()`` a grid ``bad`` is recorded as a Fault instead.
+    On a grid the error is the float call's at the first offending point in
+    u-major order (row-major over (u, v)), the order of a loop over u and
+    then v: every value is taken at that point as a Python scalar, and
+    ``make_error`` builds the error from them, or is the float computation
+    itself and raises it.  Inside ``collect_faults()`` a grid ``bad`` is
+    only recorded, as its mask.
     """
     if isinstance(bad, np.ndarray):
         if not bad.any():
             return
         faults = _FAULTS.get()
         if faults is not None:
-            faults.append(Fault(bad, make_error, values))
+            faults.append(bad)
             return
     elif not bad:
         return
@@ -345,4 +332,5 @@ def gram_residual(vectors: Sequence[Vec4], signs: Sequence[int]) -> float:
     grid, the grid of these maxima."""
     terms = [abs(inner(vi, vj) - (signs[i] if i == j else 0.0))
              for i, vi in enumerate(vectors) for j, vj in enumerate(vectors[i:], i)]
-    return reduce(np.maximum, terms) if any(map(is_grid, terms)) else max(terms)
+    return (reduce(np.maximum, terms)
+            if any(isinstance(t, np.ndarray) for t in terms) else max(terms))

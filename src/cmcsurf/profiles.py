@@ -27,11 +27,11 @@ the power x^c run through libm entry by entry (``geometry.libm`` and
 ``geometry.power``).  Each domain check (sqrt and ln of a non-positive
 value, abs at zero, division by zero, a zero or non-positive base of a
 power, libm's overflow and a product that underflows to a zero divisor) is
-one comparison that raises at a float.  At a column it is a per-entry mask:
-``eval_jet`` raises EvalDomainError at the first offending u, with the
-float call's message, or, inside ``geometry.collect_faults()``, records
-the union of the masks as one fault and returns the jet, whose failed
-entries hold unspecified values.
+one comparison that raises at a float.  At a column it is a per-entry mask,
+and ``eval_jet`` takes the union of the masks: it raises by making the
+float call at the first offending u, or, inside
+``geometry.collect_faults()``, records the union as one mask and returns
+the jet, whose failed entries hold unspecified values.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import partial, reduce
 from typing import Iterable, Mapping, NamedTuple, Union
 
 import numpy as np
@@ -435,7 +436,8 @@ def eval_jet(expr: Expr, u: float, consts: Mapping[str, float] | None = None) ->
     violations (sqrt/ln of non-positive arguments, division by zero,
     abs at zero, bad powers, overflow) raise EvalDomainError carrying ``u``.
     At an ndarray of u the jet's fields are arrays shaped like u, and a
-    violation raises for the first offending u (see the module docstring).
+    violation raises the float call's error at the first offending u, or is
+    recorded as one mask inside ``geometry.collect_faults()``.
     """
     if isinstance(u, np.ndarray):
         return _eval_column(expr, u, consts or {})
@@ -446,23 +448,17 @@ def eval_jet(expr: Expr, u: float, consts: Mapping[str, float] | None = None) ->
 
 
 def _eval_column(expr: Expr, u: np.ndarray, consts: Mapping[str, float]) -> Jet2:
-    """eval_jet at a column: every check records its mask, and the error of
-    each failed entry is the first one recorded there, the one the float
-    call at that u raises."""
+    """eval_jet at a column: every check records its mask, and where any
+    fails, the float call at the first failing u raises its error."""
     with np.errstate(all="ignore"), collect_faults() as faults:
         try:
             jet = _eval(expr, variable(u), consts)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError):
             # a subexpression free of u failed, so every entry fails here
             jet = Jet2(math.nan, math.nan, math.nan)
-            raise_at(np.ones(u.shape, dtype=bool), type(exc), "{}", str(exc))
+            faults.append(np.ones(u.shape, dtype=bool))
     if faults:
-        failed = np.zeros(u.shape, dtype=bool)
-        message = np.empty(u.shape, dtype=object)
-        for fault in faults:
-            message[fault.bad & ~failed] = str(fault.make_error(*fault.values))
-            failed |= fault.bad
-        fail_at(failed, EvalDomainError, message, u)
+        fail_at(reduce(np.logical_or, faults), partial(eval_jet, expr, consts=consts), u)
     return Jet2(*(f if isinstance(f, np.ndarray) else np.full(u.shape, f) for f in jet))
 
 
@@ -517,8 +513,9 @@ class ProfileFunction:
     def jet(self, u: float) -> Jet2:
         """The jet at u, or at an ndarray of u a jet of arrays shaped like u
         whose entries equal the float calls bit for bit; a domain violation
-        raises EvalDomainError for the first offending u, or is recorded as
-        one mask inside ``geometry.collect_faults()`` (see ``eval_jet``)."""
+        raises the float call's EvalDomainError at the first offending u, or
+        is recorded as one mask inside ``geometry.collect_faults()`` (see
+        ``eval_jet``)."""
         return eval_jet(self.expr, u, self.consts)
 
     def __call__(self, u: float) -> Jet2:

@@ -38,7 +38,6 @@ from .geometry import (
     BASIS,
     Vec4,
     inner,
-    is_grid,
     libm,
     negate,
     orthonormalize_indefinite,
@@ -179,7 +178,7 @@ def _normal_pair(X: Vec4, Y: Vec4, u, v) -> tuple[Vec4, Vec4, int, int]:
         square = proj.x1 * proj.x1 + proj.x2 * proj.x2 + proj.x3 * proj.x3 + proj.x4 * proj.x4
         norms.append(libm(square).sqrt(square))
     scores = [norms[i] + norms[j] for i, j in _SEED_PAIRS]
-    if is_grid(u) or is_grid(v):
+    if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
         return _normal_pair_grid(X, Y, scores)
     for k in sorted(range(len(_SEED_PAIRS)), key=scores.__getitem__):
         i, j = _SEED_PAIRS[k]
@@ -228,7 +227,7 @@ def _take(mask, new: Vec4, old: Vec4) -> Vec4:
 def _spacelike_first(first, second):
     """(n1, n2, s1, s2) from two (unit, sign) pairs, spacelike normal first."""
     (n1, s1), (n2, s2) = first, second
-    if is_grid(s1):
+    if isinstance(s1, np.ndarray):
         swap = s1 < s2
         return (_take(swap, n2, n1), _take(swap, n1, n2),
                 np.where(swap, s2, s1), np.where(swap, s1, s2))
@@ -324,7 +323,7 @@ def fd_patch(
         if outside is not False:
             raise_at(outside, StencilOutOfDomainError,
                      "stencil around ({!r}, {!r}) with h={!r} leaves the domain", u, v, h)
-        if is_grid(u) and is_grid(v):
+        if isinstance(u, np.ndarray) and isinstance(v, np.ndarray):
             c, pu, mu, pv, mv, pp, pm, mp, mm = _stencil_grid(position, u, v, h)
         else:
             c = position(u, v)

@@ -11,12 +11,14 @@ The grid checks (check_cmc, check_frames, closed_vs_oracle) call the
 surface functions once per grid, on the broadcast (u, v) arrays of
 ``GridSpec.mesh`` (see ``surfaces``), and give the values of a loop over u
 and then v bit for bit; check_arclength, h2_closed and the checks of
-build_surface and hyperplane_degeneracy take one u column each.  So a
-reloaded curve, whose splines take columns, is evaluated in eight column
-calls per validate_surface.  A point is never silently dropped from a maximum:
-it is flagged with its reason instead.  Each check lists its flagged points
-in u-major order, and a report lists those of the CMC check, then those of
-the closed-form check (each (u, v, reason) once), then those of the frames:
+build_surface and hyperplane_degeneracy take one u column each, and
+check_cmc and check_frames share one ``patch.jets`` grid call.  So a
+reloaded curve, whose splines take columns, is evaluated in seven column
+calls per component per validate_surface.  A point is never silently
+dropped from a maximum: it is flagged with its reason instead.  Each check
+lists its flagged points in u-major order, and a report lists those of the
+CMC check, then those of the closed-form check (each (u, v, reason) once),
+then those of the frames:
 
 * ``fd-richardson-disagreement``: the FD <H,H> at FD_STEP and FD_STEP/2
   differ by more than 10 * ``fd_tol``;
@@ -41,6 +43,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .builders import (
+    ARC_TOL,
     SPECS,
     GeneratingCurve,
     RotationType,
@@ -74,7 +77,7 @@ class Tolerances:
 
     cmc_analytic: float = 1e-6
     cmc_fd: float = 1e-4
-    arclength: float = 1e-9
+    arclength: float = ARC_TOL
     frames: float = 1e-10
     closed_vs_oracle: float = 1e-6
 
@@ -162,7 +165,7 @@ def _finite_max(values) -> float:
 
 
 def check_cmc(patch: SurfacePatch, target_h2: float, grid: GridSpec,
-              fd_tol: float = 1e-4, jets: PatchJets | None = None) -> CmcCheck:
+              fd_tol: float = Tolerances.cmc_fd, jets: PatchJets | None = None) -> CmcCheck:
     """Max |<H,H> - target| over the grid through both pipelines.
 
     The finite-difference pipeline runs at FD_STEP and FD_STEP/2
@@ -361,8 +364,6 @@ def generate_and_validate(rotation: RotationType, profile, params: CmcParams,
                           interval: tuple[float, float],
                           config: QuadratureConfig | None = None,
                           nu: int = 41, nv: int = 41,
-                          v_window: tuple[float, float] | None = None,
-                          tols: Tolerances = Tolerances(),
                           phi_scale: float = 1.0,
                           surface_id: str = "",
                           ) -> tuple[GeneratingCurve | None, ValidationReport | None,
@@ -376,6 +377,5 @@ def generate_and_validate(rotation: RotationType, profile, params: CmcParams,
         return None, None, validity
     gen_interval, params = plan
     curve = generate(rotation, profile, params, config, gen_interval, phi_scale)
-    report = validate_surface(curve, params.target_h2, surface_id,
-                              nu, nv, v_window, tols)
+    report = validate_surface(curve, params.target_h2, surface_id, nu, nv)
     return curve, report, validity

@@ -152,6 +152,15 @@ def test_hyperbolic_case_mismatch():
                  CONFIG, (0.5, 2.0))
 
 
+def test_generate_checks_the_case_at_every_node():
+    # (r')^2 dips below 1 in a band about 0.01 wide around u = 0.038424, between
+    # two of any 65 evenly spaced points of (0, 6.4); the turning equation sees it
+    text = "2*u-1.6*0.01*sinh((u-0.038424)/0.01)/cosh((u-0.038424)/0.01)"
+    with pytest.raises(CaseMismatchError, match=r"at u=0\.0384.* contradicts hyperbolicA"):
+        generate(RotationType.HYPERBOLIC_A, ProfileFunction(parse(text), (0.0, 6.4)),
+                 CmcParams(C=0.5), CONFIG, (0.0, 6.4))
+
+
 # --- parabolic ---------------------------------------------------------------------
 
 def test_parabolic_round_trip():

@@ -1,10 +1,14 @@
+import math
 import random
 
 import numpy as np
 import pytest
 import sympy
 
+from cmcsurf.builders import RotationType
 from cmcsurf.errors import EvalDomainError, ExprSyntaxError, UnknownIdentifierError
+from cmcsurf.generator import CmcParams, domain_validity
+from cmcsurf.geometry import GRID_MATH, collect_faults
 from cmcsurf.profiles import (
     BinOp,
     Const,
@@ -133,6 +137,32 @@ def test_domain_errors_carry_u(text, bad_u):
     with pytest.raises(EvalDomainError) as first:
         eval_jet(parse(text), np.array([1.0, bad_u, -bad_u]))
     assert (str(first.value), first.value.u) == (str(err.value), bad_u)
+
+
+def test_failing_subexpression_free_of_u_fails_every_entry():
+    prof = ProfileFunction(parse("u+sqrt(-1)"), (0.0, 1.0))
+    column = np.array([0.25, 0.5, 0.75])
+    with pytest.raises(EvalDomainError) as floating:
+        prof.jet(0.25)
+    with pytest.raises(EvalDomainError) as err:
+        prof.jet(column)
+    assert (str(err.value), err.value.u) == (str(floating.value), 0.25)
+    with collect_faults() as faults:
+        prof.jet(column)
+    assert [mask.tolist() for mask in faults] == [[True, True, True]]
+    assert domain_validity(prof, CmcParams(C=0.5), (0.0, 1.0), RotationType.ELLIPTIC) == []
+
+
+def test_libm_errors_at_a_column_are_the_float_call_or_a_mask():
+    column = np.array([1.0, -1.0, 0.0])
+    with pytest.raises(ValueError) as floating:
+        math.log(-1.0)
+    with pytest.raises(ValueError) as err:
+        GRID_MATH.log(column)
+    assert str(err.value) == str(floating.value)
+    with collect_faults() as faults:
+        GRID_MATH.log(column)
+    assert [mask.tolist() for mask in faults] == [[False, True, True]]
 
 
 def test_abs_away_from_zero():
