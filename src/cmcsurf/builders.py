@@ -29,16 +29,19 @@ Parabolic patches are stored in the standard e-basis; the lightlike pair
 xi1, xi2 appears only during assembly.
 
 The patch formulas, the position formulas, the closed-form frames,
-h2_closed, the arc-length and twist expressions, the profile checks and
-the turning equations accept a broadcast grid (u a column, v a row; see
-``surfaces``) as well as a float (u, v), and a grid entry equals the float
-call at its point bit for bit.  ``GeneratingCurve.jets`` answers a u column with one call per
-component when the curve's components take columns (reloaded curves), and
-otherwise with one Python-float lookup per u; the trigonometric functions
-of v and the squares of the spec expressions are libm's, one call per grid
-value.  build_surface, h2_closed and hyperplane_degeneracy check a curve on
-one u column each, and raise for the first offending u of the check that
-fails first.
+h2_closed, the arc-length and twist expressions, the profile checks, the
+turning equations and their slopes accept a broadcast grid (u a column, v
+a row; see ``surfaces``) as well as a float (u, v), and a grid entry equals
+the float call at its point bit for bit.  ``GeneratingCurve.jets`` answers
+a u column with one call of the curve's ``column`` function: the
+components themselves for a reloaded curve (``component_columns``), one
+profile jet, one turning call and one Clenshaw sweep per quadrature for a
+generated one (see ``generator.generate``); an analytic curve has none and
+is looked up one Python float at a time.  The trigonometric functions of v
+and phi and the squares of the spec expressions are libm's, one call per
+grid value.  build_surface, h2_closed and hyperplane_degeneracy check a
+curve on one u column each, and raise for the first offending u of the
+check that fails first.
 """
 
 from __future__ import annotations
@@ -114,20 +117,18 @@ class GeneratingCurve:
     Component order follows the rotation type: elliptic (x1, x2, r),
     hyperbolic (r, x2, x4), parabolic (x1, f, g).
 
-    ``columns`` says whether every component also takes an ndarray of u
-    and returns a Jet2 of arrays of its shape, each entry equal to the
-    float call's (the splines of a reloaded curve, see
-    ``io.curve_from_samples``).  Generated and analytic curves take floats
-    only: their jets, and the quadratures and profile memo behind them,
-    are memoized per float u.  Generated curves switch to columns once
-    their quadratures take arrays too (ROADMAP item 2, which waits on
-    item 1).
+    ``column``, when given, takes the curve and an ndarray of u and returns
+    the three component jets as Jet2s of arrays of its shape, each entry
+    equal to the float call's: ``component_columns`` for the splines of a
+    reloaded curve (see ``io.curve_from_samples``), the generator's column
+    function for a generated curve.  The components themselves are called
+    at floats only unless ``column`` calls them.
     """
 
     rotation: RotationType
     components: tuple[JetFn, JetFn, JetFn]
     domain: tuple[float, float]
-    columns: bool = False
+    column: Callable[[GeneratingCurve, np.ndarray], tuple[Jet2, Jet2, Jet2]] | None = None
     _memo: dict[float, tuple[Jet2, Jet2, Jet2]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -136,15 +137,14 @@ class GeneratingCurve:
         miss reads ``components`` afresh, so swapped-in components see it.
 
         At an ndarray of u values every Jet2 field comes back as an array
-        shaped like u: from one call per component when the curve takes
-        ``columns``, unmemoized, and else from a Python-float lookup per u.
+        shaped like u: from one ``column`` call, unmemoized, and without
+        one from a Python-float lookup per u.
         """
         try:
             hit = self._memo.get(u)
         except TypeError:  # an ndarray is unhashable
-            if self.columns:
-                c1, c2, c3 = self.components
-                return c1(u), c2(u), c3(u)
+            if self.column is not None:
+                return self.column(self, u)
             rows = np.array([self.jets(t) for t in u.ravel().tolist()])
             return tuple(Jet2(*(rows[:, c, k].reshape(u.shape) for k in range(3)))
                          for c in range(3))
@@ -163,6 +163,13 @@ class GeneratingCurve:
         x1'x2''-x1''x2' (elliptic), x2'x4''-x2''x4' (hyperbolic),
         x1''f'-x1'f'' (parabolic)."""
         return SPECS[self.rotation].twist(*self.jets(u))
+
+
+def component_columns(curve: GeneratingCurve, u: np.ndarray) -> tuple[Jet2, Jet2, Jet2]:
+    """The ``column`` of a curve whose components take a u column: one call
+    of each, read from the curve at call time."""
+    c1, c2, c3 = curve.components
+    return c1(u), c2(u), c3(u)
 
 
 def check_samples(domain: tuple[float, float]) -> np.ndarray:
@@ -384,12 +391,13 @@ def _negative_radicand(rad: float, u: float) -> NegativeRadicandError:
     return NegativeRadicandError(f"radicand {rad!r} negative (infeasible h_sign/C)", u)
 
 
-def phi_integrand(s: float, r: Jet2, params: CmcParams, u: float,
-                  case_sign: int = 0) -> float:
+def phi_integrand(s: float, case_sign: int, r: Jet2, params: CmcParams,
+                  u: float) -> float:
     """phi'(u) at the profile jet r, with k = (r')^2 + s and q = r r'' + k
     (as in h2_closed): s = +1 elliptic, s = -1 hyperbolic, whose
     ``case_sign`` (the spec's: +1 case A, -1 case B, 0 elliptic) is the
-    sign k must have.
+    sign k must have.  The spec binds s and case_sign positionally, which
+    keeps the call per quadrature node on CPython's fast path.
 
     Raises NearNullSlopeError (|k| < TAU_SLOPE, which k >= 1 rules out for
     elliptic profiles), CaseMismatchError (k of the other case's sign),
@@ -429,18 +437,22 @@ def psi_integrand_parabolic(f: Jet2, params: CmcParams, u: float) -> float:
     return params.eta * libm(rad).sqrt(rad) / f.d1
 
 
-def _trig_slopes(s: float, sw: float, t1, t2, r: Jet2,
+def _trig_slopes(s: float, sw: float, t1: str, t2: str, r: Jet2,
                  phi: float) -> tuple[float, float]:
-    """w (t1(phi), t2(phi)) with w = sqrt(sw k), k = (r')^2 + s."""
+    """w (t1(phi), t2(phi)) with w = sqrt(sw k), k = (r')^2 + s, for t1 and
+    t2 named functions of ``math``; the quadrature nodes take floats only."""
     w = math.sqrt(sw * (r.d1 * r.d1 + s))
-    return w * t1(phi), w * t2(phi)
+    return w * getattr(math, t1)(phi), w * getattr(math, t2)(phi)
 
 
-def _trig_slope_jets(s: float, sw: float, t1, t2, r: Jet2, phi: float, dphi: float):
-    """(x', x'') of both trig slopes, using t1' = -s t2 and t2' = t1."""
-    w = math.sqrt(sw * (r.d1 * r.d1 + s))
+def _trig_slope_jets(s: float, sw: float, t1: str, t2: str, r: Jet2, phi: float,
+                     dphi: float):
+    """(x', x'') of both trig slopes, using t1' = -s t2 and t2' = t1; at a
+    column of jets and phi through ``libm``, entry by entry as at a float."""
+    m = libm(phi)
+    w = m.sqrt(sw * (r.d1 * r.d1 + s))
     wp = sw * r.d1 * r.d2 / w
-    v1, v2 = t1(phi), t2(phi)
+    v1, v2 = getattr(m, t1)(phi), getattr(m, t2)(phi)
     return (w * v1, wp * v1 + -s * w * v2 * dphi), (w * v2, wp * v2 + w * v1 * dphi)
 
 
@@ -455,7 +467,7 @@ def _parabolic_slope_jets(f: Jet2, psi: float, dpsi: float):
     """(x1', x1'') and (g', g'') with phi' = f'' psi + f' psi'."""
     p, dp = f.d1 * psi, f.d2 * psi + f.d1 * dpsi
     return (p, dp), ((p * p - 1.0) / (2.0 * f.d1),
-                     p * dp / f.d1 - (p * p - 1.0) * f.d2 / (2.0 * f.d1 * f.d1))
+                     p * dp / f.d1 - (p * p - 1.0) * f.d2 / divisor(2.0 * f.d1 * f.d1))
 
 
 def elliptic_H_closed(curve: GeneratingCurve, u: float, v: float = 0.0) -> MeanCurvature:
@@ -642,11 +654,11 @@ class RotationSpec:
     special_phi: Callable[[Mapping[str, float], CmcParams, float], float]
 
 
-def _hyperbolic_spec(case_sign: int, t1, t2) -> RotationSpec:
+def _hyperbolic_spec(case_sign: int, t1: str, t2: str) -> RotationSpec:
     sw = float(case_sign)  # w = sqrt(|(r')^2 - 1|)
     return RotationSpec(
         ("r", "x2", "x4"), 0, s=-1.0, case_sign=case_sign,
-        turning=partial(phi_integrand, -1.0, case_sign=case_sign),
+        turning=partial(phi_integrand, -1.0, case_sign),
         slopes=partial(_trig_slopes, -1.0, sw, t1, t2),
         slope_jets=partial(_trig_slope_jets, -1.0, sw, t1, t2),
         position=_hyperbolic_position, patch_jets=_hyperbolic_jets,
@@ -665,9 +677,9 @@ def _hyperbolic_spec(case_sign: int, t1, t2) -> RotationSpec:
 SPECS: dict[RotationType, RotationSpec] = {
     RotationType.ELLIPTIC: RotationSpec(
         ("x1", "x2", "r"), 2, s=1.0, case_sign=0,
-        turning=partial(phi_integrand, 1.0),
-        slopes=partial(_trig_slopes, 1.0, 1.0, math.cos, math.sin),
-        slope_jets=partial(_trig_slope_jets, 1.0, 1.0, math.cos, math.sin),
+        turning=partial(phi_integrand, 1.0, 0),
+        slopes=partial(_trig_slopes, 1.0, 1.0, "cos", "sin"),
+        slope_jets=partial(_trig_slope_jets, 1.0, 1.0, "cos", "sin"),
         position=_elliptic_position, patch_jets=_elliptic_jets,
         check_profile=_check_radius, kept_signs=_no_signs, v_window=(0.0, 2.0 * math.pi),
         # (x1')^2 + (x2')^2 - (r')^2
@@ -675,8 +687,8 @@ SPECS: dict[RotationType, RotationSpec] = {
         twist=lambda a, b, c: a.d1 * b.d2 - a.d2 * b.d1,
         special_profile="sqrt(-u^2+2*a*u+b)",  # r r'' + (r')^2 + 1 = 0
         special_h_sign=1, special_phi=_special_phi_elliptic),
-    RotationType.HYPERBOLIC_A: _hyperbolic_spec(1, math.sinh, math.cosh),
-    RotationType.HYPERBOLIC_B: _hyperbolic_spec(-1, math.cosh, math.sinh),
+    RotationType.HYPERBOLIC_A: _hyperbolic_spec(1, "sinh", "cosh"),
+    RotationType.HYPERBOLIC_B: _hyperbolic_spec(-1, "cosh", "sinh"),
     RotationType.PARABOLIC: RotationSpec(
         ("x1", "f", "g"), 1, s=0.0, case_sign=0,
         turning=psi_integrand_parabolic, slopes=_parabolic_slopes,

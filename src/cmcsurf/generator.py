@@ -41,8 +41,10 @@ every curve query, and the scan asks the same equation.  The scan
 (domain_validity) evaluates its 1025 points as one u column: one profile
 jet and one turning call over all of them, whose failed checks become
 masks (``geometry.collect_faults``).  Only the bisection of each boundary
-evaluates single float points.  generate evaluates the profile at floats
-only, as the quadratures query it.
+evaluates single float points.  The quadratures are built from float
+nodes, through a profile memo; a generated curve answers a u column the
+same way the scan does, with one profile jet, one turning call and one
+Clenshaw sweep per quadrature, and a float u through the memos.
 """
 
 from __future__ import annotations
@@ -106,11 +108,19 @@ class CmcParams:
 
 
 def as_jet_fn(profile) -> JetFn:
-    """Accept a ProfileFunction or any callable u -> Jet2."""
+    """A ProfileFunction's ``jet``, which takes a u column as well, or any
+    callable u -> Jet2, which a column then calls at each of its floats."""
     jet = getattr(profile, "jet", None)
     if jet is not None:
         return jet
-    return profile
+
+    def jet_fn(u):
+        if not isinstance(u, np.ndarray):
+            return profile(u)
+        rows = np.array([profile(t) for t in u.ravel().tolist()])
+        return Jet2(*(rows[:, k].reshape(u.shape) for k in range(3)))
+
+    return jet_fn
 
 
 # --- generators ----------------------------------------------------------------
@@ -131,6 +141,12 @@ def generate(rotation: RotationType, profile, params: CmcParams,
     CaseMismatchError / NearNullSlopeError where a hyperbolic profile's
     slope contradicts the case or enters the null band, and the error of
     any other precondition (see ``validity_state``) where that fails.
+
+    The curve's ``column`` answers a u column with one profile jet, one
+    turning call and one Clenshaw sweep per quadrature, each entry equal
+    to the float query.  generate queries the curve at both ends of the
+    interval, so a curve that cannot be evaluated there is refused with
+    the error of the first offending end.
 
     ``phi_scale`` multiplies t - phi0 after quadrature; values other than
     1.0 break the CMC property on purpose (negative-control hook) while
@@ -159,23 +175,45 @@ def generate(rotation: RotationType, profile, params: CmcParams,
     t_cum = CumulativeIntegral(dt_raw, a, b, config)
     t_off = t_cum(u0)
 
+    # t, the slope jets and the values below take a float u or a u column
     def t(u: float) -> float:
         return params.phi0 + phi_scale * (t_cum(u) - t_off)
 
-    def component(i: int, c: float) -> JetFn:
-        """c + integral of the i-th slope."""
-        cum = CumulativeIntegral(lambda u: slopes(rj(u), t(u))[i], a, b, config)
-        off = cum(u0)
+    def slope_jets_at(p: Jet2, u: float):
+        return slope_jets(p, t(u), phi_scale * turning(p, params, u))
 
+    integrals = []  # (c, the integral of the i-th slope from a, its value at u0)
+    for i, c in enumerate((params.c1, params.c2)):
+        cum = CumulativeIntegral(lambda u, i=i: slopes(rj(u), t(u))[i], a, b, config)
+        integrals.append((c, cum, cum(u0)))
+
+    def value(i: int, u: float) -> float:
+        """c + the integral of the i-th slope from u0."""
+        c, cum, off = integrals[i]
+        return c + cum(u) - off
+
+    def component(i: int) -> JetFn:
         def jet(u: float) -> Jet2:
-            d1, d2 = slope_jets(rj(u), t(u), phi_scale * dt_raw(u))[i]
-            return Jet2(c + cum(u) - off, d1, d2)
+            d1, d2 = slope_jets_at(rj(u), u)[i]
+            return Jet2(value(i, u), d1, d2)
 
         return jet
 
-    components = [component(0, params.c1), component(1, params.c2)]
+    def column(_curve: GeneratingCurve, u: np.ndarray) -> tuple[Jet2, Jet2, Jet2]:
+        p = jet_fn(u)
+        slope_pair = slope_jets_at(p, u)
+        jets = [Jet2(value(i, u), *slope_pair[i]) for i in (0, 1)]
+        jets.insert(spec.profile_slot, p)
+        return tuple(jets)
+
+    components = [component(0), component(1)]
     components.insert(spec.profile_slot, rj)
-    return GeneratingCurve(rotation, tuple(components), interval)
+    curve = GeneratingCurve(rotation, tuple(components), interval, column)
+    # no quadrature node reaches the ends, so query them once; two float
+    # queries cost a twentieth of one column call on the two points
+    for end in interval:
+        curve.jets(end)
+    return curve
 
 
 # --- feasibility scan ------------------------------------------------------------

@@ -13,8 +13,10 @@ matches value and both stored derivatives at every sample, so a re-read
 curve reproduces validation results to the sampling resolution.  Each
 spline is a ``quadrature.PiecewiseLegendre``, the evaluator of generated
 curves, so neither kind of curve extrapolates.  A reloaded curve's
-components take a float u or a u column, so validation evaluates it a
-column at a time (``GeneratingCurve.columns``).
+components take a float u or a u column, and its ``GeneratingCurve.column``
+calls them, so validation evaluates it a column at a time, as it does a
+generated curve.  ``write_curve_csv`` still queries the curve one float
+sample at a time.
 
 OBJ export projects the 4-coordinate samples to three viewing axes; the
 projection is recorded in a comment and carries no geometric claim.
@@ -30,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .builders import SPECS, GeneratingCurve, RotationType
+from .builders import SPECS, GeneratingCurve, RotationType, component_columns
 from .geometry import uniform
 from .profiles import Jet2
 from .quadrature import PiecewiseLegendre
@@ -57,7 +59,9 @@ def _header(names: Sequence[str]) -> list[str]:
 
 
 def write_curve_csv(path: str, curve: GeneratingCurve, samples: int = 401) -> None:
-    """Sample the curve jets on a uniform grid and write them as CSV."""
+    """Sample the curve jets on a uniform grid and write them as CSV, one
+    float query per sample: the export is small, and a column write gave
+    the same bytes no faster."""
     rows = [_header(SPECS[curve.rotation].names)]
     for u in uniform(*curve.domain, samples):
         jets = curve.jets(u)
@@ -109,9 +113,9 @@ def curve_from_samples(rotation: RotationType, us: Sequence[float],
     both derivatives at every sample; the jets of the rebuilt curve come
     from the spline and its analytic derivatives (no differencing).  The
     components take a float u, or an ndarray of u and return a Jet2 of
-    arrays of its shape, so the curve takes ``columns``.  Raises
-    ValueError unless ``us`` is finite and strictly increasing and every
-    jet is finite.
+    arrays of its shape, so the curve's column is ``component_columns``.
+    Raises ValueError unless ``us`` is finite and strictly increasing and
+    every jet is finite.
     """
     us = np.asarray(us, dtype=float)
     if not (len(us) >= 2 and np.all(np.diff(us) > 0.0)
@@ -128,7 +132,7 @@ def curve_from_samples(rotation: RotationType, us: Sequence[float],
 
         components.append(jet_fn)
     return GeneratingCurve(rotation, tuple(components), (float(us[0]), float(us[-1])),
-                           columns=True)
+                           column=component_columns)
 
 
 def load_curve(path: str) -> GeneratingCurve:

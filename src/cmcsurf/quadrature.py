@@ -18,8 +18,9 @@ Legendre basis); ``CumulativeIntegral`` builds it from an integrand, and
 ``PiecewiseLegendre`` answers a float u with one Clenshaw sum on Python
 floats, or a whole ndarray of u with one Clenshaw sweep over numpy arrays
 that repeats the float sum's operations entry by entry, so both give the
-same value bit for bit.  ``CumulativeIntegral`` memoizes its queries per
-float u and takes floats only.
+same value bit for bit.  ``CumulativeIntegral`` memoizes its float
+queries per u and answers an ndarray of u with one unmemoized sweep; both
+give exactly 0 at ``a`` and the total at ``b``.
 """
 
 from __future__ import annotations
@@ -176,8 +177,10 @@ class CumulativeIntegral(PiecewiseLegendre):
     each panel keeps the antiderivative of its interpolant, vanishing at
     its left end.  A query is a ``PiecewiseLegendre`` query and calls f
     zero times, so differences of F at nearby points (finite-difference
-    stencils) are accurate far beyond the global tolerance.  Queries are
-    memoized per instance and take floats only.  Raises QuadratureError
+    stencils) are accurate far beyond the global tolerance.  Float queries
+    are memoized per instance; an ndarray query is one Clenshaw sweep, and
+    either kind returns exactly 0.0 at ``a`` and ``total`` at ``b``, where
+    the sum would be off by roundoff.  Raises QuadratureError
     when a panel at MAX_DEPTH still fails, when a level would sample more
     than MAX_PANELS panels, or when f is not finite at a node or raises an
     ArithmeticError (OverflowError, ZeroDivisionError) there.
@@ -237,7 +240,13 @@ class CumulativeIntegral(PiecewiseLegendre):
         self._cache: dict[float, float] = {a: 0.0, b: self.total}
 
     def __call__(self, u: float) -> float:
-        value = self._cache.get(u)
+        try:
+            value = self._cache.get(u)
+        except TypeError:  # an ndarray is unhashable
+            value = super().__call__(u)
+            value[u == self.a] = 0.0
+            value[u == self.b] = self.total
+            return value
         if value is None:
             value = self._cache[u] = super().__call__(u)
         return value

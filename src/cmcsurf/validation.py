@@ -13,8 +13,9 @@ surface functions once per grid, on the broadcast (u, v) arrays of
 and then v bit for bit; check_arclength, h2_closed and the checks of
 build_surface and hyperplane_degeneracy take one u column each, and
 check_cmc and check_frames share one ``patch.jets`` grid call.  So a
-reloaded curve, whose splines take columns, is evaluated in seven column
-calls per component per validate_surface.  A point is never silently
+generated or reloaded curve, which answers a u column with one call of its
+``column`` function, is evaluated in seven column calls per
+validate_surface.  A point is never silently
 dropped from a maximum: it is flagged with its reason instead.  Each check
 lists its flagged points in u-major order, and a report lists those of the
 CMC check, then those of the closed-form check (each (u, v, reason) once),

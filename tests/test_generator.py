@@ -24,7 +24,7 @@ from cmcsurf.geometry import collect_faults, uniform
 from cmcsurf.profiles import Jet2, ProfileFunction, parse
 from cmcsurf.quadrature import QuadratureConfig
 from cmcsurf.surfaces import fd_oracle, mean_curvature
-from cmcsurf.validation import shrunk_grid
+from cmcsurf.validation import shrunk_grid, validate_surface
 
 from dsl_random import random_expression
 
@@ -61,10 +61,10 @@ def test_phi_integrand_elliptic_constant_profile():
     prof = profile("2", (0.0, 6.28))
     params = CmcParams(C=0.25, h_sign=1)
     for u in (0.5, 3.0, 6.0):
-        assert phi_integrand(1.0, prof(u), params, u) == pytest.approx(
+        assert phi_integrand(1.0, 0, prof(u), params, u) == pytest.approx(
             math.sqrt(2.0) / 2.0)
     flipped = CmcParams(C=0.25, h_sign=1, eta=-1)
-    assert phi_integrand(1.0, prof(1.0), flipped, 1.0) == pytest.approx(
+    assert phi_integrand(1.0, 0, prof(1.0), flipped, 1.0) == pytest.approx(
         -math.sqrt(2.0) / 2.0)
 
 
@@ -72,21 +72,21 @@ def test_phi_integrand_negative_radicand():
     prof = profile("1", (0.0, 2.0))
     params = CmcParams(C=1.0, h_sign=-1)  # 1 - 4C^2 = -3 < 0
     with pytest.raises(NegativeRadicandError):
-        phi_integrand(1.0, prof(1.0), params, 1.0)
+        phi_integrand(1.0, 0, prof(1.0), params, 1.0)
 
 
 def test_phi_integrand_nonpositive_profile():
     prof = ProfileFunction(ProfileFunction.from_text("u", (0.1, 1.0)).expr,
                            (-1.0, 1.0))
     with pytest.raises(NonpositiveProfileError):
-        phi_integrand(1.0, prof(-0.5), CmcParams(C=0.5), -0.5)
+        phi_integrand(1.0, 0, prof(-0.5), CmcParams(C=0.5), -0.5)
 
 
 def test_phi_integrand_zero_radicand_is_fine():
     # r = 1, C = 1/2, h_sign = -1: radicand exactly 0 -> phi' = 0
     prof = profile("1", (0.0, 2.0))
     params = CmcParams(C=0.5, h_sign=-1)
-    assert phi_integrand(1.0, prof(0.7), params, 0.7) == 0.0
+    assert phi_integrand(1.0, 0, prof(0.7), params, 0.7) == 0.0
 
 
 # --- elliptic ----------------------------------------------------------------------
@@ -117,7 +117,7 @@ def test_elliptic_arc_length_and_twist_identities():
         assert curve.arclength_residual(u) <= 1e-9
         r = prof.jet(u)
         w2 = 1.0 + r.d1**2
-        expected_twist = w2 * phi_integrand(1.0, prof(u), params, u)
+        expected_twist = w2 * phi_integrand(1.0, 0, prof(u), params, u)
         assert curve.twist(u) == pytest.approx(expected_twist, abs=1e-9)
 
 
@@ -159,6 +159,32 @@ def test_generate_checks_the_case_at_every_node():
     with pytest.raises(CaseMismatchError, match=r"at u=0\.0384.* contradicts hyperbolicA"):
         generate(RotationType.HYPERBOLIC_A, ProfileFunction(parse(text), (0.0, 6.4)),
                  CmcParams(C=0.5), CONFIG, (0.0, 6.4))
+
+
+def test_generate_refuses_a_curve_it_cannot_evaluate_at_its_ends():
+    # (sqrt u)' has no value at u = 0, which no quadrature node reaches
+    with pytest.raises(EvalDomainError, match=r"at u=0\.0$"):
+        generate(RotationType.HYPERBOLIC_A, profile("2*u+sqrt(u)", (0.0, 2.0)),
+                 CmcParams(C=0.5), CONFIG, (0.0, 2.0))
+
+
+def test_generated_curve_is_validated_a_column_at_a_time(monkeypatch):
+    kinds, calls = [], []
+    jet = ProfileFunction.jet
+
+    def watched(self, u):
+        kinds.append(type(u))
+        return jet(self, u)
+
+    monkeypatch.setattr(ProfileFunction, "jet", watched)
+    curve = generate(RotationType.ELLIPTIC, profile("1+u/2", (0.0, 3.0)), CmcParams(C=0.5),
+                     CONFIG, (0.0, 3.0))
+    kinds.clear()
+    object.__setattr__(curve, "components", tuple(
+        lambda u, c=c: calls.append(u) or c(u) for c in curve.components))
+    validate_surface(curve, 0.25, nu=9, nv=7)
+    assert kinds == [np.ndarray] * 7  # one profile jet per column call
+    assert calls == []
 
 
 # --- parabolic ---------------------------------------------------------------------

@@ -11,9 +11,17 @@ import numpy as np
 import pytest
 
 from cmcsurf import validation
-from cmcsurf.builders import build_surface, check_samples, elliptic_frame, h2_closed
+from cmcsurf.builders import (
+    RotationType,
+    build_surface,
+    check_samples,
+    elliptic_frame,
+    h2_closed,
+)
 from cmcsurf.errors import DegenerateFrameError, NonLorentzMetricError
+from cmcsurf.generator import CmcParams, generate
 from cmcsurf.geometry import Vec4, libm
+from cmcsurf.profiles import Jet2, ProfileFunction
 from cmcsurf.surfaces import (
     FD_STEP,
     PatchJets,
@@ -58,15 +66,47 @@ def test_grid_values_equal_the_scalar_calls(name, curve):
     assert _full(frames.eps1, grid) == [f.eps1 for f in scalar]
 
 
-@pytest.mark.parametrize("name,curve", ALL_CURVES, ids=[n for n, _ in ALL_CURVES])
+U0_AT = 0.37
+
+
+def generated(rotation, profile, interval, C, h_sign):
+    """A generated curve with every integration constant nonzero, the base
+    point inside the interval at U0_AT of its width, and phi scaled; a
+    string profile is parsed, any other is a callable u -> Jet2."""
+    lo, hi = interval
+    params = CmcParams(C=C, h_sign=h_sign, u0=lo + U0_AT * (hi - lo), phi0=0.3,
+                       c1=-0.7, c2=1.1)
+    if isinstance(profile, str):
+        profile = ProfileFunction.from_text(profile, interval)
+    return generate(rotation, profile, params, None, interval, phi_scale=0.9)
+
+
+GENERATED_CURVES = [
+    ("generated-elliptic", generated(RotationType.ELLIPTIC, "1+u/2", (0.0, 3.0), 0.5, 1)),
+    ("generated-elliptic-callable", generated(
+        RotationType.ELLIPTIC, lambda u: Jet2(1.0 + 0.5 * u, 0.5, 0.0), (0.0, 3.0), 0.5, 1)),
+    ("generated-hyperbolicA", generated(RotationType.HYPERBOLIC_A, "2*u", (0.5, 2.5), 0.5, 1)),
+    ("generated-hyperbolicB", generated(RotationType.HYPERBOLIC_B, "2", (0.0, 2.0), 0.3, -1)),
+    ("generated-parabolic", generated(RotationType.PARABOLIC, "u", (0.5, 2.0), 0.5, 1)),
+]
+CURVES = ALL_CURVES + GENERATED_CURVES
+
+
+@pytest.mark.parametrize("name,curve", CURVES, ids=[n for n, _ in CURVES])
 def test_curve_checks_of_a_column_equal_the_float_calls(name, curve):
     # the squares in h2_closed and the arc-length expressions are libm's
     # pow, which misses x*x in the last bit for about one x in 1000
+    lo, hi = curve.domain
     grid_us = shrunk_grid(curve, 41, 2, (0.0, 1.0)).mesh()[0]
-    us = np.concatenate([check_samples(curve.domain), grid_us])
+    ends = np.array([[lo], [hi], [lo + U0_AT * (hi - lo)]])  # and u0 of a generated curve
+    us = np.concatenate([check_samples(curve.domain), grid_us, ends])
     floats = us.ravel().tolist()
     for check in (curve.arclength_residual, curve.twist, partial(h2_closed, curve)):
         assert check(us).ravel().tolist() == [check(u) for u in floats]
+    rows = [curve.jets(u) for u in floats]
+    for c, jet in enumerate(curve.jets(us)):
+        for k, values in enumerate(jet):
+            assert values.ravel().tolist() == [row[c][k] for row in rows], (c, k)
 
 
 def test_closed_form_frames_take_the_grid():

@@ -99,7 +99,7 @@ def test_column_calls_give_the_float_calls_report(name, curve, tmp_path):
     path = tmp_path / "curve.csv"
     write_curve_csv(str(path), curve, samples=201)
     columns = load_curve(str(path))
-    floats = replace(columns, columns=False)
+    floats = replace(columns, column=None)
     reports = [validate_surface(c, 0.0, name, nu=41, nv=41).to_json()
                for c in (columns, floats)]
     assert reports[0] == reports[1]

@@ -249,7 +249,7 @@ def test_hyperbolic_special_phi_that_solves_the_phi_equation(rotation, a, b, eta
                                      {"a": a, "b": b})
     for k in range(31):
         x = 0.5 + 1.5 * k / 30
-        assert dphi(x) == pytest.approx(phi_integrand(-1.0, prof(x), params, x), rel=1e-8)
+        assert dphi(x) == pytest.approx(phi_integrand(-1.0, 0, prof(x), params, x), rel=1e-8)
 
 
 def test_special_case_parabolic_b1_consistent():
