@@ -14,10 +14,10 @@ Every per-type fact lives in one RotationSpec per RotationType, held in
 the table SPECS at the end of this module: component order, the sign s of
 k = (r')^2 + s in the phi-equation, the turning equation (phi' for
 elliptic and hyperbolic profiles, psi' with phi = f' psi for parabolic
-ones, see phi_integrand and psi_integrand_parabolic), the two slopes of
-the non-profile components it fixes and their derivatives, the patch
-formula, the arc-length and twist expressions, the default v window and
-the special profile with its closed-form phi.  The entry points
+ones, see phi_integrand and psi_integrand_parabolic), the one formula of
+the slopes of the non-profile components it fixes and their derivatives,
+the patch formula, the arc-length and twist expressions, the default v
+window and the special profile with its closed-form phi.  The entry points
 build_surface and h2_closed, the generator, validation, I/O and the CLI
 read the table instead of branching on the type.
 
@@ -63,7 +63,7 @@ from .errors import (
     NonpositiveProfileError,
     ZeroDerivativeProfileError,
 )
-from .geometry import Vec4, divisor, fail_at, libm, negate, raise_at, square, uniform
+from .geometry import _SQRT2, Vec4, divisor, fail_at, libm, negate, raise_at, square, uniform
 from .profiles import Jet2
 from .surfaces import Frame, MeanCurvature, PatchJets, SurfacePatch
 
@@ -75,8 +75,6 @@ TAU_SLOPE = 1e-6
 
 #: Arc-length residual admitted for generating curves.
 ARC_TOL = 1e-9
-
-_SQRT2 = math.sqrt(2.0)
 
 #: tuple.__new__ skips NamedTuple's Python-level __new__ in the position
 #: formulas, which the finite-difference stencil calls nine times a point
@@ -145,9 +143,7 @@ class GeneratingCurve:
         except TypeError:  # an ndarray is unhashable
             if self.column is not None:
                 return self.column(self, u)
-            rows = np.array([self.jets(t) for t in u.ravel().tolist()])
-            return tuple(Jet2(*(rows[:, c, k].reshape(u.shape) for k in range(3)))
-                         for c in range(3))
+            return tuple(Jet2(*c) for c in float_column(self.jets, u))
         if hit is None:
             c1, c2, c3 = self.components
             hit = self._memo[u] = (c1(u), c2(u), c3(u))
@@ -163,6 +159,13 @@ class GeneratingCurve:
         x1'x2''-x1''x2' (elliptic), x2'x4''-x2''x4' (hyperbolic),
         x1''f'-x1'f'' (parabolic)."""
         return SPECS[self.rotation].twist(*self.jets(u))
+
+
+def float_column(fn, u: np.ndarray) -> np.ndarray:
+    """fn called at each float of the ndarray u, its (nested tuple) values
+    stacked into one array of shape (shape of a value) + u.shape."""
+    rows = np.array([fn(t) for t in u.ravel().tolist()])
+    return np.moveaxis(rows, 0, -1).reshape(rows.shape[1:] + u.shape)
 
 
 def component_columns(curve: GeneratingCurve, u: np.ndarray) -> tuple[Jet2, Jet2, Jet2]:
@@ -437,18 +440,11 @@ def psi_integrand_parabolic(f: Jet2, params: CmcParams, u: float) -> float:
     return params.eta * libm(rad).sqrt(rad) / f.d1
 
 
-def _trig_slopes(s: float, sw: float, t1: str, t2: str, r: Jet2,
-                 phi: float) -> tuple[float, float]:
-    """w (t1(phi), t2(phi)) with w = sqrt(sw k), k = (r')^2 + s, for t1 and
-    t2 named functions of ``math``; the quadrature nodes take floats only."""
-    w = math.sqrt(sw * (r.d1 * r.d1 + s))
-    return w * getattr(math, t1)(phi), w * getattr(math, t2)(phi)
-
-
 def _trig_slope_jets(s: float, sw: float, t1: str, t2: str, r: Jet2, phi: float,
                      dphi: float):
-    """(x', x'') of both trig slopes, using t1' = -s t2 and t2' = t1; at a
-    column of jets and phi through ``libm``, entry by entry as at a float."""
+    """(x', x'') of both trig slopes x' = w (t1(phi), t2(phi)), w = sqrt(sw
+    k), k = (r')^2 + s, for t1, t2 named ``libm`` functions with t1' = -s t2
+    and t2' = t1; at a column of jets and phi entry by entry as at a float."""
     m = libm(phi)
     w = m.sqrt(sw * (r.d1 * r.d1 + s))
     wp = sw * r.d1 * r.d2 / w
@@ -456,15 +452,9 @@ def _trig_slope_jets(s: float, sw: float, t1: str, t2: str, r: Jet2, phi: float,
     return (w * v1, wp * v1 + -s * w * v2 * dphi), (w * v2, wp * v2 + w * v1 * dphi)
 
 
-def _parabolic_slopes(f: Jet2, psi: float) -> tuple[float, float]:
-    """x1' = phi = f' psi and g' = (phi^2 - 1) / (2 f'), which makes
-    (x1')^2 - 2 f' g' = 1 exact."""
-    p = f.d1 * psi
-    return p, (p * p - 1.0) / (2.0 * f.d1)
-
-
 def _parabolic_slope_jets(f: Jet2, psi: float, dpsi: float):
-    """(x1', x1'') and (g', g'') with phi' = f'' psi + f' psi'."""
+    """(x1', x1'') and (g', g''): x1' = phi = f' psi, phi' = f'' psi + f' psi'
+    and g' = (phi^2 - 1) / (2 f'), which makes (x1')^2 - 2 f' g' = 1 exact."""
     p, dp = f.d1 * psi, f.d2 * psi + f.d1 * dpsi
     return (p, dp), ((p * p - 1.0) / (2.0 * f.d1),
                      p * dp / f.d1 - (p * p - 1.0) * f.d2 / divisor(2.0 * f.d1 * f.d1))
@@ -552,9 +542,10 @@ def hyperplane_degeneracy(curve: GeneratingCurve) -> DegeneracyReport:
     The test quantity is the type-appropriate twist (see
     GeneratingCurve.twist); when it stays within 1e-9 on the 201
     ``check_samples`` of the domain the normal n1 is constant and the
-    surface lies in span{X, Y, n2}.
+    surface lies in span{X, Y, n2}.  A NaN twist makes the maximum NaN, so
+    the curve is not reported degenerate.
     """
-    max_twist = max(abs(curve.twist(check_samples(curve.domain))).ravel().tolist())
+    max_twist = float(np.max(np.abs(curve.twist(check_samples(curve.domain)))))
     degenerate = max_twist <= 1e-9
     return DegeneracyReport(
         degenerate=degenerate,
@@ -633,8 +624,7 @@ class RotationSpec:
     s: float                            # k = (r')^2 + s in the phi-equation
     case_sign: int                      # required sign of (r')^2 - 1; 0 if free
     turning: Callable[[Jet2, CmcParams, float], float]  # phi' (psi') at a profile jet
-    slopes: Callable[[Jet2, float], tuple[float, float]]  # non-profile slopes at t
-    slope_jets: Callable[[Jet2, float, float],  # their (x', x'') at t and t'
+    slope_jets: Callable[[Jet2, float, float],  # non-profile (x', x'') at t and t'
                          tuple[tuple[float, float], tuple[float, float]]]
     position: Callable[[float, float, float, float], Vec4]  # at the curve values and v
     patch_jets: Callable[[CurveJets], Callable[[float, float], PatchJets]]  # uses position
@@ -654,17 +644,20 @@ class RotationSpec:
     special_phi: Callable[[Mapping[str, float], CmcParams, float], float]
 
 
+def _arclength_ppm(a: Jet2, b: Jet2, c: Jet2) -> float:
+    """(a')^2 + (b')^2 - (c')^2, the elliptic and hyperbolic arc length."""
+    return square(a.d1) + square(b.d1) - square(c.d1)
+
+
 def _hyperbolic_spec(case_sign: int, t1: str, t2: str) -> RotationSpec:
     sw = float(case_sign)  # w = sqrt(|(r')^2 - 1|)
     return RotationSpec(
         ("r", "x2", "x4"), 0, s=-1.0, case_sign=case_sign,
         turning=partial(phi_integrand, -1.0, case_sign),
-        slopes=partial(_trig_slopes, -1.0, sw, t1, t2),
         slope_jets=partial(_trig_slope_jets, -1.0, sw, t1, t2),
         position=_hyperbolic_position, patch_jets=_hyperbolic_jets,
         check_profile=_check_radius, kept_signs=_no_signs, v_window=(-2.0, 2.0),
-        # (r')^2 + (x2')^2 - (x4')^2
-        arclength=lambda a, b, c: square(a.d1) + square(b.d1) - square(c.d1),
+        arclength=_arclength_ppm,  # (r')^2 + (x2')^2 - (x4')^2
         twist=lambda a, b, c: b.d1 * c.d2 - b.d2 * c.d1,
         special_profile="sqrt(u^2+2*a*u+b)",  # r r'' + (r')^2 - 1 = 0
         special_h_sign=case_sign, special_phi=partial(_special_phi_hyperbolic,
@@ -678,12 +671,10 @@ SPECS: dict[RotationType, RotationSpec] = {
     RotationType.ELLIPTIC: RotationSpec(
         ("x1", "x2", "r"), 2, s=1.0, case_sign=0,
         turning=partial(phi_integrand, 1.0, 0),
-        slopes=partial(_trig_slopes, 1.0, 1.0, "cos", "sin"),
         slope_jets=partial(_trig_slope_jets, 1.0, 1.0, "cos", "sin"),
         position=_elliptic_position, patch_jets=_elliptic_jets,
         check_profile=_check_radius, kept_signs=_no_signs, v_window=(0.0, 2.0 * math.pi),
-        # (x1')^2 + (x2')^2 - (r')^2
-        arclength=lambda a, b, c: square(a.d1) + square(b.d1) - square(c.d1),
+        arclength=_arclength_ppm,  # (x1')^2 + (x2')^2 - (r')^2
         twist=lambda a, b, c: a.d1 * b.d2 - a.d2 * b.d1,
         special_profile="sqrt(-u^2+2*a*u+b)",  # r r'' + (r')^2 + 1 = 0
         special_h_sign=1, special_phi=_special_phi_elliptic),
@@ -691,8 +682,7 @@ SPECS: dict[RotationType, RotationSpec] = {
     RotationType.HYPERBOLIC_B: _hyperbolic_spec(-1, "cosh", "sinh"),
     RotationType.PARABOLIC: RotationSpec(
         ("x1", "f", "g"), 1, s=0.0, case_sign=0,
-        turning=psi_integrand_parabolic, slopes=_parabolic_slopes,
-        slope_jets=_parabolic_slope_jets,
+        turning=psi_integrand_parabolic, slope_jets=_parabolic_slope_jets,
         position=_parabolic_position, patch_jets=_parabolic_jets,
         check_profile=_check_ff, kept_signs=_ff_signs, v_window=(-2.0, 2.0),
         arclength=lambda a, b, c: square(a.d1) - 2.0 * b.d1 * c.d1,  # (x1')^2 - 2 f' g'

@@ -27,15 +27,8 @@ import sys
 
 from . import io as cio
 from .builders import GeneratingCurve, RotationType, build_surface
-from .errors import (
-    CmcError,
-    EvalDomainError,
-    InvariantViolationError,
-    NegativeRadicandError,
-    NonpositiveProfileError,
-    ZeroDerivativeProfileError,
-)
-from .generator import CmcParams, domain_validity, generate
+from .errors import CaseMismatchError, CmcError, NearNullSlopeError
+from .generator import INFEASIBLE, CmcParams, checked_jet, domain_validity, generate
 from .geometry import uniform
 from .profiles import ProfileFunction
 from .quadrature import QuadratureConfig
@@ -179,7 +172,9 @@ def _params(args) -> CmcParams:
 def _load_or_generate(args) -> GeneratingCurve:
     """The curve of every curve command: reloaded from --csv, or generated
     (scaled by --perturb-phi, where the command takes it) on the largest
-    usable piece of the validity scan of --interval."""
+    usable piece of the validity scan of --interval.  Without one nothing is
+    generated; an all-failed scan raises the preconditions' error at the
+    interval start, as empty validity unless structural (wrong case, null slope)."""
     if getattr(args, "csv", None):
         given = [dest for dest, default in args.csv_rejects.items()
                  if getattr(args, dest) != default]
@@ -202,23 +197,21 @@ def _load_or_generate(args) -> GeneratingCurve:
     rotation = RotationType(args.type)
     profile = ProfileFunction.from_text(args.profile, args.interval, _consts(args.const))
     params = _params(args)
-    config = QuadratureConfig(rel_tol=args.rel_tol)
-    plan = generation_plan(domain_validity(profile, params, args.interval, rotation), params)
+    validity = domain_validity(profile, params, args.interval, rotation)
+    plan = generation_plan(validity, params)
     if plan is None:
-        # generating on the whole interval tells a structural error (wrong
-        # case, null slope), which keeps its own code, from an infeasible
-        # parameter choice, which reports as empty validity
-        try:
-            generate(rotation, profile, params, config, args.interval)
-        except (NegativeRadicandError, NonpositiveProfileError,
-                ZeroDerivativeProfileError, InvariantViolationError,
-                EvalDomainError) as exc:
-            raise _EmptyValidityError(
-                f"the (h_sign, C) choice is infeasible on the interval ({exc})") from exc
+        if not validity:
+            try:
+                checked_jet(profile, params, rotation, args.interval[0])
+            except (CaseMismatchError, NearNullSlopeError):
+                raise
+            except INFEASIBLE as exc:
+                raise _EmptyValidityError(
+                    f"the (h_sign, C) choice is infeasible on the interval ({exc})") from exc
         raise _EmptyValidityError("no usable subinterval inside the requested interval")
     interval, params = plan
-    return generate(rotation, profile, params, config, interval,
-                    getattr(args, "perturb_phi", 1.0))
+    return generate(rotation, profile, params, QuadratureConfig(rel_tol=args.rel_tol),
+                    interval, getattr(args, "perturb_phi", 1.0))
 
 
 def _print_report(report, path: str | None) -> None:

@@ -29,10 +29,10 @@ opposite sign is admitted only where the radicand stays nonnegative, and
 infeasibility is reported as empty validity rather than as an error.
 
 The turning equations (phi_integrand, psi_integrand_parabolic) and the
-slopes they fix live in builders, next to h2_closed, and each
-RotationSpec in builders.SPECS carries its own; generate is the one
-generator body for all four types.  This module keeps the quadrature of
-those equations, the profile memo and the feasibility scan.
+one slope formula they fix (``slope_jets``, integrated and reported) live
+in builders, next to h2_closed, with each RotationSpec of builders.SPECS;
+generate is the one generator body for all four types.  This module keeps
+the quadrature of those equations, the profile memo and the feasibility scan.
 
 The turning equation is the one gate of generation: its checks (r > 0 or
 f f' != 0, the hyperbolic case's sign of (r')^2 - 1 outside the null band,
@@ -55,7 +55,7 @@ from functools import reduce
 
 import numpy as np
 
-from .builders import SPECS, GeneratingCurve, JetFn, RotationType
+from .builders import SPECS, GeneratingCurve, JetFn, RotationType, float_column
 from .errors import (
     BasePointError,
     CaseMismatchError,
@@ -115,10 +115,7 @@ def as_jet_fn(profile) -> JetFn:
         return jet
 
     def jet_fn(u):
-        if not isinstance(u, np.ndarray):
-            return profile(u)
-        rows = np.array([profile(t) for t in u.ravel().tolist()])
-        return Jet2(*(rows[:, k].reshape(u.shape) for k in range(3)))
+        return Jet2(*float_column(profile, u)) if isinstance(u, np.ndarray) else profile(u)
 
     return jet_fn
 
@@ -134,13 +131,14 @@ def generate(rotation: RotationType, profile, params: CmcParams,
     One body serves every type: the spec's turning function t (phi, or psi
     for parabolic curves) is the quadrature of ``spec.turning`` from u0,
     offset by ``params.phi0`` (the parabolic constant A in phi = f'(A +
-    ...)), and the two non-profile components are the quadratures of
-    ``spec.slopes`` at t, offset by ``params.c1`` and ``params.c2``; their
-    derivatives come from ``spec.slope_jets``.  The turning equation
-    checks the profile at every quadrature node and curve query: it raises
-    CaseMismatchError / NearNullSlopeError where a hyperbolic profile's
-    slope contradicts the case or enters the null band, and the error of
-    any other precondition (see ``validity_state``) where that fails.
+    ...)), and the two non-profile components are the quadratures of the
+    x' of ``spec.slope_jets`` at t, offset by ``params.c1`` and
+    ``params.c2``, whose (x', x'') at t and t' the curve reports.  The
+    turning equation checks the profile at every quadrature node and curve
+    query: it raises CaseMismatchError / NearNullSlopeError where a
+    hyperbolic profile's slope contradicts the case or enters the null
+    band, and the error of any other precondition (see ``checked_jet``)
+    where that fails.
 
     The curve's ``column`` answers a u column with one profile jet, one
     turning call and one Clenshaw sweep per quadrature, each entry equal
@@ -154,7 +152,7 @@ def generate(rotation: RotationType, profile, params: CmcParams,
     """
     spec = SPECS[rotation]
     # locals: the closures below run per quadrature node
-    turning, slopes, slope_jets = spec.turning, spec.slopes, spec.slope_jets
+    turning, slope_jets = spec.turning, spec.slope_jets
     config = config or QuadratureConfig()
     jet_fn, profile_memo = as_jet_fn(profile), {}
 
@@ -184,7 +182,9 @@ def generate(rotation: RotationType, profile, params: CmcParams,
 
     integrals = []  # (c, the integral of the i-th slope from a, its value at u0)
     for i, c in enumerate((params.c1, params.c2)):
-        cum = CumulativeIntegral(lambda u, i=i: slopes(rj(u), t(u))[i], a, b, config)
+        # the i-th slope's x'; its x'' at t' = 0 goes unread
+        cum = CumulativeIntegral(lambda u, i=i: slope_jets(rj(u), t(u), 0.0)[i][0],
+                                 a, b, config)
         integrals.append((c, cum, cum(u0)))
 
     def value(i: int, u: float) -> float:
@@ -219,37 +219,41 @@ def generate(rotation: RotationType, profile, params: CmcParams,
 # --- feasibility scan ------------------------------------------------------------
 
 #: What the generator's preconditions raise where they fail.
-_INFEASIBLE = (ArithmeticError, ValueError, CaseMismatchError, EvalDomainError,
-               InvariantViolationError, NearNullSlopeError, NegativeRadicandError,
-               NonpositiveProfileError, ZeroDerivativeProfileError)
+INFEASIBLE = (ArithmeticError, ValueError, CaseMismatchError, EvalDomainError,
+              InvariantViolationError, NearNullSlopeError, NegativeRadicandError,
+              NonpositiveProfileError, ZeroDerivativeProfileError)
+
+
+def checked_jet(profile: ProfileFunction, params: CmcParams,
+                rotation: RotationType, u: float) -> Jet2:
+    """The profile jet at u, once the generator's preconditions hold there:
+    the profile's evaluability and the checks of the spec's turning
+    equation (r > 0 or f f' != 0, the hyperbolic case's sign of (r')^2 - 1
+    outside the null band, a nonnegative radicand).  At a float u the first
+    that fails raises (one of ``INFEASIBLE``); at an ndarray of u inside
+    ``geometry.collect_faults`` each failed check records its mask."""
+    p = profile.jet(u)
+    SPECS[rotation].turning(p, params, u)
+    return p
 
 
 def validity_state(profile: ProfileFunction, params: CmcParams,
                    rotation: RotationType, u: float) -> int:
-    """-1 where the generator's preconditions fail at u, else the spec's
-    ``kept_signs`` of the profile jet there (0 unless parabolic).
-
-    The preconditions are the profile's evaluability and the checks of the
-    spec's turning equation, which gates generation: r > 0 or f f' != 0,
-    the hyperbolic case's sign of (r')^2 - 1 outside the null band, and a
-    nonnegative radicand.  At an ndarray of u it returns the int array of
-    the float calls' values, from one ``profile.jet`` call and one
-    ``spec.turning`` call on the column: their checks record masks instead
-    of raising.
-    """
-    spec = SPECS[rotation]
+    """-1 where the generator's preconditions (``checked_jet``) fail at u,
+    else the spec's ``kept_signs`` of the profile jet there (0 unless
+    parabolic).  At an ndarray of u, the int array of the float calls'
+    values, from one ``checked_jet`` call whose checks record masks."""
+    kept_signs = SPECS[rotation].kept_signs
     if isinstance(u, np.ndarray):
         with np.errstate(all="ignore"), collect_faults() as faults:
-            p = profile.jet(u)
-            spec.turning(p, params, u)
+            p = checked_jet(profile, params, rotation, u)
         return np.where(reduce(np.logical_or, faults, np.zeros(u.shape, dtype=bool)),
-                        -1, spec.kept_signs(p))
+                        -1, kept_signs(p))
     try:
-        p = profile.jet(u)
-        spec.turning(p, params, u)
-    except _INFEASIBLE:
+        p = checked_jet(profile, params, rotation, u)
+    except INFEASIBLE:
         return -1
-    return spec.kept_signs(p)
+    return kept_signs(p)
 
 
 def domain_validity(profile: ProfileFunction, params: CmcParams,

@@ -141,17 +141,24 @@ def load_curve(path: str) -> GeneratingCurve:
     return curve_from_samples(rotation, us, jets)
 
 
+def _grid_positions(patch: SurfacePatch, us: Sequence[float],
+                    vs: Sequence[float]) -> list[list[list[float]]]:
+    """For each u the (x1, x2, x3, x4) floats at each v, equal to the float
+    calls', from one ``patch.position`` call on the broadcast grid."""
+    shape = (len(us), len(vs))
+    p = patch.position(np.array(us)[:, None], np.array(vs)[None, :])
+    return np.stack([np.broadcast_to(c, shape) for c in p], axis=-1).tolist()
+
+
 def write_surface_csv(path: str, patch: SurfacePatch,
                       us: Sequence[float], vs: Sequence[float]) -> None:
     """Write grid samples of the patch as u,v,x1,x2,x3,x4 rows."""
     out = StringIO()
     writer = csv.writer(out)
     writer.writerow(["u", "v"] + list(COORD_NAMES))
-    for u in us:
-        for v in vs:
-            p = patch.position(u, v)
-            writer.writerow([repr(u), repr(v), repr(p.x1), repr(p.x2),
-                             repr(p.x3), repr(p.x4)])
+    for u, row in zip(us, _grid_positions(patch, us, vs)):
+        for v, p in zip(vs, row):
+            writer.writerow([repr(u), repr(v), *map(repr, p)])
     _atomic_write(path, out.getvalue())
 
 
@@ -165,11 +172,9 @@ def write_surface_obj(path: str, patch: SurfacePatch,
     """
     idx = [COORD_NAMES.index(name) for name in project]
     lines = ["# cmcsurf surface export", f"# projection: {','.join(project)}"]
-    for u in us:
-        for v in vs:
-            p = patch.position(u, v)
-            coords = (p.x1, p.x2, p.x3, p.x4)
-            lines.append("v " + " ".join(repr(coords[i]) for i in idx))
+    for row in _grid_positions(patch, us, vs):
+        for p in row:
+            lines.append("v " + " ".join(repr(p[i]) for i in idx))
     nv = len(vs)
     for i in range(len(us) - 1):
         for j in range(nv - 1):

@@ -53,8 +53,9 @@ from .builders import (
     h2_closed,
     hyperplane_degeneracy,
 )
+from .errors import InvariantViolationError
 from .generator import CmcParams, domain_validity, generate
-from .geometry import gram_residual, uniform
+from .geometry import gram_residual, raise_at, uniform
 from .profiles import ProfileFunction
 from .quadrature import QuadratureConfig
 from .surfaces import (
@@ -189,8 +190,13 @@ def check_cmc(patch: SurfacePatch, target_h2: float, grid: GridSpec,
 
 def check_arclength(curve: GeneratingCurve) -> float:
     """Max |arc-length expression - 1| over the 201 uniform ``check_samples``
-    of the domain, evaluated as one u column."""
-    return max(curve.arclength_residual(check_samples(curve.domain)).ravel().tolist())
+    of the domain, evaluated as one u column.  A residual that is not
+    finite raises InvariantViolationError naming its first u."""
+    us = check_samples(curve.domain)
+    res = curve.arclength_residual(us)
+    raise_at(~np.isfinite(res), InvariantViolationError,
+             "arc-length residual {!r} at u={!r} is not finite", res, us)
+    return float(res.max())
 
 
 def frame_residual(frame: Frame) -> float:

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import replace
 
-from cmcsurf.builders import GeneratingCurve, RotationType
+from cmcsurf.builders import GeneratingCurve, RotationType, check_samples
 from cmcsurf.profiles import Jet2
 
 
@@ -252,6 +253,19 @@ ALL_CURVES = [
     *(("hyperbolic:" + n, c) for n, c in HYPERBOLIC_CURVES),
     *(("parabolic:" + n, c) for n, c in PARABOLIC_CURVES),
 ]
+
+
+def nan_slope_at(curve: GeneratingCurve, k: int) -> tuple[GeneratingCurve, float]:
+    """The curve with the slope of its first component NaN at the k-th of
+    its ``check_samples``, and that u."""
+    u_nan = check_samples(curve.domain)[k, 0].item()
+    first = curve.components[0]
+
+    def nan_slope(u):
+        jet = first(u)
+        return jet._replace(d1=math.nan) if u == u_nan else jet
+
+    return replace(curve, components=(nan_slope, *curve.components[1:])), u_nan
 
 
 def non_arclength_curve() -> GeneratingCurve:

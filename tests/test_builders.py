@@ -31,6 +31,7 @@ from analytic_curves import (
     hyperbolic_linear_a,
     jet_fn,
     linear_fn,
+    nan_slope_at,
     non_arclength_curve,
 )
 
@@ -310,6 +311,16 @@ def test_straight_profile_degenerate():
         vec_err(elliptic_frame(curve, u, v).n1, base)
         for u, v in grid(curve, v_lo=0.0, v_hi=6.0))
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_a_nan_twist_is_never_degenerate(k):
+    # a maximum of the list kept the NaN at sample 0 and dropped it at sample
+    # 1, where the straight profile was then reported degenerate
+    curve, _ = nan_slope_at(elliptic_straight(), k)
+    report = hyperplane_degeneracy(curve)
+    assert math.isnan(report.max_twist)
+    assert not report.degenerate and report.hyperplane is None
 
 
 def test_circle_not_degenerate():

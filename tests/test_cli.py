@@ -154,6 +154,33 @@ def test_empty_validity_exits_2(capsys):
     assert "ERROR[empty-validity]" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["validate", "--type", "elliptic", "--profile", "1", "--C", "1.0", "--hsign", "-1",
+      "--interval", "0:2", "--grid", "9x7"],
+     "ERROR[empty-validity] the (h_sign, C) choice is infeasible on the interval "
+     "(radicand -3.0 negative (infeasible h_sign/C) at u=0.0)"),
+    (["curve", "--type", "hyperbolicA", "--profile", "u/2", "--C", "0.5",
+      "--interval", "0.5:2", "--out", "x.csv"],
+     "ERROR[case-mismatch] (r')^2 - 1 = -0.75 at u=0.5 contradicts hyperbolicA"),
+], ids=["infeasible", "case-mismatch"])
+def test_an_all_infeasible_scan_names_the_interval_start(argv, message, tmp_path, capsys):
+    # nothing is generated: the preconditions are checked at u = a of a:b
+    code, out, err = run([arg.replace("x.csv", str(tmp_path / "x.csv")) for arg in argv],
+                         capsys)
+    assert (code, out, err) == (2, "", message + "\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_narrow_valid_pieces_are_empty_validity(capsys):
+    # the scan finds 128 valid pieces, the widest 1.57e-3 wide, narrower than
+    # the 24 FD steps (2.4e-3) a generation interval needs; generating on all
+    # of 0.1:0.3 failed the quadrature
+    code, out, err = run(["validate", "--type", "parabolic", "--profile", "sin(2000*u)+2",
+                          "--interval", "0.1:0.3", "--C", "0.5", "--grid", "5x5"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "ERROR[empty-validity] no usable subinterval inside the requested interval\n"
+
+
 def test_perturbed_phi_exits_1(capsys):
     code, out, _ = run(["validate", "--type", "elliptic", "--profile", "2",
                         "--C", "0.25", "--interval", "0:6.28",

@@ -6,10 +6,13 @@ and report JSON), or the 33-sample CSV of ``cmc curve`` (the validity
 scan, generation on the largest usable piece and ``write_curve_csv``), each
 at both orientations eta = +1 and -1.  ``report_digests.json`` holds the
 sha256 of the bytes each case produces; a mismatch names the case.
+``surface_digests.json`` holds those of the two files ``cmc surface --out
+--obj`` writes at a 9x7 grid for the feasible validation runs.
 
-A change that means to move these numbers re-records the file with
+A change that means to move these numbers re-records the files with
 
     PYTHONPATH=src python tests/test_report_digests.py > tests/report_digests.json
+    PYTHONPATH=src python tests/test_report_digests.py surface > tests/surface_digests.json
 
 and says why in its log.
 """
@@ -17,14 +20,17 @@ and says why in its log.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import sys
 import tempfile
+from contextlib import redirect_stdout
 
 import pytest
 
 from cmcsurf.builders import RotationType
+from cmcsurf.cli import main
 from cmcsurf.generator import CmcParams, domain_validity, generate
 from cmcsurf.io import write_curve_csv
 from cmcsurf.profiles import ProfileFunction
@@ -70,7 +76,12 @@ CASES = [(kind, *case, eta)
          for kind, cases in (("roundtrip", ROUNDTRIP), ("curve", CURVE_EXPORT))
          for case in cases for eta in (1, -1)]
 
-DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "report_digests.json")
+#: (profile, C, h_sign, eta) of the surface exports: the feasible validation runs
+SURFACE_EXPORT = [(*case, eta) for case in ROUNDTRIP[:4] for eta in (1, -1)]
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+DIGESTS = os.path.join(HERE, "report_digests.json")
+SURFACE_DIGESTS = os.path.join(HERE, "surface_digests.json")
 
 
 def case_id(kind: str, name: str, C: float, h_sign: int, eta: int) -> str:
@@ -93,14 +104,38 @@ def case_bytes(kind: str, name: str, C: float, h_sign: int, eta: int) -> bytes:
             return handle.read()
 
 
+def surface_digests(name: str, C: float, h_sign: int, eta: int) -> dict[str, str]:
+    """The sha256 of the CSV and the OBJ of one ``cmc surface`` call, keyed
+    by case id and suffix."""
+    rotation, text, _, (lo, hi) = PROFILES[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {ext: os.path.join(tmp, f"surface.{ext}") for ext in ("csv", "obj")}
+        with redirect_stdout(io.StringIO()):  # its "wrote ..." lines
+            code = main(["surface", "--type", rotation.value, "--profile", text,
+                         f"--interval={lo!r}:{hi!r}", "--C", repr(C),
+                         "--hsign", str(h_sign), "--eta", str(eta), "--grid", "9x7",
+                         "--out", paths["csv"], "--obj", paths["obj"]])
+        assert code == 0
+        key = case_id("surface", name, C, h_sign, eta)
+        digests = {}
+        for ext, path in paths.items():
+            with open(path, "rb") as handle:
+                digests[f"{key}:{ext}"] = hashlib.sha256(handle.read()).hexdigest()
+        return digests
+
+
 def digest(case) -> str:
     return hashlib.sha256(case_bytes(*case)).hexdigest()
 
 
+def _load(path: str) -> dict[str, str]:
+    with open(path) as handle:
+        return json.load(handle)
+
+
 @pytest.fixture(scope="module")
 def recorded() -> dict[str, str]:
-    with open(DIGESTS) as handle:
-        return json.load(handle)
+    return _load(DIGESTS)
 
 
 def test_every_case_is_recorded(recorded):
@@ -112,7 +147,19 @@ def test_bytes_match_the_recorded_digest(case, recorded):
     assert digest(case) == recorded[case_id(*case)], case_id(*case)
 
 
+@pytest.mark.parametrize("case", SURFACE_EXPORT,
+                         ids=[case_id("surface", *case) for case in SURFACE_EXPORT])
+def test_surface_files_match_the_recorded_digests(case):
+    recorded = {key: value for key, value in _load(SURFACE_DIGESTS).items()
+                if key.startswith(case_id("surface", *case) + ":")}
+    assert surface_digests(*case) == recorded
+
+
 if __name__ == "__main__":
-    json.dump({case_id(*case): digest(case) for case in CASES}, sys.stdout,
-              indent=1, sort_keys=True)
+    if sys.argv[1:] == ["surface"]:
+        table = {key: value for case in SURFACE_EXPORT
+                 for key, value in surface_digests(*case).items()}
+    else:
+        table = {case_id(*case): digest(case) for case in CASES}
+    json.dump(table, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")

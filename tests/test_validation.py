@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 import sympy
@@ -20,6 +21,7 @@ from cmcsurf.validation import (
     validate_surface,
 )
 from cmcsurf.builders import elliptic_frame, hyperbolic_frame
+from cmcsurf.errors import InvariantViolationError
 from cmcsurf.surfaces import frame_numeric
 
 from analytic_curves import (
@@ -28,6 +30,7 @@ from analytic_curves import (
     const_fn,
     elliptic_circle,
     jet_fn,
+    nan_slope_at,
     non_arclength_curve,
 )
 
@@ -111,6 +114,15 @@ def test_check_arclength_theorem_outputs():
 
 def test_check_arclength_bad_curve():
     assert check_arclength(non_arclength_curve()) == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_a_nan_arclength_residual_raises_naming_its_u(k):
+    # outside build_surface's subset; a maximum of the list kept the NaN at
+    # sample 0 (a NaN in the report) and dropped it at sample 1
+    curve, u_nan = nan_slope_at(elliptic_circle(2.0), k)
+    with pytest.raises(InvariantViolationError, match=re.escape(f"nan at u={u_nan!r}")):
+        validate_surface(curve, 3.0 / 16.0, nu=9, nv=7)
 
 
 # --- frames -----------------------------------------------------------------------
