@@ -37,11 +37,13 @@ a u column with one call of the curve's ``column`` function: the
 components themselves for a reloaded curve (``component_columns``), one
 profile jet, one turning call and one Clenshaw sweep per quadrature for a
 generated one (see ``generator.generate``); an analytic curve has none and
-is looked up one Python float at a time.  The trigonometric functions of v
-and phi and the squares of the spec expressions are libm's, one call per
-grid value.  build_surface, h2_closed and hyperplane_degeneracy check a
-curve on one u column each, and raise for the first offending u of the
-check that fails first.
+is looked up one Python float at a time.  It memoizes a column as it does
+a float, so every check that asks for the same u reads one evaluation.
+The trigonometric functions of v and phi and the squares of the spec
+expressions are libm's, one call per grid value.  build_surface and
+hyperplane_degeneracy check a curve on the column of its 201
+``check_samples``, h2_closed on the column it is given, and each raises
+for the first offending u of the check that fails first.
 """
 
 from __future__ import annotations
@@ -127,32 +129,44 @@ class GeneratingCurve:
     components: tuple[JetFn, JetFn, JetFn]
     domain: tuple[float, float]
     column: Callable[[GeneratingCurve, np.ndarray], tuple[Jet2, Jet2, Jet2]] | None = None
-    _memo: dict[float, tuple[Jet2, Jet2, Jet2]] = field(
+    _memo: dict[object, tuple[Jet2, Jet2, Jet2]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def jets(self, u: float) -> tuple[Jet2, Jet2, Jet2]:
         """The three component jets at u, evaluated once per distinct u; a
-        miss reads ``components`` afresh, so swapped-in components see it.
+        miss reads ``components`` (or ``column``) afresh, so swapped-in
+        components see it.
 
         At an ndarray of u values every Jet2 field comes back as an array
-        shaped like u: from one ``column`` call, unmemoized, and without
-        one from a Python-float lookup per u.
+        shaped like u: from one ``column`` call, and without one from a
+        Python-float lookup per u.  A column is memoized by its shape and
+        bytes, so equal columns share one tuple of arrays: no caller writes
+        into a returned array.
         """
-        try:
-            hit = self._memo.get(u)
-        except TypeError:  # an ndarray is unhashable
-            if self.column is not None:
-                return self.column(self, u)
-            return tuple(Jet2(*c) for c in float_column(self.jets, u))
+        key = (u.shape, u.tobytes()) if isinstance(u, np.ndarray) else u
+        hit = self._memo.get(key)
         if hit is None:
-            c1, c2, c3 = self.components
-            hit = self._memo[u] = (c1(u), c2(u), c3(u))
+            if key is u:
+                c1, c2, c3 = self.components
+                hit = (c1(u), c2(u), c3(u))
+            elif self.column is not None:
+                hit = self.column(self, u)
+            else:
+                hit = tuple(Jet2(*c) for c in float_column(self.jets, u))
+            self._memo[key] = hit
         return hit
 
     def arclength_residual(self, u: float) -> float:
         """|type-appropriate arc-length expression - 1| at u (at each u of
-        a column)."""
-        return abs(SPECS[self.rotation].arclength(*self.jets(u)) - 1.0)
+        a column): the one evaluation of the spec's ``arclength``.  An
+        expression that overflows the float range (libm's pow, in
+        ``square``, raises past ~1e154) is an InvariantViolationError."""
+        jets = self.jets(u)
+        try:
+            return abs(SPECS[self.rotation].arclength(*jets) - 1.0)
+        except OverflowError as exc:
+            raise InvariantViolationError(
+                f"arc-length expression overflows on {self.domain!r}") from exc
 
     def twist(self, u: float) -> float:
         """The quantity whose vanishing makes the surface hyperplanar:
@@ -177,8 +191,10 @@ def component_columns(curve: GeneratingCurve, u: np.ndarray) -> tuple[Jet2, Jet2
 
 def check_samples(domain: tuple[float, float]) -> np.ndarray:
     """The (201, 1) u column of the 201 ``uniform`` samples of the domain,
-    taken by the arc-length and degeneracy checks; build_surface checks
-    their interior subset k = 3, 9, ..., 195."""
+    taken by build_surface and the arc-length and degeneracy checks, which
+    share its one evaluation through ``GeneratingCurve.jets``; build_surface
+    holds the arc-length invariant and the profile conditions at their
+    interior subset k = 3, 9, ..., 195."""
     return np.array(uniform(*domain, 201))[:, None]
 
 
@@ -207,26 +223,23 @@ def build_surface(curve: GeneratingCurve,
                   v_window: tuple[float, float] | None = None) -> SurfacePatch:
     """Rotate the curve by the one-parameter group of its rotation type.
 
-    The curve is always checked first: the arc-length invariant and the
+    The curve is always checked first, on the column of its 201
+    ``check_samples`` (the one the arc-length and degeneracy checks read
+    from the curve's memo): the arc-length expression must stay inside the
+    float range at all of them, and the arc-length invariant and the
     profile conditions of the curve's spec (r > 0 or f f' != 0, and the
-    hyperbolic case's sign of (r')^2 - 1) are validated at 33 of the
-    ``check_samples``, one u column, before the spec's patch formula is
-    assembled from the curve jets.  The conditions are checked in that
-    order, each naming its first offending u; an arc-length expression
-    that overflows the float range fails the invariant too.  ``v_window``
-    defaults to the spec's window: [0, 2 pi] elliptic, [-2, 2] otherwise.
+    hyperbolic case's sign of (r')^2 - 1) must hold at the 33 of them with
+    k = 3, 9, ..., 195, before the spec's patch formula is assembled from
+    the curve jets.  The conditions are checked in that order, each naming
+    its first offending u.  ``v_window`` defaults to the spec's window:
+    [0, 2 pi] elliptic, [-2, 2] otherwise.
     """
     spec = SPECS[curve.rotation]
-    us = check_samples(curve.domain)[3::6]
-    jets = curve.jets(us)
-    try:
-        res = abs(spec.arclength(*jets) - 1.0)
-    except OverflowError as exc:  # libm's pow, in ``square``, raises past ~1e154
-        raise InvariantViolationError(
-            f"arc-length expression overflows on {curve.domain!r}") from exc
+    samples = check_samples(curve.domain)
+    res, us = curve.arclength_residual(samples)[3::6], samples[3::6]
     raise_at(negate(res <= ARC_TOL), InvariantViolationError,
              f"arc-length residual {{!r}} at u={{!r}} exceeds {ARC_TOL}", res, us)
-    p = jets[spec.profile_slot]
+    p = Jet2(*(f[3::6] for f in curve.jets(samples)[spec.profile_slot]))
     spec.check_profile(p, us)
     if spec.case_sign:
         m = p.d1 * p.d1 - 1.0

@@ -27,7 +27,7 @@ import sys
 
 from . import io as cio
 from .builders import GeneratingCurve, RotationType, build_surface
-from .errors import CaseMismatchError, CmcError, NearNullSlopeError
+from .errors import CaseMismatchError, CmcError, NearNullSlopeError, NegativeRadicandError
 from .generator import INFEASIBLE, CmcParams, checked_jet, domain_validity, generate
 from .geometry import uniform
 from .profiles import ProfileFunction
@@ -174,7 +174,9 @@ def _load_or_generate(args) -> GeneratingCurve:
     (scaled by --perturb-phi, where the command takes it) on the largest
     usable piece of the validity scan of --interval.  Without one nothing is
     generated; an all-failed scan raises the preconditions' error at the
-    interval start, as empty validity unless structural (wrong case, null slope)."""
+    interval start, as empty validity unless structural (wrong case, null
+    slope), blaming (h_sign, C) only for a negative radicand, the one
+    precondition they decide, and the profile for any other."""
     if getattr(args, "csv", None):
         given = [dest for dest, default in args.csv_rejects.items()
                  if getattr(args, dest) != default]
@@ -205,9 +207,12 @@ def _load_or_generate(args) -> GeneratingCurve:
                 checked_jet(profile, params, rotation, args.interval[0])
             except (CaseMismatchError, NearNullSlopeError):
                 raise
-            except INFEASIBLE as exc:
+            except NegativeRadicandError as exc:
                 raise _EmptyValidityError(
                     f"the (h_sign, C) choice is infeasible on the interval ({exc})") from exc
+            except INFEASIBLE as exc:
+                raise _EmptyValidityError("the profile fails the generator's preconditions "
+                                          f"on the interval ({exc})") from exc
         raise _EmptyValidityError("no usable subinterval inside the requested interval")
     interval, params = plan
     return generate(rotation, profile, params, QuadratureConfig(rel_tol=args.rel_tol),

@@ -44,7 +44,10 @@ masks (``geometry.collect_faults``).  Only the bisection of each boundary
 evaluates single float points.  The quadratures are built from float
 nodes, through a profile memo; a generated curve answers a u column the
 same way the scan does, with one profile jet, one turning call and one
-Clenshaw sweep per quadrature, and a float u through the memos.
+Clenshaw sweep per quadrature, and a float u through the memos.  The
+curve's own memo (``GeneratingCurve.jets``) keeps columns as it keeps
+floats, so a check that asks for a column another check asked for reads
+the same jets.
 """
 
 from __future__ import annotations

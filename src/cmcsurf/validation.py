@@ -12,14 +12,17 @@ surface functions once per grid, on the broadcast (u, v) arrays of
 ``GridSpec.mesh`` (see ``surfaces``), and give the values of a loop over u
 and then v bit for bit; check_arclength, h2_closed and the checks of
 build_surface and hyperplane_degeneracy take one u column each, and
-check_cmc and check_frames share one ``patch.jets`` grid call.  So a
-generated or reloaded curve, which answers a u column with one call of its
-``column`` function, is evaluated in seven column calls per
-validate_surface.  A point is never silently
-dropped from a maximum: it is flagged with its reason instead.  Each check
-lists its flagged points in u-major order, and a report lists those of the
-CMC check, then those of the closed-form check (each (u, v, reason) once),
-then those of the frames:
+check_cmc and check_frames share one ``patch.jets`` grid call.  A
+generated or reloaded curve answers a u column with one call of its
+``column`` function, and ``GeneratingCurve.jets`` memoizes each column, so
+one validate_surface makes four column calls: the 201 check samples
+(build_surface, check_arclength, hyperplane_degeneracy), the grid's u
+column (patch.jets, closed_vs_oracle) and the stencil column of each of
+the two FD steps.  A point is never silently dropped from a maximum: it is
+flagged with its reason instead.  Each check lists its flagged points in
+u-major order, and a report lists those of the CMC check, then those of
+the closed-form check (each (u, v, reason) once), then those of the
+frames:
 
 * ``fd-richardson-disagreement``: the FD <H,H> at FD_STEP and FD_STEP/2
   differ by more than 10 * ``fd_tol``;
@@ -190,8 +193,9 @@ def check_cmc(patch: SurfacePatch, target_h2: float, grid: GridSpec,
 
 def check_arclength(curve: GeneratingCurve) -> float:
     """Max |arc-length expression - 1| over the 201 uniform ``check_samples``
-    of the domain, evaluated as one u column.  A residual that is not
-    finite raises InvariantViolationError naming its first u."""
+    of the domain, evaluated as one u column (``arclength_residual``, the
+    jets that build_surface already read).  A residual that is not finite,
+    or an expression that overflows, raises InvariantViolationError."""
     us = check_samples(curve.domain)
     res = curve.arclength_residual(us)
     raise_at(~np.isfinite(res), InvariantViolationError,

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -6,6 +7,7 @@ from cmcsurf.builders import (
     GeneratingCurve,
     RotationType,
     build_surface,
+    check_samples,
     elliptic_H_closed,
     elliptic_frame,
     elliptic_weingarten,
@@ -15,7 +17,10 @@ from cmcsurf.builders import (
     hyperplane_degeneracy,
 )
 from cmcsurf.errors import InvariantViolationError, NearNullSlopeError
+from cmcsurf.generator import CmcParams, generate
 from cmcsurf.geometry import XI1, XI2, Vec4, inner
+from cmcsurf.io import load_curve, write_curve_csv
+from cmcsurf.profiles import ProfileFunction
 from cmcsurf.surfaces import first_fundamental_form, mean_curvature
 from cmcsurf.validation import validate_surface
 
@@ -101,6 +106,16 @@ def test_patches_are_lorentz_everywhere(name, curve):
 def test_arclength_violation_rejected():
     with pytest.raises(InvariantViolationError):
         build_surface(non_arclength_curve())
+
+
+@pytest.mark.parametrize("u", [0.5, check_samples((0.0, 1.0))], ids=["float", "column"])
+def test_an_overflowing_arclength_expression_is_an_invariant_violation(u):
+    # (1e160)^2 passes the float range, where libm's pow raises OverflowError
+    curve = GeneratingCurve(RotationType.ELLIPTIC,
+                            (linear_fn(1e160), const_fn(0.0), const_fn(1.0)), (0.0, 1.0))
+    with pytest.raises(InvariantViolationError,
+                       match=r"^arc-length expression overflows on \(0\.0, 1\.0\)$"):
+        curve.arclength_residual(u)
 
 
 def test_nonpositive_profile_rejected():
@@ -388,3 +403,32 @@ def test_curve_memo_misses_reach_components_swapped_in_later():
     patch.jets(1.5, 0.7)
     curve.jets(2.5)
     assert all(counter == {1.5: 1, 2.5: 1} for counter in counters)
+
+
+@pytest.mark.parametrize("kind", ["generated", "reloaded", "analytic"])
+def test_equal_u_columns_share_one_evaluation(kind, tmp_path):
+    if kind == "generated":
+        curve = generate(RotationType.ELLIPTIC, ProfileFunction.from_text("1+u/2", (0.0, 3.0)),
+                         CmcParams(C=0.5), interval=(0.0, 3.0))
+    elif kind == "reloaded":
+        path = tmp_path / "circle.csv"
+        write_curve_csv(str(path), elliptic_circle(2.0), samples=101)
+        curve = load_curve(str(path))
+    else:
+        curve = elliptic_circle(2.0)
+    fresh = replace(curve)  # the same curve with an empty memo
+    calls, counters = [], []
+    if curve.column is None:  # looked up one float at a time
+        components, counters = counted(curve.components)
+        object.__setattr__(curve, "components", components)
+    else:
+        column = curve.column
+        object.__setattr__(curve, "column", lambda c, u: calls.append(u) or column(c, u))
+    first = check_samples(curve.domain)
+    second = first.copy()
+    jets = curve.jets(first)
+    assert curve.jets(second) is jets
+    assert len(calls) == (curve.column is not None)  # one column call, or none
+    assert all(len(c) == 201 and set(c.values()) == {1} for c in counters)
+    for got, want in zip(jets, fresh.jets(second)):
+        assert [f.tobytes() for f in got] == [f.tobytes() for f in want]

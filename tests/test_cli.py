@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -162,13 +163,49 @@ def test_empty_validity_exits_2(capsys):
     (["curve", "--type", "hyperbolicA", "--profile", "u/2", "--C", "0.5",
       "--interval", "0.5:2", "--out", "x.csv"],
      "ERROR[case-mismatch] (r')^2 - 1 = -0.75 at u=0.5 contradicts hyperbolicA"),
-], ids=["infeasible", "case-mismatch"])
+    # only a negative radicand depends on (h_sign, C); other failures name the profile
+    (["curve", "--type", "elliptic", "--profile=-1", "--interval", "0:1", "--C", "0.5",
+      "--out", "x.csv"],
+     "ERROR[empty-validity] the profile fails the generator's preconditions on the "
+     "interval (r(u)=-1.0 <= 0 at u=0.0)"),
+    (["curve", "--type", "parabolic", "--profile", "2", "--interval", "0.5:2", "--C", "0.5",
+      "--out", "x.csv"],
+     "ERROR[empty-validity] the profile fails the generator's preconditions on the "
+     "interval (f'(u) = 0 at u=0.5)"),
+    # the scan runs before anything is generated, and generate is where a
+    # base point outside the interval is refused: an unusable scan wins
+    (["validate", "--type", "elliptic", "--profile", "1", "--C", "1.0", "--hsign", "-1",
+      "--interval", "0:2", "--grid", "9x7", "--u0", "5"],
+     "ERROR[empty-validity] the (h_sign, C) choice is infeasible on the interval "
+     "(radicand -3.0 negative (infeasible h_sign/C) at u=0.0)"),
+], ids=["infeasible", "case-mismatch", "nonpositive-profile", "flat-profile",
+        "u0-outside"])
 def test_an_all_infeasible_scan_names_the_interval_start(argv, message, tmp_path, capsys):
     # nothing is generated: the preconditions are checked at u = a of a:b
     code, out, err = run([arg.replace("x.csv", str(tmp_path / "x.csv")) for arg in argv],
                          capsys)
     assert (code, out, err) == (2, "", message + "\n")
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["validate", "--C", "0.4330127018922193"], ["oracle"],
+                                     ["surface", "--out", "s.csv"]], ids=lambda c: c[0])
+@pytest.mark.parametrize("field", ["dx1", "ddx1", "ddx2"])
+def test_an_overflowing_arclength_expression_is_an_invariant_violation(
+        field, command, tmp_path, capsys):
+    # the spline of the last sample's 1e160 reaches slopes whose square passes
+    # the float range: an error before any grid kernel runs on them
+    path = tmp_path / "curve.csv"
+    write_curve_csv(str(path), elliptic_circle(2.0), samples=101)
+    rows = list(csv.reader(path.read_text().splitlines()))
+    rows[-1][rows[0].index(field)] = "1e160"
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    code, out, err = run([command[0], "--type", "elliptic", "--csv", str(path), "--grid", "9x7",
+                          *(arg.replace("s.csv", str(tmp_path / "s.csv"))
+                            for arg in command[1:])], capsys)
+    assert (code, out, err) == (2, "", "ERROR[invariant-violation] arc-length expression "
+                                       "overflows on (0.0, 6.283185307179586)\n")
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_narrow_valid_pieces_are_empty_validity(capsys):

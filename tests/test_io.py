@@ -91,7 +91,7 @@ def test_reloaded_curve_is_evaluated_a_column_at_a_time(tmp_path):
                        tuple(watched(k, c) for k, c in enumerate(curve.components)))
     validate_surface(curve, 0.0, "reloaded", nu=9, nv=7)
     assert kinds == {np.ndarray}
-    assert calls == [7, 7, 7], calls
+    assert calls == [4, 4, 4], calls
 
 
 @pytest.mark.parametrize("name,curve", ALL_CURVES, ids=[n for n, _ in ALL_CURVES])

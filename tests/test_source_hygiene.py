@@ -129,3 +129,28 @@ def test_one_sample_rule():
             for n, line in enumerate(path.read_text().splitlines(), 1)
             if SAMPLE_RULE.search(line)]
     assert not hits, hits
+
+
+def _arclength_callers(tree: ast.Module) -> list[str]:
+    """The innermost function around each call of an ``arclength`` attribute,
+    "<module>" for a call outside every function."""
+    owner = {node: fn.name for fn in ast.walk(tree)  # ast.walk reaches outer defs first
+             if isinstance(fn, ast.FunctionDef | ast.AsyncFunctionDef) for node in ast.walk(fn)}
+    return [owner.get(node, "<module>") for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "arclength"]
+
+
+def test_the_arclength_check_sees_every_call():
+    source = ("x = spec.arclength(a, b, c)\n"
+              "def f(s):\n    g = lambda: s.arclength(*j)\n    def h():\n"
+              "        return SPECS[t].arclength(*j)\n")
+    assert sorted(_arclength_callers(ast.parse(source))) == ["<module>", "f", "h"]
+
+
+def test_one_arclength_computation():
+    # every check reads the residual from GeneratingCurve.arclength_residual,
+    # which also turns an overflow of the expression into an invariant violation
+    hits = [f"{path.name}:{caller}" for path in sorted(SRC.glob("*.py"))
+            for caller in _arclength_callers(ast.parse(path.read_text(), str(path)))]
+    assert hits == ["builders.py:arclength_residual"], hits
