@@ -16,10 +16,13 @@ k = (r')^2 + s in the phi-equation, the turning equation (phi' for
 elliptic and hyperbolic profiles, psi' with phi = f' psi for parabolic
 ones, see phi_integrand and psi_integrand_parabolic), the one formula of
 the slopes of the non-profile components it fixes and their derivatives,
-the patch formula, the arc-length and twist expressions, the default v
-window and the special profile with its closed-form phi.  The entry points
-build_surface and h2_closed, the generator, validation, I/O and the CLI
-read the table instead of branching on the type.
+the position formula and its first and second v-derivatives, the
+arc-length and twist expressions, the default v window and the special
+profile with its closed-form phi.  The position is linear in the curve
+values, so the u-partials of the patch are the position formula at the
+curve's derivatives: one assembly, _patch_jets, serves every type.  The
+entry points build_surface and h2_closed, the generator, validation, I/O
+and the CLI read the table instead of branching on the type.
 
 Besides the patch constructor this module carries the closed-form
 adapted frames, the one closed form of <H, H> and the closed-form H
@@ -28,7 +31,7 @@ table of the elliptic frame, and the hyperplane degeneracy detector.
 Parabolic patches are stored in the standard e-basis; the lightlike pair
 xi1, xi2 appears only during assembly.
 
-The patch formulas, the position formulas, the closed-form frames,
+The position formulas and their v-derivatives, the closed-form frames,
 h2_closed, the arc-length and twist expressions, the profile checks, the
 turning equations and their slopes accept a broadcast grid (u a column, v
 a row; see ``surfaces``) as well as a float (u, v), and a grid entry equals
@@ -229,8 +232,8 @@ def build_surface(curve: GeneratingCurve,
     float range at all of them, and the arc-length invariant and the
     profile conditions of the curve's spec (r > 0 or f f' != 0, and the
     hyperbolic case's sign of (r')^2 - 1) must hold at the 33 of them with
-    k = 3, 9, ..., 195, before the spec's patch formula is assembled from
-    the curve jets.  The conditions are checked in that order, each naming
+    k = 3, 9, ..., 195, before _patch_jets assembles the patch from the
+    curve jets.  The conditions are checked in that order, each naming
     its first offending u.  ``v_window`` defaults to the spec's window:
     [0, 2 pi] elliptic, [-2, 2] otherwise.
     """
@@ -245,7 +248,7 @@ def build_surface(curve: GeneratingCurve,
         m = p.d1 * p.d1 - 1.0
         raise_at(slope_sign(m, us) != spec.case_sign, InvariantViolationError,
                  f"(r')^2 - 1 = {{!r}} contradicts {curve.rotation} at u={{!r}}", m, us)
-    return SurfacePatch(spec.patch_jets(curve.jets), curve.domain,
+    return SurfacePatch(_patch_jets(spec, curve.jets), curve.domain,
                         v_window or spec.v_window, label=curve.rotation.value,
                         position=partial(_patch_position, spec.position, curve.jets))
 
@@ -256,26 +259,39 @@ def _patch_position(position, curve_jets: CurveJets, u: float, v: float) -> Vec4
     return position(a.val, b.val, c.val, v)
 
 
+def _patch_jets(spec: RotationSpec, curve_jets: CurveJets):
+    """The patch jets of every rotation type.  The position is linear in the
+    curve values, so z_u and z_uu are the position formula at the curve's
+    first and second derivatives, and z_uv is its v-derivative at the first."""
+    position, position_v, position_vv = spec.position, spec.position_v, spec.position_vv
+
+    def jets(u: float, v: float) -> PatchJets:
+        a, b, c = curve_jets(u)
+        return PatchJets(
+            position=position(a.val, b.val, c.val, v),
+            z_u=position(a.d1, b.d1, c.d1, v),
+            z_v=position_v(a.val, b.val, c.val, v),
+            z_uu=position(a.d2, b.d2, c.d2, v),
+            z_uv=position_v(a.d1, b.d1, c.d1, v),
+            z_vv=position_vv(a.val, b.val, c.val, v),
+        )
+
+    return jets
+
+
 def _elliptic_position(x1: float, x2: float, r: float, v: float) -> Vec4:
     m = libm(v)
     return _new(Vec4, (x1, x2, r * m.cos(v), r * m.sin(v)))
 
 
-def _elliptic_jets(curve_jets: CurveJets):
-    def jets(u: float, v: float) -> PatchJets:
-        x1, x2, r = curve_jets(u)
-        m = libm(v)
-        cv, sv = m.cos(v), m.sin(v)
-        return PatchJets(
-            position=_elliptic_position(x1.val, x2.val, r.val, v),
-            z_u=Vec4(x1.d1, x2.d1, r.d1 * cv, r.d1 * sv),
-            z_v=Vec4(0.0, 0.0, -r.val * sv, r.val * cv),
-            z_uu=Vec4(x1.d2, x2.d2, r.d2 * cv, r.d2 * sv),
-            z_uv=Vec4(0.0, 0.0, -r.d1 * sv, r.d1 * cv),
-            z_vv=Vec4(0.0, 0.0, -r.val * cv, -r.val * sv),
-        )
+def _elliptic_dv(x1: float, x2: float, r: float, v: float) -> Vec4:
+    m = libm(v)
+    return _new(Vec4, (0.0, 0.0, -r * m.sin(v), r * m.cos(v)))
 
-    return jets
+
+def _elliptic_dvv(x1: float, x2: float, r: float, v: float) -> Vec4:
+    m = libm(v)
+    return _new(Vec4, (0.0, 0.0, -r * m.cos(v), -r * m.sin(v)))
 
 
 def _hyperbolic_position(r: float, x2: float, x4: float, v: float) -> Vec4:
@@ -283,21 +299,15 @@ def _hyperbolic_position(r: float, x2: float, x4: float, v: float) -> Vec4:
     return _new(Vec4, (r * m.cosh(v), x2, r * m.sinh(v), x4))
 
 
-def _hyperbolic_jets(curve_jets: CurveJets):
-    def jets(u: float, v: float) -> PatchJets:
-        r, x2, x4 = curve_jets(u)
-        m = libm(v)
-        ch, sh = m.cosh(v), m.sinh(v)
-        return PatchJets(
-            position=_hyperbolic_position(r.val, x2.val, x4.val, v),
-            z_u=Vec4(r.d1 * ch, x2.d1, r.d1 * sh, x4.d1),
-            z_v=Vec4(r.val * sh, 0.0, r.val * ch, 0.0),
-            z_uu=Vec4(r.d2 * ch, x2.d2, r.d2 * sh, x4.d2),
-            z_uv=Vec4(r.d1 * sh, 0.0, r.d1 * ch, 0.0),
-            z_vv=Vec4(r.val * ch, 0.0, r.val * sh, 0.0),
-        )
+def _hyperbolic_dv(r: float, x2: float, x4: float, v: float) -> Vec4:
+    m = libm(v)
+    return _new(Vec4, (r * m.sinh(v), 0.0, r * m.cosh(v), 0.0))
 
-    return jets
+
+def _hyperbolic_dvv(r: float, x2: float, x4: float, v: float) -> Vec4:
+    """(r cosh v, 0, r sinh v, 0): the position without its x2 and x4."""
+    m = libm(v)
+    return _new(Vec4, (r * m.cosh(v), 0.0, r * m.sinh(v), 0.0))
 
 
 def _from_null_basis(a: float, b: float, c: float, d: float) -> Vec4:
@@ -309,20 +319,12 @@ def _parabolic_position(x1: float, f: float, g: float, v: float) -> Vec4:
     return _from_null_basis(x1, f, -v * v * f + g, _SQRT2 * v * f)
 
 
-def _parabolic_jets(curve_jets: CurveJets):
-    def jets(u: float, v: float) -> PatchJets:
-        x1, f, g = curve_jets(u)
-        v2 = v * v
-        return PatchJets(
-            position=_parabolic_position(x1.val, f.val, g.val, v),
-            z_u=_from_null_basis(x1.d1, f.d1, -v2 * f.d1 + g.d1, _SQRT2 * v * f.d1),
-            z_v=_from_null_basis(0.0, 0.0, -2.0 * v * f.val, _SQRT2 * f.val),
-            z_uu=_from_null_basis(x1.d2, f.d2, -v2 * f.d2 + g.d2, _SQRT2 * v * f.d2),
-            z_uv=_from_null_basis(0.0, 0.0, -2.0 * v * f.d1, _SQRT2 * f.d1),
-            z_vv=_from_null_basis(0.0, 0.0, -2.0 * f.val, 0.0),
-        )
+def _parabolic_dv(x1: float, f: float, g: float, v: float) -> Vec4:
+    return _from_null_basis(0.0, 0.0, -2.0 * v * f, _SQRT2 * f)
 
-    return jets
+
+def _parabolic_dvv(x1: float, f: float, g: float, v: float) -> Vec4:
+    return _from_null_basis(0.0, 0.0, -2.0 * f, 0.0)
 
 
 # --- closed-form frames ------------------------------------------------------
@@ -639,8 +641,12 @@ class RotationSpec:
     turning: Callable[[Jet2, CmcParams, float], float]  # phi' (psi') at a profile jet
     slope_jets: Callable[[Jet2, float, float],  # non-profile (x', x'') at t and t'
                          tuple[tuple[float, float], tuple[float, float]]]
-    position: Callable[[float, float, float, float], Vec4]  # at the curve values and v
-    patch_jets: Callable[[CurveJets], Callable[[float, float], PatchJets]]  # uses position
+    # z(u, v) at the curve values and v, and its first and second
+    # v-derivatives; linear in the curve values, so at the curve's
+    # derivatives they give the u-partials (see _patch_jets)
+    position: Callable[[float, float, float, float], Vec4]
+    position_v: Callable[[float, float, float, float], Vec4]
+    position_vv: Callable[[float, float, float, float], Vec4]
     check_profile: Callable[[Jet2, float], None]
     # the signs of the profile terms that must not vanish but may have
     # either sign (f and f' of a parabolic profile), as one int; a change
@@ -668,7 +674,7 @@ def _hyperbolic_spec(case_sign: int, t1: str, t2: str) -> RotationSpec:
         ("r", "x2", "x4"), 0, s=-1.0, case_sign=case_sign,
         turning=partial(phi_integrand, -1.0, case_sign),
         slope_jets=partial(_trig_slope_jets, -1.0, sw, t1, t2),
-        position=_hyperbolic_position, patch_jets=_hyperbolic_jets,
+        position=_hyperbolic_position, position_v=_hyperbolic_dv, position_vv=_hyperbolic_dvv,
         check_profile=_check_radius, kept_signs=_no_signs, v_window=(-2.0, 2.0),
         arclength=_arclength_ppm,  # (r')^2 + (x2')^2 - (x4')^2
         twist=lambda a, b, c: b.d1 * c.d2 - b.d2 * c.d1,
@@ -685,7 +691,7 @@ SPECS: dict[RotationType, RotationSpec] = {
         ("x1", "x2", "r"), 2, s=1.0, case_sign=0,
         turning=partial(phi_integrand, 1.0, 0),
         slope_jets=partial(_trig_slope_jets, 1.0, 1.0, "cos", "sin"),
-        position=_elliptic_position, patch_jets=_elliptic_jets,
+        position=_elliptic_position, position_v=_elliptic_dv, position_vv=_elliptic_dvv,
         check_profile=_check_radius, kept_signs=_no_signs, v_window=(0.0, 2.0 * math.pi),
         arclength=_arclength_ppm,  # (x1')^2 + (x2')^2 - (r')^2
         twist=lambda a, b, c: a.d1 * b.d2 - a.d2 * b.d1,
@@ -696,7 +702,7 @@ SPECS: dict[RotationType, RotationSpec] = {
     RotationType.PARABOLIC: RotationSpec(
         ("x1", "f", "g"), 1, s=0.0, case_sign=0,
         turning=psi_integrand_parabolic, slope_jets=_parabolic_slope_jets,
-        position=_parabolic_position, patch_jets=_parabolic_jets,
+        position=_parabolic_position, position_v=_parabolic_dv, position_vv=_parabolic_dvv,
         check_profile=_check_ff, kept_signs=_ff_signs, v_window=(-2.0, 2.0),
         arclength=lambda a, b, c: square(a.d1) - 2.0 * b.d1 * c.d1,  # (x1')^2 - 2 f' g'
         twist=lambda a, b, c: a.d2 * b.d1 - a.d1 * b.d2,

@@ -86,6 +86,10 @@ def _checked(convert, ok, what: str):
     return parse
 
 
+#: The argument type of the tolerance flags: a finite positive float.
+_tolerance = _checked(float, lambda x: 0.0 < x < math.inf, "a finite positive number")
+
+
 def _projection(text: str) -> tuple[str, str, str]:
     names = tuple(text.split(","))
     if len(names) != 3 or not set(names) <= set(cio.COORD_NAMES):
@@ -137,8 +141,7 @@ def _add_common(sub: argparse.ArgumentParser, grid: tuple[int, int] | None = Non
                      help="phi integration constant (the parabolic constant A)")
     sub.add_argument("--c1", type=float, default=0.0)
     sub.add_argument("--c2", type=float, default=0.0)
-    sub.add_argument("--rel-tol", type=_checked(float, lambda x: x > 0.0, "a positive number"),
-                     default=QuadratureConfig.rel_tol,
+    sub.add_argument("--rel-tol", type=_tolerance, default=QuadratureConfig.rel_tol,
                      help="quadrature tolerance: a panel is bisected until its Legendre "
                           "tail, times its width, is below this times the interval "
                           "width times max|integrand| (default %(default)g, floor 1e-16)")
@@ -313,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--report", help="report path (default: stdout)")
     p_val.add_argument("--perturb-phi", type=float, default=1.0,
                        help="scale phi by this factor (negative control)")
-    p_val.add_argument("--cmc-tol", type=float, default=Tolerances.cmc_analytic)
-    p_val.add_argument("--cmc-fd-tol", type=float, default=Tolerances.cmc_fd)
+    p_val.add_argument("--cmc-tol", type=_tolerance, default=Tolerances.cmc_analytic)
+    p_val.add_argument("--cmc-fd-tol", type=_tolerance, default=Tolerances.cmc_fd)
     p_val.set_defaults(func=_cmd_validate)
     _reject_with_csv(p_val, "perturb_phi")
 
@@ -334,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = subs.add_parser("oracle",
                                help="closed form vs kernel curvature comparison")
     _add_common(p_oracle, grid=(21, 21))
-    p_oracle.add_argument("--tol", type=float, default=Tolerances.closed_vs_oracle)
+    p_oracle.add_argument("--tol", type=_tolerance, default=Tolerances.closed_vs_oracle)
     p_oracle.set_defaults(func=_cmd_oracle)
     _reject_with_csv(p_oracle, "C", "hsign")
 

@@ -90,9 +90,9 @@ def read_curve_csv(path: str) -> tuple[RotationType, np.ndarray, np.ndarray]:
         raise ValueError(f"unrecognized curve header {rows[:1]!r} in {path}")
     if len(rows) < 3:
         raise ValueError(f"{path} has {len(rows) - 1} sample rows; need at least 2")
-    data = np.array(rows[1:], dtype=float)
-    if data.shape[1] != len(rows[0]):
+    if any(len(row) != len(rows[0]) for row in rows[1:]):
         raise ValueError(f"sample rows of {path} do not match its header")
+    data = np.array(rows[1:], dtype=float)
     rotation = matches[0]
     if len(matches) > 1:  # the hyperbolic cases share names; the slope picks one
         slopes = data[:, 4]  # column "dr"

@@ -141,12 +141,6 @@ class ValidationReport:
 
     def to_json(self) -> str:
         payload = asdict(self)
-        payload["grid"] = {
-            "nu": self.grid.nu,
-            "nv": self.grid.nv,
-            "u_window": list(self.grid.u_window),
-            "v_window": list(self.grid.v_window),
-        }
         payload["flagged_points"] = [
             {"u": u, "v": v, "reason": reason}
             for u, v, reason in self.flagged_points
@@ -294,15 +288,7 @@ class SpecialCaseReport:
     verdict: str  # "consistent" | "probable-misprint"
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "rotation": self.rotation,
-                "constants": dict(sorted(self.constants.items())),
-                "h_sign_used": self.h_sign_used,
-                "max_discrepancy": self.max_discrepancy,
-                "verdict": self.verdict,
-            },
-            indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def compare_special_case(rotation: RotationType,

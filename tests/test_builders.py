@@ -1,9 +1,11 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from cmcsurf.builders import (
+    SPECS,
     GeneratingCurve,
     RotationType,
     build_surface,
@@ -101,6 +103,28 @@ def test_patches_are_lorentz_everywhere(name, curve):
     for u, v in grid(curve):
         form = first_fundamental_form(patch, u, v)
         assert form.det < 0.0
+
+
+def _stacked(vec) -> np.ndarray:
+    """A Vec4 of floats, or of broadcast grid entries, as one array."""
+    return np.array(np.broadcast_arrays(*vec))
+
+
+@pytest.mark.parametrize("at", ["float", "grid"])
+@pytest.mark.parametrize("rotation", list(RotationType), ids=lambda r: r.value)
+def test_v_derivatives_are_those_of_the_position(rotation, at):
+    # central differences of the spec's position in v, independent of the
+    # patch assembly; the curve values need not come from a curve
+    spec, h = SPECS[rotation], 1e-3
+    values, vs = (0.7, -1.3, 1.9), [-1.5, -0.4, 0.0, 0.9, 1.5]
+    if at == "grid":  # the values as a u column, v as a row
+        values, vs = tuple(np.array([[x], [2.0 * x]]) for x in values), [np.array([vs])]
+    for v in vs:
+        below, mid, above = (_stacked(spec.position(*values, v + dt)) for dt in (-h, 0.0, h))
+        dv = _stacked(spec.position_v(*values, v))
+        dvv = _stacked(spec.position_vv(*values, v))
+        assert np.max(np.abs(dv - (above - below) / (2.0 * h))) <= 1e-5
+        assert np.max(np.abs(dvv - (above - 2.0 * mid + below) / (h * h))) <= 1e-5
 
 
 def test_arclength_violation_rejected():

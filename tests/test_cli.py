@@ -79,11 +79,12 @@ def circle_csv(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("edit", [
-    lambda rows: rows.insert(5, rows[5]),
-    lambda rows: rows[5].__setitem__(-1, "nan"),  # column ddr
-], ids=["duplicated-u", "nan-dd"])
-def test_validate_csv_with_bad_samples_is_usage_error(circle_csv, edit, capsys):
+@pytest.mark.parametrize("edit, message", [
+    (lambda rows: rows.insert(5, rows[5]), "ERROR[usage]"),
+    (lambda rows: rows[5].__setitem__(-1, "nan"), "ERROR[usage]"),  # column ddr
+    (lambda rows: rows[5].pop(), "sample rows of {path} do not match its header"),
+], ids=["duplicated-u", "nan-dd", "short-row"])
+def test_validate_csv_with_bad_samples_is_usage_error(circle_csv, edit, message, capsys):
     rows = [line.split(",") for line in circle_csv.read_text().splitlines()]
     edit(rows)
     circle_csv.write_text("".join(",".join(row) + "\n" for row in rows))
@@ -91,6 +92,7 @@ def test_validate_csv_with_bad_samples_is_usage_error(circle_csv, edit, capsys):
                         "--grid", "5x5"], capsys)
     assert code == 2
     assert "ERROR[usage]" in err and "Traceback" not in err
+    assert message.format(path=circle_csv) in err
 
 
 @pytest.mark.parametrize("command", [
@@ -237,6 +239,17 @@ def test_surface_command(tmp_path, capsys):
     assert code == 0, err
     assert out_csv.read_text().splitlines()[0] == "u,v,x1,x2,x3,x4"
     assert any(line.startswith("f ") for line in out_obj.read_text().splitlines())
+    # the OBJ vertices are the CSV's x1, x2, x4 columns under that projection
+    code, _, err = run(["surface", "--type", "elliptic", "--profile", "2",
+                        "--C", "0.25", "--interval", "0:6.28",
+                        "--grid", "7x7", "--v-window", "0:6.28",
+                        "--project", "x1,x2,x4", "--obj", str(out_obj)], capsys)
+    assert code == 0, err
+    lines = out_obj.read_text().splitlines()
+    assert lines[1] == "# projection: x1,x2,x4"
+    rows = [row.split(",") for row in out_csv.read_text().splitlines()[1:]]
+    assert [line.split()[1:] for line in lines if line.startswith("v ")] == [
+        [row[2], row[3], row[5]] for row in rows]
 
 
 def test_special_command(tmp_path, capsys):
@@ -375,22 +388,62 @@ def test_validate_prints_the_library_report(case, eta, capsys):
     assert out == report.to_json() + "\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["curve", *ELLIPTIC_2, "--rel-tol", "0", "--out", "{tmp}/x.csv"],
-    ["curve", *ELLIPTIC_2, "--samples", "1", "--out", "{tmp}/x.csv"],
-    ["surface", *ELLIPTIC_2, "--obj", "{tmp}/z.obj", "--project", "x1,x9,x4"],
+#: A type error of an argparse flag prints argparse's usage line and names
+#: the flag; the checks after parsing print ``ERROR[<code>] message``.
+@pytest.mark.parametrize("argv, message", [
+    (["curve", *ELLIPTIC_2, "--rel-tol", "0", "--out", "{tmp}/x.csv"],
+     "argument --rel-tol: expected a finite positive number, got '0'"),
+    (["curve", *ELLIPTIC_2, "--rel-tol", "inf", "--out", "{tmp}/x.csv"],
+     "argument --rel-tol: expected a finite positive number, got 'inf'"),
+    (["validate", *ELLIPTIC_2, "--cmc-tol", "nan"],
+     "argument --cmc-tol: expected a finite positive number, got 'nan'"),
+    (["validate", *ELLIPTIC_2, "--cmc-tol", "-1"],
+     "argument --cmc-tol: expected a finite positive number, got '-1'"),
+    (["validate", *ELLIPTIC_2, "--cmc-fd-tol", "inf"],
+     "argument --cmc-fd-tol: expected a finite positive number, got 'inf'"),
+    (["oracle", *ELLIPTIC_2, "--tol", "nan"],
+     "argument --tol: expected a finite positive number, got 'nan'"),
+    (["curve", *ELLIPTIC_2, "--samples", "1", "--out", "{tmp}/x.csv"],
+     "argument --samples: expected at least 2, got '1'"),
+    (["surface", *ELLIPTIC_2, "--obj", "{tmp}/z.obj", "--project", "x1,x9,x4"],
+     "argument --project: bad projection 'x1,x9,x4'"),
     # farther from the generation interval (1e-7, 0.9999999) than its pad
-    ["validate", *ELLIPTIC_2, "--C", "0.1", "--u0", "-0.01"],
-    ["validate", "--type", "elliptic", "--csv", "{tmp}/missing.csv"],
-    ["validate", "--type", "elliptic", "--csv", "{tmp}/header_only.csv"],
-    ["validate", "--type", "elliptic", "--interval", "0:1"],
-], ids=["rel-tol-0", "samples-1", "bad-projection", "u0-outside", "csv-missing",
-        "csv-header-only", "no-profile"])
-def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
+    (["validate", *ELLIPTIC_2, "--C", "0.1", "--u0", "-0.01"],
+     "ERROR[base-point] u0=-0.01 outside the generation interval"),
+    (["validate", "--type", "elliptic", "--csv", "{tmp}/missing.csv"],
+     "ERROR[usage] cannot read curve CSV"),
+    (["validate", "--type", "elliptic", "--csv", "{tmp}/header_only.csv"],
+     "has 0 sample rows; need at least 2"),
+    (["validate", "--type", "elliptic", "--interval", "0:1"],
+     "ERROR[usage] need --profile or --csv"),
+    (["validate", "--type", "elliptic", "--profile", "2"],
+     "ERROR[usage] need --interval when generating from --profile"),
+    (["validate", *ELLIPTIC_2, "--const", "a"],
+     "ERROR[usage] bad --const 'a', expected name=value"),
+    (["validate", *ELLIPTIC_2, "--const", "a=x"],
+     "ERROR[usage] bad --const value in 'a=x'"),
+    (["validate", *ELLIPTIC_2, "--grid", "abc"],
+     "argument --grid: bad grid 'abc', expected NUxNV"),
+    (["validate", *ELLIPTIC_2, "--grid", "1x5"],
+     "argument --grid: grid must be at least 2x2"),
+    (["validate", "--type", "elliptic", "--profile", "2", "--interval=1:0"],
+     "argument --interval: empty interval '1:0'"),
+    (["validate", *ELLIPTIC_2, "--hsign", "0"],
+     "argument --hsign: expected +1 or -1, got '0'"),
+    (["surface", *ELLIPTIC_2, "--C", "0.1"],
+     "ERROR[usage] give --out and/or --obj"),
+], ids=["rel-tol-0", "rel-tol-inf", "cmc-tol-nan", "cmc-tol-negative", "cmc-fd-tol-inf",
+        "oracle-tol-nan", "samples-1", "bad-projection", "u0-outside", "csv-missing",
+        "csv-header-only", "no-profile", "no-interval", "const-without-value",
+        "const-not-a-number", "grid-abc", "grid-1x5", "interval-reversed", "hsign-0",
+        "surface-without-output"])
+def test_bad_input_exits_2_without_traceback(argv, message, tmp_path, capsys):
     (tmp_path / "header_only.csv").write_text("u,x1,x2,r,dx1,dx2,dr,ddx1,ddx2,ddr\r\n")
-    code, _, err = run([arg.replace("{tmp}", str(tmp_path)) for arg in argv], capsys)
+    code, out, err = run([arg.replace("{tmp}", str(tmp_path)) for arg in argv], capsys)
     assert code == 2, err
+    assert message in err
     assert "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "z.obj").exists()
 
 
 def test_u0_within_the_pad_snaps_to_the_generation_interval(tmp_path, capsys):

@@ -154,3 +154,19 @@ def test_one_arclength_computation():
     hits = [f"{path.name}:{caller}" for path in sorted(SRC.glob("*.py"))
             for caller in _arclength_callers(ast.parse(path.read_text(), str(path)))]
     assert hits == ["builders.py:arclength_residual"], hits
+
+
+def _patch_jets_builds(node: ast.AST) -> int:
+    """The ``PatchJets(`` calls under the node."""
+    return sum(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+               and call.func.id == "PatchJets" for call in ast.walk(node))
+
+
+def test_one_patch_assembly():
+    # every rotation type's partials come from its position formula and the
+    # formula's two v-derivatives, assembled by builders._patch_jets alone
+    tree = ast.parse((SRC / "builders.py").read_text())
+    assembly = [fn for fn in tree.body
+                if isinstance(fn, ast.FunctionDef) and fn.name == "_patch_jets"]
+    assert len(assembly) == 1
+    assert _patch_jets_builds(tree) == _patch_jets_builds(assembly[0]) == 1
