@@ -28,7 +28,7 @@ import sys
 from . import io as cio
 from .builders import GeneratingCurve, RotationType, build_surface
 from .errors import CaseMismatchError, CmcError, NearNullSlopeError, NegativeRadicandError
-from .generator import INFEASIBLE, CmcParams, checked_jet, domain_validity, generate
+from .generator import INFEASIBLE, CmcParams, checked_jet
 from .geometry import uniform
 from .profiles import ProfileFunction
 from .quadrature import QuadratureConfig
@@ -36,7 +36,7 @@ from .validation import (
     Tolerances,
     closed_vs_oracle,
     compare_special_case,
-    generation_plan,
+    scan_and_generate,
     shrunk_grid,
     validate_surface,
 )
@@ -77,17 +77,22 @@ def _grid(text: str) -> tuple[int, int]:
 
 
 def _checked(convert, ok, what: str):
-    """Argument type: ``convert`` the text, then reject values failing ``ok``."""
+    """Argument type: ``convert`` the text, then reject values failing ``ok``;
+    text that does not convert gets the same message."""
     def parse(text: str):
-        value = convert(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
-        return value
+        try:
+            if ok(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
     return parse
 
 
 #: The argument type of the tolerance flags: a finite positive float.
 _tolerance = _checked(float, lambda x: 0.0 < x < math.inf, "a finite positive number")
+#: The argument type of a constant or scale flag: a finite float.
+_finite = _checked(float, math.isfinite, "a finite number")
 
 
 def _projection(text: str) -> tuple[str, str, str]:
@@ -175,7 +180,8 @@ def _params(args) -> CmcParams:
 def _load_or_generate(args) -> GeneratingCurve:
     """The curve of every curve command: reloaded from --csv, or generated
     (scaled by --perturb-phi, where the command takes it) on the largest
-    usable piece of the validity scan of --interval.  Without one nothing is
+    usable piece of the validity scan of --interval, by the library's one
+    generation step, ``validation.scan_and_generate``.  Without one nothing is
     generated; an all-failed scan raises the preconditions' error at the
     interval start, as empty validity unless structural (wrong case, null
     slope), blaming (h_sign, C) only for a negative radicand, the one
@@ -202,9 +208,10 @@ def _load_or_generate(args) -> GeneratingCurve:
     rotation = RotationType(args.type)
     profile = ProfileFunction.from_text(args.profile, args.interval, _consts(args.const))
     params = _params(args)
-    validity = domain_validity(profile, params, args.interval, rotation)
-    plan = generation_plan(validity, params)
-    if plan is None:
+    curve, validity = scan_and_generate(rotation, profile, params, args.interval,
+                                        QuadratureConfig(rel_tol=args.rel_tol),
+                                        getattr(args, "perturb_phi", 1.0))
+    if curve is None:
         if not validity:
             try:
                 checked_jet(profile, params, rotation, args.interval[0])
@@ -217,9 +224,7 @@ def _load_or_generate(args) -> GeneratingCurve:
                 raise _EmptyValidityError("the profile fails the generator's preconditions "
                                           f"on the interval ({exc})") from exc
         raise _EmptyValidityError("no usable subinterval inside the requested interval")
-    interval, params = plan
-    return generate(rotation, profile, params, QuadratureConfig(rel_tol=args.rel_tol),
-                    interval, getattr(args, "perturb_phi", 1.0))
+    return curve
 
 
 def _print_report(report, path: str | None) -> None:
@@ -298,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_curve = subs.add_parser("curve", help="generate a generating curve (CSV)")
     _add_common(p_curve)
-    p_curve.add_argument("--samples", type=_checked(int, lambda n: n >= 2, "at least 2"),
+    p_curve.add_argument("--samples", type=_checked(int, lambda n: n >= 2,
+                                                    "an integer of at least 2"),
                          default=401)
     p_curve.add_argument("--out", required=True)
     p_curve.set_defaults(func=_cmd_curve)
@@ -314,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = subs.add_parser("validate", help="generate and validate (JSON report)")
     _add_common(p_val, grid=(41, 41))
     p_val.add_argument("--report", help="report path (default: stdout)")
-    p_val.add_argument("--perturb-phi", type=float, default=1.0,
+    p_val.add_argument("--perturb-phi", type=_finite, default=1.0,
                        help="scale phi by this factor (negative control)")
     p_val.add_argument("--cmc-tol", type=_tolerance, default=Tolerances.cmc_analytic)
     p_val.add_argument("--cmc-fd-tol", type=_tolerance, default=Tolerances.cmc_fd)
@@ -323,13 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_special = subs.add_parser("special", help="audit a special-case closed form")
     p_special.add_argument("--type", required=True, choices=[t.value for t in RotationType])
-    p_special.add_argument("--a", type=float, required=True)
-    p_special.add_argument("--b", type=float, required=True)
-    p_special.add_argument("--d", type=float, default=0.0)
-    p_special.add_argument("--B", type=float, default=1.0)
+    p_special.add_argument("--a", type=_finite, required=True)
+    p_special.add_argument("--b", type=_finite, required=True)
+    p_special.add_argument("--d", type=_finite, default=0.0)
+    p_special.add_argument("--B", type=_finite, default=1.0)
     p_special.add_argument("--C", type=float, default=0.5)
     p_special.add_argument("--eta", type=_sign, default=1)
-    p_special.add_argument("--A", type=float, default=0.0)
+    p_special.add_argument("--A", type=_finite, default=0.0)
     p_special.add_argument("--interval", type=_interval, required=True)
     p_special.add_argument("--report")
     p_special.set_defaults(func=_cmd_special)

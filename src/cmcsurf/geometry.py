@@ -93,6 +93,12 @@ def uniform(lo: float, hi: float, n: int) -> list[float]:
     return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
 
 
+def midpoints(lo: float, hi: float, n: int) -> list[float]:
+    """The midpoints lo + (hi - lo) (k + 1/2) / n, k = 0..n-1, of the n equal
+    cells of [lo, hi]: the sample rule of spot checks that stay off the ends."""
+    return [lo + (hi - lo) * (k + 0.5) / n for k in range(n)]
+
+
 def _entrywise(fn):
     """fn at every entry of a grid.  Where fn raises (libm's range and
     domain errors), the entry is NaN and the check fails there: outside

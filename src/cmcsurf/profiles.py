@@ -14,9 +14,12 @@ rules.  Grammar (EBNF; this block is its reference):
     FUNC     = "sqrt" | "sin" | "cos" | "sinh" | "cosh" | "exp" | "ln" | "abs" ;
 
 Precedence is ^ > unary minus > * / > + -, binary operators associate to
-the left, and exponents are restricted to constant subexpressions.  Named
-constants are resolved at evaluation time so a single parsed profile can
-serve parameter sweeps; ``pi`` is predefined.
+the left, and exponents are restricted to constant subexpressions: the
+parser counts the u atoms it reads, and an exponent that reads one is an
+error at its caret.  Named constants are resolved at evaluation time so a
+single parsed profile can serve parameter sweeps; ``pi`` is predefined.
+Evaluation turns every number and constant into a constant jet, so jet
+arithmetic only ever combines two jets (``Jet2``).
 
 Columns.  A profile is evaluated at one float u, or at an ndarray of u (a
 column) in one pass: the jet's fields are then arrays shaped like u, and
@@ -45,7 +48,7 @@ from typing import Iterable, Mapping, NamedTuple, Union
 import numpy as np
 
 from .errors import EvalDomainError, ExprSyntaxError, UnknownIdentifierError
-from .geometry import collect_faults, divisor, fail_at, libm, power, raise_at
+from .geometry import collect_faults, divisor, fail_at, libm, midpoints, power, raise_at
 
 FUNCTIONS = frozenset({"sqrt", "sin", "cos", "sinh", "cosh", "exp", "ln", "abs"})
 BUILTIN_CONSTS: Mapping[str, float] = {"pi": math.pi}
@@ -59,6 +62,11 @@ class Jet2(NamedTuple):
     rules truncated at second order, which is exactly the depth the
     curvature formulas consume (r, r', r'' and f, f', f'').  At a column
     of u the fields are arrays (see the module docstring).
+
+    +, -, * and / combine a jet with another jet only; a number enters as
+    the constant jet ``Jet2(c)``.  There are no reflected operators, so a
+    number on the left is not a jet: ``2.0 * jet`` raises TypeError, and
+    ``2 * jet`` is tuple repetition.
     """
 
     val: float
@@ -66,37 +74,24 @@ class Jet2(NamedTuple):
     d2: float = 0.0
 
     # tuple defines + and * as concatenation/repetition; override with algebra
-    def __add__(self, other):  # type: ignore[override]
-        o = _as_jet(other)
+    def __add__(self, o):  # type: ignore[override]
         return Jet2(self.val + o.val, self.d1 + o.d1, self.d2 + o.d2)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = _as_jet(other)
+    def __sub__(self, o):
         return Jet2(self.val - o.val, self.d1 - o.d1, self.d2 - o.d2)
-
-    def __rsub__(self, other):
-        return _as_jet(other).__sub__(self)
 
     def __neg__(self):
         return Jet2(-self.val, -self.d1, -self.d2)
 
-    def __mul__(self, other):  # type: ignore[override]
-        o = _as_jet(other)
+    def __mul__(self, o):  # type: ignore[override]
         return Jet2(
             self.val * o.val,
             self.d1 * o.val + self.val * o.d1,
             self.d2 * o.val + 2.0 * self.d1 * o.d1 + self.val * o.d2,
         )
 
-    __rmul__ = __mul__  # type: ignore[assignment]
-
-    def __truediv__(self, other):
-        return self * _as_jet(other).reciprocal()
-
-    def __rtruediv__(self, other):
-        return _as_jet(other) * self.reciprocal()
+    def __truediv__(self, o):
+        return self * o.reciprocal()
 
     def reciprocal(self) -> "Jet2":
         zero = self.val == 0.0
@@ -130,12 +125,6 @@ class Jet2(NamedTuple):
         p2 = power(x, c - 2.0)
         p1 = p2 * x
         return Jet2(p1 * x, c * p1 * d1, c * ((c - 1.0) * p2 * d1 * d1 + p1 * d2))
-
-
-def _as_jet(x) -> Jet2:
-    if isinstance(x, Jet2):
-        return x
-    return Jet2(float(x))
 
 
 def variable(u: float) -> Jet2:
@@ -245,18 +234,6 @@ class Func:
 Expr = Union[Num, Var, Const, Neg, BinOp, Func]
 
 
-def contains_var(expr: Expr) -> bool:
-    if isinstance(expr, Var):
-        return True
-    if isinstance(expr, Neg):
-        return contains_var(expr.arg)
-    if isinstance(expr, BinOp):
-        return contains_var(expr.left) or contains_var(expr.right)
-    if isinstance(expr, Func):
-        return contains_var(expr.arg)
-    return False
-
-
 # --- parsing -----------------------------------------------------------------
 
 class _Token(NamedTuple):
@@ -296,6 +273,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.constants = constants
+        self.u_read = 0  # the u atoms read so far: an exponent must add none
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -305,44 +283,47 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect_op(self, op: str) -> _Token:
+    def at(self, ops: str) -> bool:
+        """Whether the next token is one of the one-character operators ``ops``."""
         tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
-            raise ExprSyntaxError(f"expected {op!r}", tok.pos)
+        return tok.kind == "op" and tok.text in ops
+
+    def expect_op(self, op: str) -> _Token:
+        if not self.at(op):
+            raise ExprSyntaxError(f"expected {op!r}", self.peek().pos)
         return self.next()
 
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.next().text
-            node = BinOp(op, node, self.parse_term())
+    def left_assoc(self, ops: str, operand) -> Expr:
+        """operand { ops operand }, folded to the left."""
+        node = operand()
+        while self.at(ops):
+            node = BinOp(self.next().text, node, operand())
         return node
+
+    def parse_expr(self) -> Expr:
+        return self.left_assoc("+-", self.parse_term)
 
     def parse_term(self) -> Expr:
-        node = self.parse_unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.next().text
-            node = BinOp(op, node, self.parse_unary())
-        return node
+        return self.left_assoc("*/", self.parse_unary)
 
     def parse_unary(self) -> Expr:
-        if self.peek().kind == "op" and self.peek().text == "-":
+        if self.at("-"):
             self.next()
             return Neg(self.parse_unary())
         return self.parse_power()
 
     def parse_power(self) -> Expr:
         node = self.parse_atom()
-        while self.peek().kind == "op" and self.peek().text == "^":
-            caret = self.next()
+        while self.at("^"):
+            caret, u_before = self.next(), self.u_read
             exponent = self.parse_exponent()
-            if contains_var(exponent):
+            if self.u_read != u_before:
                 raise ExprSyntaxError("exponent must not depend on u", caret.pos)
             node = BinOp("^", node, exponent)
         return node
 
     def parse_exponent(self) -> Expr:
-        if self.peek().kind == "op" and self.peek().text == "-":
+        if self.at("-"):
             self.next()
             return Neg(self.parse_exponent())
         return self.parse_atom()
@@ -353,6 +334,7 @@ class _Parser:
             return Num(float(tok.text))
         if tok.kind == "ident":
             if tok.text == "u":
+                self.u_read += 1
                 return Var()
             if tok.text in FUNCTIONS:
                 self.expect_op("(")
@@ -501,12 +483,11 @@ class ProfileFunction:
     @classmethod
     def from_text(cls, text: str, domain: tuple[float, float],
                   consts: Mapping[str, float] | None = None) -> "ProfileFunction":
-        """Parse and spot-check evaluability at 17 points of the interval."""
+        """Parse and spot-check evaluability at the 17 ``midpoints`` of the
+        interval."""
         expr = parse(text, tuple(consts) if consts else ())
         profile = cls(expr, domain, dict(consts) if consts else None)
-        lo, hi = domain
-        for k in range(17):
-            t = lo + (hi - lo) * (k + 0.5) / 17
+        for t in midpoints(*domain, 17):
             profile.jet(t)  # raises EvalDomainError on failure
         return profile
 

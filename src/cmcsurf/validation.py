@@ -40,6 +40,7 @@ raised: the analytic kernel runs before the FD oracles and the frames.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 from functools import reduce
 from typing import Callable, Mapping, Sequence
@@ -58,7 +59,7 @@ from .builders import (
 )
 from .errors import InvariantViolationError
 from .generator import CmcParams, domain_validity, generate
-from .geometry import gram_residual, raise_at, uniform
+from .geometry import gram_residual, midpoints, raise_at, uniform
 from .profiles import ProfileFunction
 from .quadrature import QuadratureConfig
 from .surfaces import (
@@ -305,7 +306,10 @@ def compare_special_case(rotation: RotationType,
     for hyperbolic); the additive constants drop out of the comparison.
     A verdict of "probable-misprint" records a discrepancy that no choice
     of integration constant can absorb; it is logged, never corrected.
+    A constant that is not finite raises ValueError.
     """
+    if not all(map(math.isfinite, constants.values())):
+        raise ValueError(f"special-case constants must be finite, got {dict(constants)}")
     spec = SPECS[rotation]
     forced = replace(params, h_sign=spec.special_h_sign)
     profile = ProfileFunction.from_text(
@@ -314,8 +318,7 @@ def compare_special_case(rotation: RotationType,
     lo, hi = interval
     step = 1e-6 * max(1.0, abs(lo), abs(hi))
     worst = 0.0
-    for k in range(201):
-        u = lo + (hi - lo) * (k + 0.5) / 201
+    for u in midpoints(lo, hi, 201):
         dphi_closed = (spec.special_phi(constants, forced, u + step)
                        - spec.special_phi(constants, forced, u - step)) / (2 * step)
         f = profile.jet(u)
@@ -357,6 +360,20 @@ def generation_plan(validity: Sequence[tuple[float, float]], params: CmcParams
     return interval, params
 
 
+def scan_and_generate(rotation: RotationType, profile, params: CmcParams, interval,
+                      config: QuadratureConfig | None = None, phi_scale: float = 1.0):
+    """The one generation step: scan the validity of ``interval`` and
+    generate on its ``generation_plan``.  Returns (curve, validity), the
+    curve None when no validity piece is usable.  It calls the
+    ``domain_validity`` and ``generate`` of this module's namespace, which
+    perfbench's tracer wraps."""
+    validity = domain_validity(profile, params, interval, rotation)
+    plan = generation_plan(validity, params)  # (interval, params) or None
+    if plan is None:
+        return None, validity
+    return generate(rotation, profile, plan[1], config, plan[0], phi_scale), validity
+
+
 def generate_and_validate(rotation: RotationType, profile, params: CmcParams,
                           interval: tuple[float, float],
                           config: QuadratureConfig | None = None,
@@ -365,14 +382,9 @@ def generate_and_validate(rotation: RotationType, profile, params: CmcParams,
                           surface_id: str = "",
                           ) -> tuple[GeneratingCurve | None, ValidationReport | None,
                                      list[tuple[float, float]]]:
-    """Scan validity, generate on the largest valid subinterval inside
-    ``interval``, and validate.  Returns (curve, report, validity); curve
-    and report are None when the parameter choice is infeasible."""
-    validity = domain_validity(profile, params, interval, rotation)
-    plan = generation_plan(validity, params)
-    if plan is None:
-        return None, None, validity
-    gen_interval, params = plan
-    curve = generate(rotation, profile, params, config, gen_interval, phi_scale)
-    report = validate_surface(curve, params.target_h2, surface_id, nu, nv)
+    """Generate (``scan_and_generate``) on the largest valid subinterval
+    inside ``interval``, and validate.  Returns (curve, report, validity);
+    curve and report are None when the parameter choice is infeasible."""
+    curve, validity = scan_and_generate(rotation, profile, params, interval, config, phi_scale)
+    report = curve and validate_surface(curve, params.target_h2, surface_id, nu, nv)
     return curve, report, validity

@@ -300,6 +300,9 @@ def test_bad_flags_exit_2(tmp_path, capsys):
 
 
 ELLIPTIC_2 = ["--type", "elliptic", "--profile", "2", "--interval", "0:1"]
+#: Special-case audits; with finite constants the first is consistent.
+SPECIAL_ELLIPTIC = ["--type", "elliptic", "--interval", "0.3:1.7"]
+SPECIAL_PARABOLIC = ["--type", "parabolic", "--interval", "0.5:2", "--a", "1", "--b", "0"]
 
 
 @pytest.mark.parametrize("command, flags", [
@@ -403,8 +406,24 @@ def test_validate_prints_the_library_report(case, eta, capsys):
      "argument --cmc-fd-tol: expected a finite positive number, got 'inf'"),
     (["oracle", *ELLIPTIC_2, "--tol", "nan"],
      "argument --tol: expected a finite positive number, got 'nan'"),
+    (["curve", *ELLIPTIC_2, "--rel-tol", "abc", "--out", "{tmp}/x.csv"],
+     "argument --rel-tol: expected a finite positive number, got 'abc'"),
     (["curve", *ELLIPTIC_2, "--samples", "1", "--out", "{tmp}/x.csv"],
-     "argument --samples: expected at least 2, got '1'"),
+     "argument --samples: expected an integer of at least 2, got '1'"),
+    (["curve", *ELLIPTIC_2, "--samples", "2.5", "--out", "{tmp}/x.csv"],
+     "argument --samples: expected an integer of at least 2, got '2.5'"),
+    (["validate", *ELLIPTIC_2, "--perturb-phi", "nan"],
+     "argument --perturb-phi: expected a finite number, got 'nan'"),
+    (["special", *SPECIAL_ELLIPTIC, "--a", "1", "--b", "inf"],
+     "argument --b: expected a finite number, got 'inf'"),
+    (["special", *SPECIAL_ELLIPTIC, "--a", "nan", "--b", "0"],
+     "argument --a: expected a finite number, got 'nan'"),
+    (["special", *SPECIAL_ELLIPTIC, "--a", "1", "--b", "0", "--d", "nan"],
+     "argument --d: expected a finite number, got 'nan'"),
+    (["special", *SPECIAL_PARABOLIC, "--A=-inf"],
+     "argument --A: expected a finite number, got '-inf'"),
+    (["special", *SPECIAL_PARABOLIC, "--B", "inf"],
+     "argument --B: expected a finite number, got 'inf'"),
     (["surface", *ELLIPTIC_2, "--obj", "{tmp}/z.obj", "--project", "x1,x9,x4"],
      "argument --project: bad projection 'x1,x9,x4'"),
     # farther from the generation interval (1e-7, 0.9999999) than its pad
@@ -433,7 +452,9 @@ def test_validate_prints_the_library_report(case, eta, capsys):
     (["surface", *ELLIPTIC_2, "--C", "0.1"],
      "ERROR[usage] give --out and/or --obj"),
 ], ids=["rel-tol-0", "rel-tol-inf", "cmc-tol-nan", "cmc-tol-negative", "cmc-fd-tol-inf",
-        "oracle-tol-nan", "samples-1", "bad-projection", "u0-outside", "csv-missing",
+        "oracle-tol-nan", "rel-tol-abc", "samples-1", "samples-2.5", "perturb-phi-nan",
+        "special-b-inf", "special-a-nan", "special-d-nan", "special-A-inf", "special-B-inf",
+        "bad-projection", "u0-outside", "csv-missing",
         "csv-header-only", "no-profile", "no-interval", "const-without-value",
         "const-not-a-number", "grid-abc", "grid-1x5", "interval-reversed", "hsign-0",
         "surface-without-output"])

@@ -61,13 +61,21 @@ def test_parse_precedence_and_associativity():
     assert parse("2*u/3") == BinOp("/", BinOp("*", Num(2.0), Var()), Num(3.0))
 
 
+#: An exponent that reads u, and the offset of its caret.
+VARIABLE_EXPONENTS = [("2^u", 1), ("u^(u+1)", 1), ("2^-u", 1), ("2^sin(u)", 1), ("u^2^u", 3),
+                      ("2^(a*u)", 1), ("sin(2^--u)", 5), ("1+(u^a)^(2-u)", 7)]
+
+
 def test_parse_rejects_variable_exponent():
-    with pytest.raises(ExprSyntaxError):
-        parse("2^u")
-    with pytest.raises(ExprSyntaxError):
-        parse("u^(u+1)")
-    # constant exponents are fine, including bound names
-    parse("u^(a+1)", constants=("a",))
+    for text, caret in VARIABLE_EXPONENTS:
+        with pytest.raises(ExprSyntaxError, match="exponent must not depend on u") as err:
+            parse(text, constants=("a",))
+        assert err.value.offset == caret, text
+    # constant exponents are fine, including bound names and a u outside them
+    assert parse("u^(a+1)", constants=("a",)) == BinOp(
+        "^", Var(), BinOp("+", Const("a"), Num(1.0)))
+    assert parse("(2^a)*u^-2", constants=("a",)) == BinOp(
+        "*", BinOp("^", Num(2.0), Const("a")), BinOp("^", Var(), Neg(Num(2.0))))
 
 
 def test_parse_error_offsets():

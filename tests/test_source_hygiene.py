@@ -118,9 +118,10 @@ def test_the_transcendental_check_sees_numpy_calls():
         "3: numpy.cosh", "3: numpy.power", "2: from numpy import exp"]
 
 
-#: An evenly spaced sample written out, lo + (hi - lo) * k / ...; the one
-#: rule for it is geometry.uniform.
-SAMPLE_RULE = re.compile(r"\+ \(\w+ - \w+\) \* \w+ / ")
+#: An evenly spaced sample written out, lo + (hi - lo) * k / ... or the
+#: midpoint form lo + (hi - lo) * (k + 0.5) / ...; the rules for them are
+#: geometry.uniform and geometry.midpoints.
+SAMPLE_RULE = re.compile(r"\+ \(\w+ - \w+\) \* (\w+|\([^()]*\)) / ")
 
 
 def test_one_sample_rule():

@@ -278,6 +278,14 @@ def test_special_case_parabolic_b2_misprint():
     assert report.verdict == "probable-misprint"
 
 
+@pytest.mark.parametrize("name, value", [("b", math.inf), ("d", math.nan), ("a", -math.inf)])
+def test_special_case_rejects_a_constant_that_is_not_finite(name, value):
+    # a non-finite constant would print as the non-JSON token Infinity or NaN
+    constants = {"a": 1.0, "b": 0.0, "d": 0.0} | {name: value}
+    with pytest.raises(ValueError, match="must be finite"):
+        compare_special_case(RotationType.ELLIPTIC, constants, CmcParams(C=0.5), (0.3, 1.7))
+
+
 def test_special_case_report_json():
     report = compare_special_case(RotationType.ELLIPTIC,
                                   {"a": 1.0, "b": 0.0, "d": 0.0},
