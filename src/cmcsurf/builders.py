@@ -375,7 +375,8 @@ def h2_closed(curve: GeneratingCurve, u: float) -> float:
     with the profile r (f for parabolic curves), the spec's sign s and the
     curve's twist tau (see GeneratingCurve.twist).  Raises
     InvariantViolationError where the profile condition fails (r <= 0, or
-    f f' = 0) and NearNullSlopeError inside the hyperbolic slope band.  At
+    f f' = 0) and NearNullSlopeError inside the hyperbolic slope band, and
+    an expression past the float range is an InvariantViolationError.  At
     a u column it returns the column of values, and an error names the
     first offending u.
     """
@@ -388,7 +389,11 @@ def h2_closed(curve: GeneratingCurve, u: float) -> float:
         slope_sign(k, u)
     tau = spec.twist(*jets)
     q = r.val * r.d2 + k
-    return (square(r.val) * square(tau) - q * q) / (4.0 * square(r.val) * k)
+    try:
+        return (square(r.val) * square(tau) - q * q) / (4.0 * square(r.val) * k)
+    except OverflowError as exc:  # libm's pow, as in arclength_residual
+        raise InvariantViolationError(
+            f"closed-form <H, H> overflows on {curve.domain!r}") from exc
 
 
 # --- turning equations and slopes ---------------------------------------------

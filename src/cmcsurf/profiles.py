@@ -18,8 +18,15 @@ the left, and exponents are restricted to constant subexpressions: the
 parser counts the u atoms it reads, and an exponent that reads one is an
 error at its caret.  Named constants are resolved at evaluation time so a
 single parsed profile can serve parameter sweeps; ``pi`` is predefined.
-Evaluation turns every number and constant into a constant jet, so jet
-arithmetic only ever combines two jets (``Jet2``).
+
+Evaluation.  ``compile_jet`` turns a parsed expression, once, into a tree
+of closures over the identity jet of u, and ``ProfileFunction`` keeps the
+result.  Every number and constant becomes a constant jet, as does every
+subexpression free of u that evaluates (``2*a``, the reciprocal of a
+constant divisor), so jet arithmetic only ever combines two jets
+(``Jet2``).  A constant subexpression that raises (``1/0``, ``ln(0)``) is
+left to raise at each evaluation, so its error names the u of the call as
+every domain error does.
 
 Columns.  A profile is evaluated at one float u, or at an ndarray of u (a
 column) in one pass: the jet's fields are then arrays shaped like u, and
@@ -41,14 +48,14 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from functools import partial, reduce
-from typing import Iterable, Mapping, NamedTuple, Union
+from dataclasses import dataclass, field
+from functools import reduce
+from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 import numpy as np
 
 from .errors import EvalDomainError, ExprSyntaxError, UnknownIdentifierError
-from .geometry import collect_faults, divisor, fail_at, libm, midpoints, power, raise_at
+from .geometry import _new, collect_faults, divisor, fail_at, libm, midpoints, power, raise_at
 
 FUNCTIONS = frozenset({"sqrt", "sin", "cos", "sinh", "cosh", "exp", "ln", "abs"})
 BUILTIN_CONSTS: Mapping[str, float] = {"pi": math.pi}
@@ -64,31 +71,32 @@ class Jet2(NamedTuple):
     of u the fields are arrays (see the module docstring).
 
     +, -, * and / combine a jet with another jet only; a number enters as
-    the constant jet ``Jet2(c)``.  There are no reflected operators, so a
-    number on the left is not a jet: ``2.0 * jet`` raises TypeError, and
-    ``2 * jet`` is tuple repetition.
+    the constant jet ``Jet2(c)``.  A number on the left of ``*`` raises
+    TypeError, an int included (``2 * jet`` is not tuple repetition).
     """
 
     val: float
     d1: float = 0.0
     d2: float = 0.0
 
-    # tuple defines + and * as concatenation/repetition; override with algebra
+    # tuple defines + and * as concatenation/repetition; override with algebra.
+    # tuple.__new__ skips NamedTuple's Python-level __new__ on these hot paths
     def __add__(self, o):  # type: ignore[override]
-        return Jet2(self.val + o.val, self.d1 + o.d1, self.d2 + o.d2)
+        return _new(Jet2, (self.val + o.val, self.d1 + o.d1, self.d2 + o.d2))
 
     def __sub__(self, o):
-        return Jet2(self.val - o.val, self.d1 - o.d1, self.d2 - o.d2)
+        return _new(Jet2, (self.val - o.val, self.d1 - o.d1, self.d2 - o.d2))
 
     def __neg__(self):
-        return Jet2(-self.val, -self.d1, -self.d2)
+        return _new(Jet2, (-self.val, -self.d1, -self.d2))
 
     def __mul__(self, o):  # type: ignore[override]
-        return Jet2(
-            self.val * o.val,
-            self.d1 * o.val + self.val * o.d1,
-            self.d2 * o.val + 2.0 * self.d1 * o.d1 + self.val * o.d2,
-        )
+        return _new(Jet2, (self.val * o.val, self.d1 * o.val + self.val * o.d1,
+                           self.d2 * o.val + 2.0 * self.d1 * o.d1 + self.val * o.d2))
+
+    def __rmul__(self, o):  # type: ignore[override]
+        # it must raise: NotImplemented would let an int repeat the tuple
+        raise TypeError(f"unsupported operand type(s) for *: '{type(o).__name__}' and 'Jet2'")
 
     def __truediv__(self, o):
         return self * o.reciprocal()
@@ -98,15 +106,14 @@ class Jet2(NamedTuple):
         if zero is not False:
             raise_at(zero, ZeroDivisionError, "jet division by zero")
         inv = 1.0 / self.val
-        d1 = -self.d1 * inv * inv
-        d2 = (2.0 * self.d1 * self.d1 * inv - self.d2) * inv * inv
-        return Jet2(inv, d1, d2)
+        return _new(Jet2, (inv, -self.d1 * inv * inv,
+                           (2.0 * self.d1 * self.d1 * inv - self.d2) * inv * inv))
 
     def pow_const(self, c: float) -> "Jet2":
         """x^c for constant exponent c (integer c admits x <= 0)."""
         x, d1, d2 = self
         if c == 0.0:
-            return Jet2(1.0)
+            return _new(Jet2, (1.0, 0.0, 0.0))
         if c == 1.0:
             return self
         ci = round(c)
@@ -124,16 +131,16 @@ class Jet2(NamedTuple):
                 x = np.where(bad, math.nan, x)
         p2 = power(x, c - 2.0)
         p1 = p2 * x
-        return Jet2(p1 * x, c * p1 * d1, c * ((c - 1.0) * p2 * d1 * d1 + p1 * d2))
+        return _new(Jet2, (p1 * x, c * p1 * d1, c * ((c - 1.0) * p2 * d1 * d1 + p1 * d2)))
 
 
 def variable(u: float) -> Jet2:
     """The identity jet at u (seed for forward propagation)."""
-    return Jet2(u, 1.0, 0.0)
+    return _new(Jet2, (u, 1.0, 0.0))
 
 
 def _chain(x: Jet2, g: float, gp: float, gpp: float) -> Jet2:
-    return Jet2(g, gp * x.d1, gp * x.d2 + gpp * x.d1 * x.d1)
+    return _new(Jet2, (g, gp * x.d1, gp * x.d2 + gpp * x.d1 * x.d1))
 
 
 def jsqrt(x: Jet2) -> Jet2:
@@ -187,7 +194,7 @@ def jabs(x: Jet2) -> Jet2:
     if zero is not False:
         raise_at(zero, ValueError, "abs is not differentiable at zero")
     s = (x.val > 0.0) * 2.0 - 1.0  # the sign, +1.0 or -1.0
-    return Jet2(s * x.val, s * x.d1, s * x.d2)
+    return _new(Jet2, (s * x.val, s * x.d1, s * x.d2))
 
 
 _JET_FUNCS = {
@@ -412,7 +419,8 @@ def _print(expr: Expr, parent_level: int) -> str:
 # --- evaluation --------------------------------------------------------------
 
 def eval_jet(expr: Expr, u: float, consts: Mapping[str, float] | None = None) -> Jet2:
-    """Evaluate ``expr`` at ``u`` to a second-order jet.
+    """Evaluate ``expr`` at ``u`` to a second-order jet: ``compile_jet``,
+    then one call.
 
     The jet is exact to machine precision (no differencing).  Domain
     violations (sqrt/ln of non-positive arguments, division by zero,
@@ -421,55 +429,95 @@ def eval_jet(expr: Expr, u: float, consts: Mapping[str, float] | None = None) ->
     violation raises the float call's error at the first offending u, or is
     recorded as one mask inside ``geometry.collect_faults()``.
     """
-    if isinstance(u, np.ndarray):
-        return _eval_column(expr, u, consts or {})
-    try:
-        return _eval(expr, variable(u), consts or {})
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise EvalDomainError(str(exc), u) from exc
+    return compile_jet(expr, consts)(u)
 
 
-def _eval_column(expr: Expr, u: np.ndarray, consts: Mapping[str, float]) -> Jet2:
-    """eval_jet at a column: every check records its mask, and where any
-    fails, the float call at the first failing u raises its error."""
+def compile_jet(expr: Expr, consts: Mapping[str, float] | None = None) -> Callable:
+    """The function u -> jet of ``expr`` (see ``eval_jet``), built once.
+
+    Named constants are looked up here; an unknown one raises
+    UnknownIdentifierError when a jet is evaluated, not here."""
+    tree = _compile(expr, consts or {})
+    node = tree if callable(tree) else lambda uj: tree
+
+    def jet(u):
+        if isinstance(u, np.ndarray):
+            return _eval_column(node, jet, u)
+        try:
+            return node(variable(u))
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise EvalDomainError(str(exc), u) from exc
+
+    return jet
+
+
+def _eval_column(node: Callable, jet: Callable, u: np.ndarray) -> Jet2:
+    """The compiled ``node`` at a column: every check records its mask, and
+    where any fails, the float call ``jet`` at the first failing u raises
+    its error."""
     with np.errstate(all="ignore"), collect_faults() as faults:
         try:
-            jet = _eval(expr, variable(u), consts)
+            value = node(variable(u))
         except (ValueError, ZeroDivisionError, OverflowError):
             # a subexpression free of u failed, so every entry fails here
-            jet = Jet2(math.nan, math.nan, math.nan)
+            value = Jet2(math.nan, math.nan, math.nan)
             faults.append(np.ones(u.shape, dtype=bool))
     if faults:
-        fail_at(reduce(np.logical_or, faults), partial(eval_jet, expr, consts=consts), u)
-    return Jet2(*(f if isinstance(f, np.ndarray) else np.full(u.shape, f) for f in jet))
+        fail_at(reduce(np.logical_or, faults), jet, u)
+    return Jet2(*(f if isinstance(f, np.ndarray) else np.full(u.shape, f) for f in value))
 
 
-def _eval(expr: Expr, uj: Jet2, consts: Mapping[str, float]) -> Jet2:
+def _compile(expr: Expr, consts: Mapping[str, float]):
+    """A constant jet where ``expr`` is free of u and evaluates, else the
+    closure uj -> jet of ``expr`` at the identity jet uj.  Each closure
+    evaluates its operands left to right, as the tree reads, so the first
+    failing subexpression raises."""
+    if isinstance(expr, Var):
+        return lambda uj: uj
     if isinstance(expr, Num):
         return Jet2(expr.value)
-    if isinstance(expr, Var):
-        return uj
     if isinstance(expr, Const):
-        if expr.name in consts:
-            return Jet2(float(consts[expr.name]))
-        if expr.name in BUILTIN_CONSTS:
-            return Jet2(BUILTIN_CONSTS[expr.name])
-        raise UnknownIdentifierError(expr.name)
-    if isinstance(expr, Neg):
-        return -_eval(expr.arg, uj, consts)
-    if isinstance(expr, Func):
-        return _JET_FUNCS[expr.name](_eval(expr.arg, uj, consts))
-    left = _eval(expr.left, uj, consts)
-    if expr.op == "^":
-        return left.pow_const(_eval(expr.right, uj, consts).val)
-    right = _eval(expr.right, uj, consts)
-    if expr.op == "+":
-        return left + right
-    if expr.op == "-":
-        return left - right
-    if expr.op == "*":
-        return left * right
-    return left / right
+        return _fold(_constant, expr.name, {**BUILTIN_CONSTS, **consts})
+    if isinstance(expr, (Neg, Func)):
+        op = _JET_FUNCS[expr.name] if isinstance(expr, Func) else Jet2.__neg__
+        return _unary(op, _compile(expr.arg, consts))
+    left, right = _compile(expr.left, consts), _compile(expr.right, consts)
+    if expr.op == "/":  # as Jet2.__truediv__: times the reciprocal
+        return _binary(Jet2.__mul__, left, _unary(Jet2.reciprocal, right))
+    return _binary(_BINARY[expr.op], left, right)
+
+
+def _constant(name: str, names: Mapping[str, float]) -> Jet2:
+    if name not in names:
+        raise UnknownIdentifierError(name)
+    return Jet2(float(names[name]))
+
+
+_BINARY = {"+": Jet2.__add__, "-": Jet2.__sub__, "*": Jet2.__mul__,
+           "^": lambda x, e: x.pow_const(e.val)}
+
+
+def _fold(op: Callable, *args):
+    """The constant jet op(*args), or, where op raises, the closure that
+    calls it and so raises at each evaluation."""
+    try:
+        return op(*args)
+    except Exception:  # whatever it is, each evaluation raises it again
+        return lambda uj: op(*args)
+
+
+def _unary(op: Callable, arg):
+    return _fold(op, arg) if isinstance(arg, Jet2) else lambda uj: op(arg(uj))
+
+
+def _binary(op: Callable, left, right):
+    if isinstance(left, Jet2):
+        if isinstance(right, Jet2):
+            return _fold(op, left, right)
+        return lambda uj: op(left, right(uj))
+    if isinstance(right, Jet2):
+        return lambda uj: op(left(uj), right)
+    return lambda uj: op(left(uj), right(uj))
 
 
 @dataclass(frozen=True)
@@ -479,6 +527,10 @@ class ProfileFunction:
     expr: Expr
     domain: tuple[float, float]
     consts: Mapping[str, float] | None = None
+    _jet: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_jet", compile_jet(self.expr, self.consts))
 
     @classmethod
     def from_text(cls, text: str, domain: tuple[float, float],
@@ -496,8 +548,9 @@ class ProfileFunction:
         whose entries equal the float calls bit for bit; a domain violation
         raises the float call's EvalDomainError at the first offending u, or
         is recorded as one mask inside ``geometry.collect_faults()`` (see
-        ``eval_jet``)."""
-        return eval_jet(self.expr, u, self.consts)
+        ``eval_jet``).  It calls the function ``compile_jet`` built when the
+        profile was made."""
+        return self._jet(u)
 
     def __call__(self, u: float) -> Jet2:
         return self.jet(u)

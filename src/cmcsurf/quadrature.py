@@ -25,7 +25,7 @@ give exactly 0 at ``a`` and the total at ``b``.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable
@@ -117,7 +117,8 @@ class PiecewiseLegendre:
         self._coefs = np.asarray(coefs, dtype=float)
         self._nodes, self._offsets = self._knots.tolist(), self._shifts.tolist()
         self.a, self.b = self._nodes[0], self._nodes[-1]
-        self._pad = 1e-12 * (1.0 + abs(self.a) + abs(self.b))
+        pad = 1e-12 * (1.0 + abs(self.a) + abs(self.b))
+        self._lo, self._hi = self.a - pad, self.b + pad  # the clamped range
         self._steps = _CLENSHAW[16 - self._coefs.shape[1]:]
         self._rows = None  # _coefs as lists, made by the first float query
 
@@ -132,37 +133,42 @@ class PiecewiseLegendre:
         return PiecewiseLegendre(us, np.zeros(len(us) - 1), ends @ _FROM_END_JETS.T)
 
     def derivative(self) -> PiecewiseLegendre:
+        """The derivative's form; a coefficient past the float range is inf."""
         halves = 0.5 * np.diff(self._knots)[:, None]
-        return PiecewiseLegendre(self._knots, np.zeros(len(self._offsets)),
-                                 _legendre.legder(self._coefs, axis=1) / halves)
+        with np.errstate(over="ignore"):
+            return PiecewiseLegendre(self._knots, np.zeros(len(self._offsets)),
+                                     _legendre.legder(self._coefs, axis=1) / halves)
 
     def __call__(self, u):
         if isinstance(u, np.ndarray):
             return self._column(u)
-        if u < self.a - self._pad or u > self.b + self._pad:
+        if u < self._lo or u > self._hi:
             raise ValueError(f"u={u!r} outside the domain [{self.a!r}, {self.b!r}]")
         rows = self._rows
         if rows is None:
             rows = self._rows = self._coefs.tolist()
-        uu = min(max(u, self.a), self.b)
-        i = bisect.bisect_right(self._nodes, uu) - 1
-        i = min(max(i, 0), len(self._offsets) - 1)
+        u = self.a if u < self.a else self.b if u > self.b else u  # a NaN stays NaN
+        # searching nodes[1:-1] keeps i a panel index at b and for a NaN u
+        i = bisect_right(self._nodes, u, 1, len(self._offsets)) - 1
         lo, hi = self._nodes[i], self._nodes[i + 1]
         # from lo, not from the rounded midpoint: its error times f would be
         # an offset of about ulp(u) * |f| in the value
-        x = (uu - lo) / (0.5 * (hi - lo)) - 1.0
+        x = (u - lo) / (0.5 * (hi - lo)) - 1.0
         return self._offsets[i] + _legval(x, rows[i], self._steps)
 
     def _column(self, u: np.ndarray) -> np.ndarray:
-        """The float query's operations on every entry of u at once."""
-        raise_at((u < self.a - self._pad) | (u > self.b + self._pad), ValueError,
+        """The float query's operations on every entry of u at once; like
+        Python's float arithmetic, an infinite coefficient gives inf or NaN
+        entries without a warning."""
+        raise_at((u < self._lo) | (u > self._hi), ValueError,
                  "u={!r} outside the domain [{!r}, {!r}]", u, self.a, self.b)
         uu = np.minimum(np.maximum(u.ravel(), self.a), self.b)
         i = np.searchsorted(self._knots, uu, side="right") - 1
         i = np.minimum(np.maximum(i, 0), len(self._offsets) - 1)
         lo, hi = self._knots[i], self._knots[i + 1]
         x = (uu - lo) / (0.5 * (hi - lo)) - 1.0
-        value = self._shifts[i] + _legval(x, self._coefs[i].T, self._steps)
+        with np.errstate(all="ignore"):
+            value = self._shifts[i] + _legval(x, self._coefs[i].T, self._steps)
         return value.reshape(u.shape)
 
 
@@ -247,6 +253,6 @@ class CumulativeIntegral(PiecewiseLegendre):
             value[u == self.a] = 0.0
             value[u == self.b] = self.total
             return value
-        if value is None:
-            value = self._cache[u] = super().__call__(u)
+        if value is None:  # by name: a zero-argument super() costs 0.3 µs per miss
+            value = self._cache[u] = PiecewiseLegendre.__call__(self, u)
         return value

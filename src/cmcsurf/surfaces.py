@@ -137,7 +137,8 @@ def _tangent_frame(jets: PatchJets, u: float,
     E = inner(jets.z_u, jets.z_u)
     F = inner(jets.z_u, jets.z_v)
     G = inner(jets.z_v, jets.z_v)
-    det = E * G - F * F
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as at a float
+        det = E * G - F * F
     lorentz = (det < 0.0) & (E > 0.0)
     if lorentz is not True:
         raise_at(negate(lorentz), NonLorentzMetricError,
@@ -168,6 +169,8 @@ def normal_projection(w: Vec4, X: Vec4, Y: Vec4) -> Vec4:
 #: The six seed pairs (i, j), i < j, of standard basis vectors, in the
 #: order that breaks ties between equal scores.
 _SEED_PAIRS = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+#: The (i, j) rows of _SEED_PAIRS, gathered by a grid of seed-pair indices.
+_SEED_INDEX = np.array(_SEED_PAIRS).T
 
 
 def _normal_pair(X: Vec4, Y: Vec4, u, v) -> tuple[Vec4, Vec4, int, int]:
@@ -203,8 +206,7 @@ def _normal_pair_grid(X: Vec4, Y: Vec4, scores):
     tangents = [c.ravel() for c in np.broadcast_arrays(*X, *Y)]
     todo, found = slice(None), None  # found: flat (n1, n2, s1, s2)
     for rank in order.reshape(len(order), -1):
-        seeds = [Vec4(*((np.choose(rank[todo], idx) == c) * 1.0 for c in range(4)))
-                 for idx in zip(*_SEED_PAIRS)]
+        seeds = [Vec4(*e.T) for e in np.eye(4)[_SEED_INDEX[:, rank[todo]]]]  # one-hot
         at = [c[todo] for c in tangents]
         units = orthonormalize_indefinite([Vec4(*at[:4]), Vec4(*at[4:]), *seeds])
         n1, n2, s1, s2 = _spacelike_first(units[2], units[3])

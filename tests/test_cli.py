@@ -190,6 +190,16 @@ def test_an_all_infeasible_scan_names_the_interval_start(argv, message, tmp_path
     assert not (tmp_path / "x.csv").exists()
 
 
+def _circle_csv_ending_in(tmp_path, field, value):
+    """The 101-sample circle CSV with ``field`` of its last row set to ``value``."""
+    path = tmp_path / "curve.csv"
+    write_curve_csv(str(path), elliptic_circle(2.0), samples=101)
+    rows = list(csv.reader(path.read_text().splitlines()))
+    rows[-1][rows[0].index(field)] = value
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    return path
+
+
 @pytest.mark.parametrize("command", [["validate", "--C", "0.4330127018922193"], ["oracle"],
                                      ["surface", "--out", "s.csv"]], ids=lambda c: c[0])
 @pytest.mark.parametrize("field", ["dx1", "ddx1", "ddx2"])
@@ -197,17 +207,31 @@ def test_an_overflowing_arclength_expression_is_an_invariant_violation(
         field, command, tmp_path, capsys):
     # the spline of the last sample's 1e160 reaches slopes whose square passes
     # the float range: an error before any grid kernel runs on them
-    path = tmp_path / "curve.csv"
-    write_curve_csv(str(path), elliptic_circle(2.0), samples=101)
-    rows = list(csv.reader(path.read_text().splitlines()))
-    rows[-1][rows[0].index(field)] = "1e160"
-    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    path = _circle_csv_ending_in(tmp_path, field, "1e160")
     code, out, err = run([command[0], "--type", "elliptic", "--csv", str(path), "--grid", "9x7",
                           *(arg.replace("s.csv", str(tmp_path / "s.csv"))
                             for arg in command[1:])], capsys)
     assert (code, out, err) == (2, "", "ERROR[invariant-violation] arc-length expression "
                                        "overflows on (0.0, 6.283185307179586)\n")
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("field, value, error", [
+    # libm's pow in the closed form's squares overflows
+    ("ddx1", "1e155", "ERROR[invariant-violation] closed-form <H, H> overflows on "
+                      "(0.0, 6.283185307179586)"),
+    # E G - F^2 overflows on the grid: a numpy warning before the error
+    ("ddr", "1e155", "ERROR[non-lorentz-metric] no (+,-) tangent frame at (u, v) = "
+                     "(6.282785307179586, 0.0004): E=-1.5103938188924142e+303, EG-F^2=nan"),
+    # the spline's derivative coefficients overflow: warnings from its build and sums
+    ("dx1", "1e308", "ERROR[invariant-violation] arc-length expression overflows on "
+                     "(0.0, 6.283185307179586)"),
+], ids=["ddx1", "ddr", "dx1"])
+def test_a_curve_past_the_float_range_ends_in_one_error_line(field, value, error, tmp_path,
+                                                             capsys):
+    path = _circle_csv_ending_in(tmp_path, field, value)
+    assert run(["validate", "--type", "elliptic", "--csv", str(path), "--grid", "9x7",
+                "--C", "0.4330127018922193"], capsys) == (2, "", error + "\n")
 
 
 def test_narrow_valid_pieces_are_empty_validity(capsys):

@@ -8,6 +8,7 @@ import sympy
 from cmcsurf.builders import RotationType
 from cmcsurf.errors import EvalDomainError, ExprSyntaxError, UnknownIdentifierError
 from cmcsurf.generator import CmcParams, domain_validity
+from cmcsurf import profiles
 from cmcsurf.geometry import GRID_MATH, collect_faults
 from cmcsurf.profiles import (
     BinOp,
@@ -171,6 +172,56 @@ def test_libm_errors_at_a_column_are_the_float_call_or_a_mask():
     with collect_faults() as faults:
         GRID_MATH.log(column)
     assert [mask.tolist() for mask in faults] == [[False, True, True]]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("ln(0)+u", "ln of a non-positive value"),
+    ("u*(1/0)", "jet division by zero"),
+    ("sqrt(-1)*u", "sqrt of a non-positive value"),
+    ("u+0^-1", "zero base with exponent below 2"),
+])
+def test_a_failing_constant_subexpression_fails_at_the_evaluated_u(text, message):
+    # a constant folded when the profile is built would raise there, without a u
+    with pytest.raises(EvalDomainError) as err:
+        ProfileFunction.from_text(text, (0.0, 1.0))
+    assert str(err.value) == f"{message} at u=0.029411764705882353"
+    assert err.value.u == 0.029411764705882353
+    with collect_faults() as faults:
+        ProfileFunction(parse(text), (0.0, 1.0)).jet(np.linspace(0.0, 1.0, 9))
+    assert np.logical_or.reduce(faults).tolist() == [True] * 9
+
+
+def test_an_unknown_constant_fails_when_a_jet_is_evaluated():
+    prof = ProfileFunction(parse("a*u", constants=("a",)), (0.0, 1.0))
+    with pytest.raises(UnknownIdentifierError):
+        prof.jet(0.5)
+    with pytest.raises(UnknownIdentifierError):
+        prof.jet(np.array([0.5]))
+
+
+def test_a_profile_is_compiled_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return compile_jet(*args)
+
+    compile_jet = profiles.compile_jet
+    monkeypatch.setattr(profiles, "compile_jet", counted)
+    prof = ProfileFunction.from_text("sqrt(-u^2+2*a*u+b)", (0.2, 1.8), {"a": 1.0, "b": 0.0})
+    us = np.linspace(0.2, 1.8, 1000)
+    floats = [prof.jet(u) for u in us.tolist()]
+    column = prof.jet(us)
+    assert len(calls) == 1
+    assert np.array(column).T.tolist() == [list(jet) for jet in floats]
+
+
+def test_a_number_on_the_left_of_a_jet_is_a_type_error():
+    jet = Jet2(1.0, 2.0, 3.0)
+    for number in (2, 2.0):
+        with pytest.raises(TypeError, match="'Jet2'"):
+            number * jet
+    assert jet * Jet2(2.0) == Jet2(2.0, 4.0, 6.0)
 
 
 def test_abs_away_from_zero():
