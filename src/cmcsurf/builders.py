@@ -37,10 +37,12 @@ turning equations and their slopes accept a broadcast grid (u a column, v
 a row; see ``surfaces``) as well as a float (u, v), and a grid entry equals
 the float call at its point bit for bit.  ``GeneratingCurve.jets`` answers
 a u column with one call of the curve's ``column`` function: the
-components themselves for a reloaded curve (``component_columns``), one
-profile jet, one turning call and one Clenshaw sweep per quadrature for a
-generated one (see ``generator.generate``); an analytic curve has none and
-is looked up one Python float at a time.  It memoizes a column as it does
+components themselves for a reloaded curve (``component_columns``), which
+share one Clenshaw sweep of their nine stacked spline forms (see
+``io.curve_from_samples``), one profile jet, one turning call and one
+Clenshaw sweep per quadrature for a generated one (see
+``generator.generate``); an analytic curve has none and is looked up one
+Python float at a time.  It memoizes a column as it does
 a float, so every check that asks for the same u reads one evaluation.
 The trigonometric functions of v and phi and the squares of the spec
 expressions are libm's, one call per grid value.  build_surface and
@@ -187,7 +189,8 @@ def float_column(fn, u: np.ndarray) -> np.ndarray:
 
 def component_columns(curve: GeneratingCurve, u: np.ndarray) -> tuple[Jet2, Jet2, Jet2]:
     """The ``column`` of a curve whose components take a u column: one call
-    of each, read from the curve at call time."""
+    of each, read from the curve at call time (so a tracer that wraps the
+    components sees them)."""
     c1, c2, c3 = curve.components
     return c1(u), c2(u), c3(u)
 

@@ -10,13 +10,15 @@ The component names identify the rotation type on re-read; for hyperbolic
 curves the case (A/B) is recovered from the sign of (r')^2 - 1 in the
 data.  Reconstruction uses piecewise quintic Hermite interpolation that
 matches value and both stored derivatives at every sample, so a re-read
-curve reproduces validation results to the sampling resolution.  Each
-spline is a ``quadrature.PiecewiseLegendre``, the evaluator of generated
-curves, so neither kind of curve extrapolates.  A reloaded curve's
-components take a float u or a u column, and its ``GeneratingCurve.column``
-calls them, so validation evaluates it a column at a time, as it does a
-generated curve.  ``write_curve_csv`` still queries the curve one float
-sample at a time.
+curve reproduces validation results to the sampling resolution.  The
+splines are one ``quadrature.PiecewiseLegendre``, the evaluator of
+generated curves, so neither kind of curve extrapolates: nine forms
+(value, d1 and d2 of each component) stacked on the sample panels.  A
+reloaded curve's components take a float u, or a u column, which one
+Clenshaw sweep of all nine forms answers for the three of them; its
+``GeneratingCurve.column`` calls them, so validation evaluates it a column
+at a time, as it does a generated curve.  ``write_curve_csv`` still
+queries the curve one float sample at a time.
 
 OBJ export projects the 4-coordinate samples to three viewing axes; the
 projection is recorded in a comment and carries no geometric claim.
@@ -32,8 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .builders import SPECS, GeneratingCurve, RotationType, component_columns
-from .geometry import uniform
+from .builders import SPECS, GeneratingCurve, JetFn, RotationType, component_columns
+from .geometry import _new, uniform
 from .profiles import Jet2
 from .quadrature import PiecewiseLegendre
 from .surfaces import SurfacePatch
@@ -111,9 +113,12 @@ def curve_from_samples(rotation: RotationType, us: Sequence[float],
 
     Each component becomes a quintic Hermite spline matching value and
     both derivatives at every sample; the jets of the rebuilt curve come
-    from the spline and its analytic derivatives (no differencing).  The
-    components take a float u, or an ndarray of u and return a Jet2 of
-    arrays of its shape, so the curve's column is ``component_columns``.
+    from the spline and its analytic derivatives (no differencing), all
+    nine stacked in one ``PiecewiseLegendre``.  A component takes a float
+    u (one panel search, then three Clenshaw sums), or an ndarray of u and
+    returns a Jet2 of arrays of its shape: the first component to see a
+    column sweeps all nine forms, and the other two read that sweep.  The
+    curve's column is ``component_columns``, so a column is one sweep.
     Raises ValueError unless ``us`` is finite and strictly increasing and
     every jet is finite.
     """
@@ -121,18 +126,21 @@ def curve_from_samples(rotation: RotationType, us: Sequence[float],
     if not (len(us) >= 2 and np.all(np.diff(us) > 0.0)
             and np.isfinite(us).all() and np.isfinite(jets).all()):
         raise ValueError("curve samples need finite jets at finite, strictly increasing u")
-    components = []
-    for k in range(3):
-        poly = PiecewiseLegendre.hermite(us, jets[:, k, :])
-        d1 = poly.derivative()
-        d2 = d1.derivative()
+    form = PiecewiseLegendre.hermite(us, jets)
+    swept: list = [None, None]  # the last u column's key and its nine rows
 
-        def jet_fn(u, p=poly, q=d1, s=d2) -> Jet2:
-            return Jet2(p(u), q(u), s(u))
+    def component(k: int) -> JetFn:
+        def jet(u) -> Jet2:
+            if not isinstance(u, np.ndarray):
+                return _new(Jet2, tuple(form.forms_at(u, 3 * k, 3 * k + 3)))
+            key = (u.shape, u.tobytes())
+            if swept[0] != key:
+                swept[:] = key, form(u)
+            return _new(Jet2, tuple(swept[1][3 * k:3 * k + 3]))
+        return jet
 
-        components.append(jet_fn)
-    return GeneratingCurve(rotation, tuple(components), (float(us[0]), float(us[-1])),
-                           column=component_columns)
+    return GeneratingCurve(rotation, (component(0), component(1), component(2)),
+                           (float(us[0]), float(us[-1])), column=component_columns)
 
 
 def load_curve(path: str) -> GeneratingCurve:

@@ -71,7 +71,7 @@ class Jet2(NamedTuple):
     of u the fields are arrays (see the module docstring).
 
     +, -, * and / combine a jet with another jet only; a number enters as
-    the constant jet ``Jet2(c)``.  A number on the left of ``*`` raises
+    the constant jet ``Jet2(c)``.  A number on either side raises
     TypeError, an int included (``2 * jet`` is not tuple repetition).
     """
 
@@ -81,25 +81,39 @@ class Jet2(NamedTuple):
 
     # tuple defines + and * as concatenation/repetition; override with algebra.
     # tuple.__new__ skips NamedTuple's Python-level __new__ on these hot paths
+    # a number has no .val: the handler turns that into TypeError, and a
+    # try block costs nothing until it raises
     def __add__(self, o):  # type: ignore[override]
-        return _new(Jet2, (self.val + o.val, self.d1 + o.d1, self.d2 + o.d2))
+        try:
+            return _new(Jet2, (self.val + o.val, self.d1 + o.d1, self.d2 + o.d2))
+        except AttributeError:
+            raise _operand_error("+", self, o) from None
 
     def __sub__(self, o):
-        return _new(Jet2, (self.val - o.val, self.d1 - o.d1, self.d2 - o.d2))
+        try:
+            return _new(Jet2, (self.val - o.val, self.d1 - o.d1, self.d2 - o.d2))
+        except AttributeError:
+            raise _operand_error("-", self, o) from None
 
     def __neg__(self):
         return _new(Jet2, (-self.val, -self.d1, -self.d2))
 
     def __mul__(self, o):  # type: ignore[override]
-        return _new(Jet2, (self.val * o.val, self.d1 * o.val + self.val * o.d1,
-                           self.d2 * o.val + 2.0 * self.d1 * o.d1 + self.val * o.d2))
+        try:
+            return _new(Jet2, (self.val * o.val, self.d1 * o.val + self.val * o.d1,
+                               self.d2 * o.val + 2.0 * self.d1 * o.d1 + self.val * o.d2))
+        except AttributeError:
+            raise _operand_error("*", self, o) from None
 
     def __rmul__(self, o):  # type: ignore[override]
         # it must raise: NotImplemented would let an int repeat the tuple
-        raise TypeError(f"unsupported operand type(s) for *: '{type(o).__name__}' and 'Jet2'")
+        raise _operand_error("*", o, self)
 
     def __truediv__(self, o):
-        return self * o.reciprocal()
+        try:
+            return self * o.reciprocal()
+        except AttributeError:
+            raise _operand_error("/", self, o) from None
 
     def reciprocal(self) -> "Jet2":
         zero = self.val == 0.0
@@ -132,6 +146,12 @@ class Jet2(NamedTuple):
         p2 = power(x, c - 2.0)
         p1 = p2 * x
         return _new(Jet2, (p1 * x, c * p1 * d1, c * ((c - 1.0) * p2 * d1 * d1 + p1 * d2)))
+
+
+def _operand_error(op: str, left, right) -> TypeError:
+    """Python's own error for operands that ``op`` does not combine."""
+    return TypeError(f"unsupported operand type(s) for {op}: "
+                     f"'{type(left).__name__}' and '{type(right).__name__}'")
 
 
 def variable(u: float) -> Jet2:
@@ -526,7 +546,8 @@ class ProfileFunction:
 
     expr: Expr
     domain: tuple[float, float]
-    consts: Mapping[str, float] | None = None
+    # a dict: equality compares it, and the hash leaves it out
+    consts: Mapping[str, float] | None = field(default=None, hash=False)
     _jet: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

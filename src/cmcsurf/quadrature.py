@@ -13,10 +13,13 @@ one Clenshaw sum, never calls the integrand, and nearby values agree to
 machine precision rather than to the global tolerance.
 
 ``PiecewiseLegendre`` is that per-panel form (de Boor's pp-form in a
-Legendre basis); ``CumulativeIntegral`` builds it from an integrand, and
-``PiecewiseLegendre.hermite`` from the sampled jets of a curve CSV.  A
-``PiecewiseLegendre`` answers a float u with one Clenshaw sum on Python
-floats, or a whole ndarray of u with one Clenshaw sweep over numpy arrays
+Legendre basis), or k such forms stacked on one set of panels;
+``CumulativeIntegral`` builds one from an integrand, and
+``PiecewiseLegendre.hermite`` stacks the quintic Hermite interpolants of
+sampled functions with their first two derivatives (a reloaded curve CSV:
+3 components times value, d1 and d2).  A ``PiecewiseLegendre`` answers a
+float u with one Clenshaw sum per form on Python floats, or a whole
+ndarray of u with one Clenshaw sweep over numpy arrays for all its forms
 that repeats the float sum's operations entry by entry, so both give the
 same value bit for bit.  ``CumulativeIntegral`` memoizes its float
 queries per u and answers an ndarray of u with one unmemoized sweep; both
@@ -91,8 +94,11 @@ def gauss15(f: Callable[[float], float], a: float, b: float) -> float:
 def _legval(x, c, steps):
     """sum_j c[j] P_j(x) by Clenshaw's recurrence (the steps of numpy's
     legval), for ``steps`` the last len(c) - 2 entries of ``_CLENSHAW``.
-    ``x`` and the entries of ``c`` are floats, or arrays of one shape: the
-    same operations in the same order give each entry the float's value."""
+    ``x`` and the entries of ``c`` are floats, or arrays that broadcast: the
+    same operations in the same order give each entry the float's value.
+    Trailing zero coefficients add steps that change the running sums only
+    in the sign of an exact zero, so adding a +0.0 offset, as every form
+    does, makes the zero-padded sum equal the unpadded one bit for bit."""
     c0, c1 = c[-2], c[-1]
     for k, a, b in steps:
         c0, c1 = c[k] - c1 * a, c0 + c1 * x * b
@@ -102,59 +108,86 @@ def _legval(x, c, steps):
 class PiecewiseLegendre:
     """offsets[i] + sum_j coefs[i][j] P_j(x) on panel i between ``nodes``,
     with x in [-1, 1] the local coordinate of u, for coefficients up to
-    degree 15.  A query takes a float u and returns a float, or takes an
-    ndarray of u and returns an array of that shape whose every entry is
-    the float query's value at it, bit for bit.  A float query runs on
-    Python floats (the coefficient rows become lists at the first one); an
-    array query gathers each u's panel from ndarrays.  Both run the same
-    Clenshaw steps, from the panels' own degree.  A u outside [a, b] by
-    more than 1e-12 (1 + |a| + |b|) raises ValueError naming it (the first
-    such u of an array); one within that pad is clamped."""
+    degree 15; or k such forms stacked on one set of panels, with
+    coefficients of shape (panels, k, degree + 1) and offsets of shape
+    (panels, k).  A float query of one form returns a float, and
+    ``forms_at`` returns some stacked forms at a float u.  An ndarray query
+    returns an array of u's shape, or of shape (k, *u.shape) for k stacked
+    forms, whose every entry is the float query's value at it, bit for bit:
+    one domain check, one panel search, one gather and one Clenshaw sweep
+    for all k forms.  A float query runs on Python floats (the coefficient
+    rows become lists at the first one); an array query gathers each u's
+    panel from ndarrays.  Both run the same Clenshaw steps, from the
+    panels' own degree.  A u outside [a, b] by more than
+    1e-12 (1 + |a| + |b|) raises ValueError naming it (the first such u of
+    an array); one within that pad is clamped."""
 
     def __init__(self, nodes, offsets, coefs):
         self._knots = np.asarray(nodes, dtype=float)
         self._shifts = np.asarray(offsets, dtype=float)
         self._coefs = np.asarray(coefs, dtype=float)
-        self._nodes, self._offsets = self._knots.tolist(), self._shifts.tolist()
+        self._nodes = self._knots.tolist()
+        self._panels = len(self._nodes) - 1
         self.a, self.b = self._nodes[0], self._nodes[-1]
         pad = 1e-12 * (1.0 + abs(self.a) + abs(self.b))
         self._lo, self._hi = self.a - pad, self.b + pad  # the clamped range
-        self._steps = _CLENSHAW[16 - self._coefs.shape[1]:]
-        self._rows = None  # _coefs as lists, made by the first float query
+        self._steps = _CLENSHAW[16 - self._coefs.shape[-1]:]
+        # _coefs and _shifts as lists, made by the first float query
+        self._rows = self._offsets = None
 
     @staticmethod
     def hermite(us, jets) -> PiecewiseLegendre:
-        """Quintic Hermite interpolant of the (value, d1, d2) rows ``jets``
-        at the increasing ``us``: each panel matches both end jets."""
+        """Quintic Hermite interpolants of k functions and their first two
+        derivatives, as 3k stacked forms: ``jets[n, c]`` is (value, d1, d2)
+        of function c at the increasing ``us[n]``, each panel matches both
+        end jets, and form 3c + m is the m-th derivative of function c's
+        interpolant.  The derivative forms are zero-padded to degree 5, which
+        moves no value (see ``_legval``); a derivative coefficient past the
+        float range is inf."""
         us = np.asarray(us, dtype=float)
         jets = np.asarray(jets, dtype=float)
-        scale = (0.5 * np.diff(us)[:, None]) ** np.arange(3)  # d/dx = h d/du
-        ends = np.hstack([jets[:-1] * scale, jets[1:] * scale])
-        return PiecewiseLegendre(us, np.zeros(len(us) - 1), ends @ _FROM_END_JETS.T)
-
-    def derivative(self) -> PiecewiseLegendre:
-        """The derivative's form; a coefficient past the float range is inf."""
-        halves = 0.5 * np.diff(self._knots)[:, None]
+        panels, k = len(us) - 1, jets.shape[1]
+        halves = 0.5 * np.diff(us)[:, None, None]
+        scale = halves ** np.arange(3)  # d/dx = h d/du
+        ends = np.concatenate([jets[:-1] * scale, jets[1:] * scale], axis=2)
+        forms = np.zeros((panels, k, 3, 6))
+        # one (panels, 6) product per function, the shape of its own fit: a
+        # stacked (panels, k, 6) product does not round as those do
+        for c in range(k):
+            forms[:, c, 0] = ends[:, c] @ _FROM_END_JETS.T
         with np.errstate(over="ignore"):
-            return PiecewiseLegendre(self._knots, np.zeros(len(self._offsets)),
-                                     _legendre.legder(self._coefs, axis=1) / halves)
+            for m in (1, 2):
+                forms[:, :, m, :6 - m] = _legendre.legder(forms[:, :, m - 1, :7 - m],
+                                                          axis=2) / halves
+        return PiecewiseLegendre(us, np.zeros((panels, 3 * k)),
+                                 forms.reshape(panels, 3 * k, 6))
+
+    def _locate(self, u: float) -> tuple[int, float]:
+        """The panel of a float u and u's local coordinate in it."""
+        if u < self._lo or u > self._hi:
+            raise ValueError(f"u={u!r} outside the domain [{self.a!r}, {self.b!r}]")
+        if self._rows is None:
+            self._rows, self._offsets = self._coefs.tolist(), self._shifts.tolist()
+        u = self.a if u < self.a else self.b if u > self.b else u  # a NaN stays NaN
+        # searching nodes[1:-1] keeps i a panel index at b and for a NaN u
+        i = bisect_right(self._nodes, u, 1, self._panels) - 1
+        lo, hi = self._nodes[i], self._nodes[i + 1]
+        # from lo, not from the rounded midpoint: its error times f would be
+        # an offset of about ulp(u) * |f| in the value
+        return i, (u - lo) / (0.5 * (hi - lo)) - 1.0
 
     def __call__(self, u):
         if isinstance(u, np.ndarray):
             return self._column(u)
-        if u < self._lo or u > self._hi:
-            raise ValueError(f"u={u!r} outside the domain [{self.a!r}, {self.b!r}]")
-        rows = self._rows
-        if rows is None:
-            rows = self._rows = self._coefs.tolist()
-        u = self.a if u < self.a else self.b if u > self.b else u  # a NaN stays NaN
-        # searching nodes[1:-1] keeps i a panel index at b and for a NaN u
-        i = bisect_right(self._nodes, u, 1, len(self._offsets)) - 1
-        lo, hi = self._nodes[i], self._nodes[i + 1]
-        # from lo, not from the rounded midpoint: its error times f would be
-        # an offset of about ulp(u) * |f| in the value
-        x = (u - lo) / (0.5 * (hi - lo)) - 1.0
-        return self._offsets[i] + _legval(x, rows[i], self._steps)
+        i, x = self._locate(u)
+        return self._offsets[i] + _legval(x, self._rows[i], self._steps)
+
+    def forms_at(self, u: float, start: int, stop: int) -> list[float]:
+        """Stacked forms start, ..., stop - 1 at a float u: one panel search,
+        then one Clenshaw sum on Python floats per form."""
+        i, x = self._locate(u)
+        offsets, rows, steps = self._offsets[i], self._rows[i], self._steps
+        return [offsets[k] + _legval(x, rows[k], steps) for k in range(start, stop)]
 
     def _column(self, u: np.ndarray) -> np.ndarray:
         """The float query's operations on every entry of u at once; like
@@ -164,12 +197,14 @@ class PiecewiseLegendre:
                  "u={!r} outside the domain [{!r}, {!r}]", u, self.a, self.b)
         uu = np.minimum(np.maximum(u.ravel(), self.a), self.b)
         i = np.searchsorted(self._knots, uu, side="right") - 1
-        i = np.minimum(np.maximum(i, 0), len(self._offsets) - 1)
+        i = np.minimum(np.maximum(i, 0), self._panels - 1)
         lo, hi = self._knots[i], self._knots[i + 1]
         x = (uu - lo) / (0.5 * (hi - lo)) - 1.0
+        # .T puts u last: for k stacked forms, (k, len) offsets and
+        # (degree + 1, k, len) coefficients, so one sweep runs all k
         with np.errstate(all="ignore"):
-            value = self._shifts[i] + _legval(x, self._coefs[i].T, self._steps)
-        return value.reshape(u.shape)
+            value = self._shifts[i].T + _legval(x, self._coefs[i].T, self._steps)
+        return value.reshape(value.shape[:-1] + u.shape)
 
 
 class CumulativeIntegral(PiecewiseLegendre):

@@ -16,7 +16,7 @@ from cmcsurf.io import (
     write_surface_obj,
 )
 from cmcsurf.profiles import ProfileFunction
-from cmcsurf.quadrature import QuadratureConfig
+from cmcsurf.quadrature import PiecewiseLegendre, QuadratureConfig
 from cmcsurf.validation import check_cmc, shrunk_grid, validate_surface
 
 from analytic_curves import ALL_CURVES, elliptic_circle, hyperbolic_linear_a
@@ -74,11 +74,11 @@ def test_rebuilt_curve_reproduces_validation(tmp_path):
     assert report.max_closed_vs_oracle <= 1e-6
 
 
-def test_reloaded_curve_is_evaluated_a_column_at_a_time(tmp_path):
+def test_reloaded_curve_is_evaluated_a_column_at_a_time(tmp_path, monkeypatch):
     path = tmp_path / "circle.csv"
     write_curve_csv(str(path), elliptic_circle(2.0), samples=101)
     curve = load_curve(str(path))
-    kinds, calls = set(), [0, 0, 0]
+    kinds, calls, sweeps = set(), [0, 0, 0], []
 
     def watched(k, component):
         def call(u):
@@ -87,11 +87,43 @@ def test_reloaded_curve_is_evaluated_a_column_at_a_time(tmp_path):
             return component(u)
         return call
 
+    def counted(poly, u):
+        rows = sweep(poly, u)
+        sweeps.append(rows.shape)
+        return rows
+
+    def no_float_query(poly, u):
+        raise AssertionError(f"float query at u={u!r}")
+
     object.__setattr__(curve, "components",
                        tuple(watched(k, c) for k, c in enumerate(curve.components)))
+    sweep = PiecewiseLegendre._column
+    monkeypatch.setattr(PiecewiseLegendre, "_column", counted)
+    monkeypatch.setattr(PiecewiseLegendre, "_locate", no_float_query)
     validate_surface(curve, 0.0, "reloaded", nu=9, nv=7)
     assert kinds == {np.ndarray}
     assert calls == [4, 4, 4], calls
+    # one Clenshaw sweep of the nine stacked forms per column, not nine
+    assert [shape[0] for shape in sweeps] == [9, 9, 9, 9], sweeps
+
+
+def test_reloaded_components_share_one_sweep_per_column(monkeypatch):
+    us = np.linspace(0.0, 2.0, 9)
+    curve = curve_from_samples(RotationType.ELLIPTIC, us, quintic_jets(us))
+    sweeps = []
+    sweep = PiecewiseLegendre._column
+    monkeypatch.setattr(PiecewiseLegendre, "_column",
+                        lambda poly, u: sweeps.append(u.shape) or sweep(poly, u))
+    column = np.linspace(0.1, 1.9, 5)[:, None]
+    first = [c(column) for c in curve.components]
+    assert sweeps == [(5, 1)]
+    column[2, 0] = 0.5  # the same array, new values: a new sweep
+    again = [c(column) for c in curve.components]
+    assert sweeps == [(5, 1), (5, 1)]
+    for u, jets in ((0.1, first), (0.5, again)):
+        for component, jet in zip(curve.components, jets):
+            assert [field[u == column].tolist() for field in jet] == [
+                [field] for field in component(u)]
 
 
 @pytest.mark.parametrize("name,curve", ALL_CURVES, ids=[n for n, _ in ALL_CURVES])

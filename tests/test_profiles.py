@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 
 import numpy as np
@@ -222,6 +223,28 @@ def test_a_number_on_the_left_of_a_jet_is_a_type_error():
         with pytest.raises(TypeError, match="'Jet2'"):
             number * jet
     assert jet * Jet2(2.0) == Jet2(2.0, 4.0, 6.0)
+
+
+@pytest.mark.parametrize("op, fn, by_jet", [
+    ("+", operator.add, Jet2(3.0, 3.0, 3.0)), ("-", operator.sub, Jet2(-1.0, 1.0, 3.0)),
+    ("*", operator.mul, Jet2(2.0, 5.0, 10.0)), ("/", operator.truediv, Jet2(0.5, 0.75, 0.75)),
+])
+def test_a_number_on_the_right_of_a_jet_is_a_type_error(op, fn, by_jet):
+    jet = Jet2(1.0, 2.0, 3.0)
+    for number in (2, 2.0, np.float64(2.0)):
+        with pytest.raises(TypeError, match=rf"for \{op}: 'Jet2' and '{type(number).__name__}'"):
+            fn(jet, number)
+    assert fn(jet, Jet2(2.0, 1.0)) == by_jet
+
+
+def test_equal_profiles_hash_equally_constants_included():
+    def profile(a):
+        return ProfileFunction.from_text("a*u", (0.0, 1.0), {"a": a})
+
+    assert profile(1.0) == profile(1.0)
+    assert hash(profile(1.0)) == hash(profile(1.0))
+    assert profile(1.0) != profile(2.0)
+    assert len({profile(1.0), profile(1.0), profile(2.0)}) == 2
 
 
 def test_abs_away_from_zero():

@@ -1,6 +1,8 @@
 import math
 import random
+import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -113,7 +115,7 @@ def test_smooth_integrand_takes_few_panels():
         return math.cos(x)
 
     cum = CumulativeIntegral(counted_cos, 0.0, 3.0)
-    assert len(cum._offsets) <= 16 and len(calls) <= 500
+    assert cum._panels <= 16 and len(calls) <= 500
     assert abs(cum.total - math.sin(3.0)) <= 1e-15
     for u in [0.1, 0.7854, 1.5, 2.2, 2.999]:
         assert abs(cum(u) - math.sin(u)) <= 1e-15
@@ -130,7 +132,7 @@ def test_tolerance_below_the_floor_is_clamped():
     cum = CumulativeIntegral(math.exp, 0.0, 1.0, QuadratureConfig(rel_tol=1e-300))
     assert time.process_time() - start < 1.0
     floor = CumulativeIntegral(math.exp, 0.0, 1.0, QuadratureConfig(rel_tol=1e-16))
-    assert cum._nodes == floor._nodes and len(cum._offsets) <= 16
+    assert cum._nodes == floor._nodes and cum._panels <= 16
     assert cum.total == pytest.approx(math.e - 1.0, abs=1e-15)
 
 
@@ -159,13 +161,34 @@ FUNCTIONS = {
 
 def piecewise_legendre_forms(name):
     """The CumulativeIntegral of f, and the quintic Hermite interpolant of f
-    with its two derivatives; the Hermite samples stop short of x = 1,
-    where sqrt(1 - x) has no finite derivative."""
+    stacked with its two derivatives; the Hermite samples stop short of
+    x = 1, where sqrt(1 - x) has no finite derivative."""
     f, d1, d2, (a, b) = FUNCTIONS[name]
     us = np.linspace(a, 0.999 if name == "sqrt" else b, 97)
-    hermite = PiecewiseLegendre.hermite(us, [[f(u), d1(u), d2(u)] for u in us])
-    return [CumulativeIntegral(f, a, b), hermite, hermite.derivative(),
-            hermite.derivative().derivative()]
+    return [CumulativeIntegral(f, a, b),
+            PiecewiseLegendre.hermite(us, [[[f(u), d1(u), d2(u)]] for u in us])]
+
+
+def float_rows(poly, us):
+    """The float query at each u of the flat list us: one value per u for a
+    single form, the list of every form's value per u for a stacked one."""
+    if poly._coefs.ndim == 2:
+        return [PiecewiseLegendre.__call__(poly, u) for u in us]
+    return [poly.forms_at(u, 0, poly._coefs.shape[1]) for u in us]
+
+
+def bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.int64).ravel().tolist()
+
+
+def assert_column_is_the_float_query(poly, us: np.ndarray):
+    """One array query at us against the float query at each of its u, bit
+    for bit, for each stacked form (a NaN's bits included)."""
+    floats = float_rows(poly, us.ravel().tolist())
+    column = PiecewiseLegendre.__call__(poly, us)
+    k = poly._coefs.shape[1:-1]
+    assert column.shape == k + us.shape
+    assert bits(np.moveaxis(column.reshape(k + (-1,)), -1, 0)) == bits(floats)
 
 
 @pytest.mark.parametrize("name", sorted(FUNCTIONS))
@@ -177,12 +200,8 @@ def test_array_query_equals_the_float_query_bit_for_bit(name):
         us = np.concatenate([
             rng.uniform(a, b, 20_000), poly._nodes,
             [a, b, a - 0.5 * pad, b + 0.5 * pad, a - pad, b + pad, np.nextafter(a, b)]])
-        floats = [PiecewiseLegendre.__call__(poly, u) for u in us.tolist()]
-        column = PiecewiseLegendre.__call__(poly, us[:, None])
-        assert column.shape == (len(us), 1)
-        assert column.ravel().tolist() == floats
-        grid = PiecewiseLegendre.__call__(poly, us[:100].reshape(10, 10))
-        assert grid.ravel().tolist() == floats[:100]
+        assert_column_is_the_float_query(poly, us[:, None])
+        assert_column_is_the_float_query(poly, us[:100].reshape(10, 10))
 
 
 def test_array_query_names_the_first_u_outside_the_domain():
@@ -190,6 +209,114 @@ def test_array_query_names_the_first_u_outside_the_domain():
     us = np.array([[0.5], [3.5], [-1.0], [2.0]])
     with pytest.raises(ValueError, match=r"^u=3\.5 outside the domain \[0\.0, 3\.0\]$"):
         poly(us)
+    with pytest.raises(ValueError, match=r"^u=-1\.0 outside the domain \[0\.0, 3\.0\]$"):
+        poly.forms_at(-1.0, 0, 3)
+
+
+def random_hermite(rng, n: int, k: int):
+    """Samples of k random functions at n random increasing u, their jets
+    spread over six decades, with whole stretches of +0.0 and -0.0 jets."""
+    us = np.cumsum(rng.uniform(0.01, 1.0, n)) - 3.0
+    jets = rng.normal(size=(n, k, 3)) * 10.0 ** rng.integers(-3, 4, size=(n, k, 3))
+    jets[n // 4:n // 2] = 0.0
+    jets[n // 2:3 * n // 4] = -0.0
+    return us, jets
+
+
+def query_points(rng, poly) -> np.ndarray:
+    """Random u, every node, the ends, NaN, and u inside the clamp pad."""
+    a, b = poly.a, poly.b
+    pad = 1e-12 * (1.0 + abs(a) + abs(b))
+    return np.concatenate([rng.uniform(a, b, 2_000), poly._nodes, [
+        a, b, math.nan, a - 0.5 * pad, b + 0.5 * pad, np.nextafter(a, b),
+        np.nextafter(b, a)]])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_stacked_hermite_forms_column_is_the_float_query(seed):
+    rng = np.random.default_rng(seed)
+    us, jets = random_hermite(rng, int(rng.integers(2, 60)), int(rng.integers(1, 4)))
+    poly = PiecewiseLegendre.hermite(us, jets)
+    assert poly._coefs.shape == (len(us) - 1, 3 * jets.shape[1], 6)
+    points = query_points(rng, poly)
+    assert_column_is_the_float_query(poly, points[:, None])
+    assert_column_is_the_float_query(poly, points[:36].reshape(6, 6))
+    for u in points[:5].tolist() + [math.nan]:  # a 0-d array is a column of one u
+        assert_column_is_the_float_query(poly, np.array(u))
+
+
+@pytest.mark.parametrize("n", [2, 3, 17])
+def test_stacked_hermite_forms_are_each_functions_own_fit(n):
+    # fitting k functions together rounds as fitting each alone, one panel
+    # (n = 2) included
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        us, jets = random_hermite(rng, n, 3)
+        stacked = PiecewiseLegendre.hermite(us, jets)._coefs
+        for c in range(3):
+            alone = PiecewiseLegendre.hermite(us, jets[:, c:c + 1])._coefs
+            assert bits(stacked[:, 3 * c:3 * c + 3]) == bits(alone)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_zero_padding_moves_no_value(seed):
+    # each derivative form of a stacked Hermite curve is padded with zero
+    # coefficients to degree 5: against the unpadded form, the padded
+    # Clenshaw sum may differ only in the sign of an exact zero, and the
+    # +0.0 offset then makes every value equal bit for bit; coefficients
+    # that are exactly +0.0 or -0.0 are where that sign can differ
+    rng = np.random.default_rng(100 + seed)
+    n = int(rng.integers(1, 40))
+    nodes = np.cumsum(rng.uniform(0.01, 1.0, n + 1))
+    coefs = rng.normal(size=(n, 3, 6)) * 10.0 ** rng.integers(-3, 4, size=(n, 3, 6))
+    coefs[rng.random(coefs.shape) < 0.4] = 0.0
+    coefs[rng.random(coefs.shape) < 0.3] = -0.0
+    for m in (1, 2):
+        coefs[:, m, 6 - m:] = 0.0
+    # panel 0 holds the constant -0.0, whose Clenshaw sum is -0.0 where
+    # x < 0: the +0.0 offset makes it +0.0 on both paths
+    coefs[0] = 0.0
+    coefs[0, :, 0] = -0.0
+    stacked = PiecewiseLegendre(nodes, np.zeros((n, 3)), coefs)
+    points = query_points(rng, stacked)
+    assert_column_is_the_float_query(stacked, points[:, None])
+    stacked_floats = float_rows(stacked, points.tolist())
+    for m in range(3):
+        alone = PiecewiseLegendre(nodes, np.zeros(n), coefs[:, m, :6 - m])
+        assert bits(float_rows(alone, points.tolist())) == bits(
+            [row[m] for row in stacked_floats])
+        assert bits(alone(points)) == bits(stacked(points)[m])
+
+
+def test_an_overflowing_derivative_coefficient_is_inf_without_a_warning():
+    # a jump of 1 across a panel of width 1e-160: the second derivative's
+    # coefficients, ~1 / width^2, pass the float range
+    us = np.array([0.0, 1e-160, 1.0, 2.0])
+    jets = np.array([[[1.0, 2.0, 3.0]], [[2.0, 2.0, 3.0]], [[2.0, -1.0, 0.5]],
+                     [[0.5, 0.0, -4.0]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        poly = PiecewiseLegendre.hermite(us, jets)
+        assert np.isinf(poly._coefs[0, 2]).any()
+        assert np.isfinite(poly._coefs[1:]).all()
+        points = np.array([0.0, 0.5e-160, 1e-160, 0.5, 1.0, 2.0, math.nan])
+        assert_column_is_the_float_query(poly, points[:, None])
+        assert_column_is_the_float_query(poly, points.reshape(7, 1, 1))
+
+
+def test_stacked_queries_clamp_within_the_pad_and_raise_past_it():
+    us, jets = random_hermite(np.random.default_rng(3), 12, 2)
+    poly = PiecewiseLegendre.hermite(us, jets)
+    a, b = poly.a, poly.b
+    pad = 1e-12 * (1.0 + abs(a) + abs(b))
+    assert bits(poly.forms_at(a - 0.5 * pad, 0, 6)) == bits(poly.forms_at(a, 0, 6))
+    assert bits(poly(np.array([b + 0.5 * pad]))) == bits(poly(np.array([b])))
+    for u in (a - 2.0 * pad, b + 2.0 * pad):
+        message = rf"^u={re.escape(repr(u))} outside the domain \[{re.escape(repr(a))}, "
+        with pytest.raises(ValueError, match=message):
+            poly.forms_at(u, 3, 6)
+        with pytest.raises(ValueError, match=message):
+            poly(np.array([[a], [u]]))
 
 
 @pytest.mark.parametrize("rotation, text, interval, C", [

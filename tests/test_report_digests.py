@@ -3,9 +3,12 @@
 Each case is one of the criterion-2 runs a performance change must leave
 as it is: ``generate_and_validate`` at library defaults (its validity list
 and report JSON), or the 33-sample CSV of ``cmc curve`` (the validity
-scan, generation on the largest usable piece and ``write_curve_csv``), each
-at both orientations eta = +1 and -1.  ``report_digests.json`` holds the
-sha256 of the bytes each case produces; a mismatch names the case.
+scan, generation on the largest usable piece and ``write_curve_csv``), or
+the report of ``cmc validate --csv`` (``load_curve`` and ``validate_surface``
+at library defaults) on the CSV of a feasible validation run written at 401
+and at 33 samples, each at both orientations eta = +1 and -1.
+``report_digests.json`` holds the sha256 of the bytes each case produces; a
+mismatch names the case.
 ``surface_digests.json`` holds those of the two files ``cmc surface --out
 --obj`` writes at a 9x7 grid for the feasible validation runs.
 
@@ -32,9 +35,10 @@ import pytest
 from cmcsurf.builders import RotationType
 from cmcsurf.cli import main
 from cmcsurf.generator import CmcParams, domain_validity, generate
-from cmcsurf.io import write_curve_csv
+from cmcsurf.errors import CmcError
+from cmcsurf.io import load_curve, write_curve_csv
 from cmcsurf.profiles import ProfileFunction
-from cmcsurf.validation import generate_and_validate, generation_plan
+from cmcsurf.validation import generate_and_validate, generation_plan, validate_surface
 
 E, HA, HB, P = (RotationType.ELLIPTIC, RotationType.HYPERBOLIC_A,
                 RotationType.HYPERBOLIC_B, RotationType.PARABOLIC)
@@ -72,8 +76,12 @@ CURVE_EXPORT = [
     ("parabolic:sqrt", 0.1, 1), ("parabolic:sqrt", 0.5, 1), ("parabolic:sqrt", 1.0, 1),
 ]
 
+#: sample count of each CSV reloaded by ``cmc validate --csv``, by case kind
+RELOADED = {"csv401": 401, "csv33": 33}
+
 CASES = [(kind, *case, eta)
-         for kind, cases in (("roundtrip", ROUNDTRIP), ("curve", CURVE_EXPORT))
+         for kind, cases in (("roundtrip", ROUNDTRIP), ("curve", CURVE_EXPORT),
+                             *((kind, ROUNDTRIP[:4]) for kind in RELOADED))
          for case in cases for eta in (1, -1)]
 
 #: (profile, C, h_sign, eta) of the surface exports: the feasible validation runs
@@ -99,9 +107,15 @@ def case_bytes(kind: str, name: str, C: float, h_sign: int, eta: int) -> bytes:
     curve = generate(rotation, profile, plan[1], None, plan[0])
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "curve.csv")
-        write_curve_csv(path, curve, samples=33)
-        with open(path, "rb") as handle:
-            return handle.read()
+        write_curve_csv(path, curve, samples=RELOADED.get(kind, 33))
+        if kind == "curve":
+            with open(path, "rb") as handle:
+                return handle.read()
+        try:  # a coarse CSV may fail the arc-length invariant: pin the error
+            text = validate_surface(load_curve(path), params.target_h2, "curve.csv").to_json()
+        except CmcError as exc:
+            text = f"{type(exc).__name__}: {exc}"
+        return text.encode()
 
 
 def surface_digests(name: str, C: float, h_sign: int, eta: int) -> dict[str, str]:
