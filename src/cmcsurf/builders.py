@@ -35,13 +35,16 @@ The position formulas and their v-derivatives, the closed-form frames,
 h2_closed, the arc-length and twist expressions, the profile checks, the
 turning equations and their slopes accept a broadcast grid (u a column, v
 a row; see ``surfaces``) as well as a float (u, v), and a grid entry equals
-the float call at its point bit for bit.  ``GeneratingCurve.jets`` answers
-a u column with one call of the curve's ``column`` function: the
-components themselves for a reloaded curve (``component_columns``), which
-share one Clenshaw sweep of their nine stacked spline forms (see
-``io.curve_from_samples``), one profile jet, one turning call and one
-Clenshaw sweep per quadrature for a generated one (see
-``generator.generate``); an analytic curve has none and is looked up one
+the float call at its point bit for bit.  A generated or reloaded curve
+states its jets once, as one function of a float u or a u column (one
+profile jet, one turning call and one Clenshaw sum or sweep per
+quadrature, see ``generator.generate``; one panel search or sweep of nine
+stacked spline forms, see ``io.curve_from_samples``), and its three
+components are views that share one call of it per u
+(``shared_components``).  ``GeneratingCurve.jets`` answers a u column with
+one call of the curve's ``column`` function: that jets function for a
+generated curve, the components for a reloaded one
+(``component_columns``); an analytic curve has none and is looked up one
 Python float at a time.  It memoizes a column as it does
 a float, so every check that asks for the same u reads one evaluation.
 The trigonometric functions of v and phi and the squares of the spec
@@ -125,9 +128,10 @@ class GeneratingCurve:
     ``column``, when given, takes the curve and an ndarray of u and returns
     the three component jets as Jet2s of arrays of its shape, each entry
     equal to the float call's: ``component_columns`` for the splines of a
-    reloaded curve (see ``io.curve_from_samples``), the generator's column
-    function for a generated curve.  The components themselves are called
-    at floats only unless ``column`` calls them.
+    reloaded curve (see ``io.curve_from_samples``), the generator's jets
+    function itself for a generated curve.  The components of both are
+    ``shared_components`` of that one jets function, and are called at
+    floats only unless ``column`` calls them.
     """
 
     rotation: RotationType
@@ -148,7 +152,7 @@ class GeneratingCurve:
         bytes, so equal columns share one tuple of arrays: no caller writes
         into a returned array.
         """
-        key = (u.shape, u.tobytes()) if isinstance(u, np.ndarray) else u
+        key = _memo_key(u)
         hit = self._memo.get(key)
         if hit is None:
             if key is u:
@@ -180,6 +184,32 @@ class GeneratingCurve:
         return SPECS[self.rotation].twist(*self.jets(u))
 
 
+def _memo_key(u):
+    """The key of u in a curve's memos: a float itself, a u column its
+    shape and bytes."""
+    return (u.shape, u.tobytes()) if isinstance(u, np.ndarray) else u
+
+
+def shared_components(curve_jets: CurveJets) -> tuple[JetFn, JetFn, JetFn]:
+    """The three components of a curve whose jets come from one function:
+    component k at u is ``curve_jets(u)[k]``, and the three share one call
+    per u through a one-entry memo keyed as ``GeneratingCurve.jets`` keys
+    u.  So the float lookup of ``GeneratingCurve.jets``, or a reloaded
+    curve's ``component_columns``, costs one ``curve_jets`` call, and a
+    tracer that wraps the components still sees each of them called."""
+    last: dict[object, tuple[Jet2, Jet2, Jet2]] = {}
+
+    def jets(u) -> tuple[Jet2, Jet2, Jet2]:
+        key = _memo_key(u)
+        hit = last.get(key)
+        if hit is None:
+            last.clear()
+            hit = last[key] = curve_jets(u)
+        return hit
+
+    return tuple(lambda u, k=k: jets(u)[k] for k in range(3))
+
+
 def float_column(fn, u: np.ndarray) -> np.ndarray:
     """fn called at each float of the ndarray u, its (nested tuple) values
     stacked into one array of shape (shape of a value) + u.shape."""
@@ -188,9 +218,10 @@ def float_column(fn, u: np.ndarray) -> np.ndarray:
 
 
 def component_columns(curve: GeneratingCurve, u: np.ndarray) -> tuple[Jet2, Jet2, Jet2]:
-    """The ``column`` of a curve whose components take a u column: one call
-    of each, read from the curve at call time (so a tracer that wraps the
-    components sees them)."""
+    """The ``column`` of a curve whose components take a u column (a
+    reloaded curve): one call of each, read from the curve at call time (so
+    a tracer that wraps the components sees them); as ``shared_components``
+    the three share one evaluation of the column."""
     c1, c2, c3 = curve.components
     return c1(u), c2(u), c3(u)
 
@@ -636,6 +667,16 @@ def _special_phi_parabolic(consts: Mapping[str, float], params: CmcParams,
     return (big_a + params.eta * (2.0 * params.C * big_b / (3.0 * a)) * root**3) / root
 
 
+def _phi_rate(f: Jet2, phi: float, dphi: float) -> float:
+    return dphi
+
+
+def _psi_rate(f: Jet2, phi: float, dphi: float) -> float:
+    """psi' = (phi' f' - phi f'') / (f')^2 of phi = f' psi: the constants
+    live inside phi, so the audit compares the implied psi'."""
+    return (dphi * f.d1 - phi * f.d2) / (f.d1 * f.d1)
+
+
 # --- the rotation-spec table ---------------------------------------------------
 
 @dataclass(frozen=True)
@@ -669,6 +710,9 @@ class RotationSpec:
     # a, b and the offset d (default 0), parabolic a, b, A, B (B defaults
     # to 1); compare_special_case audits it
     special_phi: Callable[[Mapping[str, float], CmcParams, float], float]
+    # the rate the turning equation gives, from the profile jet, phi and
+    # phi': phi' itself, or psi' for a parabolic profile (phi = f' psi)
+    special_rate: Callable[[Jet2, float, float], float]
 
 
 def _arclength_ppm(a: Jet2, b: Jet2, c: Jet2) -> float:
@@ -688,7 +732,8 @@ def _hyperbolic_spec(case_sign: int, t1: str, t2: str) -> RotationSpec:
         twist=lambda a, b, c: b.d1 * c.d2 - b.d2 * c.d1,
         special_profile="sqrt(u^2+2*a*u+b)",  # r r'' + (r')^2 - 1 = 0
         special_h_sign=case_sign, special_phi=partial(_special_phi_hyperbolic,
-                                                      case_sign=case_sign))
+                                                      case_sign=case_sign),
+        special_rate=_phi_rate)
 
 
 #: The per-type facts of the four rotation types.  Hyperbolic slopes are
@@ -704,7 +749,7 @@ SPECS: dict[RotationType, RotationSpec] = {
         arclength=_arclength_ppm,  # (x1')^2 + (x2')^2 - (r')^2
         twist=lambda a, b, c: a.d1 * b.d2 - a.d2 * b.d1,
         special_profile="sqrt(-u^2+2*a*u+b)",  # r r'' + (r')^2 + 1 = 0
-        special_h_sign=1, special_phi=_special_phi_elliptic),
+        special_h_sign=1, special_phi=_special_phi_elliptic, special_rate=_phi_rate),
     RotationType.HYPERBOLIC_A: _hyperbolic_spec(1, "sinh", "cosh"),
     RotationType.HYPERBOLIC_B: _hyperbolic_spec(-1, "cosh", "sinh"),
     RotationType.PARABOLIC: RotationSpec(
@@ -715,7 +760,7 @@ SPECS: dict[RotationType, RotationSpec] = {
         arclength=lambda a, b, c: square(a.d1) - 2.0 * b.d1 * c.d1,  # (x1')^2 - 2 f' g'
         twist=lambda a, b, c: a.d2 * b.d1 - a.d1 * b.d2,
         special_profile="sqrt(2*a*u+b)",  # f f'' + (f')^2 = 0
-        special_h_sign=1, special_phi=_special_phi_parabolic),
+        special_h_sign=1, special_phi=_special_phi_parabolic, special_rate=_psi_rate),
 }
 
 COMPONENT_NAMES = {rotation: spec.names for rotation, spec in SPECS.items()}

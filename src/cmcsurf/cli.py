@@ -14,8 +14,8 @@ from ``--csv`` where the command takes it, else generated from
 ``--profile`` on the largest usable piece of ``--interval``.
 
 Exit codes: 0 success (validations passing), 1 validation failure,
-2 usage or domain errors.  Errors print as ``ERROR[<code>] message`` on
-stderr.
+2 usage or domain errors, a file that cannot be written among them.
+Errors print as ``ERROR[<code>] message`` on stderr.
 """
 
 from __future__ import annotations
@@ -118,9 +118,9 @@ def _consts(pairs: list[str]) -> dict[str, float]:
         if not name or not value:
             raise _CliError(f"bad --const {pair!r}, expected name=value")
         try:
-            out[name] = float(value)
-        except ValueError as exc:
-            raise _CliError(f"bad --const value in {pair!r}") from exc
+            out[name] = _finite(value)
+        except argparse.ArgumentTypeError as exc:
+            raise _CliError(f"bad --const value in {pair!r}: {exc}") from exc
     return out
 
 
@@ -227,20 +227,29 @@ def _load_or_generate(args) -> GeneratingCurve:
     return curve
 
 
+def _write(write, path: str, *args) -> None:
+    """``write(path, *args)``, then the "wrote" line.  A write that fails
+    (a missing directory, a path that names a directory) is a usage error
+    naming the path, not a failed validation."""
+    try:
+        write(path, *args)
+    except OSError as exc:
+        raise _CliError(f"cannot write {path!r}: {exc.strerror}") from exc
+    print(f"wrote {path}")
+
+
 def _print_report(report, path: str | None) -> None:
     """The report's JSON, written to ``path`` (--report) or to stdout."""
     text = report.to_json()
     if path:
-        cio._atomic_write(path, text + "\n")
-        print(f"wrote {path}")
+        _write(cio._atomic_write, path, text + "\n")
     else:
         print(text)
 
 
 def _cmd_curve(args) -> int:
     curve = _load_or_generate(args)
-    cio.write_curve_csv(args.out, curve, samples=args.samples)
-    print(f"wrote {args.out}")
+    _write(cio.write_curve_csv, args.out, curve, args.samples)
     return 0
 
 
@@ -250,11 +259,9 @@ def _cmd_surface(args) -> int:
     nu, nv = args.grid
     us, vs = uniform(*curve.domain, nu), uniform(*patch.v_domain, nv)
     if args.out:
-        cio.write_surface_csv(args.out, patch, us, vs)
-        print(f"wrote {args.out}")
+        _write(cio.write_surface_csv, args.out, patch, us, vs)
     if args.obj:
-        cio.write_surface_obj(args.obj, patch, us, vs, args.project)
-        print(f"wrote {args.obj}")
+        _write(cio.write_surface_obj, args.obj, patch, us, vs, args.project)
     if not args.out and not args.obj:
         raise _CliError("give --out and/or --obj")
     return 0

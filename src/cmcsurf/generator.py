@@ -42,10 +42,11 @@ every curve query, and the scan asks the same equation.  The scan
 jet and one turning call over all of them, whose failed checks become
 masks (``geometry.collect_faults``).  Only the bisection of each boundary
 evaluates single float points.  The quadratures are built from float
-nodes, through a profile memo; a generated curve answers a u column the
-same way the scan does, with one profile jet, one turning call and one
-Clenshaw sweep per quadrature, and a float u through the memos.  The
-curve's own memo (``GeneratingCurve.jets``) keeps columns as it keeps
+nodes, through a profile memo that only the build reads.  A generated
+curve answers a float u and a u column through one function, the way the
+scan does: one profile jet, one turning call, one slope call and one
+Clenshaw sum (or sweep) per quadrature, shared by the three components.
+The curve's own memo (``GeneratingCurve.jets``) keeps columns as it keeps
 floats, so a check that asks for a column another check asked for reads
 the same jets.
 """
@@ -58,7 +59,7 @@ from functools import reduce
 
 import numpy as np
 
-from .builders import SPECS, GeneratingCurve, JetFn, RotationType, float_column
+from .builders import SPECS, GeneratingCurve, RotationType, shared_components
 from .errors import (
     BasePointError,
     CaseMismatchError,
@@ -110,22 +111,9 @@ class CmcParams:
         return self.h_sign * self.C * self.C
 
 
-def as_jet_fn(profile) -> JetFn:
-    """A ProfileFunction's ``jet``, which takes a u column as well, or any
-    callable u -> Jet2, which a column then calls at each of its floats."""
-    jet = getattr(profile, "jet", None)
-    if jet is not None:
-        return jet
-
-    def jet_fn(u):
-        return Jet2(*float_column(profile, u)) if isinstance(u, np.ndarray) else profile(u)
-
-    return jet_fn
-
-
 # --- generators ----------------------------------------------------------------
 
-def generate(rotation: RotationType, profile, params: CmcParams,
+def generate(rotation: RotationType, profile: ProfileFunction, params: CmcParams,
              config: QuadratureConfig | None = None,
              interval: tuple[float, float] = (0.0, 1.0),
              phi_scale: float = 1.0) -> GeneratingCurve:
@@ -143,11 +131,15 @@ def generate(rotation: RotationType, profile, params: CmcParams,
     band, and the error of any other precondition (see ``checked_jet``)
     where that fails.
 
-    The curve's ``column`` answers a u column with one profile jet, one
-    turning call and one Clenshaw sweep per quadrature, each entry equal
-    to the float query.  generate queries the curve at both ends of the
-    interval, so a curve that cannot be evaluated there is refused with
-    the error of the first offending end.
+    The curve's jets at u come from one function, ``curve_jets``: one
+    profile jet, one turning call, one ``slope_jets`` call and the two
+    offset integrals, at a float u or a u column alike (one Clenshaw sweep
+    per quadrature), so each column entry equals the float query.  The
+    three components share its one call per float u
+    (``builders.shared_components``); the curve's ``column`` calls it
+    directly.  generate queries the curve at both ends of the interval, so
+    a curve that cannot be evaluated there is refused with the error of
+    the first offending end.
 
     ``phi_scale`` multiplies t - phi0 after quadrature; values other than
     1.0 break the CMC property on purpose (negative-control hook) while
@@ -157,13 +149,14 @@ def generate(rotation: RotationType, profile, params: CmcParams,
     # locals: the closures below run per quadrature node
     turning, slope_jets = spec.turning, spec.slope_jets
     config = config or QuadratureConfig()
-    jet_fn, profile_memo = as_jet_fn(profile), {}
+    jet, profile_memo = profile.jet, {}
 
     def rj(u: float) -> Jet2:
-        # a dict, not functools.cache, which keys each float u by a 1-tuple
+        # the build's memo: a dict, not functools.cache, which keys each
+        # float u by a 1-tuple
         hit = profile_memo.get(u)
         if hit is None:
-            hit = profile_memo[u] = jet_fn(u)
+            hit = profile_memo[u] = jet(u)
         return hit
     a, b = interval
     u0 = a if params.u0 is None else params.u0
@@ -176,12 +169,9 @@ def generate(rotation: RotationType, profile, params: CmcParams,
     t_cum = CumulativeIntegral(dt_raw, a, b, config)
     t_off = t_cum(u0)
 
-    # t, the slope jets and the values below take a float u or a u column
+    # t and curve_jets take a float u or a u column
     def t(u: float) -> float:
         return params.phi0 + phi_scale * (t_cum(u) - t_off)
-
-    def slope_jets_at(p: Jet2, u: float):
-        return slope_jets(p, t(u), phi_scale * turning(p, params, u))
 
     integrals = []  # (c, the integral of the i-th slope from a, its value at u0)
     for i, c in enumerate((params.c1, params.c2)):
@@ -190,28 +180,18 @@ def generate(rotation: RotationType, profile, params: CmcParams,
                                  a, b, config)
         integrals.append((c, cum, cum(u0)))
 
-    def value(i: int, u: float) -> float:
-        """c + the integral of the i-th slope from u0."""
-        c, cum, off = integrals[i]
-        return c + cum(u) - off
-
-    def component(i: int) -> JetFn:
-        def jet(u: float) -> Jet2:
-            d1, d2 = slope_jets_at(rj(u), u)[i]
-            return Jet2(value(i, u), d1, d2)
-
-        return jet
-
-    def column(_curve: GeneratingCurve, u: np.ndarray) -> tuple[Jet2, Jet2, Jet2]:
-        p = jet_fn(u)
-        slope_pair = slope_jets_at(p, u)
-        jets = [Jet2(value(i, u), *slope_pair[i]) for i in (0, 1)]
+    def curve_jets(u) -> tuple[Jet2, Jet2, Jet2]:
+        p = jet(u)
+        slope_pair = slope_jets(p, t(u), phi_scale * turning(p, params, u))
+        # c + the integral of the i-th slope from u0, and its (x', x'')
+        jets = [Jet2(c + cum(u) - off, *slope)
+                for (c, cum, off), slope in zip(integrals, slope_pair)]
         jets.insert(spec.profile_slot, p)
         return tuple(jets)
 
-    components = [component(0), component(1)]
-    components.insert(spec.profile_slot, rj)
-    curve = GeneratingCurve(rotation, tuple(components), interval, column)
+    # the column calls curve_jets itself: the components see floats only
+    curve = GeneratingCurve(rotation, shared_components(curve_jets), interval,
+                            lambda _curve, u: curve_jets(u))
     # no quadrature node reaches the ends, so query them once; two float
     # queries cost a twentieth of one column call on the two points
     for end in interval:

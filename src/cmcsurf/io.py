@@ -14,11 +14,12 @@ curve reproduces validation results to the sampling resolution.  The
 splines are one ``quadrature.PiecewiseLegendre``, the evaluator of
 generated curves, so neither kind of curve extrapolates: nine forms
 (value, d1 and d2 of each component) stacked on the sample panels.  A
-reloaded curve's components take a float u, or a u column, which one
-Clenshaw sweep of all nine forms answers for the three of them; its
-``GeneratingCurve.column`` calls them, so validation evaluates it a column
-at a time, as it does a generated curve.  ``write_curve_csv`` still
-queries the curve one float sample at a time.
+reloaded curve's jets come from one function of a float u (one panel
+search and nine Clenshaw sums) or of a u column (one sweep of all nine
+forms), which its three components share (``builders.shared_components``);
+its ``GeneratingCurve.column`` calls the components, so validation
+evaluates it a column at a time, as it does a generated curve.
+``write_curve_csv`` still queries the curve one float sample at a time.
 
 OBJ export projects the 4-coordinate samples to three viewing axes; the
 projection is recorded in a comment and carries no geometric claim.
@@ -34,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .builders import SPECS, GeneratingCurve, JetFn, RotationType, component_columns
+from .builders import SPECS, GeneratingCurve, RotationType, component_columns, shared_components
 from .geometry import _new, uniform
 from .profiles import Jet2
 from .quadrature import PiecewiseLegendre
@@ -100,11 +101,8 @@ def read_curve_csv(path: str) -> tuple[RotationType, np.ndarray, np.ndarray]:
         slopes = data[:, 4]  # column "dr"
         case_sign = 1 if float(np.median(slopes * slopes - 1.0)) > 0.0 else -1
         rotation = next(rot for rot in matches if SPECS[rot].case_sign == case_sign)
-    us = data[:, 0]
-    jets = np.stack(
-        [np.stack([data[:, 1 + k], data[:, 4 + k], data[:, 7 + k]], axis=1)
-         for k in range(3)], axis=1)
-    return rotation, us, jets
+    # columns (value, d1, d2) x component, read as [n, component, (value, d1, d2)]
+    return rotation, data[:, 0], data[:, 1:].reshape(-1, 3, 3).swapaxes(1, 2)
 
 
 def curve_from_samples(rotation: RotationType, us: Sequence[float],
@@ -114,11 +112,12 @@ def curve_from_samples(rotation: RotationType, us: Sequence[float],
     Each component becomes a quintic Hermite spline matching value and
     both derivatives at every sample; the jets of the rebuilt curve come
     from the spline and its analytic derivatives (no differencing), all
-    nine stacked in one ``PiecewiseLegendre``.  A component takes a float
-    u (one panel search, then three Clenshaw sums), or an ndarray of u and
-    returns a Jet2 of arrays of its shape: the first component to see a
-    column sweeps all nine forms, and the other two read that sweep.  The
-    curve's column is ``component_columns``, so a column is one sweep.
+    nine stacked in one ``PiecewiseLegendre``.  One function gives the
+    three jets: at a float u all nine forms (``forms_at``: one panel
+    search, then nine Clenshaw sums), at an ndarray of u one sweep of the
+    nine, as Jet2s of arrays of its shape.  The three components share its
+    one call per u, and the curve's column is ``component_columns``, so a
+    column is one sweep and a fresh float u one panel search.
     Raises ValueError unless ``us`` is finite and strictly increasing and
     every jet is finite.
     """
@@ -127,19 +126,12 @@ def curve_from_samples(rotation: RotationType, us: Sequence[float],
             and np.isfinite(us).all() and np.isfinite(jets).all()):
         raise ValueError("curve samples need finite jets at finite, strictly increasing u")
     form = PiecewiseLegendre.hermite(us, jets)
-    swept: list = [None, None]  # the last u column's key and its nine rows
 
-    def component(k: int) -> JetFn:
-        def jet(u) -> Jet2:
-            if not isinstance(u, np.ndarray):
-                return _new(Jet2, tuple(form.forms_at(u, 3 * k, 3 * k + 3)))
-            key = (u.shape, u.tobytes())
-            if swept[0] != key:
-                swept[:] = key, form(u)
-            return _new(Jet2, tuple(swept[1][3 * k:3 * k + 3]))
-        return jet
+    def curve_jets(u) -> tuple[Jet2, Jet2, Jet2]:
+        rows = form(u) if isinstance(u, np.ndarray) else form.forms_at(u)
+        return tuple(_new(Jet2, tuple(rows[k:k + 3])) for k in (0, 3, 6))
 
-    return GeneratingCurve(rotation, (component(0), component(1), component(2)),
+    return GeneratingCurve(rotation, shared_components(curve_jets),
                            (float(us[0]), float(us[-1])), column=component_columns)
 
 

@@ -111,13 +111,13 @@ class PiecewiseLegendre:
     degree 15; or k such forms stacked on one set of panels, with
     coefficients of shape (panels, k, degree + 1) and offsets of shape
     (panels, k).  A float query of one form returns a float, and
-    ``forms_at`` returns some stacked forms at a float u.  An ndarray query
-    returns an array of u's shape, or of shape (k, *u.shape) for k stacked
-    forms, whose every entry is the float query's value at it, bit for bit:
-    one domain check, one panel search, one gather and one Clenshaw sweep
-    for all k forms.  A float query runs on Python floats (the coefficient
-    rows become lists at the first one); an array query gathers each u's
-    panel from ndarrays.  Both run the same Clenshaw steps, from the
+    ``forms_at`` returns every stacked form at a float u, as a list: one
+    panel search for all k.  An ndarray query returns an array of u's
+    shape, or of shape (k, *u.shape) for k stacked forms, whose every entry
+    is the float query's value at it, bit for bit: one domain check, one
+    panel search, one gather and one Clenshaw sweep for all k forms.  A
+    float query runs on Python floats (the coefficient rows become lists at
+    the first one); an array query gathers each u's panel from ndarrays.  Both run the same Clenshaw steps, from the
     panels' own degree.  A u outside [a, b] by more than
     1e-12 (1 + |a| + |b|) raises ValueError naming it (the first such u of
     an array); one within that pad is clamped."""
@@ -182,12 +182,13 @@ class PiecewiseLegendre:
         i, x = self._locate(u)
         return self._offsets[i] + _legval(x, self._rows[i], self._steps)
 
-    def forms_at(self, u: float, start: int, stop: int) -> list[float]:
-        """Stacked forms start, ..., stop - 1 at a float u: one panel search,
-        then one Clenshaw sum on Python floats per form."""
+    def forms_at(self, u: float) -> list[float]:
+        """Every stacked form at a float u: one panel search, then one
+        Clenshaw sum on Python floats per form."""
         i, x = self._locate(u)
-        offsets, rows, steps = self._offsets[i], self._rows[i], self._steps
-        return [offsets[k] + _legval(x, rows[k], steps) for k in range(start, stop)]
+        steps = self._steps
+        return [offset + _legval(x, row, steps)
+                for offset, row in zip(self._offsets[i], self._rows[i])]
 
     def _column(self, u: np.ndarray) -> np.ndarray:
         """The float query's operations on every entry of u at once; like

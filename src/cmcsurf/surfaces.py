@@ -310,9 +310,11 @@ def fd_patch(
     result an oracle independent of any analytic jet assembly.  Stencils
     reaching outside ``u_domain`` x ``v_domain`` raise
     StencilOutOfDomainError; the returned patch domain is shrunk by h.
-    At a float (u, v) the stencil makes nine ``position`` calls.  On a
-    grid it makes one, at the stacked column (u - h, u, u + h) and row
-    (v - h, v, v + h), and slices the nine stencil grids from it.
+    The nine stencil points index (u - h, u, u + h) x (v - h, v, v + h)
+    through one table, ``_STENCIL``.  At a float (u, v) the stencil makes
+    nine ``position`` calls, one per entry.  On a grid it makes one, at the
+    stacked column (u - h, u, u + h) and row (v - h, v, v + h), and slices
+    the nine stencil grids from it by the same entries.
     """
     if not h > 0.0:
         raise ValueError("h must be positive")
@@ -326,17 +328,11 @@ def fd_patch(
             raise_at(outside, StencilOutOfDomainError,
                      "stencil around ({!r}, {!r}) with h={!r} leaves the domain", u, v, h)
         if isinstance(u, np.ndarray) and isinstance(v, np.ndarray):
-            c, pu, mu, pv, mv, pp, pm, mp, mm = _stencil_grid(position, u, v, h)
+            points = _stencil_grid(position, u, v, h)
         else:
-            c = position(u, v)
-            pu = position(u + h, v)
-            mu = position(u - h, v)
-            pv = position(u, v + h)
-            mv = position(u, v - h)
-            pp = position(u + h, v + h)
-            pm = position(u + h, v - h)
-            mp = position(u - h, v + h)
-            mm = position(u - h, v - h)
+            us, vs = (u - h, u, u + h), (v - h, v, v + h)
+            points = [position(us[i], vs[j]) for i, j in _STENCIL]
+        c, pu, mu, pv, mv, pp, pm, mp, mm = points
         require_finite(c, "stencil position")
         inv2h = 0.5 / h
         invh2 = 1.0 / (h * h)
@@ -357,6 +353,11 @@ def fd_patch(
     )
 
 
+#: The nine stencil points of ``fd_patch`` in its order (c, pu, mu, pv, mv,
+#: pp, pm, mp, mm), as indices into (u - h, u, u + h) and (v - h, v, v + h).
+_STENCIL = ((1, 1), (2, 1), (0, 1), (1, 2), (1, 0), (2, 2), (2, 0), (0, 2), (0, 0))
+
+
 def _stencil_grid(position, u: np.ndarray, v: np.ndarray, h: float) -> list[Vec4]:
     """The nine stencil grids of ``fd_patch`` in its order (c, pu, mu, pv,
     mv, pp, pm, mp, mm), sliced from one ``position`` call at the stacked
@@ -373,9 +374,7 @@ def _stencil_grid(position, u: np.ndarray, v: np.ndarray, h: float) -> list[Vec4
         cols = slice(None) if x.shape[1] == 1 else slice(j * nv, (j + 1) * nv)
         return x[rows, cols]
 
-    return [Vec4(*(block(x, i, j) for x in stacked))
-            for i, j in ((1, 1), (2, 1), (0, 1), (1, 2), (1, 0),
-                         (2, 2), (2, 0), (0, 2), (0, 0))]
+    return [Vec4(*(block(x, i, j) for x in stacked)) for i, j in _STENCIL]
 
 
 def fd_oracle(patch: SurfacePatch, h: float = FD_STEP) -> SurfacePatch:

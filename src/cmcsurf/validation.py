@@ -297,7 +297,8 @@ def compare_special_case(rotation: RotationType,
                          params: CmcParams,
                          interval: tuple[float, float]) -> SpecialCaseReport:
     """Differentiate the quoted closed-form phi (``SPECS[rotation].special_phi``)
-    numerically and compare it with the spec's turning equation
+    numerically and compare the rate it implies (``special_rate``: phi', or
+    psi' for a parabolic profile) with the spec's turning equation
     (``SPECS[rotation].turning``) for the special profile at 201 points;
     relative discrepancies up to 1e-6 count as consistent.
 
@@ -322,12 +323,7 @@ def compare_special_case(rotation: RotationType,
         dphi_closed = (spec.special_phi(constants, forced, u + step)
                        - spec.special_phi(constants, forced, u - step)) / (2 * step)
         f = profile.jet(u)
-        got = dphi_closed
-        if rotation is RotationType.PARABOLIC:
-            # Constants live inside phi = f' psi; compare the implied psi'
-            # = (phi' f' - phi f'') / (f')^2 against the psi-equation.
-            phi_val = spec.special_phi(constants, forced, u)
-            got = (dphi_closed * f.d1 - phi_val * f.d2) / (f.d1 * f.d1)
+        got = spec.special_rate(f, spec.special_phi(constants, forced, u), dphi_closed)
         expected = spec.turning(f, forced, u)
         scale = 1.0 + max(abs(expected), abs(got))
         worst = max(worst, abs(got - expected) / scale)

@@ -465,6 +465,12 @@ def test_validate_prints_the_library_report(case, eta, capsys):
      "ERROR[usage] bad --const 'a', expected name=value"),
     (["validate", *ELLIPTIC_2, "--const", "a=x"],
      "ERROR[usage] bad --const value in 'a=x'"),
+    (["validate", *ELLIPTIC_2, "--const", "a=nan"],
+     "ERROR[usage] bad --const value in 'a=nan': expected a finite number, got 'nan'"),
+    (["validate", *ELLIPTIC_2, "--const", "a=inf"],
+     "ERROR[usage] bad --const value in 'a=inf': expected a finite number, got 'inf'"),
+    (["validate", *ELLIPTIC_2, "--const", "a=-inf"],
+     "ERROR[usage] bad --const value in 'a=-inf': expected a finite number, got '-inf'"),
     (["validate", *ELLIPTIC_2, "--grid", "abc"],
      "argument --grid: bad grid 'abc', expected NUxNV"),
     (["validate", *ELLIPTIC_2, "--grid", "1x5"],
@@ -480,8 +486,8 @@ def test_validate_prints_the_library_report(case, eta, capsys):
         "special-b-inf", "special-a-nan", "special-d-nan", "special-A-inf", "special-B-inf",
         "bad-projection", "u0-outside", "csv-missing",
         "csv-header-only", "no-profile", "no-interval", "const-without-value",
-        "const-not-a-number", "grid-abc", "grid-1x5", "interval-reversed", "hsign-0",
-        "surface-without-output"])
+        "const-not-a-number", "const-nan", "const-inf", "const-minus-inf", "grid-abc",
+        "grid-1x5", "interval-reversed", "hsign-0", "surface-without-output"])
 def test_bad_input_exits_2_without_traceback(argv, message, tmp_path, capsys):
     (tmp_path / "header_only.csv").write_text("u,x1,x2,r,dx1,dx2,dr,ddx1,ddx2,ddr\r\n")
     code, out, err = run([arg.replace("{tmp}", str(tmp_path)) for arg in argv], capsys)
@@ -489,6 +495,28 @@ def test_bad_input_exits_2_without_traceback(argv, message, tmp_path, capsys):
     assert message in err
     assert "Traceback" not in err
     assert not (tmp_path / "x.csv").exists() and not (tmp_path / "z.obj").exists()
+
+
+#: Each write flag, after a command that succeeds up to the write.
+WRITES = [
+    (["curve", *ELLIPTIC_2, "--C", "0.1", "--samples", "5"], "--out"),
+    (["surface", *ELLIPTIC_2, "--C", "0.1", "--grid", "3x3"], "--out"),
+    (["surface", *ELLIPTIC_2, "--C", "0.1", "--grid", "3x3"], "--obj"),
+    (["validate", *ELLIPTIC_2, "--C", "0.1", "--grid", "5x5"], "--report"),
+    (["special", *SPECIAL_ELLIPTIC, "--a", "1", "--b", "0"], "--report"),
+]
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "a-dir"])
+@pytest.mark.parametrize("command, flag", WRITES, ids=[c[0] + f for c, f in WRITES])
+def test_a_failed_write_exits_2_naming_the_path(command, flag, target, tmp_path, capsys):
+    (tmp_path / "a-dir").mkdir()
+    path = str(tmp_path / target / "x.out" if target == "missing-dir" else tmp_path / target)
+    code, out, err = run([*command, flag, path], capsys)
+    assert code == 2, err
+    assert err.startswith(f"ERROR[usage] cannot write {path!r}: ")
+    assert "Traceback" not in err and "wrote" not in out
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 def test_u0_within_the_pad_snaps_to_the_generation_interval(tmp_path, capsys):

@@ -1,13 +1,20 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmcsurf.builders import RotationType, build_surface, hyperplane_degeneracy, phi_integrand
+from cmcsurf.builders import (
+    SPECS,
+    RotationType,
+    build_surface,
+    hyperplane_degeneracy,
+    phi_integrand,
+)
 from cmcsurf.errors import (
     CaseMismatchError,
     EvalDomainError,
@@ -21,7 +28,7 @@ from cmcsurf.generator import (
     validity_state,
 )
 from cmcsurf.geometry import collect_faults, uniform
-from cmcsurf.profiles import Jet2, ProfileFunction, parse
+from cmcsurf.profiles import ProfileFunction, parse
 from cmcsurf.quadrature import QuadratureConfig
 from cmcsurf.surfaces import fd_oracle, mean_curvature
 from cmcsurf.validation import shrunk_grid, validate_surface
@@ -310,17 +317,49 @@ def test_fresh_u_evaluates_the_profile_at_most_once():
     # at most one profile jet, shared by all three components
     calls = Counter()
 
-    def counted(u):
-        calls[u] += 1
-        return Jet2(1.0 + 0.5 * u, 0.5, 0.0)
+    class Counted(ProfileFunction):
+        def jet(self, u):
+            calls[u] += 1
+            return super().jet(u)
 
-    curve = generate(RotationType.ELLIPTIC, counted, CmcParams(C=0.1), CONFIG, (0.0, 3.0))
+    prof = Counted(parse("1+u/2"), (0.0, 3.0))
+    curve = generate(RotationType.ELLIPTIC, prof, CmcParams(C=0.1), CONFIG, (0.0, 3.0))
     calls.clear()
     us = [0.01 + 2.98 * k / 499 for k in range(500)]
     for u in us:
         curve.jets(u)
     assert max(calls.values(), default=0) <= 1
     assert set(calls) <= set(us)
+
+
+@pytest.mark.parametrize("rotation,text,interval,C", [
+    (RotationType.ELLIPTIC, "1+u/2", (0.0, 3.0), 0.5),
+    (RotationType.HYPERBOLIC_A, "2*u", (0.5, 2.5), 0.5),
+    (RotationType.HYPERBOLIC_B, "2", (0.0, 2.0), 0.1),
+    (RotationType.PARABOLIC, "u", (0.5, 2.0), 0.5),
+])
+def test_fresh_u_makes_one_turning_and_one_slope_call(rotation, text, interval, C,
+                                                      monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    spec = SPECS[rotation]
+    monkeypatch.setitem(SPECS, rotation, replace(
+        spec, turning=counted("turning", spec.turning),
+        slope_jets=counted("slope_jets", spec.slope_jets)))
+    curve = generate(rotation, profile(text, interval), CmcParams(C=C), CONFIG, interval)
+    lo, hi = interval
+    for k, u in enumerate(uniform(lo + 0.1, hi - 0.1, 5)):
+        calls.clear()
+        order = [k % 3, (k + 1) % 3, (k + 2) % 3]  # any component may come first
+        jets = {c: curve.components[c](u) for c in order}
+        assert curve.jets(u) == (jets[0], jets[1], jets[2])
+        assert calls == {"turning": 1, "slope_jets": 1}, (u, calls)
 
 
 def test_validity_full_interval():

@@ -21,7 +21,7 @@ from cmcsurf.builders import (
 from cmcsurf.errors import DegenerateFrameError, NonLorentzMetricError
 from cmcsurf.generator import CmcParams, generate
 from cmcsurf.geometry import Vec4, libm
-from cmcsurf.profiles import Jet2, ProfileFunction
+from cmcsurf.profiles import ProfileFunction
 from cmcsurf.surfaces import (
     FD_STEP,
     PatchJets,
@@ -69,22 +69,18 @@ def test_grid_values_equal_the_scalar_calls(name, curve):
 U0_AT = 0.37
 
 
-def generated(rotation, profile, interval, C, h_sign):
+def generated(rotation, text, interval, C, h_sign):
     """A generated curve with every integration constant nonzero, the base
-    point inside the interval at U0_AT of its width, and phi scaled; a
-    string profile is parsed, any other is a callable u -> Jet2."""
+    point inside the interval at U0_AT of its width, and phi scaled."""
     lo, hi = interval
     params = CmcParams(C=C, h_sign=h_sign, u0=lo + U0_AT * (hi - lo), phi0=0.3,
                        c1=-0.7, c2=1.1)
-    if isinstance(profile, str):
-        profile = ProfileFunction.from_text(profile, interval)
-    return generate(rotation, profile, params, None, interval, phi_scale=0.9)
+    return generate(rotation, ProfileFunction.from_text(text, interval), params, None,
+                    interval, phi_scale=0.9)
 
 
 GENERATED_CURVES = [
     ("generated-elliptic", generated(RotationType.ELLIPTIC, "1+u/2", (0.0, 3.0), 0.5, 1)),
-    ("generated-elliptic-callable", generated(
-        RotationType.ELLIPTIC, lambda u: Jet2(1.0 + 0.5 * u, 0.5, 0.0), (0.0, 3.0), 0.5, 1)),
     ("generated-hyperbolicA", generated(RotationType.HYPERBOLIC_A, "2*u", (0.5, 2.5), 0.5, 1)),
     ("generated-hyperbolicB", generated(RotationType.HYPERBOLIC_B, "2", (0.0, 2.0), 0.3, -1)),
     ("generated-parabolic", generated(RotationType.PARABOLIC, "u", (0.5, 2.0), 0.5, 1)),

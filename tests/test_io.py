@@ -107,6 +107,20 @@ def test_reloaded_curve_is_evaluated_a_column_at_a_time(tmp_path, monkeypatch):
     assert [shape[0] for shape in sweeps] == [9, 9, 9, 9], sweeps
 
 
+def test_reloaded_components_share_one_panel_search_per_float(monkeypatch):
+    us = np.linspace(0.0, 2.0, 9)
+    curve = curve_from_samples(RotationType.ELLIPTIC, us, quintic_jets(us))
+    searched = []
+    locate = PiecewiseLegendre._locate
+    monkeypatch.setattr(PiecewiseLegendre, "_locate",
+                        lambda poly, u: searched.append(u) or locate(poly, u))
+    for k, u in enumerate((0.1, 0.7, 1.3, 1.9)):
+        order = [k % 3, (k + 1) % 3, (k + 2) % 3]  # any component may come first
+        jets = {c: curve.components[c](u) for c in order}
+        assert curve.jets(u) == (jets[0], jets[1], jets[2])
+    assert searched == [0.1, 0.7, 1.3, 1.9]
+
+
 def test_reloaded_components_share_one_sweep_per_column(monkeypatch):
     us = np.linspace(0.0, 2.0, 9)
     curve = curve_from_samples(RotationType.ELLIPTIC, us, quintic_jets(us))

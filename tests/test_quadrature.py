@@ -174,7 +174,7 @@ def float_rows(poly, us):
     single form, the list of every form's value per u for a stacked one."""
     if poly._coefs.ndim == 2:
         return [PiecewiseLegendre.__call__(poly, u) for u in us]
-    return [poly.forms_at(u, 0, poly._coefs.shape[1]) for u in us]
+    return [poly.forms_at(u) for u in us]
 
 
 def bits(values) -> list[int]:
@@ -210,7 +210,7 @@ def test_array_query_names_the_first_u_outside_the_domain():
     with pytest.raises(ValueError, match=r"^u=3\.5 outside the domain \[0\.0, 3\.0\]$"):
         poly(us)
     with pytest.raises(ValueError, match=r"^u=-1\.0 outside the domain \[0\.0, 3\.0\]$"):
-        poly.forms_at(-1.0, 0, 3)
+        poly.forms_at(-1.0)
 
 
 def random_hermite(rng, n: int, k: int):
@@ -309,12 +309,12 @@ def test_stacked_queries_clamp_within_the_pad_and_raise_past_it():
     poly = PiecewiseLegendre.hermite(us, jets)
     a, b = poly.a, poly.b
     pad = 1e-12 * (1.0 + abs(a) + abs(b))
-    assert bits(poly.forms_at(a - 0.5 * pad, 0, 6)) == bits(poly.forms_at(a, 0, 6))
+    assert bits(poly.forms_at(a - 0.5 * pad)) == bits(poly.forms_at(a))
     assert bits(poly(np.array([b + 0.5 * pad]))) == bits(poly(np.array([b])))
     for u in (a - 2.0 * pad, b + 2.0 * pad):
         message = rf"^u={re.escape(repr(u))} outside the domain \[{re.escape(repr(a))}, "
         with pytest.raises(ValueError, match=message):
-            poly.forms_at(u, 3, 6)
+            poly.forms_at(u)
         with pytest.raises(ValueError, match=message):
             poly(np.array([[a], [u]]))
 

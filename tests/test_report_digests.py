@@ -6,7 +6,9 @@ and report JSON), or the 33-sample CSV of ``cmc curve`` (the validity
 scan, generation on the largest usable piece and ``write_curve_csv``), or
 the report of ``cmc validate --csv`` (``load_curve`` and ``validate_surface``
 at library defaults) on the CSV of a feasible validation run written at 401
-and at 33 samples, each at both orientations eta = +1 and -1.
+and at 33 samples, each at both orientations eta = +1 and -1; or the report
+of one of the four special-case audits of criterion 7
+(``compare_special_case`` with the constants of ``test_acceptance``).
 ``report_digests.json`` holds the sha256 of the bytes each case produces; a
 mismatch names the case.
 ``surface_digests.json`` holds those of the two files ``cmc surface --out
@@ -38,7 +40,12 @@ from cmcsurf.generator import CmcParams, domain_validity, generate
 from cmcsurf.errors import CmcError
 from cmcsurf.io import load_curve, write_curve_csv
 from cmcsurf.profiles import ProfileFunction
-from cmcsurf.validation import generate_and_validate, generation_plan, validate_surface
+from cmcsurf.validation import (
+    compare_special_case,
+    generate_and_validate,
+    generation_plan,
+    validate_surface,
+)
 
 E, HA, HB, P = (RotationType.ELLIPTIC, RotationType.HYPERBOLIC_A,
                 RotationType.HYPERBOLIC_B, RotationType.PARABOLIC)
@@ -79,10 +86,19 @@ CURVE_EXPORT = [
 #: sample count of each CSV reloaded by ``cmc validate --csv``, by case kind
 RELOADED = {"csv401": 401, "csv33": 33}
 
+#: constants and interval of each special-case audit, by rotation type, at C = 0.5
+SPECIAL = {
+    "elliptic": ({"a": 1.0, "b": 0.0, "d": 0.0}, (0.3, 1.7)),
+    "hyperbolicA": ({"a": 2.0, "b": 1.0, "d": 0.0}, (0.5, 2.0)),
+    "hyperbolicB": ({"a": 1.0, "b": 2.0, "d": 0.0}, (0.5, 2.0)),
+    "parabolic": ({"a": 1.0, "b": 0.0, "A": 0.3, "B": 1.0}, (0.5, 2.0)),
+}
+
 CASES = [(kind, *case, eta)
          for kind, cases in (("roundtrip", ROUNDTRIP), ("curve", CURVE_EXPORT),
                              *((kind, ROUNDTRIP[:4]) for kind in RELOADED))
-         for case in cases for eta in (1, -1)]
+         for case in cases for eta in (1, -1)] + [
+    ("special", name, 0.5, 1, 1) for name in SPECIAL]
 
 #: (profile, C, h_sign, eta) of the surface exports: the feasible validation runs
 SURFACE_EXPORT = [(*case, eta) for case in ROUNDTRIP[:4] for eta in (1, -1)]
@@ -97,6 +113,10 @@ def case_id(kind: str, name: str, C: float, h_sign: int, eta: int) -> str:
 
 
 def case_bytes(kind: str, name: str, C: float, h_sign: int, eta: int) -> bytes:
+    if kind == "special":  # the audit forces h_sign itself
+        constants, interval = SPECIAL[name]
+        return compare_special_case(RotationType(name), constants, CmcParams(C=C, eta=eta),
+                                    interval).to_json().encode()
     rotation, text, consts, interval = PROFILES[name]
     profile = ProfileFunction.from_text(text, interval, consts)
     params = CmcParams(C=C, h_sign=h_sign, eta=eta)

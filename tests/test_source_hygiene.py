@@ -58,13 +58,12 @@ DISPATCH = re.compile(r"is (not )?RotationType\.|in \(RotationType\.|\bcase_a\b"
 
 
 def test_rotation_dispatch_stays_in_the_table():
-    # the one branch left converts the parabolic phi of the special-case
-    # audit to psi'; any other per-type fact belongs in builders.SPECS
+    # every per-type fact belongs in builders.SPECS
     hits = [f"{path.name}:{n}: {line.strip()}"
             for path in sorted(SRC.glob("*.py"))
             for n, line in enumerate(path.read_text().splitlines(), 1)
             if DISPATCH.search(line)]
-    assert len(hits) <= 1, hits
+    assert not hits, hits
 
 
 #: Top-level packages the library may import besides the standard library.
