@@ -37,9 +37,10 @@ turning equations and their slopes accept a broadcast grid (u a column, v
 a row; see ``surfaces``) as well as a float (u, v), and a grid entry equals
 the float call at its point bit for bit.  A generated or reloaded curve
 states its jets once, as one function of a float u or a u column (one
-profile jet, one turning call and one Clenshaw sum or sweep per
-quadrature, see ``generator.generate``; one panel search or sweep of nine
-stacked spline forms, see ``io.curve_from_samples``), and its three
+profile jet, one turning call, one slope call and one Clenshaw sum or
+sweep for t and one for both stacked coordinates, see
+``generator.generate``; one panel search or sweep of nine stacked spline
+forms, see ``io.curve_from_samples``), and its three
 components are views that share one call of it per u
 (``shared_components``).  ``GeneratingCurve.jets`` answers a u column with
 one call of the curve's ``column`` function: that jets function for a

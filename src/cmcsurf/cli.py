@@ -147,9 +147,9 @@ def _add_common(sub: argparse.ArgumentParser, grid: tuple[int, int] | None = Non
     sub.add_argument("--c1", type=float, default=0.0)
     sub.add_argument("--c2", type=float, default=0.0)
     sub.add_argument("--rel-tol", type=_tolerance, default=QuadratureConfig.rel_tol,
-                     help="quadrature tolerance: a panel is bisected until its Legendre "
-                          "tail, times its width, is below this times the interval "
-                          "width times max|integrand| (default %(default)g, floor 1e-16)")
+                     help="quadrature tolerance: a panel is bisected until each integrand's "
+                          "Legendre tail times the panel width is below this times the "
+                          "interval width times its own max|f| (default %(default)g, floor 1e-16)")
     if grid is not None:
         sub.add_argument("--csv", help="reload the curve from a curve CSV instead of "
                                        "generating it")

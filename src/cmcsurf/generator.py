@@ -17,10 +17,12 @@ first-order equation for a turning function phi(u) driven by the profile
                phi = f' * (A + integral of psi'),  x1' = phi,
                g'  = (phi^2 - 1) / (2 f').
 
-phi (and the coordinate components) are recovered by adaptive quadrature;
-the curve jets are then assembled *analytically* from these identities,
-never by differencing quadrature output, so arc-length holds to roundoff
-and the twist x1'x2''-x1''x2' equals (1+(r')^2) phi' identically.
+phi (and the coordinate components) are recovered by adaptive quadrature:
+one build for phi, then one stacked build for both coordinates, whose
+integrand reads both x' from one slope call at phi.  The curve jets are
+then assembled *analytically* from these identities, never by
+differencing quadrature output, so arc-length holds to roundoff and the
+twist x1'x2''-x1''x2' equals (1+(r')^2) phi' identically.
 
 Sign bookkeeping: ``h_sign`` is the sign of <H, H> (the paper-level
 choice under the radical) and ``eta`` the overall orientation of phi.
@@ -41,8 +43,9 @@ every curve query, and the scan asks the same equation.  The scan
 (domain_validity) evaluates its 1025 points as one u column: one profile
 jet and one turning call over all of them, whose failed checks become
 masks (``geometry.collect_faults``).  Only the bisection of each boundary
-evaluates single float points.  The quadratures are built from float
-nodes, through a profile memo that only the build reads.  A generated
+evaluates single float points.  The two quadratures are built from float
+nodes, through a profile memo that only the builds read: both bisect the
+same interval, so they share most of their nodes.  A generated
 curve answers a float u and a u column through one function, the way the
 scan does: one profile jet, one turning call, one slope call and one
 Clenshaw sum (or sweep) per quadrature, shared by the three components.
@@ -122,24 +125,25 @@ def generate(rotation: RotationType, profile: ProfileFunction, params: CmcParams
     One body serves every type: the spec's turning function t (phi, or psi
     for parabolic curves) is the quadrature of ``spec.turning`` from u0,
     offset by ``params.phi0`` (the parabolic constant A in phi = f'(A +
-    ...)), and the two non-profile components are the quadratures of the
-    x' of ``spec.slope_jets`` at t, offset by ``params.c1`` and
-    ``params.c2``, whose (x', x'') at t and t' the curve reports.  The
-    turning equation checks the profile at every quadrature node and curve
-    query: it raises CaseMismatchError / NearNullSlopeError where a
-    hyperbolic profile's slope contradicts the case or enters the null
-    band, and the error of any other precondition (see ``checked_jet``)
-    where that fails.
+    ...)), and the two non-profile components are one stacked quadrature
+    of both x' of ``spec.slope_jets`` at t (one slope call per node),
+    offset by ``params.c1`` and ``params.c2``, whose (x', x'') at t and t'
+    the curve reports.  So a generation makes two ``CumulativeIntegral``
+    builds.  The turning equation checks the profile at every quadrature
+    node and curve query: it raises CaseMismatchError / NearNullSlopeError
+    where a hyperbolic profile's slope contradicts the case or enters the
+    null band, and the error of any other precondition (see
+    ``checked_jet``) where that fails.
 
     The curve's jets at u come from one function, ``curve_jets``: one
-    profile jet, one turning call, one ``slope_jets`` call and the two
-    offset integrals, at a float u or a u column alike (one Clenshaw sweep
-    per quadrature), so each column entry equals the float query.  The
-    three components share its one call per float u
-    (``builders.shared_components``); the curve's ``column`` calls it
-    directly.  generate queries the curve at both ends of the interval, so
-    a curve that cannot be evaluated there is refused with the error of
-    the first offending end.
+    profile jet, one turning call, one ``slope_jets`` call and one query of
+    the coordinate integrals for both, at a float u or a u column alike
+    (one Clenshaw sweep for t and one for both coordinates), so each column
+    entry equals the float query.  The three components share its one call
+    per float u (``builders.shared_components``); the curve's ``column``
+    calls it directly.  generate queries the curve at both ends of the
+    interval, so a curve that cannot be evaluated there is refused with
+    the error of the first offending end.
 
     ``phi_scale`` multiplies t - phi0 after quadrature; values other than
     1.0 break the CMC property on purpose (negative-control hook) while
@@ -148,7 +152,6 @@ def generate(rotation: RotationType, profile: ProfileFunction, params: CmcParams
     spec = SPECS[rotation]
     # locals: the closures below run per quadrature node
     turning, slope_jets = spec.turning, spec.slope_jets
-    config = config or QuadratureConfig()
     jet, profile_memo = profile.jet, {}
 
     def rj(u: float) -> Jet2:
@@ -173,19 +176,19 @@ def generate(rotation: RotationType, profile: ProfileFunction, params: CmcParams
     def t(u: float) -> float:
         return params.phi0 + phi_scale * (t_cum(u) - t_off)
 
-    integrals = []  # (c, the integral of the i-th slope from a, its value at u0)
-    for i, c in enumerate((params.c1, params.c2)):
-        # the i-th slope's x'; its x'' at t' = 0 goes unread
-        cum = CumulativeIntegral(lambda u, i=i: slope_jets(rj(u), t(u), 0.0)[i][0],
-                                 a, b, config)
-        integrals.append((c, cum, cum(u0)))
+    def slopes(u: float) -> tuple[float, float]:
+        # both x'; their x'' at t' = 0 go unread
+        (x, _), (y, _) = slope_jets(rj(u), t(u), 0.0)
+        return x, y
+    x_cum = CumulativeIntegral(slopes, a, b, config)
+    x_ends = list(zip((params.c1, params.c2), x_cum(u0)))  # (c, the integral at u0)
 
     def curve_jets(u) -> tuple[Jet2, Jet2, Jet2]:
         p = jet(u)
         slope_pair = slope_jets(p, t(u), phi_scale * turning(p, params, u))
-        # c + the integral of the i-th slope from u0, and its (x', x'')
-        jets = [Jet2(c + cum(u) - off, *slope)
-                for (c, cum, off), slope in zip(integrals, slope_pair)]
+        # c + the integral of each slope from u0, and its (x', x'')
+        jets = [Jet2(c + x - off, *slope)
+                for (c, off), x, slope in zip(x_ends, x_cum(u), slope_pair)]
         jets.insert(spec.profile_slot, p)
         return tuple(jets)
 

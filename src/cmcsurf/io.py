@@ -14,8 +14,9 @@ curve reproduces validation results to the sampling resolution.  The
 splines are one ``quadrature.PiecewiseLegendre``, the evaluator of
 generated curves, so neither kind of curve extrapolates: nine forms
 (value, d1 and d2 of each component) stacked on the sample panels.  A
-reloaded curve's jets come from one function of a float u (one panel
-search and nine Clenshaw sums) or of a u column (one sweep of all nine
+reloaded curve's jets come from one function that makes one query of the
+stacked forms, the same call for a float u (one panel search and nine
+Clenshaw sums, as a list) and for a u column (one sweep of all nine
 forms), which its three components share (``builders.shared_components``);
 its ``GeneratingCurve.column`` calls the components, so validation
 evaluates it a column at a time, as it does a generated curve.
@@ -113,11 +114,12 @@ def curve_from_samples(rotation: RotationType, us: Sequence[float],
     both derivatives at every sample; the jets of the rebuilt curve come
     from the spline and its analytic derivatives (no differencing), all
     nine stacked in one ``PiecewiseLegendre``.  One function gives the
-    three jets: at a float u all nine forms (``forms_at``: one panel
-    search, then nine Clenshaw sums), at an ndarray of u one sweep of the
-    nine, as Jet2s of arrays of its shape.  The three components share its
-    one call per u, and the curve's column is ``component_columns``, so a
-    column is one sweep and a fresh float u one panel search.
+    three jets from one query of it: at a float u the list of all nine
+    forms (one panel search, then nine Clenshaw sums), at an ndarray of u
+    one sweep of the nine, as Jet2s of arrays of its shape.  The three
+    components share its one call per u, and the curve's column is
+    ``component_columns``, so a column is one sweep and a fresh float u
+    one panel search.
     Raises ValueError unless ``us`` is finite and strictly increasing and
     every jet is finite.
     """
@@ -128,7 +130,7 @@ def curve_from_samples(rotation: RotationType, us: Sequence[float],
     form = PiecewiseLegendre.hermite(us, jets)
 
     def curve_jets(u) -> tuple[Jet2, Jet2, Jet2]:
-        rows = form(u) if isinstance(u, np.ndarray) else form.forms_at(u)
+        rows = form(u)
         return tuple(_new(Jet2, tuple(rows[k:k + 3])) for k in (0, 3, 6))
 
     return GeneratingCurve(rotation, shared_components(curve_jets),

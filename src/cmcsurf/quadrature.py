@@ -1,36 +1,36 @@
 """Piecewise-Legendre evaluation and adaptive cumulative quadrature.
 
-The curve generator integrates the phi-equation and the coordinate
-integrands over one interval but needs the antiderivative at arbitrary
-interior points (grid samples, finite-difference stencils).  One rule
-places the panels: a panel's 15 Gauss-Legendre samples fix the Legendre
-coefficients of its degree-14 interpolant, and it is accepted once their
-tail has decayed, or else bisected (Chebfun's chopping, applied to
-fixed-size panels).  Panel boundaries carry the Gauss-Legendre prefix sums
-and each panel keeps the antiderivative of its interpolant (Greengard's
-spectral integration, as in Chebfun's piecewise ``cumsum``), so a query is
-one Clenshaw sum, never calls the integrand, and nearby values agree to
-machine precision rather than to the global tolerance.
+The curve generator integrates the phi-equation, and then both coordinate
+integrands at once, over one interval but needs the antiderivatives at
+arbitrary interior points (grid samples, finite-difference stencils).  One
+rule places the panels: a panel's 15 Gauss-Legendre samples fix the
+Legendre coefficients of its degree-14 interpolant, and it is accepted
+once their tail has decayed, or else bisected (Chebfun's chopping, applied
+to fixed-size panels).  Panel boundaries carry the Gauss-Legendre prefix
+sums and each panel keeps the antiderivative of its interpolant
+(Greengard's spectral integration, as in Chebfun's piecewise ``cumsum``),
+so a query is one Clenshaw sum, never calls the integrand, and nearby
+values agree to machine precision rather than to the global tolerance.
 
 ``PiecewiseLegendre`` is that per-panel form (de Boor's pp-form in a
 Legendre basis), or k such forms stacked on one set of panels;
-``CumulativeIntegral`` builds one from an integrand, and
-``PiecewiseLegendre.hermite`` stacks the quintic Hermite interpolants of
-sampled functions with their first two derivatives (a reloaded curve CSV:
-3 components times value, d1 and d2).  A ``PiecewiseLegendre`` answers a
-float u with one Clenshaw sum per form on Python floats, or a whole
-ndarray of u with one Clenshaw sweep over numpy arrays for all its forms
-that repeats the float sum's operations entry by entry, so both give the
-same value bit for bit.  ``CumulativeIntegral`` memoizes its float
-queries per u and answers an ndarray of u with one unmemoized sweep; both
-give exactly 0 at ``a`` and the total at ``b``.
+``CumulativeIntegral`` builds one from an integrand, or k stacked ones from
+an integrand that returns a tuple of k floats (the generator's two
+coordinates), and ``PiecewiseLegendre.hermite`` stacks the quintic Hermite
+interpolants of sampled functions with their first two derivatives (a
+reloaded curve CSV: 3 components times value, d1 and d2).  A
+``PiecewiseLegendre`` answers a float u with one panel search and one
+Clenshaw sum per form on Python floats (a float, or a list of k), or a
+whole ndarray of u with one Clenshaw sweep over numpy arrays for all its
+forms that repeats the float sum's operations entry by entry, so both give
+the same value bit for bit.  ``CumulativeIntegral`` memoizes nothing; both
+kinds of query give exactly 0 at ``a`` and the total at ``b``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -69,9 +69,10 @@ class QuadratureConfig:
 
     A panel of width w is accepted when w (|c13| + |c14|) <= rel_tol (b - a)
     max|f|, with c13, c14 its two highest Legendre coefficients and max|f|
-    over every sample taken so far; values below ``REL_TOL_FLOOR`` act as
-    the floor.  The default sits at roundoff: a looser one lets the panel
-    holding a jump pass before ``MAX_DEPTH``.
+    over every sample taken so far; the integrands of a stacked build must
+    each pass, against their own max|f|.  Values below ``REL_TOL_FLOOR``
+    act as the floor.  The default sits at roundoff: a looser one lets the
+    panel holding a jump pass before ``MAX_DEPTH``.
     """
 
     rel_tol: float = 1e-15
@@ -81,14 +82,23 @@ class QuadratureConfig:
             raise ValueError("rel_tol must be positive")
 
 
-def gauss15(f: Callable[[float], float], a: float, b: float) -> float:
-    """Fixed 15-point Gauss-Legendre integral of f over [a, b]."""
+def _weighted_sum(ys, half: float) -> float:
+    total = 0.0
+    for w, y in zip(_GL_WEIGHTS, ys):
+        total += w * y
+    return total * half
+
+
+def gauss15(f: Callable[[float], float | tuple[float, ...]], a: float, b: float):
+    """Fixed 15-point Gauss-Legendre integral of f over [a, b]; for an f that
+    returns a tuple of floats, the tuple of its entries' integrals, each
+    summed as a float f of that entry would be, bit for bit."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    total = 0.0
-    for x, w in zip(_GL_NODES, _GL_WEIGHTS):
-        total += w * f(mid + half * x)
-    return total * half
+    ys = [f(mid + half * x) for x in _GL_NODES]
+    if isinstance(ys[0], tuple):
+        return tuple(_weighted_sum(entry, half) for entry in zip(*ys))
+    return _weighted_sum(ys, half)
 
 
 def _legval(x, c, steps):
@@ -110,15 +120,15 @@ class PiecewiseLegendre:
     with x in [-1, 1] the local coordinate of u, for coefficients up to
     degree 15; or k such forms stacked on one set of panels, with
     coefficients of shape (panels, k, degree + 1) and offsets of shape
-    (panels, k).  A float query of one form returns a float, and
-    ``forms_at`` returns every stacked form at a float u, as a list: one
-    panel search for all k.  An ndarray query returns an array of u's
-    shape, or of shape (k, *u.shape) for k stacked forms, whose every entry
-    is the float query's value at it, bit for bit: one domain check, one
-    panel search, one gather and one Clenshaw sweep for all k forms.  A
-    float query runs on Python floats (the coefficient rows become lists at
-    the first one); an array query gathers each u's panel from ndarrays.  Both run the same Clenshaw steps, from the
-    panels' own degree.  A u outside [a, b] by more than
+    (panels, k).  A float query returns a float for one form and a list of
+    k floats for k stacked ones: one panel search for all k.  An ndarray
+    query returns an array of u's shape, or of shape (k, *u.shape) for k
+    stacked forms, whose every entry is the float query's value at it, bit
+    for bit: one domain check, one panel search, one gather and one
+    Clenshaw sweep for all k forms.  A float query runs on Python floats
+    (the coefficient rows become lists at the first one); an array query
+    gathers each u's panel from ndarrays.  Both run the same Clenshaw
+    steps, from the panels' own degree.  A u outside [a, b] by more than
     1e-12 (1 + |a| + |b|) raises ValueError naming it (the first such u of
     an array); one within that pad is clamped."""
 
@@ -180,15 +190,10 @@ class PiecewiseLegendre:
         if isinstance(u, np.ndarray):
             return self._column(u)
         i, x = self._locate(u)
+        if self._coefs.ndim == 3:  # one panel search, then one Clenshaw sum per form
+            return [offset + _legval(x, row, self._steps)
+                    for offset, row in zip(self._offsets[i], self._rows[i])]
         return self._offsets[i] + _legval(x, self._rows[i], self._steps)
-
-    def forms_at(self, u: float) -> list[float]:
-        """Every stacked form at a float u: one panel search, then one
-        Clenshaw sum on Python floats per form."""
-        i, x = self._locate(u)
-        steps = self._steps
-        return [offset + _legval(x, row, steps)
-                for offset, row in zip(self._offsets[i], self._rows[i])]
 
     def _column(self, u: np.ndarray) -> np.ndarray:
         """The float query's operations on every entry of u at once; like
@@ -209,38 +214,41 @@ class PiecewiseLegendre:
 
 
 class CumulativeIntegral(PiecewiseLegendre):
-    """Antiderivative F(u) = integral of f from ``a`` to u, for u in [a, b].
+    """Antiderivative F(u) = integral of f from ``a`` to u, for u in [a, b];
+    for an f that returns a tuple of k floats, the k antiderivatives of its
+    entries, stacked on one set of panels.
 
     Panels come from one breadth-first bisection of [a, b]: each pending
     panel is sampled once, through ``gauss15``, and is accepted when the
-    Legendre tail of its degree-14 interpolant has decayed
-    (``QuadratureConfig``), else split in two.  The Gauss-Legendre sums of
-    the accepted panels give F at the panel boundaries (the offsets), and
-    each panel keeps the antiderivative of its interpolant, vanishing at
-    its left end.  A query is a ``PiecewiseLegendre`` query and calls f
-    zero times, so differences of F at nearby points (finite-difference
-    stencils) are accurate far beyond the global tolerance.  Float queries
-    are memoized per instance; an ndarray query is one Clenshaw sweep, and
-    either kind returns exactly 0.0 at ``a`` and ``total`` at ``b``, where
-    the sum would be off by roundoff.  Raises QuadratureError
-    when a panel at MAX_DEPTH still fails, when a level would sample more
-    than MAX_PANELS panels, or when f is not finite at a node or raises an
-    ArithmeticError (OverflowError, ZeroDivisionError) there.
+    Legendre tail of each integrand's degree-14 interpolant has decayed
+    (``QuadratureConfig``), else split in two.  Each integrand's
+    Gauss-Legendre sums over the accepted panels, added in order, give its
+    F at the panel boundaries (the offsets), and each panel keeps the
+    antiderivative of its interpolant, vanishing at its left end.  A query
+    is a ``PiecewiseLegendre`` query and calls f zero times, so differences
+    of F at nearby points (finite-difference stencils) are accurate far
+    beyond the global tolerance.  Either kind of query returns exactly 0.0
+    at ``a`` and ``total`` at ``b`` (per form), where the sum would be off
+    by roundoff; ``total`` is a float, or a list of k.  Raises
+    QuadratureError when a panel at MAX_DEPTH still fails, when a level
+    would sample more than MAX_PANELS panels, or when f is not finite at a
+    node or raises an ArithmeticError (OverflowError, ZeroDivisionError)
+    there.
     """
 
-    def __init__(self, f: Callable[[float], float], a: float, b: float,
+    def __init__(self, f: Callable[[float], float | tuple[float, ...]], a: float, b: float,
                  config: QuadratureConfig | None = None):
         if not b > a:
             raise ValueError("need b > a")
         tol = max((config or QuadratureConfig()).rel_tol, REL_TOL_FLOOR) * (b - a)
-        samples: list[float] = []
+        samples: list = []
 
-        def sampled(u: float) -> float:  # gauss15 visits the nodes in order
+        def sampled(u: float):  # gauss15 visits the nodes in order
             y = f(u)
             samples.append(y)
             return y
 
-        accepted = []  # (lo, hi, Gauss-Legendre sum, Legendre coefficients)
+        accepted = []  # (lo, hi, Gauss-Legendre sums, Legendre coefficients per form)
         pending, scale, depth = [(a, b)], 0.0, 0
         while pending:
             samples.clear()
@@ -249,19 +257,25 @@ class CumulativeIntegral(PiecewiseLegendre):
             except ArithmeticError as exc:  # math.sinh and x / 0.0 raise, not return inf
                 raise QuadratureError(f"integrand overflows or divides by zero on "
                                       f"[{a!r}, {b!r}] ({type(exc).__name__}: {exc})") from exc
-            # a whole level at once: numpy per panel costs more than the sampling
-            values = np.reshape(samples, (len(pending), 15))
+            # a whole level at once: numpy per panel costs more than the
+            # sampling.  One row of 15 samples per panel and form, so a single
+            # form runs the (panels, 15) products of a float integrand: a
+            # batched (panels, 1, 15) product rounds differently
+            values = np.reshape(samples, (len(pending), 15, -1)).swapaxes(1, 2)
             if not np.isfinite(values).all():
                 raise QuadratureError(f"integrand not finite on [{a!r}, {b!r}]")
-            scale = max(scale, float(np.abs(values).max()))
-            mean = values @ _TO_LEGENDRE[:, 0]
+            scale = np.maximum(scale, np.abs(values).max(axis=(0, 2)))  # per form
+            rows = values.reshape(-1, 15)
+            mean = rows @ _TO_LEGENDRE[:, 0]
             # with rounded nodes, sum_k w_k P_j(x_k) is ~1e-16 rather than 0 for
             # j > 0; taking c_j from the deviations keeps that defect, times the
             # mean, out of the coefficients (it doubled the error of phi) and
             # out of the tail (it split a constant integrand into 8 panels)
-            coefs = (values - mean[:, None]) @ _TO_LEGENDRE
+            coefs = (rows - mean[:, None]) @ _TO_LEGENDRE
             coefs[:, 0] = mean
-            ok = np.diff(pending).ravel() * np.abs(coefs[:, 13:]).sum(axis=1) <= tol * scale
+            coefs = coefs.reshape(values.shape)
+            # every form's tail against its own max|f|
+            ok = (np.diff(pending) * np.abs(coefs[:, :, 13:]).sum(2) <= tol * scale).all(1)
             accepted += [(*p, q, c) for p, q, c, k in zip(pending, sums, coefs, ok) if k]
             failed = [p for p, k in zip(pending, ok) if not k]
             if failed and (depth == MAX_DEPTH or 2 * len(failed) > MAX_PANELS):
@@ -273,22 +287,21 @@ class CumulativeIntegral(PiecewiseLegendre):
         accepted.sort(key=lambda panel: panel[0])
         _, his, sums, coefs = zip(*accepted)
         nodes = (a, *his)
-        offsets = list(accumulate(sums, initial=0.0))  # F at the nodes
-        halves = 0.5 * np.diff(nodes)[:, None]
-        super().__init__(nodes, offsets[:-1],
-                         _legendre.legint(np.array(coefs), lbnd=-1, axis=1) * halves)
-        self.total = offsets[-1]
-        # keep endpoints exact
-        self._cache: dict[float, float] = {a: 0.0, b: self.total}
+        # F at the nodes: each form's prefix sums, added in order (cumsum does
+        # not pair them up as np.sum does)
+        offsets = np.cumsum([np.zeros_like(sums[0]), *sums], axis=0)
+        halves = 0.5 * np.diff(nodes)[:, None, None]
+        coefs = _legendre.legint(np.array(coefs), lbnd=-1, axis=2) * halves
+        super().__init__(nodes, offsets[:-1], coefs if isinstance(sums[0], tuple) else coefs[:, 0])
+        # the exact ends, per form: a sum there is off by roundoff
+        self._cache = {a: offsets[0].tolist(), b: offsets[-1].tolist()}
+        self.total = self._cache[b]
 
-    def __call__(self, u: float) -> float:
-        try:
-            value = self._cache.get(u)
-        except TypeError:  # an ndarray is unhashable
-            value = super().__call__(u)
-            value[u == self.a] = 0.0
-            value[u == self.b] = self.total
-            return value
-        if value is None:  # by name: a zero-argument super() costs 0.3 µs per miss
-            value = self._cache[u] = PiecewiseLegendre.__call__(self, u)
+    def __call__(self, u):
+        if not isinstance(u, np.ndarray):
+            end = self._cache.get(u)
+            return PiecewiseLegendre.__call__(self, u) if end is None else end
+        value = PiecewiseLegendre.__call__(self, u)
+        for end, exact in self._cache.items():  # each form's value, at every such u
+            value[..., u == end] = np.reshape(exact, (-1, 1))
         return value

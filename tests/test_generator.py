@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmcsurf import generator
 from cmcsurf.builders import (
     SPECS,
     RotationType,
@@ -29,7 +30,7 @@ from cmcsurf.generator import (
 )
 from cmcsurf.geometry import collect_faults, uniform
 from cmcsurf.profiles import ProfileFunction, parse
-from cmcsurf.quadrature import QuadratureConfig
+from cmcsurf.quadrature import CumulativeIntegral, QuadratureConfig
 from cmcsurf.surfaces import fd_oracle, mean_curvature
 from cmcsurf.validation import shrunk_grid, validate_surface
 
@@ -360,6 +361,40 @@ def test_fresh_u_makes_one_turning_and_one_slope_call(rotation, text, interval, 
         jets = {c: curve.components[c](u) for c in order}
         assert curve.jets(u) == (jets[0], jets[1], jets[2])
         assert calls == {"turning": 1, "slope_jets": 1}, (u, calls)
+
+
+@pytest.mark.parametrize("rotation,text,interval,C,nodes", [
+    (RotationType.ELLIPTIC, "1+u/2", (0.0, 3.0), 0.3, 135),
+    (RotationType.HYPERBOLIC_A, "2*u", (0.5, 2.5), 0.5, None),
+    (RotationType.HYPERBOLIC_B, "2", (0.0, 2.0), 0.1, None),
+    (RotationType.PARABOLIC, "u", (0.5, 2.0), 0.5, None),
+])
+def test_generate_builds_t_then_both_coordinates_at_one_slope_call_per_node(
+        rotation, text, interval, C, nodes, monkeypatch):
+    builds, slope_calls = [], [0]
+
+    class Counted(CumulativeIntegral):
+        def __init__(self, f, a, b, config=None):
+            builds.append(0)
+            build = len(builds) - 1
+
+            def counted(u):
+                builds[build] += 1
+                return f(u)
+            super().__init__(counted, a, b, config)
+
+    def slope_jets(*args):
+        slope_calls[0] += 1
+        return spec.slope_jets(*args)
+
+    spec = SPECS[rotation]
+    monkeypatch.setitem(SPECS, rotation, replace(spec, slope_jets=slope_jets))
+    monkeypatch.setattr(generator, "CumulativeIntegral", Counted)
+    generate(rotation, profile(text, interval), CmcParams(C=C), CONFIG, interval)
+    assert len(builds) == 2  # t, then the stacked coordinates
+    # one call per coordinate node, and one per end query of generate
+    assert slope_calls[0] == builds[1] + 2
+    assert nodes is None or builds[1] == nodes
 
 
 def test_validity_full_interval():

@@ -172,9 +172,7 @@ def piecewise_legendre_forms(name):
 def float_rows(poly, us):
     """The float query at each u of the flat list us: one value per u for a
     single form, the list of every form's value per u for a stacked one."""
-    if poly._coefs.ndim == 2:
-        return [PiecewiseLegendre.__call__(poly, u) for u in us]
-    return [poly.forms_at(u) for u in us]
+    return [PiecewiseLegendre.__call__(poly, u) for u in us]
 
 
 def bits(values) -> list[int]:
@@ -210,7 +208,7 @@ def test_array_query_names_the_first_u_outside_the_domain():
     with pytest.raises(ValueError, match=r"^u=3\.5 outside the domain \[0\.0, 3\.0\]$"):
         poly(us)
     with pytest.raises(ValueError, match=r"^u=-1\.0 outside the domain \[0\.0, 3\.0\]$"):
-        poly.forms_at(-1.0)
+        poly(-1.0)
 
 
 def random_hermite(rng, n: int, k: int):
@@ -309,14 +307,58 @@ def test_stacked_queries_clamp_within_the_pad_and_raise_past_it():
     poly = PiecewiseLegendre.hermite(us, jets)
     a, b = poly.a, poly.b
     pad = 1e-12 * (1.0 + abs(a) + abs(b))
-    assert bits(poly.forms_at(a - 0.5 * pad)) == bits(poly.forms_at(a))
+    assert bits(poly(a - 0.5 * pad)) == bits(poly(a))
     assert bits(poly(np.array([b + 0.5 * pad]))) == bits(poly(np.array([b])))
     for u in (a - 2.0 * pad, b + 2.0 * pad):
         message = rf"^u={re.escape(repr(u))} outside the domain \[{re.escape(repr(a))}, "
         with pytest.raises(ValueError, match=message):
-            poly.forms_at(u)
+            poly(u)
         with pytest.raises(ValueError, match=message):
             poly(np.array([[a], [u]]))
+
+
+#: integrands of one stacked build on [0, 1]: cos, exp and sqrt(1 - x)
+STACKED = (math.cos, math.exp, lambda x: math.sqrt(1.0 - x))
+
+
+def stacked_integrand(x):
+    return tuple(f(x) for f in STACKED)
+
+
+def test_gauss15_of_a_tuple_is_each_entrys_gauss15():
+    for a, b in ((0.0, 1.0), (0.2, 0.9), (0.5, 0.75)):
+        assert bits(gauss15(stacked_integrand, a, b)) == bits([gauss15(f, a, b) for f in STACKED])
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_one_entry_tuple_build_is_the_float_build(name):
+    f, _, _, (a, b) = FUNCTIONS[name]
+    alone = CumulativeIntegral(f, a, b)
+    boxed = CumulativeIntegral(lambda x: (f(x),), a, b)
+    assert boxed._nodes == alone._nodes
+    assert bits(boxed._coefs[:, 0]) == bits(alone._coefs)
+    assert bits(boxed._shifts[:, 0]) == bits(alone._shifts)
+    assert bits(boxed.total) == bits([alone.total])
+    us = query_points(np.random.default_rng(5), alone)
+    assert bits([boxed(u) for u in us.tolist()]) == bits([[alone(u)] for u in us.tolist()])
+    assert bits(boxed(us)) == bits(alone(us))
+
+
+def test_stacked_build_queries_each_form():
+    cum = CumulativeIntegral(stacked_integrand, 0.0, 1.0)
+    us = query_points(np.random.default_rng(6), cum)
+    column = cum(us[:, None])
+    assert column.shape == (3, len(us), 1)
+    # the ends are exact in both kinds of query, and the clamp pads and NaN
+    # are the float query's value entry by entry
+    assert bits(column[:, :, 0].T) == bits([cum(u) for u in us.tolist()])
+    assert bits(cum(0.0)) == bits([0.0] * 3) and bits(cum(1.0)) == bits(cum.total)
+    assert bits(cum(np.array([1.0, 0.0]))) == bits([[t, 0.0] for t in cum.total])
+    # each form as exact as its own float build (the tests above)
+    sin, _, _ = cum(us[:2_000])
+    assert np.abs(sin - np.sin(us[:2_000])).max() <= 1e-15
+    assert abs(cum.total[1] - (math.e - 1.0)) <= 1e-15
+    assert abs(cum.total[2] - 2.0 / 3.0) <= 1e-15
 
 
 @pytest.mark.parametrize("rotation, text, interval, C", [
