@@ -35,7 +35,10 @@ The position formulas and their v-derivatives, the closed-form frames,
 h2_closed, the arc-length and twist expressions, the profile checks, the
 turning equations and their slopes accept a broadcast grid (u a column, v
 a row; see ``surfaces``) as well as a float (u, v), and a grid entry equals
-the float call at its point bit for bit.  A generated or reloaded curve
+the float call at its point bit for bit.  Generation calls the turning
+equation and the slope formula the same way: each quadrature level of a
+generated curve is one call on the u column of its Gauss nodes (see
+``generator.generate``).  A generated or reloaded curve
 states its jets once, as one function of a float u or a u column (one
 profile jet, one turning call, one slope call and one Clenshaw sum or
 sweep for t and one for both stacked coordinates, see
@@ -455,7 +458,8 @@ def phi_integrand(s: float, case_sign: int, r: Jet2, params: CmcParams,
     (as in h2_closed): s = +1 elliptic, s = -1 hyperbolic, whose
     ``case_sign`` (the spec's: +1 case A, -1 case B, 0 elliptic) is the
     sign k must have.  The spec binds s and case_sign positionally, which
-    keeps the call per quadrature node on CPython's fast path.
+    keeps each float call (a curve query at a fresh u) on CPython's fast
+    path.
 
     Raises NearNullSlopeError (|k| < TAU_SLOPE, which k >= 1 rules out for
     elliptic profiles), CaseMismatchError (k of the other case's sign),

@@ -33,6 +33,7 @@ from .geometry import uniform
 from .profiles import ProfileFunction
 from .quadrature import QuadratureConfig
 from .validation import (
+    CLOSED_VS_ORACLE_TOL,
     Tolerances,
     closed_vs_oracle,
     compare_special_case,
@@ -350,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = subs.add_parser("oracle",
                                help="closed form vs kernel curvature comparison")
     _add_common(p_oracle, grid=(21, 21))
-    p_oracle.add_argument("--tol", type=_tolerance, default=Tolerances.closed_vs_oracle)
+    p_oracle.add_argument("--tol", type=_tolerance, default=CLOSED_VS_ORACLE_TOL)
     p_oracle.set_defaults(func=_cmd_oracle)
     _reject_with_csv(p_oracle, "C", "hsign")
 

@@ -34,7 +34,7 @@ The turning equations (phi_integrand, psi_integrand_parabolic) and the
 one slope formula they fix (``slope_jets``, integrated and reported) live
 in builders, next to h2_closed, with each RotationSpec of builders.SPECS;
 generate is the one generator body for all four types.  This module keeps
-the quadrature of those equations, the profile memo and the feasibility scan.
+the quadrature of those equations and the feasibility scan.
 
 The turning equation is the one gate of generation: its checks (r > 0 or
 f f' != 0, the hyperbolic case's sign of (r')^2 - 1 outside the null band,
@@ -43,9 +43,12 @@ every curve query, and the scan asks the same equation.  The scan
 (domain_validity) evaluates its 1025 points as one u column: one profile
 jet and one turning call over all of them, whose failed checks become
 masks (``geometry.collect_faults``).  Only the bisection of each boundary
-evaluates single float points.  The two quadratures are built from float
-nodes, through a profile memo that only the builds read: both bisect the
-same interval, so they share most of their nodes.  A generated
+evaluates single float points.  Each level of a quadrature build is a u
+column too, the level's Gauss nodes: one profile jet and one turning call
+for phi, and one profile jet, one query of phi and one slope call for the
+coordinates.  Only a node whose check fails, or whose value is not finite,
+is evaluated again as a float, to raise its error (see
+``quadrature.CumulativeIntegral``).  A generated
 curve answers a float u and a u column through one function, the way the
 scan does: one profile jet, one turning call, one slope call and one
 Clenshaw sum (or sweep) per quadrature, shared by the three components.
@@ -126,11 +129,14 @@ def generate(rotation: RotationType, profile: ProfileFunction, params: CmcParams
     for parabolic curves) is the quadrature of ``spec.turning`` from u0,
     offset by ``params.phi0`` (the parabolic constant A in phi = f'(A +
     ...)), and the two non-profile components are one stacked quadrature
-    of both x' of ``spec.slope_jets`` at t (one slope call per node),
-    offset by ``params.c1`` and ``params.c2``, whose (x', x'') at t and t'
-    the curve reports.  So a generation makes two ``CumulativeIntegral``
-    builds.  The turning equation checks the profile at every quadrature
-    node and curve query: it raises CaseMismatchError / NearNullSlopeError
+    of both x' of ``spec.slope_jets`` at t, offset by ``params.c1`` and
+    ``params.c2``, whose (x', x'') at t and t' the curve reports.  So a
+    generation makes two ``CumulativeIntegral`` builds, each of which
+    evaluates its integrand once per bisection level, on the u column of
+    that level's nodes: one profile jet and one turning call for t, and one
+    profile jet, one query of t and one slope call for the coordinates.
+    The turning equation checks the profile at every quadrature node and
+    curve query: it raises CaseMismatchError / NearNullSlopeError
     where a hyperbolic profile's slope contradicts the case or enters the
     null band, and the error of any other precondition (see
     ``checked_jet``) where that fails.
@@ -150,35 +156,25 @@ def generate(rotation: RotationType, profile: ProfileFunction, params: CmcParams
     keeping the arc-length identity intact.
     """
     spec = SPECS[rotation]
-    # locals: the closures below run per quadrature node
-    turning, slope_jets = spec.turning, spec.slope_jets
-    jet, profile_memo = profile.jet, {}
-
-    def rj(u: float) -> Jet2:
-        # the build's memo: a dict, not functools.cache, which keys each
-        # float u by a 1-tuple
-        hit = profile_memo.get(u)
-        if hit is None:
-            hit = profile_memo[u] = jet(u)
-        return hit
+    turning, slope_jets, jet = spec.turning, spec.slope_jets, profile.jet
     a, b = interval
     u0 = a if params.u0 is None else params.u0
     if not a <= u0 <= b:
         raise BasePointError(f"u0={u0!r} outside the generation interval {interval!r}")
 
-    def dt_raw(u: float) -> float:
-        return turning(rj(u), params, u)
+    # the integrands, and t and curve_jets, take a float u or a u column
+    def dt_raw(u):
+        return turning(jet(u), params, u)
 
     t_cum = CumulativeIntegral(dt_raw, a, b, config)
     t_off = t_cum(u0)
 
-    # t and curve_jets take a float u or a u column
-    def t(u: float) -> float:
+    def t(u):
         return params.phi0 + phi_scale * (t_cum(u) - t_off)
 
-    def slopes(u: float) -> tuple[float, float]:
+    def slopes(u):
         # both x'; their x'' at t' = 0 go unread
-        (x, _), (y, _) = slope_jets(rj(u), t(u), 0.0)
+        (x, _), (y, _) = slope_jets(jet(u), t(u), 0.0)
         return x, y
     x_cum = CumulativeIntegral(slopes, a, b, config)
     x_ends = list(zip((params.c1, params.c2), x_cum(u0)))  # (c, the integral at u0)

@@ -542,10 +542,9 @@ def _binary(op: Callable, left, right):
 
 @dataclass(frozen=True)
 class ProfileFunction:
-    """A parsed profile u -> r(u) (or f(u)) with its working interval."""
+    """A parsed profile u -> r(u) (or f(u))."""
 
     expr: Expr
-    domain: tuple[float, float]
     # a dict: equality compares it, and the hash leaves it out
     consts: Mapping[str, float] | None = field(default=None, hash=False)
     _jet: Callable = field(init=False, repr=False, compare=False)
@@ -557,9 +556,9 @@ class ProfileFunction:
     def from_text(cls, text: str, domain: tuple[float, float],
                   consts: Mapping[str, float] | None = None) -> "ProfileFunction":
         """Parse and spot-check evaluability at the 17 ``midpoints`` of the
-        interval."""
+        interval ``domain``."""
         expr = parse(text, tuple(consts) if consts else ())
-        profile = cls(expr, domain, dict(consts) if consts else None)
+        profile = cls(expr, dict(consts) if consts else None)
         for t in midpoints(*domain, 17):
             profile.jet(t)  # raises EvalDomainError on failure
         return profile

@@ -12,10 +12,18 @@ sums and each panel keeps the antiderivative of its interpolant
 so a query is one Clenshaw sum, never calls the integrand, and nearby
 values agree to machine precision rather than to the global tolerance.
 
+A build samples its integrand as the package evaluates every other set of
+points: one call per bisection level, on the ndarray of that level's
+Gauss nodes, whose every entry equals the float call at its node bit for
+bit (as Chebfun samples a function on a whole grid at once).  Only where a
+node records a fault or a value that is not finite does it call the
+integrand at floats, to find the error a node-by-node evaluation would
+raise.
+
 ``PiecewiseLegendre`` is that per-panel form (de Boor's pp-form in a
 Legendre basis), or k such forms stacked on one set of panels;
 ``CumulativeIntegral`` builds one from an integrand, or k stacked ones from
-an integrand that returns a tuple of k floats (the generator's two
+an integrand that returns a tuple of k values (the generator's two
 coordinates), and ``PiecewiseLegendre.hermite`` stacks the quintic Hermite
 interpolants of sampled functions with their first two derivatives (a
 reloaded curve CSV: 3 components times value, d1 and d2).  A
@@ -31,16 +39,16 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 import numpy as np
 
 from .errors import QuadratureError
-from .geometry import raise_at
+from .geometry import collect_faults, raise_at
 
 _legendre = np.polynomial.legendre
 _GL_X, _GL_W = _legendre.leggauss(15)
-_GL_NODES = tuple(float(x) for x in _GL_X)
 _GL_WEIGHTS = tuple(float(w) for w in _GL_W)
 #: Samples at the 15 Gauss nodes times this matrix give the Legendre
 #: coefficients of their degree-14 interpolant: c_j = (2j+1)/2 sum_k w_k
@@ -82,23 +90,18 @@ class QuadratureConfig:
             raise ValueError("rel_tol must be positive")
 
 
-def _weighted_sum(ys, half: float) -> float:
-    total = 0.0
-    for w, y in zip(_GL_WEIGHTS, ys):
-        total += w * y
-    return total * half
-
-
-def gauss15(f: Callable[[float], float | tuple[float, ...]], a: float, b: float):
-    """Fixed 15-point Gauss-Legendre integral of f over [a, b]; for an f that
-    returns a tuple of floats, the tuple of its entries' integrals, each
-    summed as a float f of that entry would be, bit for bit."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    ys = [f(mid + half * x) for x in _GL_NODES]
-    if isinstance(ys[0], tuple):
-        return tuple(_weighted_sum(entry, half) for entry in zip(*ys))
-    return _weighted_sum(ys, half)
+def gauss15(samples, half: float) -> list[float]:
+    """The 15-point Gauss-Legendre sums of one panel of half-width ``half``:
+    for each row of ``samples`` (a form's 15 values at the panel's nodes, as
+    Python floats), sum w_k y_k in node order, times half.  A list of floats,
+    one per row."""
+    sums = []
+    for ys in samples:
+        total = 0.0
+        for w, y in zip(_GL_WEIGHTS, ys):
+            total += w * y
+        sums.append(total * half)
+    return sums
 
 
 def _legval(x, c, steps):
@@ -215,11 +218,17 @@ class PiecewiseLegendre:
 
 class CumulativeIntegral(PiecewiseLegendre):
     """Antiderivative F(u) = integral of f from ``a`` to u, for u in [a, b];
-    for an f that returns a tuple of k floats, the k antiderivatives of its
+    for an f that returns a tuple of k values, the k antiderivatives of its
     entries, stacked on one set of panels.
 
-    Panels come from one breadth-first bisection of [a, b]: each pending
-    panel is sampled once, through ``gauss15``, and is accepted when the
+    f takes a float or an ndarray of u, as the package's jets do: at an
+    ndarray it returns an array of that shape (or a tuple of k such
+    arrays), each entry equal to the float call at its u, and a check that
+    fails there records its mask inside ``geometry.collect_faults()``.
+
+    Panels come from one breadth-first bisection of [a, b]: each level calls
+    f once, on the (pending panels, 15) ndarray of their Gauss nodes, and
+    ``gauss15`` sums each panel's samples.  A panel is accepted when the
     Legendre tail of each integrand's degree-14 interpolant has decayed
     (``QuadratureConfig``), else split in two.  Each integrand's
     Gauss-Legendre sums over the accepted panels, added in order, give its
@@ -229,41 +238,48 @@ class CumulativeIntegral(PiecewiseLegendre):
     of F at nearby points (finite-difference stencils) are accurate far
     beyond the global tolerance.  Either kind of query returns exactly 0.0
     at ``a`` and ``total`` at ``b`` (per form), where the sum would be off
-    by roundoff; ``total`` is a float, or a list of k.  Raises
-    QuadratureError when a panel at MAX_DEPTH still fails, when a level
-    would sample more than MAX_PANELS panels, or when f is not finite at a
-    node or raises an ArithmeticError (OverflowError, ZeroDivisionError)
-    there.
+    by roundoff; ``total`` is a float, or a list of k.
+
+    Raises QuadratureError when a panel at MAX_DEPTH still fails, or when a
+    level would sample more than MAX_PANELS panels.  Where a node of a
+    level records a fault or a value that is not finite, f is called at
+    each such node as a float, in node order (panel by panel, each from
+    left to right), and the first call that raises decides, as a
+    node-by-node sampling of the whole level would: an ArithmeticError
+    (OverflowError, ZeroDivisionError) becomes a QuadratureError, and any
+    other error propagates.  If none raises, f is not finite there, a
+    QuadratureError.
     """
 
-    def __init__(self, f: Callable[[float], float | tuple[float, ...]], a: float, b: float,
-                 config: QuadratureConfig | None = None):
+    def __init__(self, f: Callable, a: float, b: float, config: QuadratureConfig | None = None):
         if not b > a:
             raise ValueError("need b > a")
         tol = max((config or QuadratureConfig()).rel_tol, REL_TOL_FLOOR) * (b - a)
-        samples: list = []
-
-        def sampled(u: float):  # gauss15 visits the nodes in order
-            y = f(u)
-            samples.append(y)
-            return y
-
         accepted = []  # (lo, hi, Gauss-Legendre sums, Legendre coefficients per form)
         pending, scale, depth = [(a, b)], 0.0, 0
         while pending:
-            samples.clear()
-            try:
-                sums = [gauss15(sampled, lo, hi) for lo, hi in pending]
-            except ArithmeticError as exc:  # math.sinh and x / 0.0 raise, not return inf
-                raise QuadratureError(f"integrand overflows or divides by zero on "
-                                      f"[{a!r}, {b!r}] ({type(exc).__name__}: {exc})") from exc
-            # a whole level at once: numpy per panel costs more than the
-            # sampling.  One row of 15 samples per panel and form, so a single
-            # form runs the (panels, 15) products of a float integrand: a
-            # batched (panels, 1, 15) product rounds differently
-            values = np.reshape(samples, (len(pending), 15, -1)).swapaxes(1, 2)
-            if not np.isfinite(values).all():
+            lo, hi = np.array(pending).T
+            half = 0.5 * (hi - lo)
+            # each node rounds as the float mid + half * x does
+            nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_X
+            with np.errstate(all="ignore"), collect_faults() as faults:
+                ys = f(nodes)
+            stacked = isinstance(ys, tuple)
+            # one row of 15 samples per panel and form, so a single form runs
+            # (panels, 15) products: a batched (panels, 1, 15) product rounds
+            # differently
+            values = np.stack(ys if stacked else (ys,), axis=1)
+            bad = reduce(np.logical_or, faults, ~np.isfinite(values).all(axis=1))
+            if bad.any():  # the float call at each such node, in node order
+                for u in nodes[bad].tolist():
+                    try:
+                        f(u)
+                    except ArithmeticError as exc:  # math.sinh and x / 0.0 raise
+                        raise QuadratureError(
+                            f"integrand overflows or divides by zero on [{a!r}, {b!r}] "
+                            f"({type(exc).__name__}: {exc})") from exc
                 raise QuadratureError(f"integrand not finite on [{a!r}, {b!r}]")
+            sums = [gauss15(rows, h) for rows, h in zip(values.tolist(), half.tolist())]
             scale = np.maximum(scale, np.abs(values).max(axis=(0, 2)))  # per form
             rows = values.reshape(-1, 15)
             mean = rows @ _TO_LEGENDRE[:, 0]
@@ -275,24 +291,26 @@ class CumulativeIntegral(PiecewiseLegendre):
             coefs[:, 0] = mean
             coefs = coefs.reshape(values.shape)
             # every form's tail against its own max|f|
-            ok = (np.diff(pending) * np.abs(coefs[:, :, 13:]).sum(2) <= tol * scale).all(1)
+            ok = ((hi - lo)[:, None] * np.abs(coefs[:, :, 13:]).sum(2) <= tol * scale).all(1)
             accepted += [(*p, q, c) for p, q, c, k in zip(pending, sums, coefs, ok) if k]
             failed = [p for p, k in zip(pending, ok) if not k]
             if failed and (depth == MAX_DEPTH or 2 * len(failed) > MAX_PANELS):
                 raise QuadratureError(f"Legendre tail did not decay on {failed[0]!r} "
                                       f"({len(failed)} panels at depth {depth})")
-            pending = [half for lo, hi in failed
-                       for half in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))]
+            pending = [piece for lo, hi in failed
+                       for piece in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))]
             depth += 1
         accepted.sort(key=lambda panel: panel[0])
         _, his, sums, coefs = zip(*accepted)
         nodes = (a, *his)
         # F at the nodes: each form's prefix sums, added in order (cumsum does
         # not pair them up as np.sum does)
-        offsets = np.cumsum([np.zeros_like(sums[0]), *sums], axis=0)
+        offsets = np.cumsum([[0.0] * len(sums[0]), *sums], axis=0)
         halves = 0.5 * np.diff(nodes)[:, None, None]
         coefs = _legendre.legint(np.array(coefs), lbnd=-1, axis=2) * halves
-        super().__init__(nodes, offsets[:-1], coefs if isinstance(sums[0], tuple) else coefs[:, 0])
+        if not stacked:
+            offsets, coefs = offsets[:, 0], coefs[:, 0]
+        super().__init__(nodes, offsets[:-1], coefs)
         # the exact ends, per form: a sum there is off by roundoff
         self._cache = {a: offsets[0].tolist(), b: offsets[-1].tolist()}
         self.total = self._cache[b]

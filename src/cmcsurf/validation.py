@@ -76,16 +76,20 @@ from .surfaces import (
 #: and the report stores no count of them.
 MAX_FLAGGED = 32
 
+#: Pass thresholds of a validation run that no caller sets: the frame
+#: residual and the closed-form <H,H> against the oracle's (the arc-length
+#: threshold is ``ARC_TOL``).
+FRAME_TOL = 1e-10
+CLOSED_VS_ORACLE_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Pass thresholds for a validation run."""
+    """The settable pass thresholds of a validation run: the analytic and
+    the finite-difference CMC residual."""
 
     cmc_analytic: float = 1e-6
     cmc_fd: float = 1e-4
-    arclength: float = ARC_TOL
-    frames: float = 1e-10
-    closed_vs_oracle: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -135,9 +139,9 @@ class ValidationReport:
     def passed(self, tols: Tolerances = Tolerances()) -> bool:
         return (self.max_cmc_residual <= tols.cmc_analytic
                 and self.max_cmc_residual_fd <= tols.cmc_fd
-                and self.max_arclength_residual <= tols.arclength
-                and self.max_frame_residual <= tols.frames
-                and self.max_closed_vs_oracle <= tols.closed_vs_oracle
+                and self.max_arclength_residual <= ARC_TOL
+                and self.max_frame_residual <= FRAME_TOL
+                and self.max_closed_vs_oracle <= CLOSED_VS_ORACLE_TOL
                 and not self.flagged_points)
 
     def to_json(self) -> str:

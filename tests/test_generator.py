@@ -84,8 +84,7 @@ def test_phi_integrand_negative_radicand():
 
 
 def test_phi_integrand_nonpositive_profile():
-    prof = ProfileFunction(ProfileFunction.from_text("u", (0.1, 1.0)).expr,
-                           (-1.0, 1.0))
+    prof = ProfileFunction.from_text("u", (0.1, 1.0))
     with pytest.raises(NonpositiveProfileError):
         phi_integrand(1.0, 0, prof(-0.5), CmcParams(C=0.5), -0.5)
 
@@ -165,7 +164,7 @@ def test_generate_checks_the_case_at_every_node():
     # two of any 65 evenly spaced points of (0, 6.4); the turning equation sees it
     text = "2*u-1.6*0.01*sinh((u-0.038424)/0.01)/cosh((u-0.038424)/0.01)"
     with pytest.raises(CaseMismatchError, match=r"at u=0\.0384.* contradicts hyperbolicA"):
-        generate(RotationType.HYPERBOLIC_A, ProfileFunction(parse(text), (0.0, 6.4)),
+        generate(RotationType.HYPERBOLIC_A, ProfileFunction(parse(text)),
                  CmcParams(C=0.5), CONFIG, (0.0, 6.4))
 
 
@@ -320,10 +319,11 @@ def test_fresh_u_evaluates_the_profile_at_most_once():
 
     class Counted(ProfileFunction):
         def jet(self, u):
-            calls[u] += 1
+            if not isinstance(u, np.ndarray):  # the build's columns are not queries
+                calls[u] += 1
             return super().jet(u)
 
-    prof = Counted(parse("1+u/2"), (0.0, 3.0))
+    prof = Counted(parse("1+u/2"))
     curve = generate(RotationType.ELLIPTIC, prof, CmcParams(C=0.1), CONFIG, (0.0, 3.0))
     calls.clear()
     us = [0.01 + 2.98 * k / 499 for k in range(500)]
@@ -369,32 +369,35 @@ def test_fresh_u_makes_one_turning_and_one_slope_call(rotation, text, interval, 
     (RotationType.HYPERBOLIC_B, "2", (0.0, 2.0), 0.1, None),
     (RotationType.PARABOLIC, "u", (0.5, 2.0), 0.5, None),
 ])
-def test_generate_builds_t_then_both_coordinates_at_one_slope_call_per_node(
+def test_generate_builds_t_then_both_coordinates_at_one_slope_call_per_level(
         rotation, text, interval, C, nodes, monkeypatch):
-    builds, slope_calls = [], [0]
+    levels, node_counts, slope_calls = [], [], Counter()
 
     class Counted(CumulativeIntegral):
         def __init__(self, f, a, b, config=None):
-            builds.append(0)
-            build = len(builds) - 1
+            levels.append(0)
+            node_counts.append(0)
+            build = len(levels) - 1
 
             def counted(u):
-                builds[build] += 1
+                assert isinstance(u, np.ndarray)  # a column per level, no float call
+                levels[build] += 1
+                node_counts[build] += u.size
                 return f(u)
             super().__init__(counted, a, b, config)
 
     def slope_jets(*args):
-        slope_calls[0] += 1
+        slope_calls[type(args[1])] += 1
         return spec.slope_jets(*args)
 
     spec = SPECS[rotation]
     monkeypatch.setitem(SPECS, rotation, replace(spec, slope_jets=slope_jets))
     monkeypatch.setattr(generator, "CumulativeIntegral", Counted)
     generate(rotation, profile(text, interval), CmcParams(C=C), CONFIG, interval)
-    assert len(builds) == 2  # t, then the stacked coordinates
-    # one call per coordinate node, and one per end query of generate
-    assert slope_calls[0] == builds[1] + 2
-    assert nodes is None or builds[1] == nodes
+    assert len(levels) == 2  # t, then the stacked coordinates
+    # one call per coordinate level, and one per end query of generate
+    assert slope_calls == {np.ndarray: levels[1], float: 2}
+    assert nodes is None or node_counts[1] == nodes
 
 
 def test_validity_full_interval():
@@ -412,8 +415,7 @@ def test_validity_empty_for_infeasible_sign():
 
 
 def test_validity_boundary_located_by_bisection():
-    prof = ProfileFunction(ProfileFunction.from_text("u", (0.1, 1.0)).expr,
-                           (-1.0, 1.0))
+    prof = ProfileFunction.from_text("u", (0.1, 1.0))
     out = domain_validity(prof, CmcParams(C=0.5, h_sign=1), (-1.0, 1.0),
                           RotationType.ELLIPTIC)
     assert len(out) == 1
@@ -491,7 +493,7 @@ def test_params_validation():
 
 # --- the column scan --------------------------------------------------------------
 
-def counted_profile(text, domain):
+def counted_profile(text):
     """A ProfileFunction that logs the u of every jet call."""
     calls = []
 
@@ -500,11 +502,11 @@ def counted_profile(text, domain):
             calls.append(u)
             return super().jet(u)
 
-    return Counted(parse(text), domain), calls
+    return Counted(parse(text)), calls
 
 
 def test_validity_scan_is_one_column_call():
-    prof, calls = counted_profile("2", (0.0, 6.28))
+    prof, calls = counted_profile("2")
     assert domain_validity(prof, CmcParams(C=1.0, h_sign=1), (0.0, 6.28),
                            RotationType.ELLIPTIC) == [(0.0, 6.28)]
     assert len(calls) == 1
@@ -513,7 +515,7 @@ def test_validity_scan_is_one_column_call():
 
 def test_validity_bisection_is_the_only_float_work():
     # the profile of test_validity_partial_radicand: one boundary near sqrt(5) - 2
-    prof, calls = counted_profile("1+u/2", (0.0, 2.0))
+    prof, calls = counted_profile("1+u/2")
     (_, hi), = domain_validity(prof, CmcParams(C=0.5, h_sign=-1), (0.0, 2.0),
                                RotationType.ELLIPTIC)
     column, floats = calls[0], calls[1:]
@@ -542,7 +544,7 @@ def _bits(values):
 def test_column_scan_matches_the_float_calls(seed, depth, variant, rotation, C, h_sign,
                                              eta, lo, width):
     text = variant.format(random_expression(random.Random(seed), depth))
-    prof = ProfileFunction(parse(text), (lo, lo + width))
+    prof = ProfileFunction(parse(text))
     params = CmcParams(C=C, h_sign=h_sign, eta=eta)
     us = uniform(lo, lo + width, 1025)
     column = np.array(us)

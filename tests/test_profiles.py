@@ -150,7 +150,7 @@ def test_domain_errors_carry_u(text, bad_u):
 
 
 def test_failing_subexpression_free_of_u_fails_every_entry():
-    prof = ProfileFunction(parse("u+sqrt(-1)"), (0.0, 1.0))
+    prof = ProfileFunction(parse("u+sqrt(-1)"))
     column = np.array([0.25, 0.5, 0.75])
     with pytest.raises(EvalDomainError) as floating:
         prof.jet(0.25)
@@ -188,12 +188,12 @@ def test_a_failing_constant_subexpression_fails_at_the_evaluated_u(text, message
     assert str(err.value) == f"{message} at u=0.029411764705882353"
     assert err.value.u == 0.029411764705882353
     with collect_faults() as faults:
-        ProfileFunction(parse(text), (0.0, 1.0)).jet(np.linspace(0.0, 1.0, 9))
+        ProfileFunction(parse(text)).jet(np.linspace(0.0, 1.0, 9))
     assert np.logical_or.reduce(faults).tolist() == [True] * 9
 
 
 def test_an_unknown_constant_fails_when_a_jet_is_evaluated():
-    prof = ProfileFunction(parse("a*u", constants=("a",)), (0.0, 1.0))
+    prof = ProfileFunction(parse("a*u", constants=("a",)))
     with pytest.raises(UnknownIdentifierError):
         prof.jet(0.5)
     with pytest.raises(UnknownIdentifierError):

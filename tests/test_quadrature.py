@@ -10,9 +10,30 @@ import pytest
 from cmcsurf.builders import RotationType
 from cmcsurf.errors import QuadratureError
 from cmcsurf.generator import CmcParams, domain_validity, generate
+from cmcsurf.geometry import libm, raise_at
 from cmcsurf.profiles import ProfileFunction
 from cmcsurf.quadrature import CumulativeIntegral, PiecewiseLegendre, QuadratureConfig, gauss15
 from cmcsurf.validation import generation_plan
+
+#: The 15 Gauss-Legendre nodes on [-1, 1], as Python floats.
+GL_NODES = np.polynomial.legendre.leggauss(15)[0].tolist()
+
+
+# integrands take a float or an ndarray of u, libm's values at every entry
+def cos(x):
+    return libm(x).cos(x)
+
+
+def sin(x):
+    return libm(x).sin(x)
+
+
+def exp(x):
+    return libm(x).exp(x)
+
+
+def sqrt(x):
+    return libm(x).sqrt(x)
 
 
 def integral(f, a, b):
@@ -21,21 +42,22 @@ def integral(f, a, b):
 
 def test_polynomial_exact():
     assert integral(lambda x: x**3 - 2 * x, 0.0, 2.0) == pytest.approx(0.0, abs=1e-14)
-    assert gauss15(lambda x: x**8, 0.0, 1.0) == pytest.approx(1.0 / 9.0, rel=1e-14)
+    [total] = gauss15([[(0.5 + 0.5 * x) ** 8 for x in GL_NODES]], 0.5)
+    assert total == pytest.approx(1.0 / 9.0, rel=1e-14)
 
 
 def test_known_integrals():
-    assert integral(math.exp, 0.0, 1.0) == pytest.approx(math.e - 1.0, rel=1e-12)
-    assert integral(math.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-12)
+    assert integral(exp, 0.0, 1.0) == pytest.approx(math.e - 1.0, rel=1e-12)
+    assert integral(sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-12)
     assert integral(lambda x: 1.0 / x, 1.0, 4.0) == pytest.approx(
         math.log(4.0), rel=1e-12)
 
 
 def test_reversed_and_empty_interval():
     with pytest.raises(ValueError):
-        CumulativeIntegral(math.exp, 1.0, 0.0)
+        CumulativeIntegral(exp, 1.0, 0.0)
     with pytest.raises(ValueError):
-        CumulativeIntegral(math.exp, 1.0, 1.0)
+        CumulativeIntegral(exp, 1.0, 1.0)
 
 
 def test_needs_refinement_near_kink():
@@ -48,11 +70,11 @@ def test_depth_exhaustion_raises():
     # the panel holding the jump keeps a Legendre tail of order 1, so its
     # width times the tail stays above the tolerance down to MAX_DEPTH
     with pytest.raises(QuadratureError):
-        CumulativeIntegral(lambda x: 0.0 if x < 1.0 / 3.0 else 1.0, 0.0, 1.0)
+        CumulativeIntegral(lambda x: (x >= 1.0 / 3.0) * 1.0, 0.0, 1.0)
 
 
 def test_cumulative_matches_antiderivative():
-    cum = CumulativeIntegral(math.cos, 0.0, 3.0)
+    cum = CumulativeIntegral(cos, 0.0, 3.0)
     for u in [0.0, 0.1, 0.7854, 1.5, 2.2, 2.999, 3.0]:
         assert cum(u) == pytest.approx(math.sin(u), abs=1e-13)
     assert cum.total == pytest.approx(math.sin(3.0), abs=1e-13)
@@ -61,7 +83,7 @@ def test_cumulative_matches_antiderivative():
 def test_cumulative_local_differences_are_sharp():
     # differences across a tiny stencil must be exact to ~machine precision,
     # which is what the finite-difference oracle relies on
-    cum = CumulativeIntegral(lambda x: math.exp(-x) * math.sin(3 * x), 0.0, 4.0)
+    cum = CumulativeIntegral(lambda x: exp(-x) * sin(3 * x), 0.0, 4.0)
 
     def truth(u):
         # antiderivative of e^-x sin 3x
@@ -81,7 +103,7 @@ def test_queries_never_call_the_integrand():
 
     def counted_cos(x):
         calls.append(x)
-        return math.cos(x)
+        return cos(x)
 
     cum = CumulativeIntegral(counted_cos, 0.0, 3.0)
     built = len(calls)
@@ -93,7 +115,7 @@ def test_queries_never_call_the_integrand():
 
 
 def test_cumulative_rejects_outside():
-    cum = CumulativeIntegral(math.cos, 0.0, 1.0)
+    cum = CumulativeIntegral(cos, 0.0, 1.0)
     with pytest.raises(ValueError):
         cum(1.5)
     with pytest.raises(ValueError):
@@ -108,14 +130,14 @@ def test_tolerance_validation():
 def test_smooth_integrand_takes_few_panels():
     # the tail rule stops where the degree-14 interpolant is resolved
     # (adaptive Simpson needed 364 panels and 6,189 calls here)
-    calls = []
+    nodes = []
 
     def counted_cos(x):
-        calls.append(x)
-        return math.cos(x)
+        nodes.append(x.size)
+        return cos(x)
 
     cum = CumulativeIntegral(counted_cos, 0.0, 3.0)
-    assert cum._panels <= 16 and len(calls) <= 500
+    assert cum._panels <= 16 and sum(nodes) <= 500
     assert abs(cum.total - math.sin(3.0)) <= 1e-15
     for u in [0.1, 0.7854, 1.5, 2.2, 2.999]:
         assert abs(cum(u) - math.sin(u)) <= 1e-15
@@ -123,39 +145,89 @@ def test_smooth_integrand_takes_few_panels():
 
 def test_square_root_endpoint_singularity():
     # the width weighting lets the panels at u = 1 shrink until they pass
-    assert abs(CumulativeIntegral(lambda x: math.sqrt(1.0 - x), 0.0, 1.0).total
+    assert abs(CumulativeIntegral(lambda x: sqrt(1.0 - x), 0.0, 1.0).total
                - 2.0 / 3.0) <= 1e-15
 
 
 def test_tolerance_below_the_floor_is_clamped():
     start = time.process_time()
-    cum = CumulativeIntegral(math.exp, 0.0, 1.0, QuadratureConfig(rel_tol=1e-300))
+    cum = CumulativeIntegral(exp, 0.0, 1.0, QuadratureConfig(rel_tol=1e-300))
     assert time.process_time() - start < 1.0
-    floor = CumulativeIntegral(math.exp, 0.0, 1.0, QuadratureConfig(rel_tol=1e-16))
+    floor = CumulativeIntegral(exp, 0.0, 1.0, QuadratureConfig(rel_tol=1e-16))
     assert cum._nodes == floor._nodes and cum._panels <= 16
     assert cum.total == pytest.approx(math.e - 1.0, abs=1e-15)
 
 
 def test_non_finite_integrand_raises():
     with pytest.raises(QuadratureError):
-        CumulativeIntegral(lambda x: math.nan, 0.0, 1.0)
+        CumulativeIntegral(lambda x: x * math.nan, 0.0, 1.0)
 
 
 def test_overflowing_integrand_raises_quadrature_error():
     with pytest.raises(QuadratureError, match="overflows"):
-        CumulativeIntegral(lambda x: math.sinh(1e3 * x), 0.0, 1.0)
+        CumulativeIntegral(lambda x: libm(x).sinh(1e3 * x), 0.0, 1.0)
+
+
+def test_build_calls_its_integrand_once_per_level_on_the_gauss_nodes():
+    # each call gets the (panels, 15) nodes of the pending panels, in the
+    # order of a breadth-first bisection, each rounded as the float
+    # mid + half * x is; the build refines exp(sin 5x) over several levels
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return exp(sin(5.0 * x))
+
+    cum = CumulativeIntegral(f, -1.0, 4.0)
+    accepted = set(zip(cum._nodes, cum._nodes[1:]))
+    pending = [(-1.0, 4.0)]
+    for nodes in calls:
+        assert isinstance(nodes, np.ndarray) and nodes.shape == (len(pending), 15)
+        assert bits(nodes) == bits([[0.5 * (lo + hi) + 0.5 * (hi - lo) * x for x in GL_NODES]
+                                    for lo, hi in pending])
+        pending = [piece for lo, hi in pending if (lo, hi) not in accepted
+                   for piece in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))]
+    assert pending == [] and len(calls) >= 3
+
+
+def raises_past(u0):
+    """NaN below 0.3 on [0, 1], and a ValueError naming u at each u past u0."""
+    def f(x):
+        raise_at(x > u0, ValueError, "raised at u={!r}", x)
+        return np.where(x < 0.3, math.nan, x)
+    return f
+
+
+#: the first level's nodes on [0, 1]
+LEVEL_0 = [0.5 + 0.5 * x for x in GL_NODES]
+
+
+@pytest.mark.parametrize("f, error, message", [
+    # the NaN nodes come first, and the first node that raises decides
+    (raises_past(0.7), ValueError,
+     rf"^raised at u={re.escape(repr(min(u for u in LEVEL_0 if u > 0.7)))}$"),
+    # the column's inf is the float call's division by zero
+    (lambda x: 1.0 / (x - LEVEL_0[3]), QuadratureError,
+     r"^integrand overflows or divides by zero on \[0\.0, 1\.0\] "
+     r"\(ZeroDivisionError: float division by zero\)$"),
+    # no float call raises
+    (raises_past(2.0), QuadratureError, r"^integrand not finite on \[0\.0, 1\.0\]$"),
+], ids=["nan-then-raise", "divides-by-zero", "not-finite"])
+def test_build_errors_follow_node_order(f, error, message):
+    with pytest.raises(error, match=message):
+        CumulativeIntegral(f, 0.0, 1.0)
 
 
 #: (f, f', f'', domain): cos on [0, 3], sqrt(1 - x) on [0, 1] and
 #: exp(sin 5x) on [-1, 4]
 FUNCTIONS = {
-    "cos": (math.cos, lambda x: -math.sin(x), lambda x: -math.cos(x), (0.0, 3.0)),
-    "sqrt": (lambda x: math.sqrt(1.0 - x), lambda x: -0.5 / math.sqrt(1.0 - x),
+    "cos": (cos, lambda x: -sin(x), lambda x: -cos(x), (0.0, 3.0)),
+    "sqrt": (lambda x: sqrt(1.0 - x), lambda x: -0.5 / sqrt(1.0 - x),
              lambda x: -0.25 / (1.0 - x) ** 1.5, (0.0, 1.0)),
-    "exp-sin": (lambda x: math.exp(math.sin(5.0 * x)),
-                lambda x: 5.0 * math.cos(5.0 * x) * math.exp(math.sin(5.0 * x)),
-                lambda x: 25.0 * (math.cos(5.0 * x) ** 2 - math.sin(5.0 * x))
-                * math.exp(math.sin(5.0 * x)), (-1.0, 4.0)),
+    "exp-sin": (lambda x: exp(sin(5.0 * x)),
+                lambda x: 5.0 * cos(5.0 * x) * exp(sin(5.0 * x)),
+                lambda x: 25.0 * (cos(5.0 * x) ** 2 - sin(5.0 * x))
+                * exp(sin(5.0 * x)), (-1.0, 4.0)),
 }
 
 
@@ -166,7 +238,7 @@ def piecewise_legendre_forms(name):
     f, d1, d2, (a, b) = FUNCTIONS[name]
     us = np.linspace(a, 0.999 if name == "sqrt" else b, 97)
     return [CumulativeIntegral(f, a, b),
-            PiecewiseLegendre.hermite(us, [[[f(u), d1(u), d2(u)]] for u in us])]
+            PiecewiseLegendre.hermite(us, [[[f(u), d1(u), d2(u)]] for u in us.tolist()])]
 
 
 def float_rows(poly, us):
@@ -318,16 +390,18 @@ def test_stacked_queries_clamp_within_the_pad_and_raise_past_it():
 
 
 #: integrands of one stacked build on [0, 1]: cos, exp and sqrt(1 - x)
-STACKED = (math.cos, math.exp, lambda x: math.sqrt(1.0 - x))
+STACKED = (cos, exp, lambda x: sqrt(1.0 - x))
 
 
 def stacked_integrand(x):
     return tuple(f(x) for f in STACKED)
 
 
-def test_gauss15_of_a_tuple_is_each_entrys_gauss15():
+def test_gauss15_sums_each_row_alone():
     for a, b in ((0.0, 1.0), (0.2, 0.9), (0.5, 0.75)):
-        assert bits(gauss15(stacked_integrand, a, b)) == bits([gauss15(f, a, b) for f in STACKED])
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        rows = [[f(mid + half * x) for x in GL_NODES] for f in STACKED]
+        assert bits(gauss15(rows, half)) == bits([gauss15([row], half)[0] for row in rows])
 
 
 @pytest.mark.parametrize("name", sorted(FUNCTIONS))

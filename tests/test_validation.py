@@ -22,6 +22,7 @@ from cmcsurf.validation import (
 )
 from cmcsurf.builders import elliptic_frame, hyperbolic_frame
 from cmcsurf.errors import InvariantViolationError
+from cmcsurf.geometry import libm, square
 from cmcsurf.surfaces import frame_numeric
 
 from analytic_curves import (
@@ -44,8 +45,9 @@ def cmc_curve_elliptic(C=0.25, h_sign=1, interval=(0.0, 6.28)):
 
 def non_cmc_curve():
     """r = 2 + sin u with a straight x-profile: arc-length but not CMC."""
-    def x1_d1(u):
-        return math.sqrt(1.0 + math.cos(u) ** 2)
+    def x1_d1(u):  # at a float, or at the build's columns of nodes
+        m = libm(u)
+        return m.sqrt(1.0 + square(m.cos(u)))
 
     cum = CumulativeIntegral(x1_d1, 0.0, 6.0)
     return GeneratingCurve(
