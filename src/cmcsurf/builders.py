@@ -77,7 +77,8 @@ from .errors import (
     NonpositiveProfileError,
     ZeroDerivativeProfileError,
 )
-from .geometry import _SQRT2, Vec4, divisor, fail_at, libm, negate, raise_at, square, uniform
+from .geometry import (_SQRT2, Vec4, collect_faults, divisor, fail_at, libm, negate, raise_at,
+                       square, uniform, where)
 from .profiles import Jet2
 from .surfaces import Frame, MeanCurvature, PatchJets, SurfacePatch
 
@@ -113,13 +114,9 @@ def slope_sign(m: float, u: float) -> int:
 
     Raises NearNullSlopeError inside the exclusion band |m| < TAU_SLOPE.
     """
-    near = abs(m) < TAU_SLOPE
-    if near is not False:
-        raise_at(near, NearNullSlopeError,
-                 "(r')^2 - 1 = {!r} inside the exclusion band at u={!r}", m, u)
-    if isinstance(m, np.ndarray):
-        return np.where(m > 0.0, 1, -1)
-    return 1 if m > 0.0 else -1
+    raise_at(abs(m) < TAU_SLOPE, NearNullSlopeError,
+             "(r')^2 - 1 = {!r} inside the exclusion band at u={!r}", m, u)
+    return where(m > 0.0, 1, -1)
 
 
 @dataclass(frozen=True)
@@ -273,7 +270,11 @@ def build_surface(curve: GeneratingCurve,
     k = 3, 9, ..., 195, before _patch_jets assembles the patch from the
     curve jets.  The conditions are checked in that order, each naming
     its first offending u.  ``v_window`` defaults to the spec's window:
-    [0, 2 pi] elliptic, [-2, 2] otherwise.
+    [0, 2 pi] elliptic, [-2, 2] otherwise.  Last, the position must be
+    finite at the samples and the window's two ends, where |v|, and with
+    it every hyperbolic cosh and sinh of v, peaks: near |v| = 710 the
+    product r cosh v, then libm's cosh itself, leaves the float range,
+    an InvariantViolationError naming the first such (u, v).
     """
     spec = SPECS[curve.rotation]
     samples = check_samples(curve.domain)
@@ -286,8 +287,14 @@ def build_surface(curve: GeneratingCurve,
         m = p.d1 * p.d1 - 1.0
         raise_at(slope_sign(m, us) != spec.case_sign, InvariantViolationError,
                  f"(r')^2 - 1 = {{!r}} contradicts {curve.rotation} at u={{!r}}", m, us)
-    return SurfacePatch(_patch_jets(spec, curve.jets), curve.domain,
-                        v_window or spec.v_window, label=curve.rotation.value,
+    v_window = v_window or spec.v_window
+    ends = np.array(v_window)[None, :]
+    with np.errstate(all="ignore"), collect_faults():  # a failed entry is NaN
+        position = _patch_position(spec.position, curve.jets, samples, ends)
+    raise_at(negate(position.is_finite()), InvariantViolationError,
+             "position is not finite at (u, v) = ({!r}, {!r})", samples, ends)
+    return SurfacePatch(_patch_jets(spec, curve.jets), curve.domain, v_window,
+                        label=curve.rotation.value,
                         position=partial(_patch_position, spec.position, curve.jets))
 
 
@@ -445,11 +452,16 @@ def _radicand_guarded(q: float, extra: float, u: float) -> float:
         return rad
     roundoff = rad > -1e-12 * (q * q + abs(extra) + 1.0)
     fail_at(negative & negate(roundoff), _negative_radicand, rad, u)
-    return np.where(negative, 0.0, rad) if isinstance(rad, np.ndarray) else 0.0
+    return where(negative, 0.0, rad)
 
 
 def _negative_radicand(rad: float, u: float) -> NegativeRadicandError:
     return NegativeRadicandError(f"radicand {rad!r} negative (infeasible h_sign/C)", u)
+
+
+#: The CaseMismatchError message of phi_integrand by the spec's case sign.
+_CONTRADICTS = {sign: "(r')^2 - 1 = {!r} at u={!r} contradicts " + name
+                for sign, name in ((1, "hyperbolicA"), (-1, "hyperbolicB"))}
 
 
 def phi_integrand(s: float, case_sign: int, r: Jet2, params: CmcParams,
@@ -470,14 +482,9 @@ def phi_integrand(s: float, case_sign: int, r: Jet2, params: CmcParams,
     k = r.d1 * r.d1 + s
     sign = slope_sign(k, u)
     if case_sign:
-        other = sign != case_sign
-        if other is not False:
-            raise_at(other, CaseMismatchError, "(r')^2 - 1 = {!r} at u={!r} contradicts "
-                     + ("hyperbolicA" if case_sign > 0 else "hyperbolicB"), k, u)
-    positive = r.val > 0.0
-    if positive is not True:
-        raise_at(negate(positive), NonpositiveProfileError,
-                 "r(u)={!r} <= 0 at u={!r}", r.val, u)
+        raise_at(sign != case_sign, CaseMismatchError, _CONTRADICTS[case_sign], k, u)
+    raise_at(negate(r.val > 0.0), NonpositiveProfileError,
+             "r(u)={!r} <= 0 at u={!r}", r.val, u)
     q = r.val * r.d2 + k
     rad = _radicand_guarded(q, 4.0 * params.h_sign * (params.C * params.C)
                             * (r.val * r.val) * k, u)
@@ -487,12 +494,8 @@ def phi_integrand(s: float, case_sign: int, r: Jet2, params: CmcParams,
 def psi_integrand_parabolic(f: Jet2, params: CmcParams, u: float) -> float:
     """psi'(u) at the profile jet f of the parabolic type, where phi = f' psi;
     at a column of jets, as phi_integrand."""
-    flat = f.d1 == 0.0
-    if flat is not False:
-        raise_at(flat, ZeroDerivativeProfileError, "f'(u) = 0 at u={!r}", u)
-    zero = f.val == 0.0
-    if zero is not False:
-        raise_at(zero, InvariantViolationError, "f(u) = 0 at u={!r}", u)
+    raise_at(f.d1 == 0.0, ZeroDerivativeProfileError, "f'(u) = 0 at u={!r}", u)
+    raise_at(f.val == 0.0, InvariantViolationError, "f(u) = 0 at u={!r}", u)
     log_slope = (f.val * f.d2 + f.d1 * f.d1) / divisor(f.val * f.d1)  # (ln|ff'|)'
     rad = _radicand_guarded(log_slope,
                             4.0 * params.h_sign * params.C * params.C, u)

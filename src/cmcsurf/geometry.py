@@ -4,18 +4,20 @@ The ambient space is R^4 with the scalar product
 
     <v, w> = v1*w1 + v2*w2 - v3*w3 - v4*w4,
 
-i.e. signature (+, +, -, -).  Everything downstream (patches, frames,
-curvature) reduces to three primitives defined here: the scalar product,
-causal classification, and Gram-Schmidt that tracks norm signs.  The
-tolerance of the last two is the constant TAU_CAUSAL, and ``uniform`` is
-the one rule for evenly spaced samples.
+i.e. signature (+, +, -, -).  Patches, frames and curvature rest on two
+primitives defined here: the scalar product and Gram-Schmidt that tracks
+norm signs, whose tolerance is the constant TAU_CAUSAL; ``causal_character``
+classifies a vector by the same tolerance.  ``uniform`` is the one rule for
+evenly spaced samples.
 
 The components of a Vec4 are floats at one point or, on a grid, ndarrays
 that broadcast against each other (a column over u, a row over v, or the
 full (nu, nv) grid).  The arithmetic is the same expressions in the same
 order either way, so a grid entry equals the float computed at its point
-bit for bit; the helpers below (libm, power, negate, raise_at, fail_at,
-divisor) are the few places where floats and grids need different calls.
+bit for bit; the helpers below (libm, power, negate, where, raise_at,
+fail_at, divisor) are the few places where floats and grids need different
+calls: a caller states a check as one ``raise_at`` and a per-point choice as
+one ``where``, whether it runs on a float or a grid.
 Transcendental functions of grid values go through libm's own functions
 entry by entry (``libm(x).cosh(x)``), never through numpy's ufuncs, whose
 results differ from libm's in the last bit for some arguments (cosh and
@@ -157,6 +159,12 @@ def negate(cond):
     return ~cond if isinstance(cond, np.ndarray) else not cond
 
 
+def where(cond, a, b):
+    """``a if cond else b`` at a point (a numpy bool scalar included),
+    ``np.where(cond, a, b)`` on a grid: the one per-point choice."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
 #: The fault list of the innermost ``collect_faults`` block, if any.
 _FAULTS: ContextVar[list | None] = ContextVar("cmcsurf_faults", default=None)
 
@@ -213,9 +221,7 @@ def divisor(den):
     """``den``, checked as Python's division checks a divisor: it raises
     ZeroDivisionError at 0, which a product of nonzero factors reaches by
     underflow (numpy's division returns inf instead)."""
-    zero = den == 0.0
-    if zero is not False:
-        raise_at(zero, ZeroDivisionError, "float division by zero")
+    raise_at(den == 0.0, ZeroDivisionError, "float division by zero")
     return den
 
 
@@ -253,10 +259,8 @@ def inf_norm(v: Vec4) -> float:
 def require_finite(v: Vec4, context: str = "vector") -> Vec4:
     """Boundary check: reject NaN/inf components before they propagate; on
     a grid the error names the vector at the first offending point."""
-    finite = v.is_finite()
-    if finite is not True:
-        raise_at(negate(finite), ValueError,
-                 "non-finite " + context + ": Vec4(x1={!r}, x2={!r}, x3={!r}, x4={!r})", *v)
+    raise_at(negate(v.is_finite()), ValueError,
+             "non-finite {}: Vec4(x1={!r}, x2={!r}, x3={!r}, x4={!r})", context, *v)
     return v
 
 

@@ -20,7 +20,8 @@ Clenshaw sums, as a list) and for a u column (one sweep of all nine
 forms), which its three components share (``builders.shared_components``);
 its ``GeneratingCurve.column`` calls the components, so validation
 evaluates it a column at a time, as it does a generated curve.
-``write_curve_csv`` still queries the curve one float sample at a time.
+``write_curve_csv`` still queries the curve one float sample at a time
+(see its docstring).
 
 OBJ export projects the 4-coordinate samples to three viewing axes; the
 projection is recorded in a comment and carries no geometric claim.
@@ -64,8 +65,14 @@ def _header(names: Sequence[str]) -> list[str]:
 
 def write_curve_csv(path: str, curve: GeneratingCurve, samples: int = 401) -> None:
     """Sample the curve jets on a uniform grid and write them as CSV, one
-    float query per sample: the export is small, and a column write gave
-    the same bytes no faster."""
+    float query per sample.  One column query writes the same bytes (all
+    27 ``curve_export`` cases of ``perfbench``, 33 samples each) in about
+    the same time: generate plus write of the 27 in one process took a
+    median 107.6 ms this way and 103.5 ms by column, over 7 alternating
+    runs on 2 shared cores, each way spread over 80-150 ms.  But a column
+    query goes around a generated curve's components, which
+    ``perfbench/spans.py`` wraps only after ``generate`` returns, so its
+    ``builders.curve_fresh_u`` counter would read 0."""
     rows = [_header(SPECS[curve.rotation].names)]
     for u in uniform(*curve.domain, samples):
         jets = curve.jets(u)

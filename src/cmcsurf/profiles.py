@@ -55,7 +55,8 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Union
 import numpy as np
 
 from .errors import EvalDomainError, ExprSyntaxError, UnknownIdentifierError
-from .geometry import _new, collect_faults, divisor, fail_at, libm, midpoints, power, raise_at
+from .geometry import (_new, collect_faults, divisor, fail_at, libm, midpoints, power, raise_at,
+                       where)
 
 FUNCTIONS = frozenset({"sqrt", "sin", "cos", "sinh", "cosh", "exp", "ln", "abs"})
 BUILTIN_CONSTS: Mapping[str, float] = {"pi": math.pi}
@@ -116,9 +117,7 @@ class Jet2(NamedTuple):
             raise _operand_error("/", self, o) from None
 
     def reciprocal(self) -> "Jet2":
-        zero = self.val == 0.0
-        if zero is not False:
-            raise_at(zero, ZeroDivisionError, "jet division by zero")
+        raise_at(self.val == 0.0, ZeroDivisionError, "jet division by zero")
         inv = 1.0 / self.val
         return _new(Jet2, (inv, -self.d1 * inv * inv,
                            (2.0 * self.d1 * self.d1 * inv - self.d2) * inv * inv))
@@ -133,16 +132,14 @@ class Jet2(NamedTuple):
         ci = round(c)
         if abs(c - ci) < 1e-12:
             c = float(ci)
-            zero = x == 0.0 if c < 2.0 else False
-            if zero is not False:
-                raise_at(zero, ZeroDivisionError, "zero base with exponent below 2")
+            if c < 2.0:
+                raise_at(x == 0.0, ZeroDivisionError, "zero base with exponent below 2")
         else:
             bad = x <= 0.0
-            if bad is not False:
-                raise_at(bad, ValueError, "non-integer power of a non-positive base")
-                # only a column inside collect_faults gets here: its failed
-                # entries take a base whose power is real
-                x = np.where(bad, math.nan, x)
+            raise_at(bad, ValueError, "non-integer power of a non-positive base")
+            # a failed entry gets past the check only on a column inside
+            # collect_faults: it takes a base whose power is real
+            x = where(bad, math.nan, x)
         p2 = power(x, c - 2.0)
         p1 = p2 * x
         return _new(Jet2, (p1 * x, c * p1 * d1, c * ((c - 1.0) * p2 * d1 * d1 + p1 * d2)))
@@ -164,9 +161,7 @@ def _chain(x: Jet2, g: float, gp: float, gpp: float) -> Jet2:
 
 
 def jsqrt(x: Jet2) -> Jet2:
-    bad = x.val <= 0.0
-    if bad is not False:
-        raise_at(bad, ValueError, "sqrt of a non-positive value")
+    raise_at(x.val <= 0.0, ValueError, "sqrt of a non-positive value")
     s = libm(x.val).sqrt(x.val)
     return _chain(x, s, 0.5 / s, -0.25 / divisor(s * x.val))
 
@@ -201,18 +196,14 @@ def jexp(x: Jet2) -> Jet2:
 
 
 def jln(x: Jet2) -> Jet2:
-    bad = x.val <= 0.0
-    if bad is not False:
-        raise_at(bad, ValueError, "ln of a non-positive value")
+    raise_at(x.val <= 0.0, ValueError, "ln of a non-positive value")
     inv = 1.0 / x.val
     return _chain(x, libm(x.val).log(x.val), inv, -inv * inv)
 
 
 def jabs(x: Jet2) -> Jet2:
     # Defined away from zero only; the kink has no jet.
-    zero = x.val == 0.0
-    if zero is not False:
-        raise_at(zero, ValueError, "abs is not differentiable at zero")
+    raise_at(x.val == 0.0, ValueError, "abs is not differentiable at zero")
     s = (x.val > 0.0) * 2.0 - 1.0  # the sign, +1.0 or -1.0
     return _new(Jet2, (s * x.val, s * x.d1, s * x.d2))
 

@@ -43,6 +43,7 @@ from .geometry import (
     orthonormalize_indefinite,
     raise_at,
     require_finite,
+    where,
 )
 
 #: Default step for the finite-difference oracle.
@@ -134,16 +135,14 @@ def _tangent_frame(jets: PatchJets, u: float,
                    v: float) -> tuple[Vec4, Vec4, float, float, float]:
     """Unit spacelike X, unit timelike Y, plus E, F/E and G - F^2/E for
     sff scaling."""
-    E = inner(jets.z_u, jets.z_u)
-    F = inner(jets.z_u, jets.z_v)
-    G = inner(jets.z_v, jets.z_v)
     with np.errstate(over="ignore", invalid="ignore"):  # silent, as at a float
+        E = inner(jets.z_u, jets.z_u)
+        F = inner(jets.z_u, jets.z_v)
+        G = inner(jets.z_v, jets.z_v)
         det = E * G - F * F
-    lorentz = (det < 0.0) & (E > 0.0)
-    if lorentz is not True:
-        raise_at(negate(lorentz), NonLorentzMetricError,
-                 "no (+,-) tangent frame at (u, v) = ({!r}, {!r}): E={!r}, EG-F^2={!r}",
-                 u, v, E, det)
+    raise_at(negate((det < 0.0) & (E > 0.0)), NonLorentzMetricError,
+             "no (+,-) tangent frame at (u, v) = ({!r}, {!r}): E={!r}, EG-F^2={!r}",
+             u, v, E, det)
     f_over_e = F / E
     g_red = G - F * f_over_e  # < 0
     sqrt = libm(E).sqrt
@@ -223,19 +222,14 @@ def _normal_pair_grid(X: Vec4, Y: Vec4, scores):
 
 
 def _take(mask, new: Vec4, old: Vec4) -> Vec4:
-    return Vec4(*(np.where(mask, a, b) for a, b in zip(new, old)))
+    return Vec4(*(where(mask, a, b) for a, b in zip(new, old)))
 
 
 def _spacelike_first(first, second):
     """(n1, n2, s1, s2) from two (unit, sign) pairs, spacelike normal first."""
     (n1, s1), (n2, s2) = first, second
-    if isinstance(s1, np.ndarray):
-        swap = s1 < s2
-        return (_take(swap, n2, n1), _take(swap, n1, n2),
-                np.where(swap, s2, s1), np.where(swap, s1, s2))
-    if s1 < s2:
-        return n2, n1, s2, s1
-    return n1, n2, s1, s2
+    swap = s1 < s2
+    return _take(swap, n2, n1), _take(swap, n1, n2), where(swap, s2, s1), where(swap, s1, s2)
 
 
 def normal_frame_numeric(patch: SurfacePatch, u: float,
@@ -322,11 +316,9 @@ def fd_patch(
     v_lo, v_hi = v_domain
 
     def jets(u, v) -> PatchJets:
-        outside = ((u - h < u_lo - 1e-12) | (u + h > u_hi + 1e-12)
-                   | (v - h < v_lo - 1e-12) | (v + h > v_hi + 1e-12))
-        if outside is not False:
-            raise_at(outside, StencilOutOfDomainError,
-                     "stencil around ({!r}, {!r}) with h={!r} leaves the domain", u, v, h)
+        raise_at((u - h < u_lo - 1e-12) | (u + h > u_hi + 1e-12)
+                 | (v - h < v_lo - 1e-12) | (v + h > v_hi + 1e-12), StencilOutOfDomainError,
+                 "stencil around ({!r}, {!r}) with h={!r} leaves the domain", u, v, h)
         if isinstance(u, np.ndarray) and isinstance(v, np.ndarray):
             points = _stencil_grid(position, u, v, h)
         else:

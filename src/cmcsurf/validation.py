@@ -57,7 +57,7 @@ from .builders import (
     h2_closed,
     hyperplane_degeneracy,
 )
-from .errors import InvariantViolationError
+from .errors import InvariantViolationError, StencilOutOfDomainError
 from .generator import CmcParams, domain_validity, generate
 from .geometry import gram_residual, midpoints, raise_at, uniform
 from .profiles import ProfileFunction
@@ -241,12 +241,16 @@ def shrunk_grid(curve: GeneratingCurve, nu: int, nv: int,
                 v_window: tuple[float, float]) -> GridSpec:
     """Default validation grid: the curve domain pulled in by 4 FD steps
     on each side (so every stencil of both Richardson levels stays inside),
-    and the v window likewise."""
-    lo, hi = curve.domain
+    and the v window likewise.  A window narrower than those 8 FD steps
+    leaves no grid: a StencilOutOfDomainError."""
     margin = 4.0 * FD_STEP
-    v_lo, v_hi = v_window
-    return GridSpec(nu, nv, (lo + margin, hi - margin),
-                    (v_lo + margin, v_hi - margin))
+    windows = []
+    for name, (lo, hi) in (("u", curve.domain), ("v", v_window)):
+        if not hi - lo >= 2.0 * margin:
+            raise StencilOutOfDomainError(f"{name} window ({lo!r}, {hi!r}) is narrower "
+                                          f"than 8 FD steps ({2.0 * margin!r})")
+        windows.append((lo + margin, hi - margin))
+    return GridSpec(nu, nv, *windows)
 
 
 def validate_surface(curve: GeneratingCurve, target_h2: float,

@@ -456,3 +456,17 @@ def test_equal_u_columns_share_one_evaluation(kind, tmp_path):
     assert all(len(c) == 201 and set(c.values()) == {1} for c in counters)
     for got, want in zip(jets, fresh.jets(second)):
         assert [f.tobytes() for f in got] == [f.tobytes() for f in want]
+
+
+@pytest.mark.parametrize("rotation, text, interval", [
+    (RotationType.ELLIPTIC, "1+u/2", (0.0, 3.0)),
+    (RotationType.HYPERBOLIC_A, "2*u", (0.5, 2.5)),
+    (RotationType.PARABOLIC, "u", (0.5, 2.0)),
+])
+def test_a_numpy_scalar_u_is_a_float_point(rotation, text, interval):
+    # every check and every per-point choice of the turning equation takes
+    # a numpy scalar as the float it holds
+    profile = ProfileFunction.from_text(text, interval)
+    turning, params, u = SPECS[rotation].turning, CmcParams(C=0.3), 1.25
+    assert turning(profile.jet(np.float64(u)), params, np.float64(u)) == turning(
+        profile.jet(u), params, u) != 0.0

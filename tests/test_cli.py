@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -232,6 +233,45 @@ def test_a_curve_past_the_float_range_ends_in_one_error_line(field, value, error
     path = _circle_csv_ending_in(tmp_path, field, value)
     assert run(["validate", "--type", "elliptic", "--csv", str(path), "--grid", "9x7",
                 "--C", "0.4330127018922193"], capsys) == (2, "", error + "\n")
+
+
+HYPERBOLIC_A_2U = ["--type", "hyperbolicA", "--profile", "2*u", "--interval", "0.5:2.5",
+                   "--C", "0.5"]
+#: The first (u, v), at the ends of the v window, where r cosh v passes the
+#: float range (libm's cosh itself raises past |v| = 710.47...).
+POSITION_OVERFLOWS = "ERROR[invariant-violation] position is not finite at (u, v) = "
+
+
+@pytest.mark.parametrize("argv, error", [
+    # r cosh v near 1e173 squares to inf, and E = inf - inf is nan on the
+    # grid, silently as at a float
+    (["validate", *HYPERBOLIC_A_2U, "--v-window=-400:400"],
+     "ERROR[non-lorentz-metric] no (+,-) tangent frame at (u, v) = (0.5004002, -399.9996): "
+     "E=nan, EG-F^2=nan"),
+    (["oracle", *HYPERBOLIC_A_2U, "--v-window=-400:400"],
+     "ERROR[non-lorentz-metric] no (+,-) tangent frame at (u, v) = (0.5004002, -399.9996): "
+     "E=nan, EG-F^2=nan"),
+    (["validate", *HYPERBOLIC_A_2U, "--v-window=-800:800"],
+     POSITION_OVERFLOWS + "(0.5000002, -800.0)"),
+    (["surface", *HYPERBOLIC_A_2U, "--v-window=-800:800", "--out", "{tmp}/s.csv"],
+     POSITION_OVERFLOWS + "(0.5000002, -800.0)"),
+    (["oracle", *HYPERBOLIC_A_2U, "--v-window=-800:800"],
+     POSITION_OVERFLOWS + "(0.5000002, -800.0)"),
+    (["surface", "--type", "hyperbolicB", "--profile", "2", "--interval", "0:2", "--C", "0.1",
+      "--v-window=700:720", "--out", "{tmp}/s.csv"],
+     POSITION_OVERFLOWS + "(2e-07, 720.0)"),
+    # cosh 710 = 1.1e308 is a float, and r cosh 710 = 2.2e308 is not
+    (["surface", "--type", "hyperbolicB", "--profile", "2", "--interval", "0:2", "--C", "0.1",
+      "--v-window=700:710", "--out", "{tmp}/s.csv"],
+     POSITION_OVERFLOWS + "(2e-07, 710.0)"),
+], ids=["validate-400", "oracle-400", "validate-800", "surface-800", "oracle-800",
+        "surface-720", "surface-710"])
+def test_a_patch_far_out_in_v_ends_in_one_error_line(argv, error, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
+        result = run([arg.replace("{tmp}", str(tmp_path)) for arg in argv], capsys)
+    assert result == (2, "", error + "\n")
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_narrow_valid_pieces_are_empty_validity(capsys):
@@ -481,15 +521,42 @@ def test_validate_prints_the_library_report(case, eta, capsys):
      "argument --hsign: expected +1 or -1, got '0'"),
     (["surface", *ELLIPTIC_2, "--C", "0.1"],
      "ERROR[usage] give --out and/or --obj"),
+    # a validation grid keeps 4 FD steps (4e-4) off each end of its windows
+    (["validate", "--type", "elliptic", "--csv", "{tmp}/line-0.10015.csv", "--C", "0.1"],
+     "ERROR[stencil-out-of-domain] u window (0.1, 0.10015) is narrower than 8 FD steps "
+     "(0.0008)"),
+    (["oracle", "--type", "elliptic", "--csv", "{tmp}/line-0.10015.csv"],
+     "ERROR[stencil-out-of-domain] u window (0.1, 0.10015) is narrower than 8 FD steps"),
+    (["validate", "--type", "elliptic", "--csv", "{tmp}/line-0.1005.csv", "--C", "0.1"],
+     "ERROR[stencil-out-of-domain] u window (0.1, 0.1005) is narrower than 8 FD steps"),
+    (["validate", *ELLIPTIC_2, "--v-window", "0:1e-9"],
+     "ERROR[stencil-out-of-domain] v window (0.0, 1e-09) is narrower than 8 FD steps"),
+    (["special", "--type", "hyperbolicA", "--a", "1", "--b", "2", "--interval", "0:1"],
+     "ERROR[case-mismatch] constants a=1.0, b=2.0 give eps=-1.0, not case sign 1"),
+    (["special", "--type", "hyperbolicA", "--a", "1", "--b", "1", "--interval", "0:1"],
+     "ERROR[domain] special hyperbolic profile undefined"),
+    (["special", "--type", "parabolic", "--a", "0", "--b", "1", "--interval", "0:1"],
+     "ERROR[domain] special parabolic profile undefined"),
+    # the profile's 17 spot checks lie in (0, 1), where it is defined; the
+    # audit's first point does not
+    (["special", "--type", "elliptic", "--a", "0.5", "--b", "0", "--interval=-0.01:1"],
+     "ERROR[domain] special elliptic profile undefined at u=-0.00748656218905472"),
 ], ids=["rel-tol-0", "rel-tol-inf", "cmc-tol-nan", "cmc-tol-negative", "cmc-fd-tol-inf",
         "oracle-tol-nan", "rel-tol-abc", "samples-1", "samples-2.5", "perturb-phi-nan",
         "special-b-inf", "special-a-nan", "special-d-nan", "special-A-inf", "special-B-inf",
         "bad-projection", "u0-outside", "csv-missing",
         "csv-header-only", "no-profile", "no-interval", "const-without-value",
         "const-not-a-number", "const-nan", "const-inf", "const-minus-inf", "grid-abc",
-        "grid-1x5", "interval-reversed", "hsign-0", "surface-without-output"])
+        "grid-1x5", "interval-reversed", "hsign-0", "surface-without-output",
+        "validate-narrow-u", "oracle-narrow-u", "validate-reversed-u", "validate-narrow-v",
+        "special-case-mismatch", "special-hyperbolic-domain", "special-parabolic-domain",
+        "special-elliptic-domain"])
 def test_bad_input_exits_2_without_traceback(argv, message, tmp_path, capsys):
-    (tmp_path / "header_only.csv").write_text("u,x1,x2,r,dx1,dx2,dr,ddx1,ddx2,ddr\r\n")
+    header = "u,x1,x2,r,dx1,dx2,dr,ddx1,ddx2,ddr\r\n"
+    (tmp_path / "header_only.csv").write_text(header)
+    for end in ("0.10015", "0.1005"):  # the line x1 = u at r = 2, on (0.1, end)
+        (tmp_path / f"line-{end}.csv").write_text(
+            header + "".join(f"{u},{u},0,2,1,0,0,0,0,0\r\n" for u in ("0.1", end)))
     code, out, err = run([arg.replace("{tmp}", str(tmp_path)) for arg in argv], capsys)
     assert code == 2, err
     assert message in err

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from cmcsurf.geometry import (
     inner,
     orthonormalize_indefinite,
     require_finite,
+    where,
 )
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -76,6 +78,14 @@ def test_require_finite():
         require_finite(Vec4(math.nan, 0, 0, 0))
     with pytest.raises(ValueError):
         require_finite(Vec4(0, math.inf, 0, 0))
+
+
+def test_where_picks_per_point():
+    assert (where(True, 1, -1), where(False, 1, -1)) == (1, -1)
+    # a numpy bool scalar is a point: the pick itself, not a 0-d array
+    assert where(np.False_, 0.0, 2.5) == 2.5 and type(where(np.True_, 1, -1)) is int
+    assert where(np.array([[True], [False]]), 1, np.array([[-1, -2]])).tolist() == [[1, 1],
+                                                                                    [-1, -2]]
 
 
 def test_orthonormalize_already_orthonormal():

@@ -115,6 +115,11 @@ def test_eval_examples():
     assert jet.val == pytest.approx(1.0, abs=1e-15)
     assert jet.d1 == pytest.approx(0.0, abs=1e-15)
     assert jet.d2 == pytest.approx(-1.0, abs=1e-15)
+    # 0^0 = 1 and 0^1 = 0, where the general power rule divides by zero
+    for text, at_zero in (("u^0", Jet2(1.0, 0.0, 0.0)), ("u^1", Jet2(0.0, 1.0, 0.0))):
+        assert eval_jet(parse(text), 0.0) == at_zero
+        column = eval_jet(parse(text), np.zeros(3))
+        assert [f.tolist() for f in column] == [[x] * 3 for x in at_zero]
 
 
 def test_eval_with_constants():

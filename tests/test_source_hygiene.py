@@ -170,3 +170,69 @@ def test_one_patch_assembly():
                 if isinstance(fn, ast.FunctionDef) and fn.name == "_patch_jets"]
     assert len(assembly) == 1
     assert _patch_jets_builds(tree) == _patch_jets_builds(assembly[0]) == 1
+
+
+#: A guard in front of a check: ``raise_at`` returns at once on False, and
+#: the choice between a float and a grid belongs to ``geometry``.
+GUARDED_CHECK = re.compile(r"^[ \t]*if \w+ is not (?:False|True):\n[ \t]*raise_at\(", re.M)
+
+
+def _guarded_checks(source: str) -> list[int]:
+    return [source.count("\n", 0, m.start()) + 1 for m in GUARDED_CHECK.finditer(source)]
+
+
+def _is_ndarray_test(node: ast.AST) -> bool:
+    return any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+               and call.func.id == "isinstance" and len(call.args) == 2
+               and isinstance(call.args[1], ast.Attribute) and call.args[1].attr == "ndarray"
+               for call in ast.walk(node))
+
+
+def _is_select(branch: list[ast.AST]) -> bool:
+    """Whether a branch only picks values, one of them by ``np.where``: it
+    holds expressions, assignments and returns, and nothing that computes
+    in a block of its own (a ``with`` or a loop)."""
+    return (all(isinstance(stmt, ast.expr | ast.Expr | ast.Assign | ast.Return) for stmt in branch)
+            and any(isinstance(sub, ast.Attribute) and sub.attr == "where"
+                    and isinstance(sub.value, ast.Name) and sub.value.id == "np"
+                    for stmt in branch for sub in ast.walk(stmt)))
+
+
+def _grid_selects(tree: ast.Module) -> list[int]:
+    """The line of each branch on ``isinstance(..., np.ndarray)`` (an if
+    statement or expression) whose grid side is a select by ``np.where``:
+    the choice ``geometry.where`` makes for floats and grids alike."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.If | ast.IfExp) and _is_ndarray_test(node.test)
+            and _is_select(node.body if isinstance(node, ast.If) else [node.body])]
+
+
+def test_the_float_grid_checks_see_guards_and_selects():
+    source = ("def f(x, m):\n"
+              "    bad = x <= 0.0\n"
+              "    if bad is not False:\n"
+              "        raise_at(bad, ValueError, 'x')\n"
+              "    ok = x > 1.0\n"
+              "    if ok is not True:\n"
+              "        raise_at(negate(ok), ValueError, 'y')\n"
+              "    if isinstance(m, np.ndarray):\n"
+              "        return np.where(m > 0.0, 1, -1)\n"
+              "    if isinstance(x, np.ndarray):  # a computation of its own\n"
+              "        with collect_faults() as faults:\n"
+              "            x = x + 1\n"
+              "        return np.where(faults[0], -1, x)\n"
+              "    return np.where(m, 0.0, x) if isinstance(x, np.ndarray) else 0.0\n")
+    assert _guarded_checks(source) == [3, 6]
+    assert sorted(_grid_selects(ast.parse(source))) == [8, 14]
+
+
+def test_the_float_grid_contract_stays_in_geometry():
+    # a check is one raise_at and a per-point choice one geometry.where,
+    # whether the caller runs on a float or a grid
+    guards = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+              for line in _guarded_checks(path.read_text())]
+    selects = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+               if path.name != "geometry.py"
+               for line in _grid_selects(ast.parse(path.read_text(), str(path)))]
+    assert not guards, guards
+    assert not selects, selects
