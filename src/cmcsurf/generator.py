@@ -18,11 +18,13 @@ first-order equation for a turning function phi(u) driven by the profile
                g'  = (phi^2 - 1) / (2 f').
 
 phi (and the coordinate components) are recovered by adaptive quadrature:
-one build for phi, then one stacked build for both coordinates, whose
-integrand reads both x' from one slope call at phi.  The curve jets are
-then assembled *analytically* from these identities, never by
-differencing quadrature output, so arc-length holds to roundoff and the
-twist x1'x2''-x1''x2' equals (1+(r')^2) phi' identically.
+one build for the turning function t (phi, or psi for parabolic curves),
+then one stacked build for both coordinates, on t's panels: it starts
+from the panels t's build accepted, and its integrand reads both x' from
+one slope call at t.  The curve jets are then assembled *analytically*
+from these identities, never by differencing quadrature output, so
+arc-length holds to roundoff and the twist x1'x2''-x1''x2' equals
+(1+(r')^2) phi' identically.
 
 Sign bookkeeping: ``h_sign`` is the sign of <H, H> (the paper-level
 choice under the radical) and ``eta`` the overall orientation of phi.
@@ -45,9 +47,10 @@ jet and one turning call over all of them, whose failed checks become
 masks (``geometry.collect_faults``).  Only the bisection of each boundary
 evaluates single float points.  Each level of a quadrature build is a u
 column too, the level's Gauss nodes: one profile jet and one turning call
-for phi, and one profile jet, one query of phi and one slope call for the
-coordinates.  Only a node whose check fails, or whose value is not finite,
-is evaluated again as a float, to raise its error (see
+for t, and one profile jet, one query of t and one slope call for the
+coordinates, whose first level is the Gauss nodes of all of t's panels.
+Only a node whose check fails, or whose value is not finite, is
+evaluated again as a float, to raise its error (see
 ``quadrature.CumulativeIntegral``).  A generated
 curve answers a float u and a u column through one function, the way the
 scan does: one profile jet, one turning call, one slope call and one
@@ -128,13 +131,18 @@ def generate(rotation: RotationType, profile: ProfileFunction, params: CmcParams
     One body serves every type: the spec's turning function t (phi, or psi
     for parabolic curves) is the quadrature of ``spec.turning`` from u0,
     offset by ``params.phi0`` (the parabolic constant A in phi = f'(A +
-    ...)), and the two non-profile components are one stacked quadrature
-    of both x' of ``spec.slope_jets`` at t, offset by ``params.c1`` and
-    ``params.c2``, whose (x', x'') at t and t' the curve reports.  So a
-    generation makes two ``CumulativeIntegral`` builds, each of which
-    evaluates its integrand once per bisection level, on the u column of
-    that level's nodes: one profile jet and one turning call for t, and one
-    profile jet, one query of t and one slope call for the coordinates.
+    ...)), and the two non-profile components are one stacked build for
+    both coordinates, on t's panels: the quadrature of both x' of
+    ``spec.slope_jets`` at t, offset by ``params.c1`` and ``params.c2``,
+    whose (x', x'') at t and t' the curve reports.  So a generation makes
+    two ``CumulativeIntegral`` builds, each of which evaluates its
+    integrand once per bisection level, on the u column of that level's
+    nodes: one profile jet and one turning call for t, and one profile
+    jet, one query of t and one slope call for the coordinates.  The
+    coordinate build starts from t's accepted panels: its first level
+    samples them all, and later levels split only the panels where a
+    coordinate's tail has not decayed, so every knot of t is one of its
+    knots.
     The turning equation checks the profile at every quadrature node and
     curve query: it raises CaseMismatchError / NearNullSlopeError
     where a hyperbolic profile's slope contradicts the case or enters the
@@ -176,7 +184,7 @@ def generate(rotation: RotationType, profile: ProfileFunction, params: CmcParams
         # both x'; their x'' at t' = 0 go unread
         (x, _), (y, _) = slope_jets(jet(u), t(u), 0.0)
         return x, y
-    x_cum = CumulativeIntegral(slopes, a, b, config)
+    x_cum = CumulativeIntegral(slopes, a, b, config, t_cum.knots)
     x_ends = list(zip((params.c1, params.c2), x_cum(u0)))  # (c, the integral at u0)
 
     def curve_jets(u) -> tuple[Jet2, Jet2, Jet2]:

@@ -91,8 +91,12 @@ class Vec4(NamedTuple):
 
 def uniform(lo: float, hi: float, n: int) -> list[float]:
     """The n >= 2 evenly spaced samples lo + (hi - lo) k / (n - 1), k = 0..n-1,
-    of [lo, hi]: the one sample rule of grids, scans, checks and exports."""
-    return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+    of [lo, hi]: the one sample rule of grids, scans, checks and exports.
+    One numpy expression runs the float loop's operations in its order, so
+    each sample is that loop's float.  An n below 2 raises ValueError."""
+    if n < 2:
+        raise ValueError(f"uniform samples need n >= 2, got {n!r}")
+    return (lo + (hi - lo) * np.arange(n) / (n - 1)).tolist()
 
 
 def midpoints(lo: float, hi: float, n: int) -> list[float]:

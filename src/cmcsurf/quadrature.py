@@ -12,6 +12,13 @@ sums and each panel keeps the antiderivative of its interpolant
 so a query is one Clenshaw sum, never calls the integrand, and nearby
 values agree to machine precision rather than to the global tolerance.
 
+The bisection starts from a given partition of the interval, by default
+the one panel (a, b): the generator starts its coordinate build from the
+panels the turning function's build accepted, so its first level reuses
+them and later levels split only where a coordinate needs it.  A panel of
+width (b - a) / 2^k is at depth k, whichever build split it, and none goes
+past ``MAX_DEPTH``.
+
 A build samples its integrand as the package evaluates every other set of
 points: one call per bisection level, on the ndarray of that level's
 Gauss nodes, whose every entry equals the float call at its node bit for
@@ -40,7 +47,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -148,6 +155,11 @@ class PiecewiseLegendre:
         # _coefs and _shifts as lists, made by the first float query
         self._rows = self._offsets = None
 
+    @property
+    def knots(self) -> list[float]:
+        """The panel boundaries, from a to b, as Python floats."""
+        return self._nodes
+
     @staticmethod
     def hermite(us, jets) -> PiecewiseLegendre:
         """Quintic Hermite interpolants of k functions and their first two
@@ -226,37 +238,48 @@ class CumulativeIntegral(PiecewiseLegendre):
     arrays), each entry equal to the float call at its u, and a check that
     fails there records its mask inside ``geometry.collect_faults()``.
 
-    Panels come from one breadth-first bisection of [a, b]: each level calls
-    f once, on the (pending panels, 15) ndarray of their Gauss nodes, and
-    ``gauss15`` sums each panel's samples.  A panel is accepted when the
-    Legendre tail of each integrand's degree-14 interpolant has decayed
-    (``QuadratureConfig``), else split in two.  Each integrand's
-    Gauss-Legendre sums over the accepted panels, added in order, give its
-    F at the panel boundaries (the offsets), and each panel keeps the
-    antiderivative of its interpolant, vanishing at its left end.  A query
-    is a ``PiecewiseLegendre`` query and calls f zero times, so differences
-    of F at nearby points (finite-difference stencils) are accurate far
+    Panels come from one breadth-first bisection that starts from the
+    panels between ``knots`` (increasing, from a to b; by default the one
+    panel (a, b)): each level calls f once, on the (pending panels, 15)
+    ndarray of their Gauss nodes, and ``gauss15`` sums each panel's
+    samples.  A panel is accepted when the Legendre tail of each
+    integrand's degree-14 interpolant has decayed (``QuadratureConfig``),
+    else split in two.  Each integrand's Gauss-Legendre sums over the
+    accepted panels, added in order, give its F at the panel boundaries
+    (the offsets), and each panel keeps the antiderivative of its
+    interpolant, vanishing at its left end.  A query is a
+    ``PiecewiseLegendre`` query and calls f zero times, so differences of
+    F at nearby points (finite-difference stencils) are accurate far
     beyond the global tolerance.  Either kind of query returns exactly 0.0
     at ``a`` and ``total`` at ``b`` (per form), where the sum would be off
     by roundoff; ``total`` is a float, or a list of k.
 
-    Raises QuadratureError when a panel at MAX_DEPTH still fails, or when a
-    level would sample more than MAX_PANELS panels.  Where a node of a
-    level records a fault or a value that is not finite, f is called at
-    each such node as a float, in node order (panel by panel, each from
-    left to right), and the first call that raises decides, as a
-    node-by-node sampling of the whole level would: an ArithmeticError
-    (OverflowError, ZeroDivisionError) becomes a QuadratureError, and any
-    other error propagates.  If none raises, f is not finite there, a
-    QuadratureError.
+    Raises QuadratureError, naming the first of the deepest failed panels,
+    when a panel at MAX_DEPTH still fails (a panel of width (b - a) / 2^k
+    is at depth k, a given one too), or when a level would sample more than
+    MAX_PANELS panels; ValueError when ``knots`` do not increase from a to
+    b.  Where a node of a level records a fault or a value that is not
+    finite, f is called at each such node as a float, in node order (panel
+    by panel, each from left to right), and the first call that raises
+    decides, as a node-by-node sampling of the whole level would: an
+    ArithmeticError (OverflowError, ZeroDivisionError) becomes a
+    QuadratureError, and any other error propagates.  If none raises, f is
+    not finite there, a QuadratureError.
     """
 
-    def __init__(self, f: Callable, a: float, b: float, config: QuadratureConfig | None = None):
+    def __init__(self, f: Callable, a: float, b: float, config: QuadratureConfig | None = None,
+                 knots: Sequence[float] | None = None):
         if not b > a:
             raise ValueError("need b > a")
+        start = np.array((a, b) if knots is None else knots, dtype=float)
+        widths = np.diff(start)
+        if not (start[0] == a and start[-1] == b and (widths > 0.0).all()):
+            raise ValueError("knots must increase from a to b")
         tol = max((config or QuadratureConfig()).rel_tol, REL_TOL_FLOOR) * (b - a)
         accepted = []  # (lo, hi, Gauss-Legendre sums, Legendre coefficients per form)
-        pending, scale, depth = [(a, b)], 0.0, 0
+        pending, scale = list(zip(start[:-1].tolist(), start[1:].tolist())), 0.0
+        # a panel of width (b - a) / 2^k is at depth k, whichever build split it
+        depths = np.rint(np.log2((b - a) / widths))
         while pending:
             lo, hi = np.array(pending).T
             half = 0.5 * (hi - lo)
@@ -293,13 +316,14 @@ class CumulativeIntegral(PiecewiseLegendre):
             # every form's tail against its own max|f|
             ok = ((hi - lo)[:, None] * np.abs(coefs[:, :, 13:]).sum(2) <= tol * scale).all(1)
             accepted += [(*p, q, c) for p, q, c, k in zip(pending, sums, coefs, ok) if k]
-            failed = [p for p, k in zip(pending, ok) if not k]
-            if failed and (depth == MAX_DEPTH or 2 * len(failed) > MAX_PANELS):
-                raise QuadratureError(f"Legendre tail did not decay on {failed[0]!r} "
-                                      f"({len(failed)} panels at depth {depth})")
+            failed, depths = [p for p, k in zip(pending, ok) if not k], depths[~ok]
+            if failed and (depths.max() >= MAX_DEPTH or 2 * len(failed) > MAX_PANELS):
+                deepest = int(np.argmax(depths))  # the first, when all are as deep
+                raise QuadratureError(f"Legendre tail did not decay on {failed[deepest]!r} "
+                                      f"({len(failed)} panels at depth {depths[deepest]:.0f})")
             pending = [piece for lo, hi in failed
                        for piece in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))]
-            depth += 1
+            depths = np.repeat(depths + 1.0, 2)
         accepted.sort(key=lambda panel: panel[0])
         _, his, sums, coefs = zip(*accepted)
         nodes = (a, *his)

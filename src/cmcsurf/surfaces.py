@@ -23,6 +23,7 @@ frame does not raise at singular points: there both of its normal signs
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
@@ -31,12 +32,14 @@ import numpy as np
 
 from .errors import (
     DegenerateFrameError,
+    InvariantViolationError,
     NonLorentzMetricError,
     StencilOutOfDomainError,
 )
 from .geometry import (
     BASIS,
     Vec4,
+    fail_at,
     inner,
     libm,
     negate,
@@ -131,6 +134,19 @@ def first_fundamental_form(patch: SurfacePatch, u: float, v: float) -> FirstFund
     return form
 
 
+def _first_form_error(u: float, v: float, E: float, F: float, G: float,
+                      det: float) -> Exception:
+    """Why the first fundamental form (E, F, G, det = EG - F^2) at (u, v)
+    spans no (+,-) tangent plane: it overflows, or it has the wrong
+    signature."""
+    if not all(map(math.isfinite, (E, F, G, det))):
+        return InvariantViolationError(
+            f"first fundamental form overflows at (u, v) = ({u!r}, {v!r}): "
+            f"E={E!r}, F={F!r}, G={G!r}")
+    return NonLorentzMetricError(f"no (+,-) tangent frame at (u, v) = ({u!r}, {v!r}): "
+                                 f"E={E!r}, EG-F^2={det!r}")
+
+
 def _tangent_frame(jets: PatchJets, u: float,
                    v: float) -> tuple[Vec4, Vec4, float, float, float]:
     """Unit spacelike X, unit timelike Y, plus E, F/E and G - F^2/E for
@@ -140,9 +156,10 @@ def _tangent_frame(jets: PatchJets, u: float,
         F = inner(jets.z_u, jets.z_v)
         G = inner(jets.z_v, jets.z_v)
         det = E * G - F * F
-    raise_at(negate((det < 0.0) & (E > 0.0)), NonLorentzMetricError,
-             "no (+,-) tangent frame at (u, v) = ({!r}, {!r}): E={!r}, EG-F^2={!r}",
-             u, v, E, det)
+    # one decision at the first offending point: the form's own overflow
+    # there, else its signature
+    finite = Vec4(E, F, G, det).is_finite()
+    fail_at(negate(finite & (det < 0.0) & (E > 0.0)), _first_form_error, u, v, E, F, G, det)
     f_over_e = F / E
     g_red = G - F * f_over_e  # < 0
     sqrt = libm(E).sqrt

@@ -221,9 +221,10 @@ def test_an_overflowing_arclength_expression_is_an_invariant_violation(
     # libm's pow in the closed form's squares overflows
     ("ddx1", "1e155", "ERROR[invariant-violation] closed-form <H, H> overflows on "
                       "(0.0, 6.283185307179586)"),
-    # E G - F^2 overflows on the grid: a numpy warning before the error
-    ("ddr", "1e155", "ERROR[non-lorentz-metric] no (+,-) tangent frame at (u, v) = "
-                     "(6.282785307179586, 0.0004): E=-1.5103938188924142e+303, EG-F^2=nan"),
+    # E G - F^2 overflows on the grid (inf - inf): an overflow, not a signature
+    ("ddr", "1e155", "ERROR[invariant-violation] first fundamental form overflows at (u, v) = "
+                     "(6.282785307179586, 0.0004): E=-1.5103938188924142e+303, "
+                     "F=-1.8152061871066688e+280, G=-6.159395872573665e+295"),
     # the spline's derivative coefficients overflow: warnings from its build and sums
     ("dx1", "1e308", "ERROR[invariant-violation] arc-length expression overflows on "
                      "(0.0, 6.283185307179586)"),
@@ -240,17 +241,16 @@ HYPERBOLIC_A_2U = ["--type", "hyperbolicA", "--profile", "2*u", "--interval", "0
 #: The first (u, v), at the ends of the v window, where r cosh v passes the
 #: float range (libm's cosh itself raises past |v| = 710.47...).
 POSITION_OVERFLOWS = "ERROR[invariant-violation] position is not finite at (u, v) = "
+FORM_OVERFLOWS = "ERROR[invariant-violation] first fundamental form overflows at (u, v) = "
 
 
 @pytest.mark.parametrize("argv, error", [
     # r cosh v near 1e173 squares to inf, and E = inf - inf is nan on the
-    # grid, silently as at a float
+    # grid, silently as at a float: the first fundamental form overflows
     (["validate", *HYPERBOLIC_A_2U, "--v-window=-400:400"],
-     "ERROR[non-lorentz-metric] no (+,-) tangent frame at (u, v) = (0.5004002, -399.9996): "
-     "E=nan, EG-F^2=nan"),
+     FORM_OVERFLOWS + "(0.5004002, -399.9996): E=nan, F=nan, G=nan"),
     (["oracle", *HYPERBOLIC_A_2U, "--v-window=-400:400"],
-     "ERROR[non-lorentz-metric] no (+,-) tangent frame at (u, v) = (0.5004002, -399.9996): "
-     "E=nan, EG-F^2=nan"),
+     FORM_OVERFLOWS + "(0.5004002, -399.9996): E=nan, F=nan, G=nan"),
     (["validate", *HYPERBOLIC_A_2U, "--v-window=-800:800"],
      POSITION_OVERFLOWS + "(0.5000002, -800.0)"),
     (["surface", *HYPERBOLIC_A_2U, "--v-window=-800:800", "--out", "{tmp}/s.csv"],

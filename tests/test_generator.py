@@ -32,7 +32,7 @@ from cmcsurf.geometry import collect_faults, uniform
 from cmcsurf.profiles import ProfileFunction, parse
 from cmcsurf.quadrature import CumulativeIntegral, QuadratureConfig
 from cmcsurf.surfaces import fd_oracle, mean_curvature
-from cmcsurf.validation import shrunk_grid, validate_surface
+from cmcsurf.validation import generation_plan, shrunk_grid, validate_surface
 
 from dsl_random import random_expression
 
@@ -363,28 +363,44 @@ def test_fresh_u_makes_one_turning_and_one_slope_call(rotation, text, interval, 
         assert calls == {"turning": 1, "slope_jets": 1}, (u, calls)
 
 
+def recorded_builds(monkeypatch, rotation, prof, params, interval):
+    """generate's two builds (t, then the coordinates), each as (the
+    CumulativeIntegral, its integrand, the u of each integrand call)."""
+    builds = []
+
+    class Recorded(CumulativeIntegral):
+        def __init__(self, f, a, b, config=None, knots=None):
+            calls = []
+
+            def recorded(u):
+                calls.append(u)
+                return f(u)
+            super().__init__(recorded, a, b, config, knots)
+            builds.append((self, f, calls))
+
+    monkeypatch.setattr(generator, "CumulativeIntegral", Recorded)
+    generate(rotation, prof, params, CONFIG, interval)
+    assert len(builds) == 2
+    return builds
+
+
+def gauss_nodes(knots):
+    """The (panels, 15) Gauss nodes of the panels between ``knots``, each
+    rounded as the float mid + half * x is."""
+    xs = np.polynomial.legendre.leggauss(15)[0].tolist()
+    return np.array([[0.5 * (lo + hi) + 0.5 * (hi - lo) * x for x in xs]
+                     for lo, hi in zip(knots, knots[1:])])
+
+
 @pytest.mark.parametrize("rotation,text,interval,C,nodes", [
-    (RotationType.ELLIPTIC, "1+u/2", (0.0, 3.0), 0.3, 135),
+    (RotationType.ELLIPTIC, "1+u/2", (0.0, 3.0), 0.3, 75),
     (RotationType.HYPERBOLIC_A, "2*u", (0.5, 2.5), 0.5, None),
     (RotationType.HYPERBOLIC_B, "2", (0.0, 2.0), 0.1, None),
     (RotationType.PARABOLIC, "u", (0.5, 2.0), 0.5, None),
 ])
 def test_generate_builds_t_then_both_coordinates_at_one_slope_call_per_level(
         rotation, text, interval, C, nodes, monkeypatch):
-    levels, node_counts, slope_calls = [], [], Counter()
-
-    class Counted(CumulativeIntegral):
-        def __init__(self, f, a, b, config=None):
-            levels.append(0)
-            node_counts.append(0)
-            build = len(levels) - 1
-
-            def counted(u):
-                assert isinstance(u, np.ndarray)  # a column per level, no float call
-                levels[build] += 1
-                node_counts[build] += u.size
-                return f(u)
-            super().__init__(counted, a, b, config)
+    slope_calls = Counter()
 
     def slope_jets(*args):
         slope_calls[type(args[1])] += 1
@@ -392,12 +408,46 @@ def test_generate_builds_t_then_both_coordinates_at_one_slope_call_per_level(
 
     spec = SPECS[rotation]
     monkeypatch.setitem(SPECS, rotation, replace(spec, slope_jets=slope_jets))
-    monkeypatch.setattr(generator, "CumulativeIntegral", Counted)
-    generate(rotation, profile(text, interval), CmcParams(C=C), CONFIG, interval)
-    assert len(levels) == 2  # t, then the stacked coordinates
+    (t, _, t_levels), (x, _, levels) = recorded_builds(
+        monkeypatch, rotation, profile(text, interval), CmcParams(C=C), interval)
+    # a column per level, no float call
+    assert all(isinstance(u, np.ndarray) for u in t_levels + levels)
     # one call per coordinate level, and one per end query of generate
-    assert slope_calls == {np.ndarray: levels[1], float: 2}
-    assert nodes is None or node_counts[1] == nodes
+    assert slope_calls == {np.ndarray: len(levels), float: 2}
+    assert nodes is None or sum(u.size for u in levels) == nodes
+    # the coordinate build starts from t's accepted panels, at t's own
+    # nodes, and only ever splits them
+    assert levels[0].view(np.int64).tolist() == gauss_nodes(t.knots).view(np.int64).tolist()
+    assert set(t.knots) <= set(x.knots)
+
+
+def test_a_piece_ending_at_a_radicand_zero_takes_one_or_two_coordinate_levels(monkeypatch):
+    # the coordinate build bisected this piece over 15 levels from [a, b]
+    prof = profile("2*u", (0.5, 2.5))
+    interval, params = generation_plan(domain_validity(
+        prof, CmcParams(C=0.5, h_sign=-1), (0.5, 2.5), RotationType.HYPERBOLIC_A),
+        CmcParams(C=0.5, h_sign=-1))
+    _, (_, _, levels) = recorded_builds(monkeypatch, RotationType.HYPERBOLIC_A, prof, params,
+                                        interval)
+    assert len(levels) <= 2
+
+
+def test_coordinates_on_t_s_panels_are_the_build_from_a_b(monkeypatch):
+    # on 1+u/2 (C = 0.3) t's 5 panels are the coordinates' own: starting
+    # there moves no panel and no Gauss-Legendre sum of the build from
+    # [a, b].  A coefficient may move in its last bit: the level's mean,
+    # one matrix-vector product over all its rows, can round a row by its
+    # position among them (the last panel is row 3 of 4 there, 4 of 5 here)
+    interval = (0.0, 3.0)
+    (t, _, _), (x, slopes, _) = recorded_builds(
+        monkeypatch, RotationType.ELLIPTIC, profile("1+u/2", interval), CmcParams(C=0.3),
+        interval)
+    alone = CumulativeIntegral(slopes, *interval, CONFIG)
+    assert x.knots == t.knots == alone.knots and len(x.knots) == 6
+    for got, want in ((x._shifts, alone._shifts), (x.total, alone.total)):
+        assert np.array(got).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+    scale = np.abs(alone._coefs).max(axis=(0, 2))[:, None]  # per form
+    assert (np.abs(x._coefs - alone._coefs) <= 4e-16 * scale).all()
 
 
 def test_validity_full_interval():

@@ -21,6 +21,7 @@ from cmcsurf.geometry import (
     inner,
     orthonormalize_indefinite,
     require_finite,
+    uniform,
     where,
 )
 
@@ -126,3 +127,17 @@ def test_orthonormalize_output_table(vecs):
         for j, (uj, sj) in enumerate(out):
             expected = float(si) if i == j else 0.0
             assert abs(inner(ui, uj) - expected) <= 1e-12
+
+
+@given(lo=finite, hi=finite, n=st.integers(2, 3000))
+def test_uniform_is_the_float_loop(lo, hi, n):
+    samples = uniform(lo, hi, n)
+    assert all(type(u) is float for u in samples)
+    assert list(map(float.hex, samples)) == [float.hex(lo + (hi - lo) * k / (n - 1))
+                                             for k in range(n)]
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_uniform_needs_two_samples(n):
+    with pytest.raises(ValueError, match="n >= 2"):
+        uniform(0.0, 1.0, n)

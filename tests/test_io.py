@@ -299,3 +299,13 @@ def test_surface_obj_vertices_and_faces(tmp_path):
     assert verts[0] == [pos.x1, pos.x3, pos.x4]
     assert all(1 <= idx <= len(verts) for face in faces for idx in face)
     assert all(len(face) == 4 for face in faces)
+
+
+def test_one_sample_is_a_value_error(tmp_path):
+    # the sample rule needs both ends: no ZeroDivisionError, no file
+    curve = elliptic_circle(2.0)
+    with pytest.raises(ValueError, match="n >= 2"):
+        write_curve_csv(str(tmp_path / "c.csv"), curve, samples=1)
+    assert not (tmp_path / "c.csv").exists()
+    with pytest.raises(ValueError, match="n >= 2"):
+        validate_surface(curve, -0.25, nu=1)

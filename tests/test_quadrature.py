@@ -12,7 +12,13 @@ from cmcsurf.errors import QuadratureError
 from cmcsurf.generator import CmcParams, domain_validity, generate
 from cmcsurf.geometry import libm, raise_at
 from cmcsurf.profiles import ProfileFunction
-from cmcsurf.quadrature import CumulativeIntegral, PiecewiseLegendre, QuadratureConfig, gauss15
+from cmcsurf.quadrature import (
+    MAX_DEPTH,
+    CumulativeIntegral,
+    PiecewiseLegendre,
+    QuadratureConfig,
+    gauss15,
+)
 from cmcsurf.validation import generation_plan
 
 #: The 15 Gauss-Legendre nodes on [-1, 1], as Python floats.
@@ -188,6 +194,50 @@ def test_build_calls_its_integrand_once_per_level_on_the_gauss_nodes():
         pending = [piece for lo, hi in pending if (lo, hi) not in accepted
                    for piece in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))]
     assert pending == [] and len(calls) >= 3
+
+
+def test_build_starts_from_the_given_knots():
+    # the first level samples every given panel; later levels split only
+    # those whose tail has not decayed, so each given knot stays a knot
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return exp(sin(5.0 * x))
+
+    knots = [-1.0, 0.0, 0.5, 2.0, 4.0]
+    cum = CumulativeIntegral(f, -1.0, 4.0, None, knots)
+    assert bits(calls[0]) == bits([[0.5 * (lo + hi) + 0.5 * (hi - lo) * x for x in GL_NODES]
+                                   for lo, hi in zip(knots, knots[1:])])
+    assert set(knots) <= set(cum.knots)
+    assert abs(cum.total - integral(lambda x: exp(sin(5.0 * x)), -1.0, 4.0)) <= 1e-14
+    # the default start is the one panel (a, b)
+    assert bits(CumulativeIntegral(cos, 0.0, 3.0, None, (0.0, 3.0))._coefs) == bits(
+        CumulativeIntegral(cos, 0.0, 3.0)._coefs)
+
+
+@pytest.mark.parametrize("knots", [(0.5, 1.0), (0.0, 0.5), (0.0, 0.5, 0.5, 1.0),
+                                   (0.0, 0.7, 0.3, 1.0)])
+def test_knots_must_increase_from_a_to_b(knots):
+    with pytest.raises(ValueError, match="knots must increase from a to b"):
+        CumulativeIntegral(cos, 0.0, 1.0, None, knots)
+
+
+def test_depth_limit_is_absolute():
+    # a panel of width (b - a) / 2^k is at depth k, whichever build split
+    # it: a jump in a given depth-40 panel fails at MAX_DEPTH after 9
+    # levels.  48 more splits would reach widths below ulp(1/3), where
+    # midpoints round onto ends and a zero-width panel passes the tail test
+    lo = math.floor(2.0**40 / 3.0) / 2.0**40
+    levels = []
+
+    def step(x):
+        levels.append(x.shape[0])
+        return (x >= 1.0 / 3.0) * 1.0
+
+    with pytest.raises(QuadratureError, match=r"panels at depth 48\)$"):
+        CumulativeIntegral(step, 0.0, 1.0, None, (0.0, lo, lo + 2.0**-40, 1.0))
+    assert len(levels) == MAX_DEPTH - 40 + 1 and levels[0] == 3
 
 
 def raises_past(u0):

@@ -19,7 +19,12 @@ A change that means to move these numbers re-records the files with
     PYTHONPATH=src python tests/test_report_digests.py > tests/report_digests.json
     PYTHONPATH=src python tests/test_report_digests.py surface > tests/surface_digests.json
 
-and says why in its log.
+and says why in its log; before that,
+
+    PYTHONPATH=src python tests/test_report_digests.py diff
+
+prints ``case: old → new`` for every report and surface digest that
+differs from the recorded files.
 """
 
 from __future__ import annotations
@@ -189,11 +194,29 @@ def test_surface_files_match_the_recorded_digests(case):
     assert surface_digests(*case) == recorded
 
 
+def report_table() -> dict[str, str]:
+    return {case_id(*case): digest(case) for case in CASES}
+
+
+def surface_table() -> dict[str, str]:
+    return {key: value for case in SURFACE_EXPORT
+            for key, value in surface_digests(*case).items()}
+
+
+def changed(path: str, table: dict[str, str]) -> list[str]:
+    """``case: old → new`` for each digest of ``table`` that differs from
+    the file at ``path``, by case id, each digest as its first 12 hex digits
+    ("-" where one side has none)."""
+    old = _load(path)
+    return [f"{key}: {old.get(key, '-')[:12]} → {table.get(key, '-')[:12]}"
+            for key in sorted(old.keys() | table.keys()) if old.get(key) != table.get(key)]
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] == ["surface"]:
-        table = {key: value for case in SURFACE_EXPORT
-                 for key, value in surface_digests(*case).items()}
+    if sys.argv[1:] == ["diff"]:
+        lines = changed(DIGESTS, report_table()) + changed(SURFACE_DIGESTS, surface_table())
+        sys.stdout.write("".join(line + "\n" for line in lines))
     else:
-        table = {case_id(*case): digest(case) for case in CASES}
-    json.dump(table, sys.stdout, indent=1, sort_keys=True)
-    sys.stdout.write("\n")
+        table = surface_table() if sys.argv[1:] == ["surface"] else report_table()
+        json.dump(table, sys.stdout, indent=1, sort_keys=True)
+        sys.stdout.write("\n")

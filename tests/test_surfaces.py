@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cmcsurf.builders import (
@@ -6,7 +7,11 @@ from cmcsurf.builders import (
     elliptic_frame,
     hyperbolic_frame,
 )
-from cmcsurf.errors import NonLorentzMetricError, StencilOutOfDomainError
+from cmcsurf.errors import (
+    InvariantViolationError,
+    NonLorentzMetricError,
+    StencilOutOfDomainError,
+)
 from cmcsurf.geometry import Vec4, inner
 from cmcsurf.surfaces import (
     PatchJets,
@@ -79,6 +84,35 @@ def test_fff_hyperbolic_f_zero(name, curve):
 def test_fff_degenerate_raises():
     with pytest.raises(NonLorentzMetricError):
         first_fundamental_form(degenerate_patch(), 0.0, 0.0)
+
+
+def steep_patch() -> SurfacePatch:
+    """z_u = (1e200 u, 0, 0, 0): E = 0 at u = 0 (no (+,-) frame), and
+    overflows past u = 1e-100."""
+    zero = Vec4(0, 0, 0, 0)
+
+    def jets(u, v):
+        return PatchJets(Vec4(u, 0.0, v, 0.0), Vec4(1e200 * u, 0.0, 0.0, 0.0),
+                         Vec4(0.0, 0.0, 1.0, 0.0), zero, zero, zero)
+
+    return SurfacePatch(jets, (-1.0, 1.0), (-1.0, 1.0))
+
+
+@pytest.mark.parametrize("us, error, message", [
+    # the first offending point in u-major order decides, with its own values
+    ([0.0, 0.5], NonLorentzMetricError,
+     r"no \(\+,-\) tangent frame at \(u, v\) = \(0\.0, -0\.5\): E=0\.0, EG-F\^2=-0\.0"),
+    ([1e-200, 0.5], InvariantViolationError,
+     r"first fundamental form overflows at \(u, v\) = \(0\.5, -0\.5\): "
+     r"E=inf, F=0\.0, G=-1\.0"),
+])
+def test_an_overflowing_first_form_is_an_overflow(us, error, message):
+    patch, vs = steep_patch(), [-0.5, 0.5]
+    with pytest.raises(error, match=message):  # the grid, then the float call there
+        tangent_frame(patch, np.array(us)[:, None], np.array(vs)[None, :])
+    bad = next(u for u in us if not 0.0 < 1e200 * u < 1e100)
+    with pytest.raises(error, match=message):
+        tangent_frame(patch, bad, vs[0])
 
 
 def test_parabolic_metric_and_causality():
